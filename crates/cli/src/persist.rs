@@ -8,6 +8,7 @@
 
 use popper_core::PopperRepo;
 use popper_vcs::{repo::RepoState, Repository};
+use std::collections::BTreeSet;
 use std::fs;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -100,7 +101,7 @@ fn decode_state(bytes: &[u8]) -> Result<RepoState, String> {
 
 /// Save a repository: worktree files to disk, state to `.popper/state`.
 pub fn save(repo: &PopperRepo, dir: &Path) -> Result<(), String> {
-    let mut state = repo.vcs.export_state();
+    let state = repo.vcs.export_state();
     // Write worktree files.
     for (path, contents) in &state.worktree {
         let full = dir.join(path);
@@ -110,15 +111,37 @@ pub fn save(repo: &PopperRepo, dir: &Path) -> Result<(), String> {
         let mut f = fs::File::create(&full).map_err(|e| format!("create {full:?}: {e}"))?;
         f.write_all(contents).map_err(|e| format!("write {full:?}: {e}"))?;
     }
-    // Remove tracked files that were deleted in the model. (Only files
-    // the state no longer lists but that exist under version-controlled
-    // paths are candidates; we keep it conservative and only handle the
-    // common case of paths we know.)
-    state.worktree.sort();
+    // Delete the tracked files the model dropped since load (a checkout
+    // of a branch without them, say). A file the repository never read
+    // from disk, untracked or found by `popper init`, is left alone.
+    for path in repo.tracked_on_disk() {
+        if repo.vcs.read_file(path).is_none() {
+            remove_with_empty_parents(dir, path)?;
+        }
+    }
     let popper_dir = dir.join(".popper");
     fs::create_dir_all(&popper_dir).map_err(|e| format!("mkdir {popper_dir:?}: {e}"))?;
     let state_file = popper_dir.join("state");
     fs::write(&state_file, encode_state(&state)).map_err(|e| format!("write {state_file:?}: {e}"))?;
+    Ok(())
+}
+
+/// Remove `dir/path`, then each parent directory below `dir` that this
+/// leaves empty.
+fn remove_with_empty_parents(dir: &Path, path: &str) -> Result<(), String> {
+    let full = dir.join(path);
+    match fs::remove_file(&full) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => return Err(format!("remove {full:?}: {e}")),
+        _ => {}
+    }
+    // `remove_dir` fails on a directory that still holds anything.
+    let mut parent = full.parent();
+    while let Some(p) = parent.filter(|p| *p != dir) {
+        if fs::remove_dir(p).is_err() {
+            break;
+        }
+        parent = p.parent();
+    }
     Ok(())
 }
 
@@ -134,8 +157,16 @@ pub fn load(dir: &Path, author: &str) -> Result<PopperRepo, String> {
     let bytes = fs::read(&state_file).map_err(|e| format!("read {state_file:?}: {e} (run `popper init`?)"))?;
     let mut state = decode_state(&bytes)?;
     state.worktree = read_worktree(dir)?;
+    let tracked: BTreeSet<&str> = state.index.iter().map(|(path, _)| path.as_str()).collect();
+    let tracked_on_disk = state
+        .worktree
+        .iter()
+        .map(|(path, _)| path.as_str())
+        .filter(|path| tracked.contains(path))
+        .map(str::to_string)
+        .collect();
     let vcs = Repository::import_state(state).map_err(|e| e.to_string())?;
-    Ok(PopperRepo::from_vcs(vcs, author))
+    Ok(PopperRepo::from_disk(vcs, author, tracked_on_disk))
 }
 
 fn read_worktree(dir: &Path) -> Result<Vec<(String, Vec<u8>)>, String> {

@@ -4,6 +4,11 @@
 //! store; a hash that differs across platforms or library versions would
 //! silently break every stored reference, so we own the implementation
 //! and pin it with the official test vectors.
+//!
+//! The block compression has two kernels. [`compress_portable`] runs
+//! everywhere and is the reference; on x86_64 CPUs with the SHA
+//! extensions, [`Sha256::new`] picks the SHA-NI kernel instead. Both
+//! produce the same digests bit for bit, which the tests check.
 
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
@@ -23,6 +28,19 @@ const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
 
+/// A block compression kernel: folds every 64-byte block of `blocks`
+/// (whose length is a multiple of 64) into `state`, in order.
+type Compress = fn(&mut [u32; 8], &[u8]);
+
+/// The fastest kernel this CPU supports.
+fn kernel() -> Compress {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(k) = shani::kernel() {
+        return k;
+    }
+    compress_portable
+}
+
 /// Incremental SHA-256 hasher.
 #[derive(Clone)]
 pub struct Sha256 {
@@ -30,6 +48,7 @@ pub struct Sha256 {
     buffer: [u8; 64],
     buffered: usize,
     total_len: u64,
+    compress: Compress,
 }
 
 impl Default for Sha256 {
@@ -41,7 +60,11 @@ impl Default for Sha256 {
 impl Sha256 {
     /// A fresh hasher.
     pub fn new() -> Self {
-        Sha256 { state: H0, buffer: [0u8; 64], buffered: 0, total_len: 0 }
+        Self::with_kernel(kernel())
+    }
+
+    fn with_kernel(compress: Compress) -> Self {
+        Sha256 { state: H0, buffer: [0u8; 64], buffered: 0, total_len: 0, compress }
     }
 
     /// Absorb `data`.
@@ -49,42 +72,38 @@ impl Sha256 {
         self.total_len = self.total_len.wrapping_add(data.len() as u64);
         let mut input = data;
         if self.buffered > 0 {
-            let need = 64 - self.buffered;
-            let take = need.min(input.len());
+            let take = (64 - self.buffered).min(input.len());
             self.buffer[self.buffered..self.buffered + take].copy_from_slice(&input[..take]);
             self.buffered += take;
             input = &input[take..];
-            if self.buffered == 64 {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffered = 0;
+            if self.buffered < 64 {
+                return;
             }
+            (self.compress)(&mut self.state, &self.buffer);
+            self.buffered = 0;
         }
-        while input.len() >= 64 {
-            let (block, rest) = input.split_at(64);
-            let mut b = [0u8; 64];
-            b.copy_from_slice(block);
-            self.compress(&b);
-            input = rest;
+        // Every whole block goes to the kernel in one call, straight from
+        // the caller's slice.
+        let (blocks, rest) = input.split_at(input.len() - input.len() % 64);
+        if !blocks.is_empty() {
+            (self.compress)(&mut self.state, blocks);
         }
-        if !input.is_empty() {
-            self.buffer[..input.len()].copy_from_slice(input);
-            self.buffered = input.len();
-        }
+        self.buffer[..rest.len()].copy_from_slice(rest);
+        self.buffered = rest.len();
     }
 
     /// Finish and produce the digest.
     pub fn finalize(mut self) -> [u8; DIGEST_LEN] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Padding: 0x80, zeros, 8-byte big-endian bit length.
-        self.update(&[0x80]);
-        while self.buffered != 56 {
-            self.update(&[0]);
-        }
-        // update() would double-count: write length into the buffer directly.
-        self.buffer[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buffer;
-        self.compress(&block);
+        // Padding: 0x80, zeros, 8-byte big-endian bit length. It fills
+        // the last block, or spills into a second one when fewer than 9
+        // bytes of the buffered block are free.
+        let n = self.buffered;
+        let mut tail = [0u8; 128];
+        tail[..n].copy_from_slice(&self.buffer[..n]);
+        tail[n] = 0x80;
+        let len = if n < 56 { 64 } else { 128 };
+        tail[len - 8..len].copy_from_slice(&self.total_len.wrapping_mul(8).to_be_bytes());
+        (self.compress)(&mut self.state, &tail[..len]);
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -108,8 +127,12 @@ impl Sha256 {
             consumed += n as u64;
         }
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable kernel: FIPS 180-4 §6.2.2 in plain integer arithmetic.
+fn compress_portable(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert!(blocks.len().is_multiple_of(64), "kernel input must be whole blocks");
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([block[4 * i], block[4 * i + 1], block[4 * i + 2], block[4 * i + 3]]);
@@ -122,7 +145,7 @@ impl Sha256 {
                 .wrapping_add(w[i - 7])
                 .wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ (!e & g);
@@ -139,14 +162,119 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+}
+
+/// The SHA-NI kernel (Intel SHA extensions, x86_64 only).
+#[cfg(target_arch = "x86_64")]
+mod shani {
+    use super::{Compress, K};
+    use std::arch::x86_64::*;
+
+    /// The SHA-NI kernel, if this CPU has the SHA extensions and SSE4.1.
+    pub(super) fn kernel() -> Option<Compress> {
+        if is_x86_feature_detected!("sha") && is_x86_feature_detected!("sse4.1") {
+            Some(compress_checked)
+        } else {
+            None
+        }
+    }
+
+    /// Only ever handed out by [`kernel`], after the feature check.
+    fn compress_checked(state: &mut [u32; 8], blocks: &[u8]) {
+        // SAFETY: `kernel` returns this function only when the running
+        // CPU reports both `sha` and `sse4.1`, the features `compress` is
+        // compiled for (`sse4.1` implies the SSSE3 and SSE2 it also uses).
+        unsafe { compress(state, blocks) }
+    }
+
+    /// The SHA-NI kernel. Safe to call only where `sha` and `sse4.1` are
+    /// known to be present, which [`kernel`] checks.
+    #[target_feature(enable = "sha,sse4.1")]
+    fn compress(state: &mut [u32; 8], blocks: &[u8]) {
+        debug_assert!(blocks.len().is_multiple_of(64), "kernel input must be whole blocks");
+        // Byte order swap of each 32-bit lane (the message is big-endian).
+        let bswap = _mm_set_epi64x(0x0c0d_0e0f_0809_0a0b, 0x0405_0607_0001_0203);
+        let s = |i: usize| state[i] as i32;
+        // The rounds instruction wants the state as ABEF and CDGH lanes.
+        let dcba = _mm_set_epi32(s(3), s(2), s(1), s(0));
+        let hgfe = _mm_set_epi32(s(7), s(6), s(5), s(4));
+        let cdab = _mm_shuffle_epi32(dcba, 0xB1);
+        let efgh = _mm_shuffle_epi32(hgfe, 0x1B);
+        let mut abef = _mm_alignr_epi8(cdab, efgh, 8);
+        let mut cdgh = _mm_blend_epi16(efgh, cdab, 0xF0);
+
+        // Four rounds on `abef` and `cdgh`: `$w` holds the next four
+        // schedule words and `$i` indexes the first of their constants.
+        macro_rules! rounds4 {
+            ($w:expr, $i:expr) => {{
+                let k = _mm_set_epi32(K[$i + 3] as i32, K[$i + 2] as i32, K[$i + 1] as i32, K[$i] as i32);
+                let wk = _mm_add_epi32($w, k);
+                cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+                abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0E));
+            }};
+        }
+        // Schedule words i..i+3 into `$w0` (which held i-16..i-13) from
+        // the twelve after it, then run their four rounds.
+        macro_rules! schedule_rounds4 {
+            ($w0:ident, $w1:ident, $w2:ident, $w3:ident, $i:expr) => {{
+                let t = _mm_add_epi32(_mm_sha256msg1_epu32($w0, $w1), _mm_alignr_epi8($w3, $w2, 4));
+                $w0 = _mm_sha256msg2_epu32(t, $w3);
+                rounds4!($w0, $i);
+            }};
+        }
+
+        for block in blocks.chunks_exact(64) {
+            let (abef_in, cdgh_in) = (abef, cdgh);
+            let p = block.as_ptr().cast::<__m128i>();
+            // SAFETY: `block` is exactly 64 bytes, so the four 16-byte
+            // loads stay inside it; `loadu` has no alignment requirement.
+            let [mut w0, mut w1, mut w2, mut w3] = unsafe {
+                [
+                    _mm_loadu_si128(p),
+                    _mm_loadu_si128(p.add(1)),
+                    _mm_loadu_si128(p.add(2)),
+                    _mm_loadu_si128(p.add(3)),
+                ]
+            }
+            .map(|w| _mm_shuffle_epi8(w, bswap));
+            rounds4!(w0, 0);
+            rounds4!(w1, 4);
+            rounds4!(w2, 8);
+            rounds4!(w3, 12);
+            schedule_rounds4!(w0, w1, w2, w3, 16);
+            schedule_rounds4!(w1, w2, w3, w0, 20);
+            schedule_rounds4!(w2, w3, w0, w1, 24);
+            schedule_rounds4!(w3, w0, w1, w2, 28);
+            schedule_rounds4!(w0, w1, w2, w3, 32);
+            schedule_rounds4!(w1, w2, w3, w0, 36);
+            schedule_rounds4!(w2, w3, w0, w1, 40);
+            schedule_rounds4!(w3, w0, w1, w2, 44);
+            schedule_rounds4!(w0, w1, w2, w3, 48);
+            schedule_rounds4!(w1, w2, w3, w0, 52);
+            schedule_rounds4!(w2, w3, w0, w1, 56);
+            schedule_rounds4!(w3, w0, w1, w2, 60);
+            abef = _mm_add_epi32(abef, abef_in);
+            cdgh = _mm_add_epi32(cdgh, cdgh_in);
+        }
+
+        let feba = _mm_shuffle_epi32(abef, 0x1B);
+        let dchg = _mm_shuffle_epi32(cdgh, 0xB1);
+        let dcba = _mm_blend_epi16(feba, dchg, 0xF0);
+        let hgef = _mm_alignr_epi8(dchg, feba, 8);
+        *state = [
+            _mm_extract_epi32(dcba, 0) as u32,
+            _mm_extract_epi32(dcba, 1) as u32,
+            _mm_extract_epi32(dcba, 2) as u32,
+            _mm_extract_epi32(dcba, 3) as u32,
+            _mm_extract_epi32(hgef, 0) as u32,
+            _mm_extract_epi32(hgef, 1) as u32,
+            _mm_extract_epi32(hgef, 2) as u32,
+            _mm_extract_epi32(hgef, 3) as u32,
+        ];
     }
 }
 
@@ -231,6 +359,56 @@ mod tests {
         assert_eq!(hex_digest(&data), "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
     }
 
+    /// Digest `data` with one specific kernel, split into `update` calls
+    /// at each of `cuts` (byte offsets, taken in order, clamped).
+    fn digest_with(kernel: Compress, data: &[u8], cuts: &[usize]) -> [u8; DIGEST_LEN] {
+        let mut h = Sha256::with_kernel(kernel);
+        let mut at = 0;
+        for &cut in cuts {
+            let cut = cut.clamp(at, data.len());
+            h.update(&data[at..cut]);
+            at = cut;
+        }
+        h.update(&data[at..]);
+        h.finalize()
+    }
+
+    /// The SHA-NI kernel, or `None` (with a note on stderr) on a CPU
+    /// without it.
+    fn shani_kernel() -> Option<Compress> {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(k) = shani::kernel() {
+            return Some(k);
+        }
+        eprintln!("SHA-NI leg skipped: this CPU has no SHA extensions");
+        None
+    }
+
+    #[test]
+    fn nist_vectors_on_each_kernel() {
+        let million_a = vec![b'a'; 1_000_000];
+        let vectors: [(&[u8], &str); 5] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+            (&million_a, "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0"),
+        ];
+        let kernels = std::iter::once(("portable", compress_portable as Compress))
+            .chain(shani_kernel().map(|k| ("sha-ni", k)));
+        for (name, kernel) in kernels {
+            for (data, want) in vectors {
+                assert_eq!(to_hex(&digest_with(kernel, data, &[])), want, "{name}, {} bytes", data.len());
+            }
+        }
+    }
+
     #[test]
     fn incremental_equals_oneshot() {
         let data: Vec<u8> = (0..1000u32).flat_map(|i| i.to_le_bytes()).collect();
@@ -290,6 +468,18 @@ mod tests {
                 h.update(&data[..split]);
                 h.update(&data[split..]);
                 prop_assert_eq!(h.finalize(), digest(&data));
+            }
+
+            #[test]
+            fn kernels_agree(data in proptest::collection::vec(any::<u8>(), 0..4096),
+                             cuts in proptest::collection::vec(0usize..4096, 0..4)) {
+                let mut cuts = cuts;
+                cuts.sort_unstable();
+                let portable = digest_with(compress_portable, &data, &cuts);
+                prop_assert_eq!(portable, digest_with(compress_portable, &data, &[]));
+                if let Some(shani) = shani_kernel() {
+                    prop_assert_eq!(digest_with(shani, &data, &cuts), portable);
+                }
             }
 
             #[test]

@@ -112,3 +112,75 @@ fn ci_from_the_cli_is_green_then_red_on_broken_validation() {
     assert!(err.contains("build: failing"), "{err}");
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn init_keeps_files_already_in_the_directory() {
+    let dir = temp_dir("init-nonempty");
+    fs::write(dir.join("data.csv"), "x\n1\n").unwrap();
+    run(&["init"], &dir).unwrap();
+    assert_eq!(fs::read_to_string(dir.join("data.csv")).unwrap(), "x\n1\n");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkout_deletes_files_only_the_branch_left_tracks() {
+    let dir = temp_dir("checkout");
+    run(&["init"], &dir).unwrap();
+    run(&["branch", "feature"], &dir).unwrap();
+    run(&["add", "torpor", "t"], &dir).unwrap();
+    fs::write(dir.join("notes.txt"), "untracked\n").unwrap();
+
+    run(&["checkout", "main"], &dir).unwrap();
+    assert!(!dir.join("experiments/t").exists(), "feature-only files stay on disk after checkout main");
+    let status = run(&["status"], &dir).unwrap();
+    assert!(!status.contains("experiments/t"), "{status}");
+    // A file the repository never tracked is the user's: left alone.
+    assert_eq!(fs::read_to_string(dir.join("notes.txt")).unwrap(), "untracked\n");
+
+    run(&["checkout", "feature"], &dir).unwrap();
+    assert!(dir.join("experiments/t/run.sh").is_file());
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Byte ranges of the `object` bodies in a `.popper/state` file: each
+/// field is `<tag> <len>\n<body>\n`.
+fn object_bodies(state: &[u8]) -> Vec<std::ops::Range<usize>> {
+    let mut pos = state.iter().position(|&b| b == b'\n').unwrap() + 1; // magic line
+    let mut out = Vec::new();
+    while pos < state.len() {
+        let nl = pos + state[pos..].iter().position(|&b| b == b'\n').unwrap();
+        let header = std::str::from_utf8(&state[pos..nl]).unwrap();
+        let (tag, len) = header.split_once(' ').unwrap();
+        let body = nl + 1..nl + 1 + len.parse::<usize>().unwrap();
+        pos = body.end + 1;
+        if tag == "object" {
+            out.push(body);
+        }
+    }
+    out
+}
+
+#[test]
+fn a_flipped_byte_in_any_stored_object_is_reported_not_accepted() {
+    let dir = temp_dir("corrupt");
+    run(&["init"], &dir).unwrap();
+    let state_file = dir.join(".popper/state");
+    let clean = fs::read(&state_file).unwrap();
+    let bodies = object_bodies(&clean);
+    // Every object of a fresh repository is reachable from HEAD.
+    assert!(bodies.len() >= 8, "{} objects", bodies.len());
+    for body in bodies {
+        let mut state = clean.clone();
+        state[body.start + body.len() / 2] ^= 0x20;
+        fs::write(&state_file, &state).unwrap();
+        let log = run(&["log"], &dir);
+        let status = run(&["status"], &dir);
+        assert!(
+            log.is_err() || status.is_err(),
+            "corrupt object at {body:?} accepted:\nlog: {log:?}\nstatus: {status:?}"
+        );
+    }
+    fs::write(&state_file, &clean).unwrap();
+    assert!(run(&["log"], &dir).is_ok() && run(&["status"], &dir).is_ok());
+    fs::remove_dir_all(&dir).ok();
+}

@@ -371,14 +371,26 @@ fn orchestra_world_is_identical_at_1_2_8_workers_including_trace_bytes() {
 }
 
 /// This repository eats its own dog food: the root `.popper-ci.pml`
-/// carries the two world-determinism jobs that run this file.
+/// carries the shard-determinism jobs that run this file and
+/// `tests/sim_shard.rs`. Those tests loop over worker counts against the
+/// serial run themselves, so a `workers` matrix axis would only repeat
+/// the same work.
 #[test]
 fn own_ci_config_has_shard_determinism_jobs() {
     let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
     let text = std::fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
     let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
-    for job in ["gassyfs-shard-determinism", "orchestra-shard-determinism", "chaos-shard-determinism"] {
-        assert!(config.jobs.iter().any(|j| j.name == job), "missing CI job '{job}'");
+    let no_workers_axis = |m: &popper::ci::Matrix| m.axes.iter().all(|(axis, _)| axis != "workers");
+    assert!(no_workers_axis(&config.matrix), "pipeline-wide workers axis");
+    for name in [
+        "sim-shard-determinism",
+        "gassyfs-shard-determinism",
+        "orchestra-shard-determinism",
+        "chaos-shard-determinism",
+    ] {
+        let job = config.jobs.iter().find(|j| j.name == name);
+        let job = job.unwrap_or_else(|| panic!("missing CI job '{name}'"));
+        assert!(no_workers_axis(&job.matrix), "CI job '{name}' fans out over workers");
     }
 }
 
