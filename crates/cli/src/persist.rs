@@ -5,49 +5,107 @@
 //! live in a single length-prefixed state file at `.popper/state`. The
 //! format is binary-safe: every variable-length field is preceded by
 //! its byte length.
+//!
+//! Persisting costs what a command changed: `load` streams the state
+//! file straight into one buffer per object, `save` streams it back out
+//! from a borrowed view of the repository and writes only the worktree
+//! files the command changed. The state file is replaced atomically, so
+//! a failed save leaves the previous history in place.
 
 use popper_core::PopperRepo;
-use popper_vcs::{repo::RepoState, Repository};
+use popper_vcs::{
+    repo::{RepoState, StateView},
+    Repository,
+};
 use std::collections::BTreeSet;
-use std::fs;
-use std::io::{Read, Write};
+use std::fmt;
+use std::fs::{self, File};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
 const MAGIC: &[u8] = b"POPPER-STATE v1\n";
 
-/// Serialize the VCS state (without the worktree, which lives as real
-/// files).
-fn encode_state(state: &RepoState) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(MAGIC);
-    let mut field = |tag: &str, bytes: &[u8]| {
-        out.extend_from_slice(format!("{tag} {}\n", bytes.len()).as_bytes());
-        out.extend_from_slice(bytes);
-        out.push(b'\n');
-    };
-    field("clock", state.clock.to_string().as_bytes());
-    if let Some(h) = &state.head {
-        field("head", h.as_bytes());
-    }
-    for (name, hex) in &state.branches {
-        field("branch", format!("{hex} {name}").as_bytes());
-    }
-    for (name, hex) in &state.tags {
-        field("tag", format!("{hex} {name}").as_bytes());
-    }
-    for (path, hex) in &state.index {
-        field("index", format!("{hex} {path}").as_bytes());
-    }
-    for obj in &state.objects {
-        field("object", obj);
-    }
-    out
+/// The longest field header accepted, newline included. The longest the
+/// encoder writes is `object <20 digits>\n`.
+const MAX_HEADER: u64 = 32;
+
+/// Why a `.popper/state` stream did not decode.
+#[derive(Debug)]
+enum StateError {
+    /// The underlying reader failed.
+    Io(io::Error),
+    /// The stream does not start with the format's magic line.
+    BadMagic,
+    /// The stream ends inside a field header, or the header runs on
+    /// without a newline.
+    TruncatedHeader,
+    /// A header that is not `<tag> <decimal length>`.
+    BadHeader(String),
+    /// A field's length runs past the end of the stream.
+    TruncatedBody(String),
+    /// A field's body is not followed by a newline.
+    MissingTerminator(String),
+    /// A text field that does not parse.
+    BadField(String),
+    /// A tag this version does not know.
+    UnknownField(String),
 }
 
-fn decode_state(bytes: &[u8]) -> Result<RepoState, String> {
-    let rest = bytes
-        .strip_prefix(MAGIC)
-        .ok_or("not a popper state file (bad magic)")?;
+impl fmt::Display for StateError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            StateError::Io(e) => write!(f, "{e}"),
+            StateError::BadMagic => write!(f, "not a popper state file (bad magic)"),
+            StateError::TruncatedHeader => write!(f, "truncated field header"),
+            StateError::BadHeader(h) => write!(f, "bad field header '{h}'"),
+            StateError::TruncatedBody(tag) => write!(f, "truncated field body for '{tag}'"),
+            StateError::MissingTerminator(tag) => write!(f, "missing field terminator after '{tag}'"),
+            StateError::BadField(tag) => write!(f, "bad '{tag}' field"),
+            StateError::UnknownField(tag) => write!(f, "unknown field '{tag}'"),
+        }
+    }
+}
+
+impl From<io::Error> for StateError {
+    fn from(e: io::Error) -> Self {
+        StateError::Io(e)
+    }
+}
+
+/// Stream the VCS state (without the worktree, which lives as real
+/// files) to `out`.
+fn write_state(state: &StateView, out: &mut impl Write) -> io::Result<()> {
+    fn field(out: &mut impl Write, tag: &str, body: &[u8]) -> io::Result<()> {
+        writeln!(out, "{tag} {}", body.len())?;
+        out.write_all(body)?;
+        out.write_all(b"\n")
+    }
+    out.write_all(MAGIC)?;
+    field(out, "clock", state.clock.to_string().as_bytes())?;
+    if let Some(h) = state.head {
+        field(out, "head", h.as_bytes())?;
+    }
+    for (tag, refs) in [("branch", &state.branches), ("tag", &state.tags), ("index", &state.index)] {
+        for (name, id) in refs {
+            field(out, tag, format!("{} {name}", id.to_hex()).as_bytes())?;
+        }
+    }
+    for obj in &state.objects {
+        field(out, "object", obj)?;
+    }
+    Ok(())
+}
+
+/// Decode a state stream of `size` bytes. Each object body is read
+/// straight into a buffer of its own; a length is trusted only as far
+/// as the bytes the stream still holds.
+fn read_state(mut input: impl BufRead, size: u64) -> Result<RepoState, StateError> {
+    let mut magic = [0u8; MAGIC.len()];
+    input.read_exact(&mut magic).map_err(|_| StateError::BadMagic)?;
+    if magic != MAGIC {
+        return Err(StateError::BadMagic);
+    }
+    let mut remaining = size.saturating_sub(MAGIC.len() as u64);
     let mut state = RepoState {
         objects: Vec::new(),
         worktree: Vec::new(),
@@ -57,72 +115,107 @@ fn decode_state(bytes: &[u8]) -> Result<RepoState, String> {
         head: None,
         clock: 0,
     };
-    let mut pos = 0usize;
-    while pos < rest.len() {
-        let nl = rest[pos..]
-            .iter()
-            .position(|&b| b == b'\n')
-            .ok_or("truncated field header")?;
-        let header = std::str::from_utf8(&rest[pos..pos + nl]).map_err(|_| "bad header encoding")?;
-        pos += nl + 1;
-        let (tag, len_s) = header.split_once(' ').ok_or_else(|| format!("bad header '{header}'"))?;
-        let len: usize = len_s.parse().map_err(|_| format!("bad length in '{header}'"))?;
-        if pos + len + 1 > rest.len() {
-            return Err(format!("truncated field body for '{tag}'"));
+    let mut header = Vec::new();
+    while !input.fill_buf()?.is_empty() {
+        header.clear();
+        input.by_ref().take(MAX_HEADER).read_until(b'\n', &mut header)?;
+        if header.pop() != Some(b'\n') {
+            return Err(StateError::TruncatedHeader);
         }
-        let body = &rest[pos..pos + len];
-        pos += len;
-        if rest[pos] != b'\n' {
-            return Err(format!("missing field terminator after '{tag}'"));
+        remaining = remaining.saturating_sub(header.len() as u64 + 1);
+        let text = String::from_utf8_lossy(&header);
+        let (tag, len) = text
+            .split_once(' ')
+            .and_then(|(tag, len)| Some((tag, len.parse::<u64>().ok()?)))
+            .ok_or_else(|| StateError::BadHeader(text.to_string()))?;
+        // The body and its terminating newline must fit in what is left.
+        if len >= remaining {
+            return Err(StateError::TruncatedBody(tag.to_string()));
         }
-        pos += 1;
-        let text = || std::str::from_utf8(body).map_err(|_| format!("bad text field '{tag}'"));
+        let mut body = Vec::with_capacity(len.try_into().unwrap_or(0));
+        input.by_ref().take(len).read_to_end(&mut body)?;
+        if body.len() as u64 != len {
+            return Err(StateError::TruncatedBody(tag.to_string()));
+        }
+        let mut terminator = [0u8];
+        if input.read(&mut terminator)? != 1 || terminator != *b"\n" {
+            return Err(StateError::MissingTerminator(tag.to_string()));
+        }
+        remaining -= len + 1;
+        if tag == "object" {
+            state.objects.push(body);
+            continue;
+        }
+        let bad = || StateError::BadField(tag.to_string());
+        let body = String::from_utf8(body).map_err(|_| bad())?;
+        let pair = || {
+            let (hex, name) = body.split_once(' ').ok_or_else(bad)?;
+            Ok::<_, StateError>((name.to_string(), hex.to_string()))
+        };
         match tag {
-            "clock" => state.clock = text()?.parse().map_err(|_| "bad clock")?,
-            "head" => state.head = Some(text()?.to_string()),
-            "branch" => {
-                let (hex, name) = text()?.split_once(' ').ok_or("bad branch field")?;
-                state.branches.push((name.to_string(), hex.to_string()));
-            }
-            "tag" => {
-                let (hex, name) = text()?.split_once(' ').ok_or("bad tag field")?;
-                state.tags.push((name.to_string(), hex.to_string()));
-            }
-            "index" => {
-                let (hex, path) = text()?.split_once(' ').ok_or("bad index field")?;
-                state.index.push((path.to_string(), hex.to_string()));
-            }
-            "object" => state.objects.push(body.to_vec()),
-            other => return Err(format!("unknown field '{other}'")),
+            "clock" => state.clock = body.parse().map_err(|_| bad())?,
+            "head" => state.head = Some(body),
+            "branch" => state.branches.push(pair()?),
+            "tag" => state.tags.push(pair()?),
+            "index" => state.index.push(pair()?),
+            other => return Err(StateError::UnknownField(other.to_string())),
         }
     }
     Ok(state)
 }
 
-/// Save a repository: worktree files to disk, state to `.popper/state`.
+/// Save a repository: the worktree files changed since load to disk,
+/// state to `.popper/state`.
 pub fn save(repo: &PopperRepo, dir: &Path) -> Result<(), String> {
-    let state = repo.vcs.export_state();
-    // Write worktree files.
-    for (path, contents) in &state.worktree {
-        let full = dir.join(path);
-        if let Some(parent) = full.parent() {
-            fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
-        }
-        let mut f = fs::File::create(&full).map_err(|e| format!("create {full:?}: {e}"))?;
-        f.write_all(contents).map_err(|e| format!("write {full:?}: {e}"))?;
-    }
-    // Delete the tracked files the model dropped since load (a checkout
-    // of a branch without them, say). A file the repository never read
-    // from disk, untracked or found by `popper init`, is left alone.
-    for path in repo.tracked_on_disk() {
-        if repo.vcs.read_file(path).is_none() {
-            remove_with_empty_parents(dir, path)?;
+    for path in repo.vcs.changed_files() {
+        match repo.vcs.read_file(path) {
+            Some(contents) => write_file(&dir.join(path), contents)?,
+            // A tracked file the model dropped since load (a checkout of
+            // a branch without it, say). A file the repository never read
+            // from disk, untracked or found by `popper init`, is left alone.
+            None if repo.tracked_on_disk().contains(path) => remove_with_empty_parents(dir, path)?,
+            None => {}
         }
     }
     let popper_dir = dir.join(".popper");
     fs::create_dir_all(&popper_dir).map_err(|e| format!("mkdir {popper_dir:?}: {e}"))?;
-    let state_file = popper_dir.join("state");
-    fs::write(&state_file, encode_state(&state)).map_err(|e| format!("write {state_file:?}: {e}"))?;
+    let state = repo.vcs.state_view();
+    replace_file(&popper_dir.join("state"), |file| {
+        let mut out = BufWriter::new(file);
+        write_state(&state, &mut out)?;
+        out.flush()
+    })
+}
+
+fn write_file(full: &Path, contents: &[u8]) -> Result<(), String> {
+    if let Some(parent) = full.parent() {
+        fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
+    }
+    fs::write(full, contents).map_err(|e| format!("write {full:?}: {e}"))
+}
+
+/// Replace `target` with what `write` puts into a sibling temporary
+/// file, synced to disk before it is renamed over `target`, so `target`
+/// holds the old contents or the new ones, never a prefix. On error the
+/// temporary file is removed and `target` keeps its old contents.
+fn replace_file(target: &Path, write: impl FnOnce(&mut File) -> io::Result<()>) -> Result<(), String> {
+    let mut tmp_name = target.file_name().unwrap_or_default().to_os_string();
+    tmp_name.push(".tmp");
+    let tmp = target.with_file_name(tmp_name);
+    let written = File::create(&tmp)
+        .and_then(|mut file| {
+            write(&mut file)?;
+            file.sync_all()
+        })
+        .and_then(|()| fs::rename(&tmp, target));
+    written.map_err(|e| {
+        fs::remove_file(&tmp).ok();
+        format!("write {target:?}: {e}")
+    })?;
+    // Make the rename itself durable.
+    if let Some(parent) = target.parent() {
+        File::open(parent).and_then(|d| d.sync_all()).map_err(|e| format!("sync {parent:?}: {e}"))?;
+    }
     Ok(())
 }
 
@@ -154,8 +247,10 @@ pub fn is_initialized(dir: &Path) -> bool {
 /// real files on disk (so external edits are picked up).
 pub fn load(dir: &Path, author: &str) -> Result<PopperRepo, String> {
     let state_file = dir.join(".popper/state");
-    let bytes = fs::read(&state_file).map_err(|e| format!("read {state_file:?}: {e} (run `popper init`?)"))?;
-    let mut state = decode_state(&bytes)?;
+    let file = File::open(&state_file).map_err(|e| format!("read {state_file:?}: {e} (run `popper init`?)"))?;
+    let size = file.metadata().map_err(|e| format!("read {state_file:?}: {e}"))?.len();
+    let mut state =
+        read_state(BufReader::new(file), size).map_err(|e| format!("read {state_file:?}: {e}"))?;
     state.worktree = read_worktree(dir)?;
     let tracked: BTreeSet<&str> = state.index.iter().map(|(path, _)| path.as_str()).collect();
     let tracked_on_disk = state
@@ -267,12 +362,139 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    fn encode(repo: &Repository) -> Vec<u8> {
+        let mut out = Vec::new();
+        write_state(&repo.state_view(), &mut out).unwrap();
+        out
+    }
+
+    fn decode(bytes: &[u8]) -> Result<RepoState, StateError> {
+        read_state(bytes, bytes.len() as u64)
+    }
+
     #[test]
     fn decode_rejects_garbage() {
-        assert!(decode_state(b"not magic").is_err());
-        let mut truncated = encode_state(&PopperRepo::init("t").unwrap().vcs.export_state());
+        assert!(matches!(decode(b"not magic"), Err(StateError::BadMagic)));
+        let mut truncated = encode(&PopperRepo::init("t").unwrap().vcs);
         truncated.truncate(truncated.len() - 3);
-        assert!(decode_state(&truncated).is_err());
+        assert!(matches!(decode(&truncated), Err(StateError::TruncatedBody(tag)) if tag == "object"));
+    }
+
+    #[test]
+    fn encode_decode_round_trip() {
+        let mut repo = PopperRepo::init("t").unwrap();
+        repo.vcs.tag("v1", None).unwrap();
+        repo.vcs.create_branch("feature").unwrap();
+        repo.write("data/blob.bin", vec![0u8, 0xff, b'\n', 0x0a]).unwrap();
+        repo.commit("binary").unwrap();
+        let bytes = encode(&repo.vcs);
+        assert!(bytes.starts_with(MAGIC));
+        let mut decoded = decode(&bytes).unwrap();
+        let mut exported = repo.vcs.export_state();
+        exported.worktree.clear();
+        decoded.objects.sort();
+        exported.objects.sort();
+        assert_eq!(decoded, exported);
+    }
+
+    /// A state stream of one field with the given header and body.
+    fn one_field(header: &str, body: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(header.as_bytes());
+        bytes.extend_from_slice(body);
+        bytes
+    }
+
+    #[test]
+    fn a_hostile_length_is_a_truncated_body_not_a_panic() {
+        for len in [u64::MAX, u64::MAX - 1, 1 << 40, 4] {
+            let bytes = one_field(&format!("object {len}\n"), b"abc\n");
+            let err = decode(&bytes).unwrap_err();
+            assert!(matches!(&err, StateError::TruncatedBody(tag) if tag == "object"), "{len}: {err}");
+        }
+        // The stream itself ends early while the stated size says more.
+        let bytes = one_field("object 8\n", b"abc");
+        assert!(matches!(read_state(&bytes[..], 1 << 20), Err(StateError::TruncatedBody(_))));
+    }
+
+    #[test]
+    fn malformed_fields_are_typed_errors() {
+        let missing_terminator = one_field("clock 1\n", b"7X\n");
+        assert!(matches!(decode(&missing_terminator), Err(StateError::MissingTerminator(tag)) if tag == "clock"));
+        let not_a_number = one_field("clock x1\n", b"7\n");
+        assert!(matches!(decode(&not_a_number), Err(StateError::BadHeader(h)) if h == "clock x1"));
+        let no_space = one_field("clock\n", b"");
+        assert!(matches!(decode(&no_space), Err(StateError::BadHeader(_))));
+        let endless_header = one_field(&"x".repeat(100), b"");
+        assert!(matches!(decode(&endless_header), Err(StateError::TruncatedHeader)));
+        let unknown = one_field("colour 3\n", b"red\n");
+        assert!(matches!(decode(&unknown), Err(StateError::UnknownField(tag)) if tag == "colour"));
+        let bad_clock = one_field("clock 2\n", b"x7\n");
+        assert!(matches!(decode(&bad_clock), Err(StateError::BadField(tag)) if tag == "clock"));
+    }
+
+    /// A writer that accepts `left` bytes, then fails.
+    struct FailAfter<W> {
+        inner: W,
+        left: usize,
+    }
+
+    impl<W: Write> Write for FailAfter<W> {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.left == 0 {
+                return Err(io::Error::other("disk full"));
+            }
+            let n = self.inner.write(&buf[..buf.len().min(self.left)])?;
+            self.left -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            self.inner.flush()
+        }
+    }
+
+    #[test]
+    fn a_failed_state_write_keeps_the_previous_state() {
+        let dir = temp_dir("atomic");
+        let mut repo = PopperRepo::init("tester").unwrap();
+        save(&repo, &dir).unwrap();
+        let head = repo.vcs.head_commit();
+        repo.write("experiments/e/vars.pml", "runner: synthetic\n").unwrap();
+        repo.commit("add experiment").unwrap();
+        let state_file = dir.join(".popper/state");
+        for n in [0, 10, 100, 1000] {
+            let err = replace_file(&state_file, |file| {
+                write_state(&repo.vcs.state_view(), &mut FailAfter { inner: file, left: n })
+            });
+            assert!(err.unwrap_err().contains("disk full"));
+            let loaded = load(&dir, "tester").unwrap();
+            assert_eq!(loaded.vcs.head_commit(), head);
+            let left: Vec<_> = fs::read_dir(dir.join(".popper")).unwrap().map(|e| e.unwrap().file_name()).collect();
+            assert_eq!(left, ["state"], "the temporary file is removed");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn save_writes_only_changed_files_and_deletes_dropped_ones() {
+        let dir = temp_dir("changed");
+        let mut repo = PopperRepo::init("tester").unwrap();
+        repo.write("experiments/e/vars.pml", "runner: synthetic\n").unwrap();
+        repo.commit("add experiment").unwrap();
+        save(&repo, &dir).unwrap();
+        let mut repo = load(&dir, "tester").unwrap();
+        // Bytes on disk the loaded model does not know: a save that
+        // rewrote every file would put the old contents back.
+        fs::write(dir.join("paper/paper.md"), "edited after load\n").unwrap();
+        repo.write("README.md", "# rewritten\n").unwrap();
+        repo.write("experiments/e/vars.pml", "runner: synthetic\n").unwrap();
+        repo.vcs.remove_file("paper/references.bib");
+        save(&repo, &dir).unwrap();
+        assert_eq!(fs::read_to_string(dir.join("paper/paper.md")).unwrap(), "edited after load\n");
+        assert_eq!(fs::read_to_string(dir.join("README.md")).unwrap(), "# rewritten\n");
+        assert!(!dir.join("paper/references.bib").exists());
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

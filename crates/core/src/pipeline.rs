@@ -85,7 +85,7 @@ impl ArtifactSet {
             let unchanged = self
                 .staged
                 .iter()
-                .all(|(path, bytes)| repo.read(path).map(String::into_bytes).as_ref() == Some(bytes));
+                .all(|(path, bytes)| repo.vcs.read_file(path) == Some(bytes.as_slice()));
             if unchanged {
                 self.staged.clear();
                 return Ok(None);
@@ -394,6 +394,20 @@ mod tests {
         assert!(set.is_empty());
         set.stage("x.txt", "different");
         assert!(set.commit_into(&mut repo, "third", CommitPolicy::IfChanged).unwrap().is_some());
+    }
+
+    #[test]
+    fn if_changed_policy_compares_binary_bytes_exactly() {
+        // Not UTF-8: a lossy text comparison never finds these equal.
+        let blob = [0xffu8, 0xfe, 0x00];
+        let mut repo = PopperRepo::init("t").unwrap();
+        let mut set = ArtifactSet::default();
+        set.stage("data/blob.bin", blob);
+        assert!(set.commit_into(&mut repo, "first", CommitPolicy::IfChanged).unwrap().is_some());
+        let head = repo.vcs.head_commit();
+        set.stage("data/blob.bin", blob);
+        assert_eq!(set.commit_into(&mut repo, "again", CommitPolicy::IfChanged).unwrap(), None);
+        assert_eq!(repo.vcs.head_commit(), head);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use crate::diff;
 use crate::object::{Commit, Object, ObjectId, TreeEntry};
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 
 /// Errors from repository operations.
@@ -72,6 +72,9 @@ pub struct Repository {
     head: Option<String>,
     /// Monotonic logical clock for commit timestamps.
     clock: u64,
+    /// Working-tree paths whose bytes changed since `init` or
+    /// `import_state`: all a save has to write back.
+    changed: BTreeSet<String>,
 }
 
 impl Repository {
@@ -106,8 +109,27 @@ impl Repository {
     /// Write (create or overwrite) a file in the working tree.
     pub fn write_file(&mut self, path: &str, contents: impl Into<Vec<u8>>) -> Result<(), VcsError> {
         validate_path(path)?;
-        self.worktree.insert(path.to_string(), contents.into());
+        self.set_file(path, contents.into());
         Ok(())
+    }
+
+    /// Put `contents` at `path`, marking the path changed unless it
+    /// already held exactly these bytes.
+    fn set_file(&mut self, path: &str, contents: Vec<u8>) {
+        match self.worktree.get_mut(path) {
+            Some(old) if *old == contents => return,
+            Some(old) => *old = contents,
+            None => {
+                self.worktree.insert(path.to_string(), contents);
+            }
+        }
+        self.mark_changed(path);
+    }
+
+    fn mark_changed(&mut self, path: &str) {
+        if !self.changed.contains(path) {
+            self.changed.insert(path.to_string());
+        }
     }
 
     /// Read a file from the working tree.
@@ -117,12 +139,23 @@ impl Repository {
 
     /// Delete a file from the working tree; true if it existed.
     pub fn remove_file(&mut self, path: &str) -> bool {
-        self.worktree.remove(path).is_some()
+        let existed = self.worktree.remove(path).is_some();
+        if existed {
+            self.mark_changed(path);
+        }
+        existed
     }
 
     /// All working-tree paths.
     pub fn files(&self) -> impl Iterator<Item = &str> {
         self.worktree.keys().map(String::as_str)
+    }
+
+    /// Working-tree paths written with different bytes, removed, or
+    /// replaced by a checkout since the repository was created or
+    /// imported, in path order. A path here may no longer exist.
+    pub fn changed_files(&self) -> impl Iterator<Item = &str> {
+        self.changed.iter().map(String::as_str)
     }
 
     // -- staging and committing ------------------------------------------
@@ -162,7 +195,7 @@ impl Repository {
         }
         for (path, contents) in files {
             let id = self.put(&Object::Blob(contents.clone()));
-            self.worktree.insert(path.clone(), contents);
+            self.set_file(&path, contents);
             self.index.insert(path, id);
         }
         Ok(())
@@ -262,14 +295,23 @@ impl Repository {
         let _span = tracer.span("vcs", "vcs/repo", format!("checkout {name}"));
         let target = *self.branches.get(name).ok_or_else(|| VcsError::UnknownRef(name.to_string()))?;
         let snapshot = self.snapshot_of(target)?;
-        self.worktree = snapshot.clone();
-        self.index.clear();
-        for (path, contents) in snapshot {
-            let id = self.put(&Object::Blob(contents));
-            self.index.insert(path, id);
-        }
+        self.replace_worktree(snapshot);
         self.head = Some(name.to_string());
         Ok(())
+    }
+
+    /// Make `snapshot` the working tree and index, marking every path
+    /// it adds, drops or changes.
+    fn replace_worktree(&mut self, snapshot: BTreeMap<String, Vec<u8>>) {
+        for change in diff_snapshots(&self.worktree, &snapshot) {
+            self.mark_changed(change.path());
+        }
+        self.index.clear();
+        for (path, contents) in &snapshot {
+            let id = self.put(&Object::Blob(contents.clone()));
+            self.index.insert(path.clone(), id);
+        }
+        self.worktree = snapshot;
     }
 
     /// Tag a commit (defaults to HEAD).
@@ -444,13 +486,10 @@ impl Repository {
     /// Replace the working tree and index with the given snapshot
     /// (plumbing for merges; does not touch refs).
     pub fn materialize(&mut self, snapshot: &BTreeMap<String, Vec<u8>>) -> Result<(), VcsError> {
-        self.worktree = snapshot.clone();
-        self.index.clear();
-        for (path, contents) in snapshot {
+        for path in snapshot.keys() {
             validate_path(path)?;
-            let id = self.put(&Object::Blob(contents.clone()));
-            self.index.insert(path.clone(), id);
         }
+        self.replace_worktree(snapshot.clone());
         Ok(())
     }
 
@@ -535,18 +574,65 @@ pub struct RepoState {
     pub clock: u64,
 }
 
-impl Repository {
-    /// Export the full repository state.
-    pub fn export_state(&self) -> RepoState {
+/// A borrowed view of a repository's full state: the fields of
+/// [`RepoState`] without copying a byte. The CLI streams `.popper/state`
+/// from it; [`Repository::export_state`] is this view made owned.
+#[derive(Debug)]
+pub struct StateView<'a> {
+    /// Raw object bytes.
+    pub objects: Vec<&'a [u8]>,
+    /// Working tree files.
+    pub worktree: Vec<(&'a str, &'a [u8])>,
+    /// Index entries as (path, blob id).
+    pub index: Vec<(&'a str, ObjectId)>,
+    /// Branches as (name, commit id).
+    pub branches: Vec<(&'a str, ObjectId)>,
+    /// Tags as (name, commit id).
+    pub tags: Vec<(&'a str, ObjectId)>,
+    /// Current branch.
+    pub head: Option<&'a str>,
+    /// Logical clock.
+    pub clock: u64,
+}
+
+impl StateView<'_> {
+    /// Copy the viewed state out.
+    pub fn to_owned_state(&self) -> RepoState {
+        let hex = |refs: &[(&str, ObjectId)]| -> Vec<(String, String)> {
+            refs.iter().map(|(name, id)| (name.to_string(), id.to_hex())).collect()
+        };
         RepoState {
-            objects: self.objects.values().cloned().collect(),
-            worktree: self.worktree.iter().map(|(p, b)| (p.clone(), b.clone())).collect(),
-            index: self.index.iter().map(|(p, id)| (p.clone(), id.to_hex())).collect(),
-            branches: self.branches.iter().map(|(n, id)| (n.clone(), id.to_hex())).collect(),
-            tags: self.tags.iter().map(|(n, id)| (n.clone(), id.to_hex())).collect(),
-            head: self.head.clone(),
+            objects: self.objects.iter().map(|b| b.to_vec()).collect(),
+            worktree: self.worktree.iter().map(|(p, b)| (p.to_string(), b.to_vec())).collect(),
+            index: hex(&self.index),
+            branches: hex(&self.branches),
+            tags: hex(&self.tags),
+            head: self.head.map(str::to_string),
             clock: self.clock,
         }
+    }
+}
+
+impl Repository {
+    /// Borrow the full repository state.
+    pub fn state_view(&self) -> StateView<'_> {
+        fn ids(refs: &BTreeMap<String, ObjectId>) -> Vec<(&str, ObjectId)> {
+            refs.iter().map(|(name, id)| (name.as_str(), *id)).collect()
+        }
+        StateView {
+            objects: self.objects.values().map(Vec::as_slice).collect(),
+            worktree: self.worktree.iter().map(|(p, b)| (p.as_str(), b.as_slice())).collect(),
+            index: ids(&self.index),
+            branches: ids(&self.branches),
+            tags: ids(&self.tags),
+            head: self.head.as_deref(),
+            clock: self.clock,
+        }
+    }
+
+    /// Export the full repository state.
+    pub fn export_state(&self) -> RepoState {
+        self.state_view().to_owned_state()
     }
 
     /// Rebuild a repository from exported state. Object ids are
@@ -839,6 +925,54 @@ mod tests {
         r.write_file("f", "modified-after-stage").unwrap();
         let c = r.commit("t", "m").unwrap();
         assert_eq!(r.snapshot_of(c).unwrap()["f"], b"staged");
+    }
+
+    fn changed(r: &Repository) -> Vec<&str> {
+        r.changed_files().collect()
+    }
+
+    #[test]
+    fn only_writes_with_different_bytes_mark_a_path_changed() {
+        let (r, _) = repo_with_commit();
+        let mut r = Repository::import_state(r.export_state()).unwrap();
+        assert!(changed(&r).is_empty(), "an import starts clean");
+        r.write_file("README.md", "# paper\n").unwrap();
+        r.write_files([("experiments/gassyfs/run.sh".to_string(), b"./run\n".to_vec())]).unwrap();
+        assert!(changed(&r).is_empty(), "identical bytes change nothing");
+        r.write_file("README.md", "# v2\n").unwrap();
+        r.write_files([("new.csv".to_string(), b"a\n".to_vec())]).unwrap();
+        r.remove_file("experiments/gassyfs/run.sh");
+        assert!(!r.remove_file("never-there"));
+        assert_eq!(changed(&r), ["README.md", "experiments/gassyfs/run.sh", "new.csv"]);
+    }
+
+    #[test]
+    fn checkout_marks_the_paths_that_differ_between_trees() {
+        let (mut r, _) = repo_with_commit();
+        r.create_branch("feature").unwrap();
+        r.write_file("README.md", "# feature\n").unwrap();
+        r.write_file("feature.txt", "f").unwrap();
+        r.stage(".").unwrap();
+        r.commit("t", "feature work").unwrap();
+        let mut r = Repository::import_state(r.export_state()).unwrap();
+        r.checkout("main").unwrap();
+        assert_eq!(changed(&r), ["README.md", "feature.txt"]);
+        assert_eq!(r.read_file("README.md").unwrap(), b"# paper\n");
+        let snapshot = r.snapshot_of(r.head_commit().unwrap()).unwrap();
+        let mut r = Repository::import_state(r.export_state()).unwrap();
+        r.materialize(&snapshot).unwrap();
+        assert!(changed(&r).is_empty(), "materializing the worktree's own snapshot changes nothing");
+    }
+
+    #[test]
+    fn export_state_is_the_view_made_owned() {
+        let (mut r, _) = repo_with_commit();
+        r.tag("v1", None).unwrap();
+        let view = r.state_view();
+        let state = r.export_state();
+        assert_eq!(view.objects.len(), state.objects.len());
+        assert_eq!(view.head, state.head.as_deref());
+        assert_eq!(view.to_owned_state(), state);
     }
 
     mod prop {

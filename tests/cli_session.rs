@@ -184,3 +184,114 @@ fn a_flipped_byte_in_any_stored_object_is_reported_not_accepted() {
     assert!(run(&["log"], &dir).is_ok() && run(&["status"], &dir).is_ok());
     fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn only_the_files_a_command_changed_are_written() {
+    let dir = temp_dir("mtime");
+    run(&["init"], &dir).unwrap();
+    run(&["add", "torpor", "torpor"], &dir).unwrap();
+    run(&["add", "gassyfs", "gassyfs"], &dir).unwrap();
+    let untouched = dir.join("experiments/torpor/vars.pml");
+    let past = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1_000_000_000);
+    fs::File::options().write(true).open(&untouched).unwrap().set_modified(past).unwrap();
+
+    run(&["run", "gassyfs"], &dir).unwrap();
+    assert!(dir.join("experiments/gassyfs/results.csv").is_file());
+    let mtime = fs::metadata(&untouched).unwrap().modified().unwrap();
+    assert_eq!(mtime, past, "popper run gassyfs rewrote an unrelated tracked file");
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn checkout_rewrites_a_file_the_branches_hold_differently() {
+    let dir = temp_dir("checkout-rewrite");
+    run(&["init"], &dir).unwrap();
+    let main_readme = fs::read_to_string(dir.join("README.md")).unwrap();
+    run(&["branch", "feature"], &dir).unwrap();
+    fs::write(dir.join("README.md"), "# the feature branch's README\n").unwrap();
+    run(&["commit", "feature readme"], &dir).unwrap();
+
+    run(&["checkout", "main"], &dir).unwrap();
+    assert_eq!(fs::read_to_string(dir.join("README.md")).unwrap(), main_readme);
+    run(&["checkout", "feature"], &dir).unwrap();
+    assert_eq!(fs::read_to_string(dir.join("README.md")).unwrap(), "# the feature branch's README\n");
+    let status = run(&["status"], &dir).unwrap();
+    assert!(status.contains("-- working tree clean"), "{status}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// `.popper/state` byte for byte as the first `POPPER-STATE v1` encoder
+/// wrote it: on `main`, commit "first" (tagged `v1`) adds `notes.txt`
+/// ("hello\n") and `data/x.csv`, and commit "second" changes `notes.txt`
+/// to "hello again\n".
+const V1_STATE: &[u8] = b"POPPER-STATE v1\n\
+clock 1\n\
+2\n\
+head 4\n\
+main\n\
+branch 69\n\
+54de553e5f2946e6cb0984f030216a1967061ed66a7a6a9279d6b4c99b1a3168 main\n\
+tag 67\n\
+6c471b640ecaf7d65fbd3abd09a781ed05da2352254f70d246f663bc2f663849 v1\n\
+index 75\n\
+5d676f3276b346d9183c1c2cf8cf8da8eff57d0a706acb44184b34b8aabef06f data/x.csv\n\
+index 74\n\
+788fd53e4cf79b72da352a396437d3db8282d823374a54909430c9343570e4ea notes.txt\n\
+object 168\n\
+tree 159\0tree 6ebffa8ba8127bf86e92874332b9b0188ef539992b00db60b743c8bc65cc3135 4 data\n\
+blob 788fd53e4cf79b72da352a396437d3db8282d823374a54909430c9343570e4ea 9 notes.txt\n\
+\n\
+object 86\n\
+tree 78\0blob 5d676f3276b346d9183c1c2cf8cf8da8eff57d0a706acb44184b34b8aabef06f 5 x.csv\n\
+\n\
+object 168\n\
+tree 159\0tree 6ebffa8ba8127bf86e92874332b9b0188ef539992b00db60b743c8bc65cc3135 4 data\n\
+blob 2cf8d83d9ee29543b34a87727421fdecb7e3f3a183d337639025de576db9ebb4 9 notes.txt\n\
+\n\
+object 179\n\
+commit 168\0tree 5786da8b77b98b0a36cc8b3e5255aae299a1712d32969aab1702e9f4a4552dd3\n\
+parent 6c471b640ecaf7d65fbd3abd09a781ed05da2352254f70d246f663bc2f663849\n\
+author tester\n\
+ts 2\n\
+\n\
+second\n\
+object 13\n\
+blob 6\0hello\n\
+\n\
+object 15\n\
+blob 8\0a,b\n\
+1,2\n\
+\n\
+object 105\n\
+commit 95\0tree f85662736811d01f836fa506e19f00f9db60d1645885c88b1d73a789681b8ee2\n\
+author tester\n\
+ts 1\n\
+\n\
+first\n\
+object 20\n\
+blob 12\0hello again\n\
+\n";
+
+#[test]
+fn a_state_file_from_the_first_v1_encoder_still_loads() {
+    let dir = temp_dir("v1-state");
+    fs::create_dir_all(dir.join(".popper")).unwrap();
+    fs::create_dir_all(dir.join("data")).unwrap();
+    fs::write(dir.join(".popper/state"), V1_STATE).unwrap();
+    fs::write(dir.join("notes.txt"), "hello again\n").unwrap();
+    fs::write(dir.join("data/x.csv"), "a,b\n1,2\n").unwrap();
+
+    let repo = popper::cli::persist::load(&dir, "tester").unwrap();
+    let head = repo.vcs.head_commit().unwrap();
+    assert_eq!(head.to_hex(), "54de553e5f2946e6cb0984f030216a1967061ed66a7a6a9279d6b4c99b1a3168");
+    let first = repo.vcs.resolve("v1").unwrap();
+    assert_eq!(first.to_hex(), "6c471b640ecaf7d65fbd3abd09a781ed05da2352254f70d246f663bc2f663849");
+    assert_eq!(repo.vcs.file_at(first, "notes.txt").unwrap().unwrap(), b"hello\n");
+    assert_eq!(repo.vcs.file_at(head, "data/x.csv").unwrap().unwrap(), b"a,b\n1,2\n");
+    assert_eq!(repo.vcs.object_count(), 8);
+
+    assert_eq!(run(&["log"], &dir).unwrap(), "54de553e5f second\n6c471b640e first\n");
+    let status = run(&["status"], &dir).unwrap();
+    assert!(status.contains("-- working tree clean"), "{status}");
+    fs::remove_dir_all(&dir).ok();
+}
