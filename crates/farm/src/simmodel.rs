@@ -17,7 +17,8 @@
 //! the same deterministic-hash idiom the farm's chaos projection uses —
 //! so the model is a pure function of its config at every worker count.
 
-use popper_sim::{FabricSim, Nanos, NetCtx};
+use popper_sim::{FabricSim, Nanos, NetCtx, PlaneCmd, RetryStats};
+use std::sync::Arc;
 
 /// Shard 0 is the store; tenant `t` (0-based) is shard `t + 1`.
 const STORE: usize = 0;
@@ -55,8 +56,28 @@ impl Default for FarmSimConfig {
 
 /// What one shard models.
 enum FarmShard {
-    Store { jobs: u64, bytes: u64, last_arrival: Nanos },
-    Tenant { id: usize, done: usize, finish: Nanos },
+    Store {
+        jobs: u64,
+        bytes: u64,
+        last_arrival: Nanos,
+        /// Archives that landed after one or more requeues.
+        retry: RetryStats,
+    },
+    Tenant {
+        id: usize,
+        done: usize,
+        finish: Nanos,
+        /// Archive timeouts this tenant observed (requeues issued).
+        retry: RetryStats,
+    },
+}
+
+impl FarmShard {
+    fn retry(&mut self) -> &mut RetryStats {
+        match self {
+            FarmShard::Store { retry, .. } | FarmShard::Tenant { retry, .. } => retry,
+        }
+    }
 }
 
 /// Result of a model run — identical for every worker count.
@@ -106,110 +127,6 @@ fn job_bytes(config: &FarmSimConfig, tenant: usize, job: usize) -> u64 {
     4096 + job_key(config, 0xfa12, tenant, job) % 65536
 }
 
-/// Run the model with `workers` threads (1 = single-threaded
-/// reference).
-pub fn simulate(config: &FarmSimConfig, workers: usize) -> FarmSimReport {
-    assert!(config.tenants >= 1 && config.jobs_per_tenant >= 1);
-    let mut states = vec![FarmShard::Store { jobs: 0, bytes: 0, last_arrival: Nanos::ZERO }];
-    states.extend((0..config.tenants).map(|id| FarmShard::Tenant { id, done: 0, finish: Nanos::ZERO }));
-
-    let mut sim = FabricSim::new(states, LINK_GBIT, config.store_latency, 1.0);
-    let cfg = std::sync::Arc::new(config.clone());
-    for t in 0..config.tenants {
-        let cfg = std::sync::Arc::clone(&cfg);
-        // Stagger arrivals so tenants are not artificially phase-locked.
-        sim.schedule(t + 1, Nanos(t as u64), move |ctx| run_job(ctx, 0, cfg));
-    }
-    let elapsed = sim.run_sharded(workers);
-
-    let mut tenant_finish = vec![Nanos::ZERO; config.tenants];
-    let (mut store_jobs, mut store_bytes) = (0, 0);
-    for state in sim.states() {
-        match state {
-            FarmShard::Store { jobs, bytes, .. } => {
-                store_jobs = *jobs;
-                store_bytes = *bytes;
-            }
-            FarmShard::Tenant { id, finish, .. } => tenant_finish[*id] = *finish,
-        }
-    }
-    FarmSimReport {
-        tenant_finish,
-        store_jobs,
-        store_bytes,
-        wire_bytes: sim.total_bytes(),
-        elapsed,
-        events: sim.events_fired(),
-    }
-}
-
-/// One job: build+test for the hashed duration, then fire the archive
-/// into the fabric and start the next job. Archives are asynchronous —
-/// the pipeline does not wait for the store, so tenant finish times
-/// stay independent of store-side contention.
-fn run_job(ctx: &mut NetCtx<'_, '_, FarmShard>, job: usize, cfg: std::sync::Arc<FarmSimConfig>) {
-    let FarmShard::Tenant { id, .. } = ctx.state() else {
-        unreachable!("jobs run on tenant shards")
-    };
-    let tenant = *id;
-    let duration = job_duration(&cfg, tenant, job);
-    ctx.schedule_in(duration, move |c| {
-        let bytes = job_bytes(&cfg, tenant, job);
-        c.transfer(STORE, bytes, move |store| {
-            let now = store.now();
-            let FarmShard::Store { jobs, bytes: total, last_arrival } = store.state() else {
-                unreachable!("shard 0 is the store")
-            };
-            *jobs += 1;
-            *total += bytes;
-            *last_arrival = now;
-        });
-        let now = c.now();
-        let FarmShard::Tenant { done, finish, .. } = c.state() else { unreachable!() };
-        *done = job + 1;
-        if job + 1 == cfg.jobs_per_tenant {
-            *finish = now;
-        } else {
-            run_job(c, job + 1, cfg);
-        }
-    });
-}
-
-// ---- chaos variant: the same tenant pipelines under a scheduled ----
-// ---- fault timeline, with archive requeue on store failures     ----
-
-/// Archive attempts before a tenant abandons the upload.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Requeue backoff: 1, 2, 4, ... ms, capped at 32 ms.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
-
-/// What one shard models in the chaos run.
-enum ChaosFarmShard {
-    Store {
-        jobs: u64,
-        bytes: u64,
-        last_arrival: Nanos,
-        /// Archives that landed after one or more requeues.
-        recovered: u64,
-        last_recovery: Nanos,
-    },
-    Tenant {
-        id: usize,
-        done: usize,
-        finish: Nanos,
-        /// Archive timeouts this tenant observed (requeues issued).
-        requeued: u64,
-        /// Archives that failed at least once.
-        degraded: u64,
-        /// Archives abandoned after `MAX_ATTEMPTS`.
-        lost: u64,
-        first_fail: Option<Nanos>,
-    },
-}
-
 /// Result of one chaos model run — identical at every worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FarmChaosSimReport {
@@ -244,81 +161,70 @@ pub struct FarmChaosSimReport {
     pub degraded_fraction: f64,
 }
 
-/// Start slot of job `j` in a pipeline so the workload spans the
-/// schedule (1.25x its horizon).
-fn job_slot(horizon: Nanos, jobs: usize, job: usize) -> Nanos {
-    Nanos(horizon.0 * 5 / 4 / (jobs as u64).max(1)) * job as u64
+/// Run the healthy model with `workers` threads (1 = single-threaded
+/// reference): the chaos run with an empty timeline, projected onto
+/// its fault-free fields. The report has no worker count, so it is
+/// comparable across worker counts as is.
+pub fn simulate(config: &FarmSimConfig, workers: usize) -> FarmSimReport {
+    let run = simulate_chaos(config, workers, 0, Vec::new());
+    FarmSimReport {
+        tenant_finish: run.tenant_finish,
+        store_jobs: run.store_jobs,
+        store_bytes: run.store_bytes,
+        wire_bytes: run.wire_bytes,
+        elapsed: run.elapsed,
+        events: run.events,
+    }
 }
 
 /// Run the model under a scheduled-fault timeline (see
 /// [`popper_sim::FabricSim::set_fault_timeline`]): faults land at
 /// epoch barriers mid-run and tenants requeue failed archive uploads
-/// with exponential backoff — the farm service's worker-crash requeue,
-/// projected onto the store link. Pipelines never block on the store:
-/// a requeue rides alongside the next job. Deterministic at every
-/// worker count.
+/// with [`NetCtx::transfer_retry`] — the farm service's worker-crash
+/// requeue, projected onto the store link. Pipelines never block on
+/// the store: a requeue rides alongside the next job. An empty
+/// timeline is the healthy model. Deterministic at every worker count.
 pub fn simulate_chaos(
     config: &FarmSimConfig,
     workers: usize,
     seed: u64,
-    timeline: Vec<(Nanos, popper_sim::PlaneCmd)>,
+    timeline: Vec<(Nanos, PlaneCmd)>,
 ) -> FarmChaosSimReport {
     assert!(config.tenants >= 1 && config.jobs_per_tenant >= 1);
-    let mut states = vec![ChaosFarmShard::Store {
-        jobs: 0,
-        bytes: 0,
-        last_arrival: Nanos::ZERO,
-        recovered: 0,
-        last_recovery: Nanos::ZERO,
-    }];
-    states.extend((0..config.tenants).map(|id| ChaosFarmShard::Tenant {
+    let mut states =
+        vec![FarmShard::Store { jobs: 0, bytes: 0, last_arrival: Nanos::ZERO, retry: RetryStats::default() }];
+    states.extend((0..config.tenants).map(|id| FarmShard::Tenant {
         id,
         done: 0,
         finish: Nanos::ZERO,
-        requeued: 0,
-        degraded: 0,
-        lost: 0,
-        first_fail: None,
+        retry: RetryStats::default(),
     }));
 
     let mut sim = FabricSim::new(states, LINK_GBIT, config.store_latency, 1.0);
     let horizon = timeline.iter().map(|(at, _)| *at).max().unwrap_or(Nanos::ZERO);
     sim.set_fault_timeline(seed, timeline);
-    let cfg = std::sync::Arc::new(config.clone());
+    // Gap between a pipeline's job start slots, so the workload spans
+    // the schedule (1.25x its horizon).
+    let pace = Nanos(horizon.0 * 5 / 4 / config.jobs_per_tenant as u64);
+    let cfg = Arc::new(config.clone());
     for t in 0..config.tenants {
-        let cfg = std::sync::Arc::clone(&cfg);
-        sim.schedule(t + 1, Nanos(t as u64), move |ctx| chaos_run_job(ctx, 0, horizon, cfg));
+        let cfg = Arc::clone(&cfg);
+        // Stagger arrivals so tenants are not artificially phase-locked.
+        sim.schedule(t + 1, Nanos(t as u64), move |ctx| run_job(ctx, 0, pace, cfg));
     }
     let elapsed = sim.run_sharded(workers);
 
     let mut tenant_finish = vec![Nanos::ZERO; config.tenants];
     let (mut store_jobs, mut store_bytes) = (0, 0);
-    let (mut requeued, mut degraded, mut recovered, mut lost) = (0, 0, 0u64, 0);
-    let mut first_fail: Option<Nanos> = None;
-    let mut last_recovery = Nanos::ZERO;
     for state in sim.states() {
         match state {
-            ChaosFarmShard::Store { jobs, bytes, recovered: r, last_recovery: lr, .. } => {
-                store_jobs = *jobs;
-                store_bytes = *bytes;
-                recovered += *r;
-                last_recovery = last_recovery.max(*lr);
-            }
-            ChaosFarmShard::Tenant { id, finish, requeued: rq, degraded: dg, lost: l, first_fail: ff, .. } => {
-                tenant_finish[*id] = *finish;
-                requeued += *rq;
-                degraded += *dg;
-                lost += *l;
-                if let Some(f) = ff {
-                    first_fail = Some(first_fail.map_or(*f, |cur| cur.min(*f)));
-                }
-            }
+            FarmShard::Store { jobs, bytes, .. } => (store_jobs, store_bytes) = (*jobs, *bytes),
+            FarmShard::Tenant { id, finish, .. } => tenant_finish[*id] = *finish,
         }
     }
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
+    let retry = RetryStats::fold(sim.states().map(|s| match s {
+        FarmShard::Store { retry, .. } | FarmShard::Tenant { retry, .. } => retry,
+    }));
     let jobs = (config.tenants * config.jobs_per_tenant) as u64;
     FarmChaosSimReport {
         tenant_finish,
@@ -330,80 +236,51 @@ pub fn simulate_chaos(
         epochs: sim.epochs(),
         workers: workers.max(1),
         jobs,
-        requeued,
-        recovered,
-        lost,
-        recovery_ms,
-        degraded_fraction: degraded as f64 / jobs.max(1) as f64,
+        requeued: retry.detections,
+        recovered: retry.recovered,
+        lost: retry.lost,
+        recovery_ms: retry.recovery_ms(),
+        degraded_fraction: retry.degraded as f64 / jobs.max(1) as f64,
     }
 }
 
-type FarmChaosCtx<'a, 'b> = NetCtx<'a, 'b, ChaosFarmShard>;
-
-/// One job, started no earlier than its pacing slot: build+test, then
-/// ship the archive (requeued on failure) and start the next job.
-fn chaos_run_job(ctx: &mut FarmChaosCtx<'_, '_>, job: usize, horizon: Nanos, cfg: std::sync::Arc<FarmSimConfig>) {
-    let ChaosFarmShard::Tenant { id, .. } = ctx.state() else {
+/// One job, started no earlier than its pacing slot: build+test for the
+/// hashed duration, then fire the archive into the fabric and start the
+/// next job. Archives are asynchronous — the pipeline does not wait for
+/// the store, so tenant finish times stay independent of store-side
+/// contention. A store timeout requeues the archive with backoff — the
+/// same recovery the live farm applies when a worker crashes with jobs
+/// in flight.
+fn run_job(ctx: &mut NetCtx<'_, '_, FarmShard>, job: usize, pace: Nanos, cfg: Arc<FarmSimConfig>) {
+    let FarmShard::Tenant { id, .. } = ctx.state() else {
         unreachable!("jobs run on tenant shards")
     };
     let tenant = *id;
     let duration = job_duration(&cfg, tenant, job);
-    let start = job_slot(horizon, cfg.jobs_per_tenant, job).max(ctx.now());
+    let start = (pace * job as u64).max(ctx.now());
     ctx.schedule_at(start + duration, move |c| {
-        ship_archive(c, tenant, job, 0, &cfg);
-        let now = c.now();
-        let ChaosFarmShard::Tenant { done, finish, .. } = c.state() else { unreachable!() };
-        *done = job + 1;
-        if job + 1 == cfg.jobs_per_tenant {
-            *finish = now;
-        } else {
-            chaos_run_job(c, job + 1, horizon, cfg);
-        }
-    });
-}
-
-/// One archive attempt: on a store timeout, requeue with backoff — the
-/// same recovery the live farm applies when a worker crashes with jobs
-/// in flight.
-fn ship_archive(ctx: &mut FarmChaosCtx<'_, '_>, tenant: usize, job: usize, attempt: usize, cfg: &std::sync::Arc<FarmSimConfig>) {
-    let bytes = job_bytes(cfg, tenant, job);
-    let retry_cfg = std::sync::Arc::clone(cfg);
-    ctx.transfer_or(
-        STORE,
-        bytes,
-        move |store| {
+        let bytes = job_bytes(&cfg, tenant, job);
+        c.transfer_retry(STORE, bytes, FarmShard::retry, move |store, sent| {
+            if sent.is_err() {
+                return;
+            }
             let now = store.now();
-            let ChaosFarmShard::Store { jobs, bytes: total, last_arrival, recovered, last_recovery } =
-                store.state()
-            else {
+            let FarmShard::Store { jobs, bytes: total, last_arrival, .. } = store.state() else {
                 unreachable!("shard 0 is the store")
             };
             *jobs += 1;
             *total += bytes;
             *last_arrival = now;
-            if attempt > 0 {
-                *recovered += 1;
-                *last_recovery = (*last_recovery).max(now);
-            }
-        },
-        move |c, u| {
-            let ChaosFarmShard::Tenant { requeued, degraded, lost, first_fail, .. } = c.state() else {
-                unreachable!("archive failures surface on the tenant shard")
-            };
-            *requeued += 1;
-            if attempt == 0 {
-                *degraded += 1;
-            }
-            *first_fail = Some(first_fail.map_or(u.gave_up_at, |f| f.min(u.gave_up_at)));
-            if attempt + 1 >= MAX_ATTEMPTS {
-                *lost += 1;
-                return;
-            }
-            c.schedule_in(backoff(attempt), move |cc| {
-                ship_archive(cc, tenant, job, attempt + 1, &retry_cfg)
-            });
-        },
-    );
+        });
+        let now = c.now();
+        let FarmShard::Tenant { done, finish, .. } = c.state() else { unreachable!() };
+        *done = job + 1;
+        if job + 1 == cfg.jobs_per_tenant {
+            *finish = now;
+        } else {
+            run_job(c, job + 1, pace, cfg);
+        }
+    });
 }
 
 #[cfg(test)]

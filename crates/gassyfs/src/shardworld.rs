@@ -19,7 +19,7 @@
 //! identical at every worker count.
 
 use crate::gasnet::PAGE_SIZE;
-use popper_sim::{FabricSim, Nanos, NetCtx, NodeTraffic, PlatformSpec};
+use popper_sim::{backoff, FabricSim, Nanos, NetCtx, NodeTraffic, PlaneCmd, PlatformSpec, RetryStats, MAX_ATTEMPTS};
 
 /// Size of the replica's acknowledgement back to the client.
 const CTRL_BYTES: u64 = 64;
@@ -49,8 +49,15 @@ struct NodeState {
     replica_pages: u64,
     /// Client only: next page index to push.
     next_page: u64,
-    /// Client only: pages fully replicated and acked.
+    /// Client only: pages acked.
     completed: u64,
+    /// Client only: acked pages that needed a failover or retry.
+    degraded: u64,
+    /// Pages written straight to the replica after a primary failure.
+    failovers: u64,
+    /// Send timeouts this node observed; on the client, the latest
+    /// recovered ack.
+    retry: RetryStats,
     /// Client only: virtual time the last ack landed.
     finish: Nanos,
 }
@@ -78,121 +85,6 @@ pub struct ShardedGassyReport {
     pub workers: usize,
 }
 
-/// Run the sharded world with `workers` threads (1 = the
-/// single-threaded reference; results are identical either way). The
-/// platform supplies the NIC the fabric is built from.
-pub fn run_sharded(
-    config: &ShardedGassyConfig,
-    platform: &PlatformSpec,
-    workers: usize,
-) -> ShardedGassyReport {
-    assert!(config.nodes >= 2, "a gasnet world needs at least two nodes");
-    assert!(config.pages >= 1 && config.streams >= 1);
-    let latency = Nanos(platform.nic_lat_ns as u64).max(Nanos(1));
-    let states = (0..config.nodes)
-        .map(|_| NodeState {
-            primary_pages: 0,
-            replica_pages: 0,
-            next_page: 0,
-            completed: 0,
-            finish: Nanos::ZERO,
-        })
-        .collect();
-    let mut sim = FabricSim::new(states, platform.nic_gbit, latency, 1.0);
-    let total = config.pages;
-    let streams = (config.streams as u64).min(total);
-    for _ in 0..streams {
-        sim.schedule(0, Nanos::ZERO, move |ctx| write_next(ctx, total));
-    }
-    let elapsed = sim.run_sharded(workers);
-    ShardedGassyReport {
-        elapsed,
-        client_finish: sim.state(0).finish,
-        per_node_primary: sim.states().map(|s| s.primary_pages).collect(),
-        per_node_replica: sim.states().map(|s| s.replica_pages).collect(),
-        traffic: (0..config.nodes).map(|n| sim.traffic(n)).collect(),
-        pages: total,
-        events: sim.events_fired(),
-        epochs: sim.epochs(),
-        workers: workers.max(1),
-    }
-}
-
-/// Client: pop the next page and push it down the replication chain —
-/// primary write, replica forward, ack. The chain re-enters here on
-/// ack, so each call keeps exactly one stream busy.
-fn write_next(ctx: &mut NetCtx<'_, '_, NodeState>, total: u64) {
-    let nodes = ctx.nodes();
-    let state = ctx.state();
-    if state.next_page >= total {
-        return;
-    }
-    let page = state.next_page;
-    state.next_page += 1;
-    let primary = (page % nodes as u64) as usize;
-    let replica = (primary + 1) % nodes;
-    ctx.transfer(primary, PAGE_SIZE, move |c| {
-        c.state().primary_pages += 1;
-        c.transfer(replica, PAGE_SIZE, move |c| {
-            c.state().replica_pages += 1;
-            c.transfer(0, CTRL_BYTES, move |c| {
-                let now = c.now();
-                let state = c.state();
-                state.completed += 1;
-                if state.completed == total {
-                    state.finish = now;
-                } else {
-                    write_next(c, total);
-                }
-            });
-        });
-    });
-}
-
-// ---- chaos variant: the same write path under a scheduled-fault ----
-// ---- timeline, with the gasnet store's replica failover ported  ----
-// ---- onto the sharded world                                     ----
-
-/// Write attempts per page before the client declares it lost.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Retry backoff: 1, 2, 4, ... ms, capped at 32 ms — generous enough
-/// that any schedule ending healed is outlasted.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
-
-/// Per-node state of the chaos run: the healthy world's placement
-/// counters plus failure bookkeeping.
-struct ChaosNodeState {
-    primary_pages: u64,
-    replica_pages: u64,
-    /// Client only: next page index to push.
-    next_page: u64,
-    /// Client only: pages resolved (acked or abandoned).
-    completed: u64,
-    /// Client only: pages that needed a failover or retry.
-    degraded: u64,
-    /// Client only: pages abandoned after `MAX_ATTEMPTS`.
-    lost: u64,
-    /// Pages written straight to the replica after a primary failure.
-    failovers: u64,
-    /// Failures this node observed (timeouts on its sends).
-    detections: u64,
-    /// Earliest failure this node observed.
-    first_fail: Option<Nanos>,
-    /// Latest recovered completion this node observed.
-    last_recovery: Nanos,
-    finish: Nanos,
-}
-
-impl ChaosNodeState {
-    fn note_fail(&mut self, at: Nanos) {
-        self.detections += 1;
-        self.first_fail = Some(self.first_fail.map_or(at, |f| f.min(at)));
-    }
-}
-
 /// Result of one sharded chaos run — identical at every worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedGassyChaosReport {
@@ -210,8 +102,10 @@ pub struct ShardedGassyChaosReport {
     pub completed: u64,
     /// Pages that needed a failover or retry before acking.
     pub degraded: u64,
-    /// Pages abandoned after `MAX_ATTEMPTS` (the corruption signal —
-    /// expected 0 for every schedule that ends healed).
+    /// Pages the client never saw acked — abandoned after
+    /// `MAX_ATTEMPTS`, stranded by a lost ack, or never written because
+    /// their stream died (the corruption signal; `completed + lost ==
+    /// pages`, and 0 for every schedule that ends healed).
     pub lost: u64,
     /// Pages written straight to the replica after a primary failure.
     pub failovers: u64,
@@ -227,11 +121,23 @@ pub struct ShardedGassyChaosReport {
     pub workers: usize,
 }
 
-/// Start gap between consecutive pages so the workload spans the
-/// schedule (1.25x its horizon): a chaos run must still be mid-write
-/// when the last fault lands.
-fn page_pace(horizon: Nanos, pages: u64) -> Nanos {
-    Nanos(horizon.0 * 5 / 4 / pages.max(1))
+/// Run the healthy sharded world with `workers` threads (1 = the
+/// single-threaded reference; results are identical either way): the
+/// chaos run with an empty timeline, projected onto its fault-free
+/// fields. The platform supplies the NIC the fabric is built from.
+pub fn run_sharded(config: &ShardedGassyConfig, platform: &PlatformSpec, workers: usize) -> ShardedGassyReport {
+    let (run, client_finish, events) = run_world(config, platform, workers, 0, Vec::new());
+    ShardedGassyReport {
+        elapsed: run.elapsed,
+        client_finish,
+        per_node_primary: run.per_node_primary,
+        per_node_replica: run.per_node_replica,
+        traffic: run.traffic,
+        pages: run.pages,
+        events,
+        epochs: run.epochs,
+        workers: run.workers,
+    }
 }
 
 /// Run the sharded world under a scheduled-fault timeline (see
@@ -239,30 +145,41 @@ fn page_pace(horizon: Nanos, pages: u64) -> Nanos {
 /// epoch barriers mid-run, the client fails over to the replica when a
 /// primary is unreachable and retries with backoff when both copies
 /// are, and the primary acks degraded (single-copy) pages when the
-/// replica is down. Deterministic: the same seed and timeline produce
-/// identical reports and trace bytes at every worker count.
+/// replica is down. An empty timeline is the healthy run.
+/// Deterministic: the same seed and timeline produce identical reports
+/// and trace bytes at every worker count.
 pub fn run_sharded_chaos(
     config: &ShardedGassyConfig,
     platform: &PlatformSpec,
     workers: usize,
     seed: u64,
-    timeline: Vec<(Nanos, popper_sim::PlaneCmd)>,
+    timeline: Vec<(Nanos, PlaneCmd)>,
 ) -> ShardedGassyChaosReport {
+    run_world(config, platform, workers, seed, timeline).0
+}
+
+/// The one model behind both entry points: the chaos report, plus the
+/// client's finish time and the event count only the healthy report
+/// carries.
+fn run_world(
+    config: &ShardedGassyConfig,
+    platform: &PlatformSpec,
+    workers: usize,
+    seed: u64,
+    timeline: Vec<(Nanos, PlaneCmd)>,
+) -> (ShardedGassyChaosReport, Nanos, u64) {
     assert!(config.nodes >= 2, "a gasnet world needs at least two nodes");
     assert!(config.pages >= 1 && config.streams >= 1);
     let latency = Nanos(platform.nic_lat_ns as u64).max(Nanos(1));
     let states = (0..config.nodes)
-        .map(|_| ChaosNodeState {
+        .map(|_| NodeState {
             primary_pages: 0,
             replica_pages: 0,
             next_page: 0,
             completed: 0,
             degraded: 0,
-            lost: 0,
             failovers: 0,
-            detections: 0,
-            first_fail: None,
-            last_recovery: Nanos::ZERO,
+            retry: RetryStats::default(),
             finish: Nanos::ZERO,
         })
         .collect();
@@ -270,23 +187,20 @@ pub fn run_sharded_chaos(
     let horizon = timeline.iter().map(|(at, _)| *at).max().unwrap_or(Nanos::ZERO);
     sim.set_fault_timeline(seed, timeline);
     let total = config.pages;
-    let pace = page_pace(horizon, total);
+    // Start gap between consecutive pages so the workload spans the
+    // schedule (1.25x its horizon): a chaos run must still be mid-write
+    // when the last fault lands.
+    let pace = Nanos(horizon.0 * 5 / 4 / total);
     let streams = (config.streams as u64).min(total);
     for _ in 0..streams {
-        sim.schedule(0, Nanos::ZERO, move |ctx| chaos_write_next(ctx, total, pace));
+        sim.schedule(0, Nanos::ZERO, move |ctx| write_next(ctx, total, pace));
     }
     let elapsed = sim.run_sharded(workers);
 
-    let first_fail =
-        sim.states().filter_map(|s| s.first_fail).min();
-    let last_recovery = sim.states().map(|s| s.last_recovery).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
+    let retry = RetryStats::fold(sim.states().map(|s| &s.retry));
     let client = sim.state(0);
-    let (completed, degraded, lost) = (client.completed, client.degraded, client.lost);
-    ShardedGassyChaosReport {
+    let (completed, degraded, lost) = (client.completed, client.degraded, total - client.completed);
+    let report = ShardedGassyChaosReport {
         elapsed,
         per_node_primary: sim.states().map(|s| s.primary_pages).collect(),
         per_node_replica: sim.states().map(|s| s.replica_pages).collect(),
@@ -296,19 +210,22 @@ pub fn run_sharded_chaos(
         degraded,
         lost,
         failovers: sim.states().map(|s| s.failovers).sum(),
-        detections: sim.states().map(|s| s.detections).sum(),
-        recovery_ms,
+        detections: retry.detections,
+        recovery_ms: retry.recovery_ms(),
         degraded_fraction: (degraded + lost) as f64 / total as f64,
         epochs: sim.epochs(),
         workers: workers.max(1),
-    }
+    };
+    (report, client.finish, sim.events_fired())
 }
 
-type ChaosCtx<'a, 'b> = NetCtx<'a, 'b, ChaosNodeState>;
+type Ctx<'a, 'b> = NetCtx<'a, 'b, NodeState>;
 
 /// Client: pop the next page (paced onto its start slot) and push it
-/// down the replication chain.
-fn chaos_write_next(ctx: &mut ChaosCtx<'_, '_>, total: u64, pace: Nanos) {
+/// down the replication chain — primary write, replica forward, ack.
+/// The chain re-enters here on ack, so each call keeps exactly one
+/// stream busy.
+fn write_next(ctx: &mut Ctx<'_, '_>, total: u64, pace: Nanos) {
     let now = ctx.now();
     let state = ctx.state();
     if state.next_page >= total {
@@ -326,31 +243,20 @@ fn chaos_write_next(ctx: &mut ChaosCtx<'_, '_>, total: u64, pace: Nanos) {
 
 /// One write attempt of `page`: primary first; on a primary timeout,
 /// fail over to the replica; when both are unreachable, back off and
-/// retry the whole page.
-fn write_page(
-    ctx: &mut ChaosCtx<'_, '_>,
-    page: u64,
-    attempt: usize,
-    touched: bool,
-    total: u64,
-    pace: Nanos,
-) {
-    let nodes = ctx.nodes();
+/// retry the whole page — abandoning it after `MAX_ATTEMPTS`.
+fn write_page(ctx: &mut Ctx<'_, '_>, page: u64, attempt: usize, touched: bool, total: u64, pace: Nanos) {
     if attempt >= MAX_ATTEMPTS {
-        let state = ctx.state();
-        state.lost += 1;
-        state.completed += 1;
-        chaos_write_next(ctx, total, pace);
+        write_next(ctx, total, pace);
         return;
     }
-    let primary = (page % nodes as u64) as usize;
-    let replica = (primary + 1) % nodes;
+    let primary = (page % ctx.nodes() as u64) as usize;
+    let replica = (primary + 1) % ctx.nodes();
     ctx.transfer_or(
         primary,
         PAGE_SIZE,
-        move |c| primary_store(c, page, replica, touched, total, pace),
+        move |c| primary_store(c, replica, touched, total, pace),
         move |c, u| {
-            c.state().note_fail(u.gave_up_at);
+            c.state().retry.note_detection(u.gave_up_at);
             // Replica failover: write the single surviving copy
             // directly (the gasnet store's recovery path).
             c.transfer_or(
@@ -360,10 +266,10 @@ fn write_page(
                     let st = cc.state();
                     st.replica_pages += 1;
                     st.failovers += 1;
-                    send_ack(cc, true, total, pace, 0);
+                    send_ack(cc, true, total, pace);
                 },
                 move |cc, u2| {
-                    cc.state().note_fail(u2.gave_up_at);
+                    cc.state().retry.note_detection(u2.gave_up_at);
                     cc.schedule_in(backoff(attempt), move |c3| {
                         write_page(c3, page, attempt + 1, true, total, pace)
                     });
@@ -376,59 +282,40 @@ fn write_page(
 /// Primary: store the page and forward the replica copy; when the
 /// replica is unreachable, ack the client directly (the page survives
 /// with one copy — degraded, not lost).
-fn primary_store(
-    ctx: &mut ChaosCtx<'_, '_>,
-    _page: u64,
-    replica: usize,
-    touched: bool,
-    total: u64,
-    pace: Nanos,
-) {
+fn primary_store(ctx: &mut Ctx<'_, '_>, replica: usize, touched: bool, total: u64, pace: Nanos) {
     ctx.state().primary_pages += 1;
     ctx.transfer_or(
         replica,
         PAGE_SIZE,
         move |c| {
             c.state().replica_pages += 1;
-            send_ack(c, touched, total, pace, 0);
+            send_ack(c, touched, total, pace);
         },
         move |c, u| {
-            c.state().note_fail(u.gave_up_at);
-            send_ack(c, true, total, pace, 0);
+            c.state().retry.note_detection(u.gave_up_at);
+            send_ack(c, true, total, pace);
         },
     );
 }
 
-/// Ack the client (retrying with backoff — a lost ack would strand a
-/// write stream); the chain re-enters `chaos_write_next` there.
-fn send_ack(ctx: &mut ChaosCtx<'_, '_>, degraded: bool, total: u64, pace: Nanos, attempt: usize) {
-    if attempt >= MAX_ATTEMPTS {
-        return; // Stream stranded; the client reports the page lost-in-flight.
-    }
-    ctx.transfer_or(
-        0,
-        CTRL_BYTES,
-        move |c| {
-            let now = c.now();
-            let state = c.state();
-            state.completed += 1;
-            if degraded {
-                state.degraded += 1;
-                state.last_recovery = state.last_recovery.max(now);
-            }
-            if state.completed == total {
-                state.finish = now;
-            } else {
-                chaos_write_next(c, total, pace);
-            }
-        },
-        move |c, u| {
-            c.state().note_fail(u.gave_up_at);
-            c.schedule_in(backoff(attempt), move |cc| {
-                send_ack(cc, degraded, total, pace, attempt + 1)
-            });
-        },
-    );
+/// Ack the client, retried with backoff; the chain re-enters
+/// `write_next` there. An ack abandoned after `MAX_ATTEMPTS` strands
+/// its write stream, and the client reports the page lost.
+fn send_ack(ctx: &mut Ctx<'_, '_>, degraded: bool, total: u64, pace: Nanos) {
+    ctx.transfer_retry(0, CTRL_BYTES, |s| &mut s.retry, move |c, sent| {
+        if sent.is_err() {
+            return;
+        }
+        let now = c.now();
+        let state = c.state();
+        state.completed += 1;
+        state.finish = now;
+        if degraded {
+            state.degraded += 1;
+            state.retry.note_recovery(now);
+        }
+        write_next(c, total, pace);
+    });
 }
 
 #[cfg(test)]
@@ -505,6 +392,26 @@ mod tests {
         assert_eq!(report.completed, config.pages);
         assert_eq!(report.degraded + report.lost + report.failovers + report.detections, 0);
         assert_eq!(report.recovery_ms, 0.0);
+    }
+
+    #[test]
+    fn pages_a_crashed_client_never_sees_acked_are_reported_lost() {
+        use popper_sim::PlaneCmd;
+        // The client (node 0) crashes for good at 3 ms: acks to it are
+        // abandoned and their write streams die, so most pages are never
+        // acked. Each of them must surface as lost, not vanish.
+        let config = ShardedGassyConfig { nodes: 6, pages: 64, streams: 3 };
+        let platform = platforms::gassyfs_node();
+        let timeline = vec![(Nanos::from_millis(3), PlaneCmd::Crash(0))];
+        let report = run_sharded_chaos(&config, &platform, 1, 7, timeline.clone());
+        assert!(report.completed < config.pages);
+        assert_eq!(report.completed + report.lost, config.pages);
+        // Likewise when a primary/replica crashes for good: a page both
+        // copies of which stay unreachable is abandoned and lost.
+        let timeline = vec![(Nanos::from_millis(3), PlaneCmd::Crash(3))];
+        let report = run_sharded_chaos(&config, &platform, 2, 7, timeline);
+        assert!(report.lost > 0);
+        assert_eq!(report.completed + report.lost, config.pages);
     }
 
     #[test]

@@ -24,7 +24,8 @@
 
 use crate::lulesh::LuleshConfig;
 use popper_sim::shard::partition;
-use popper_sim::{FabricSim, Nanos, NetCtx, PlatformSpec};
+use popper_sim::{FabricSim, Nanos, NetCtx, PlaneCmd, PlatformSpec, RetryStats};
+use std::sync::Arc;
 
 /// Per-rank (per-shard) state of the sharded proxy.
 struct RankState {
@@ -38,6 +39,9 @@ struct RankState {
     advanced: Vec<bool>,
     /// Virtual time this rank finished its last step.
     finish: Nanos,
+    /// Halo send failures this rank observed and retried halos it
+    /// received.
+    retry: RetryStats,
 }
 
 /// Result of one sharded proxy run.
@@ -56,132 +60,6 @@ pub struct ShardedLuleshRun {
     pub epochs: u64,
     /// Worker threads used.
     pub workers: usize,
-}
-
-struct Timing {
-    step: Nanos,
-    halo_bytes: u64,
-    iterations: usize,
-}
-
-/// Run the sharded proxy with `workers` threads (1 = the
-/// single-threaded reference execution; results are identical either
-/// way). The platform supplies both the compute rate and the fabric
-/// the halo exchanges are routed through.
-pub fn run_sharded(config: &LuleshConfig, platform: &PlatformSpec, workers: usize) -> ShardedLuleshRun {
-    let ranks = config.ranks();
-    let cells = (config.elements_per_rank as f64).powi(3);
-    let step = platform.execute(&config.demand_per_element.scaled(cells));
-    let latency = Nanos(platform.nic_lat_ns as u64).max(Nanos(1));
-    let timing = std::sync::Arc::new(Timing {
-        step,
-        halo_bytes: config.halo_bytes(),
-        iterations: config.iterations,
-    });
-
-    let mut adjacency = vec![Vec::new(); ranks];
-    for (a, b) in config.neighbor_pairs() {
-        adjacency[a].push(b);
-        adjacency[b].push(a);
-    }
-    let states: Vec<RankState> = adjacency
-        .into_iter()
-        .map(|neighbors| RankState {
-            neighbors,
-            compute_done: vec![false; config.iterations],
-            halos: vec![0; config.iterations],
-            advanced: vec![false; config.iterations],
-            finish: Nanos::ZERO,
-        })
-        .collect();
-
-    let mut sim = FabricSim::new(states, platform.nic_gbit, latency, 1.0);
-    for rank in 0..ranks {
-        let timing = std::sync::Arc::clone(&timing);
-        sim.schedule(rank, Nanos::ZERO, move |ctx| begin_step(ctx, 0, timing));
-    }
-    let elapsed = sim.run_sharded(workers);
-    let wire_bytes = sim.total_bytes();
-    ShardedLuleshRun {
-        elapsed,
-        per_rank_finish: sim.states().map(|s| s.finish).collect(),
-        wire_bytes,
-        events: sim.events_fired(),
-        epochs: sim.epochs(),
-        workers: workers.max(1),
-    }
-}
-
-fn begin_step(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: std::sync::Arc<Timing>) {
-    let d = timing.step;
-    ctx.schedule_in(d, move |c| complete_step(c, step, timing));
-}
-
-fn complete_step(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: std::sync::Arc<Timing>) {
-    ctx.state().compute_done[step] = true;
-    let neighbors = ctx.state().neighbors.clone();
-    if step + 1 == timing.iterations {
-        // Last step: nothing downstream needs this halo.
-        let now = ctx.now();
-        ctx.state().finish = now;
-        return;
-    }
-    for nb in neighbors {
-        let timing = std::sync::Arc::clone(&timing);
-        ctx.transfer(nb, timing.halo_bytes, move |c| receive_halo(c, step, timing));
-    }
-    try_advance(ctx, step, timing);
-}
-
-fn receive_halo(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: std::sync::Arc<Timing>) {
-    ctx.state().halos[step] += 1;
-    try_advance(ctx, step, timing);
-}
-
-/// Start step `step + 1` once this rank's own compute for `step` is
-/// done and every neighbor's halo for `step` has arrived.
-fn try_advance(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: std::sync::Arc<Timing>) {
-    let state = ctx.state();
-    let ready = state.compute_done[step]
-        && state.halos[step] == state.neighbors.len()
-        && !state.advanced[step];
-    if !ready {
-        return;
-    }
-    state.advanced[step] = true;
-    ctx.schedule_in(Nanos::ZERO, move |c| begin_step(c, step + 1, timing));
-}
-
-// ---- chaos variant: the same compute / halo loop under a scheduled ----
-// ---- fault timeline, with MPI-style retry/backoff on halo sends    ----
-
-/// Halo send attempts before the sender abandons the face. Shrinking
-/// the communicator on an unrecoverable loss stays serial-only for
-/// now; the sharded proxy models a down NIC, not a dead subdomain.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Retry backoff: 1, 2, 4, ... ms, capped at 32 ms.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
-
-/// Per-rank state of the chaos run.
-struct ChaosRankState {
-    neighbors: Vec<usize>,
-    compute_done: Vec<bool>,
-    halos: Vec<usize>,
-    advanced: Vec<bool>,
-    finish: Nanos,
-    /// Send timeouts this rank observed.
-    detections: u64,
-    /// Halo sends that failed at least once before landing or dying.
-    degraded: u64,
-    /// Halos this rank received after one or more sender retries.
-    recovered: u64,
-    /// Halo sends abandoned after `MAX_ATTEMPTS`.
-    lost: u64,
-    first_fail: Option<Nanos>,
-    last_recovery: Nanos,
 }
 
 /// Result of one sharded chaos run — identical at every worker count.
@@ -214,35 +92,57 @@ pub struct ShardedLuleshChaosRun {
     pub degraded_fraction: f64,
 }
 
-/// Start slot of step `s` so the step loop spans the schedule: a chaos
-/// run must still be exchanging halos when the last fault lands.
-fn step_slot(horizon: Nanos, iterations: usize, step: usize) -> Nanos {
-    Nanos(horizon.0 * 5 / 4 / (iterations as u64).max(1)) * step as u64
+struct Timing {
+    step: Nanos,
+    halo_bytes: u64,
+    iterations: usize,
+    /// Gap between step start slots, so the step loop spans the fault
+    /// schedule: a chaos run must still be exchanging halos when the
+    /// last fault lands. Zero without a schedule.
+    pace: Nanos,
+}
+
+/// Run the healthy sharded proxy with `workers` threads (1 = the
+/// single-threaded reference execution; results are identical either
+/// way): the chaos run with an empty timeline, projected onto its
+/// fault-free fields. The platform supplies both the compute rate and
+/// the fabric the halo exchanges are routed through.
+pub fn run_sharded(config: &LuleshConfig, platform: &PlatformSpec, workers: usize) -> ShardedLuleshRun {
+    let run = run_sharded_chaos(config, platform, workers, 0, Vec::new());
+    ShardedLuleshRun {
+        elapsed: run.elapsed,
+        per_rank_finish: run.per_rank_finish,
+        wire_bytes: run.wire_bytes,
+        events: run.events,
+        epochs: run.epochs,
+        workers: run.workers,
+    }
 }
 
 /// Run the sharded proxy under a scheduled-fault timeline (see
 /// [`popper_sim::FabricSim::set_fault_timeline`]): faults land at
 /// epoch barriers mid-run and ranks retry failed halo sends with
-/// exponential backoff until the fault heals. A crashed rank keeps
-/// computing (its NIC is down, its subdomain is not dead); its
-/// outgoing and incoming halos queue behind retries until the restart
-/// crosses a barrier. Deterministic at every worker count.
+/// [`NetCtx::transfer_retry`] until the fault heals. A crashed rank
+/// keeps computing (its NIC is down, its subdomain is not dead — ULFM
+/// shrink stays on the serial path); its outgoing and incoming halos
+/// queue behind retries until the restart crosses a barrier. An empty
+/// timeline is the healthy run. Deterministic at every worker count.
 pub fn run_sharded_chaos(
     config: &LuleshConfig,
     platform: &PlatformSpec,
     workers: usize,
     seed: u64,
-    timeline: Vec<(Nanos, popper_sim::PlaneCmd)>,
+    timeline: Vec<(Nanos, PlaneCmd)>,
 ) -> ShardedLuleshChaosRun {
     let ranks = config.ranks();
     let cells = (config.elements_per_rank as f64).powi(3);
-    let step = platform.execute(&config.demand_per_element.scaled(cells));
     let latency = Nanos(platform.nic_lat_ns as u64).max(Nanos(1));
     let horizon = timeline.iter().map(|(at, _)| *at).max().unwrap_or(Nanos::ZERO);
-    let timing = std::sync::Arc::new(Timing {
-        step,
+    let timing = Arc::new(Timing {
+        step: platform.execute(&config.demand_per_element.scaled(cells)),
         halo_bytes: config.halo_bytes(),
         iterations: config.iterations,
+        pace: Nanos(horizon.0 * 5 / 4 / (config.iterations as u64).max(1)),
     });
 
     let mut adjacency = vec![Vec::new(); ranks];
@@ -250,133 +150,77 @@ pub fn run_sharded_chaos(
         adjacency[a].push(b);
         adjacency[b].push(a);
     }
-    let halos_expected: u64 = adjacency.iter().map(|n| n.len() as u64).sum::<u64>()
-        * (config.iterations as u64 - 1);
-    let states: Vec<ChaosRankState> = adjacency
+    let halos: u64 = adjacency.iter().map(|n| n.len() as u64).sum::<u64>() * (config.iterations as u64 - 1);
+    let states: Vec<RankState> = adjacency
         .into_iter()
-        .map(|neighbors| ChaosRankState {
+        .map(|neighbors| RankState {
             neighbors,
             compute_done: vec![false; config.iterations],
             halos: vec![0; config.iterations],
             advanced: vec![false; config.iterations],
             finish: Nanos::ZERO,
-            detections: 0,
-            degraded: 0,
-            recovered: 0,
-            lost: 0,
-            first_fail: None,
-            last_recovery: Nanos::ZERO,
+            retry: RetryStats::default(),
         })
         .collect();
 
     let mut sim = FabricSim::new(states, platform.nic_gbit, latency, 1.0);
     sim.set_fault_timeline(seed, timeline);
     for rank in 0..ranks {
-        let timing = std::sync::Arc::clone(&timing);
-        sim.schedule(rank, Nanos::ZERO, move |ctx| {
-            chaos_begin_step(ctx, 0, horizon, timing)
-        });
+        let timing = Arc::clone(&timing);
+        sim.schedule(rank, Nanos::ZERO, move |ctx| begin_step(ctx, 0, timing));
     }
     let elapsed = sim.run_sharded(workers);
-    let wire_bytes = sim.total_bytes();
-    let first_fail = sim.states().filter_map(|s| s.first_fail).min();
-    let last_recovery = sim.states().map(|s| s.last_recovery).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
-    let degraded: u64 = sim.states().map(|s| s.degraded).sum();
-    let lost: u64 = sim.states().map(|s| s.lost).sum();
+    let retry = RetryStats::fold(sim.states().map(|s| &s.retry));
     ShardedLuleshChaosRun {
         elapsed,
         per_rank_finish: sim.states().map(|s| s.finish).collect(),
-        wire_bytes,
+        wire_bytes: sim.total_bytes(),
         events: sim.events_fired(),
         epochs: sim.epochs(),
         workers: workers.max(1),
-        halos: halos_expected,
-        detections: sim.states().map(|s| s.detections).sum(),
-        recovered: sim.states().map(|s| s.recovered).sum(),
-        lost,
-        recovery_ms,
-        degraded_fraction: degraded as f64 / halos_expected.max(1) as f64,
+        halos,
+        detections: retry.detections,
+        recovered: retry.recovered,
+        lost: retry.lost,
+        recovery_ms: retry.recovery_ms(),
+        degraded_fraction: retry.degraded as f64 / halos.max(1) as f64,
     }
 }
 
-type ChaosCtx<'a, 'b> = NetCtx<'a, 'b, ChaosRankState>;
-
 /// Begin step `step`, no earlier than its pacing slot.
-fn chaos_begin_step(ctx: &mut ChaosCtx<'_, '_>, step: usize, horizon: Nanos, timing: std::sync::Arc<Timing>) {
-    let start = step_slot(horizon, timing.iterations, step).max(ctx.now());
-    let d = timing.step;
-    ctx.schedule_at(start + d, move |c| chaos_complete_step(c, step, horizon, timing));
+fn begin_step(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: Arc<Timing>) {
+    let start = (timing.pace * step as u64).max(ctx.now());
+    ctx.schedule_at(start + timing.step, move |c| complete_step(c, step, timing));
 }
 
-fn chaos_complete_step(ctx: &mut ChaosCtx<'_, '_>, step: usize, horizon: Nanos, timing: std::sync::Arc<Timing>) {
+fn complete_step(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: Arc<Timing>) {
     ctx.state().compute_done[step] = true;
     let neighbors = ctx.state().neighbors.clone();
     if step + 1 == timing.iterations {
+        // Last step: nothing downstream needs this halo.
         let now = ctx.now();
         ctx.state().finish = now;
         return;
     }
     for nb in neighbors {
-        let timing = std::sync::Arc::clone(&timing);
-        ship_halo(ctx, nb, step, 0, horizon, timing);
+        let timing = Arc::clone(&timing);
+        ctx.transfer_retry(nb, timing.halo_bytes, |s| &mut s.retry, move |c, sent| {
+            if sent.is_ok() {
+                receive_halo(c, step, timing);
+            }
+        });
     }
-    chaos_try_advance(ctx, step, horizon, timing);
+    try_advance(ctx, step, timing);
 }
 
-/// Ship one halo face, retrying with backoff on a send timeout. A
-/// retry issued right after a heal event can still fail once — its
-/// shard sees the refreshed fault snapshot only after the heal's
-/// barrier — so the loop runs until the plane catches up.
-fn ship_halo(
-    ctx: &mut ChaosCtx<'_, '_>,
-    nb: usize,
-    step: usize,
-    attempt: usize,
-    horizon: Nanos,
-    timing: std::sync::Arc<Timing>,
-) {
-    let bytes = timing.halo_bytes;
-    let retry_timing = std::sync::Arc::clone(&timing);
-    ctx.transfer_or(
-        nb,
-        bytes,
-        move |c| {
-            if attempt > 0 {
-                let now = c.now();
-                let state = c.state();
-                state.recovered += 1;
-                state.last_recovery = state.last_recovery.max(now);
-            }
-            chaos_receive_halo(c, step, horizon, timing);
-        },
-        move |c, u| {
-            let state = c.state();
-            state.detections += 1;
-            state.first_fail = Some(state.first_fail.map_or(u.gave_up_at, |f| f.min(u.gave_up_at)));
-            if attempt == 0 {
-                state.degraded += 1;
-            }
-            if attempt + 1 >= MAX_ATTEMPTS {
-                state.lost += 1;
-                return;
-            }
-            c.schedule_in(backoff(attempt), move |cc| {
-                ship_halo(cc, nb, step, attempt + 1, horizon, retry_timing)
-            });
-        },
-    );
-}
-
-fn chaos_receive_halo(ctx: &mut ChaosCtx<'_, '_>, step: usize, horizon: Nanos, timing: std::sync::Arc<Timing>) {
+fn receive_halo(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: Arc<Timing>) {
     ctx.state().halos[step] += 1;
-    chaos_try_advance(ctx, step, horizon, timing);
+    try_advance(ctx, step, timing);
 }
 
-fn chaos_try_advance(ctx: &mut ChaosCtx<'_, '_>, step: usize, horizon: Nanos, timing: std::sync::Arc<Timing>) {
+/// Start step `step + 1` once this rank's own compute for `step` is
+/// done and every neighbor's halo for `step` has arrived.
+fn try_advance(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: Arc<Timing>) {
     let state = ctx.state();
     let ready = state.compute_done[step]
         && state.halos[step] == state.neighbors.len()
@@ -385,7 +229,7 @@ fn chaos_try_advance(ctx: &mut ChaosCtx<'_, '_>, step: usize, horizon: Nanos, ti
         return;
     }
     state.advanced[step] = true;
-    ctx.schedule_in(Nanos::ZERO, move |c| chaos_begin_step(c, step + 1, horizon, timing));
+    ctx.schedule_in(Nanos::ZERO, move |c| begin_step(c, step + 1, timing));
 }
 
 /// Map the decomposition's ranks onto at most `shards` balanced,

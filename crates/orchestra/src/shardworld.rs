@@ -18,7 +18,8 @@
 //! per-host busy time, traffic counters and trace bytes are identical
 //! at every worker count.
 
-use popper_sim::{FabricSim, Nanos, NetCtx, NodeTraffic};
+use popper_sim::{FabricSim, Nanos, NetCtx, NodeTraffic, PlaneCmd, RetryStats};
+use std::sync::Arc;
 
 /// The controller owns shard 0; host `h` (1-based id) is shard `h`.
 const CONTROLLER: usize = 0;
@@ -62,14 +63,17 @@ impl Default for ShardedOrchestraConfig {
 /// What one shard models.
 enum OrchShard {
     Controller {
-        /// Acks received for the in-flight task.
-        acked: usize,
+        /// RPCs resolved for the in-flight task (ack landed, or the
+        /// dispatch was abandoned).
+        resolved: usize,
         /// Index of the in-flight (or next) task.
         task: usize,
-        /// Virtual time each task's last ack landed.
+        /// Virtual time each task resolved.
         task_finish: Vec<Nanos>,
         /// Virtual time the playbook completed.
         finish: Nanos,
+        /// Task-push failures and retried acks.
+        retry: RetryStats,
     },
     Host {
         /// 1-based host id (= shard index).
@@ -78,7 +82,17 @@ enum OrchShard {
         ran: usize,
         /// Total module execution time on this host.
         busy: Nanos,
+        /// Ack failures and retried task pushes.
+        retry: RetryStats,
     },
+}
+
+impl OrchShard {
+    fn retry(&mut self) -> &mut RetryStats {
+        match self {
+            OrchShard::Controller { retry, .. } | OrchShard::Host { retry, .. } => retry,
+        }
+    }
 }
 
 /// Result of one sharded world run — identical at every worker count.
@@ -118,172 +132,6 @@ fn module_duration(config: &ShardedOrchestraConfig, host: usize, task: usize) ->
     config.mean_task.scale(0.5 + jitter)
 }
 
-/// Run the sharded world with `workers` threads (1 = the
-/// single-threaded reference; results are identical either way).
-pub fn run_sharded(config: &ShardedOrchestraConfig, workers: usize) -> ShardedOrchestraReport {
-    assert!(config.hosts >= 1 && config.tasks >= 1);
-    let mut states = vec![OrchShard::Controller {
-        acked: 0,
-        task: 0,
-        task_finish: Vec::with_capacity(config.tasks),
-        finish: Nanos::ZERO,
-    }];
-    states.extend((1..=config.hosts).map(|id| OrchShard::Host { id, ran: 0, busy: Nanos::ZERO }));
-
-    let link_gbit = config.link_gbit_x10 as f64 / 10.0;
-    let mut sim = FabricSim::new(states, link_gbit, config.latency, 1.0);
-    let cfg = std::sync::Arc::new(config.clone());
-    sim.schedule(CONTROLLER, Nanos::ZERO, move |ctx| dispatch_task(ctx, cfg));
-    let elapsed = sim.run_sharded(workers);
-
-    let OrchShard::Controller { task_finish, .. } = sim.state(CONTROLLER) else {
-        unreachable!("shard 0 is the controller")
-    };
-    let mut per_host_ran = vec![0; config.hosts];
-    let mut per_host_busy = vec![Nanos::ZERO; config.hosts];
-    for state in sim.states() {
-        if let OrchShard::Host { id, ran, busy } = state {
-            per_host_ran[*id - 1] = *ran;
-            per_host_busy[*id - 1] = *busy;
-        }
-    }
-    ShardedOrchestraReport {
-        elapsed,
-        task_finish: task_finish.clone(),
-        per_host_ran,
-        per_host_busy,
-        traffic: (0..=config.hosts).map(|n| sim.traffic(n)).collect(),
-        events: sim.events_fired(),
-        epochs: sim.epochs(),
-        workers: workers.max(1),
-    }
-}
-
-/// Controller: fan the current task's payload out to every host.
-fn dispatch_task(
-    ctx: &mut NetCtx<'_, '_, OrchShard>,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let OrchShard::Controller { task, acked, .. } = ctx.state() else {
-        unreachable!("dispatch runs on the controller shard")
-    };
-    let task = *task;
-    *acked = 0;
-    for host in 1..=cfg.hosts {
-        let cfg = std::sync::Arc::clone(&cfg);
-        ctx.transfer(host, cfg.task_bytes, move |c| run_module(c, task, cfg));
-    }
-}
-
-/// Host: execute the module for the hashed duration, then ship the
-/// result back to the controller.
-fn run_module(
-    ctx: &mut NetCtx<'_, '_, OrchShard>,
-    task: usize,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let host = ctx.node();
-    let duration = module_duration(&cfg, host, task);
-    ctx.schedule_in(duration, move |c| {
-        let OrchShard::Host { ran, busy, .. } = c.state() else {
-            unreachable!("modules run on host shards")
-        };
-        *ran += 1;
-        *busy += duration;
-        c.transfer(CONTROLLER, cfg.result_bytes, move |ctrl| collect_ack(ctrl, cfg));
-    });
-}
-
-/// Controller: count the ack; when every host has answered, record the
-/// task and release the next one.
-fn collect_ack(
-    ctx: &mut NetCtx<'_, '_, OrchShard>,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let now = ctx.now();
-    let OrchShard::Controller { acked, task, task_finish, finish } = ctx.state() else {
-        unreachable!("acks land on the controller shard")
-    };
-    *acked += 1;
-    if *acked < cfg.hosts {
-        return;
-    }
-    task_finish.push(now);
-    *task += 1;
-    if *task == cfg.tasks {
-        *finish = now;
-        return;
-    }
-    ctx.schedule_in(Nanos::ZERO, move |c| dispatch_task(c, cfg));
-}
-
-// ---- chaos variant: the linear strategy under a scheduled-fault ----
-// ---- timeline, with per-RPC retry/backoff                       ----
-
-/// RPC attempts (task push or result ack) before the sender gives up.
-const MAX_ATTEMPTS: usize = 12;
-
-/// Retry backoff: 1, 2, 4, ... ms, capped at 32 ms.
-fn backoff(attempt: usize) -> Nanos {
-    Nanos::from_millis(1 << attempt.min(5))
-}
-
-/// Failure bookkeeping shared by the controller and host shards.
-#[derive(Default)]
-struct Chaos {
-    /// RPC timeouts this shard observed on its sends.
-    detections: u64,
-    /// RPCs that failed at least once before landing or dying.
-    degraded: u64,
-    /// RPCs this shard received after one or more sender retries.
-    recovered: u64,
-    /// RPCs abandoned after `MAX_ATTEMPTS`.
-    lost: u64,
-    first_fail: Option<Nanos>,
-    last_recovery: Nanos,
-}
-
-impl Chaos {
-    fn note_fail(&mut self, at: Nanos, attempt: usize) {
-        self.detections += 1;
-        if attempt == 0 {
-            self.degraded += 1;
-        }
-        self.first_fail = Some(self.first_fail.map_or(at, |f| f.min(at)));
-    }
-    fn note_recovery(&mut self, at: Nanos) {
-        self.recovered += 1;
-        self.last_recovery = self.last_recovery.max(at);
-    }
-}
-
-/// What one shard models in the chaos run.
-enum ChaosOrchShard {
-    Controller {
-        /// RPCs resolved for the in-flight task (ack landed, or the
-        /// dispatch was abandoned).
-        resolved: usize,
-        task: usize,
-        task_finish: Vec<Nanos>,
-        finish: Nanos,
-        chaos: Chaos,
-    },
-    Host {
-        id: usize,
-        ran: usize,
-        busy: Nanos,
-        chaos: Chaos,
-    },
-}
-
-impl ChaosOrchShard {
-    fn chaos(&mut self) -> &mut Chaos {
-        match self {
-            ChaosOrchShard::Controller { chaos, .. } | ChaosOrchShard::Host { chaos, .. } => chaos,
-        }
-    }
-}
-
 /// Result of one sharded chaos run — identical at every worker count.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardedOrchestraChaosReport {
@@ -318,75 +166,77 @@ pub struct ShardedOrchestraChaosReport {
     pub degraded_fraction: f64,
 }
 
-/// Release slot of task `t` so the playbook spans the schedule.
-fn task_slot(horizon: Nanos, tasks: usize, task: usize) -> Nanos {
-    Nanos(horizon.0 * 5 / 4 / (tasks as u64).max(1)) * task as u64
+/// Run the healthy sharded world with `workers` threads (1 = the
+/// single-threaded reference; results are identical either way): the
+/// chaos run with an empty timeline, projected onto its fault-free
+/// fields.
+pub fn run_sharded(config: &ShardedOrchestraConfig, workers: usize) -> ShardedOrchestraReport {
+    let run = run_sharded_chaos(config, workers, 0, Vec::new());
+    ShardedOrchestraReport {
+        elapsed: run.elapsed,
+        task_finish: run.task_finish,
+        per_host_ran: run.per_host_ran,
+        per_host_busy: run.per_host_busy,
+        traffic: run.traffic,
+        events: run.events,
+        epochs: run.epochs,
+        workers: run.workers,
+    }
 }
 
 /// Run the sharded world under a scheduled-fault timeline (see
 /// [`popper_sim::FabricSim::set_fault_timeline`]): faults land at
 /// epoch barriers mid-run, the controller retries task pushes with
-/// exponential backoff (abandoning a host after `MAX_ATTEMPTS` — the
-/// linear barrier then releases without it), and hosts retry result
-/// acks the same way. Deterministic at every worker count.
+/// [`NetCtx::transfer_retry`] (abandoning a host after `MAX_ATTEMPTS`
+/// — the linear barrier then releases without it), and hosts retry
+/// result acks the same way. An empty timeline is the healthy run.
+/// Deterministic at every worker count.
 pub fn run_sharded_chaos(
     config: &ShardedOrchestraConfig,
     workers: usize,
     seed: u64,
-    timeline: Vec<(Nanos, popper_sim::PlaneCmd)>,
+    timeline: Vec<(Nanos, PlaneCmd)>,
 ) -> ShardedOrchestraChaosReport {
     assert!(config.hosts >= 1 && config.tasks >= 1);
-    let mut states = vec![ChaosOrchShard::Controller {
+    let mut states = vec![OrchShard::Controller {
         resolved: 0,
         task: 0,
         task_finish: Vec::with_capacity(config.tasks),
         finish: Nanos::ZERO,
-        chaos: Chaos::default(),
+        retry: RetryStats::default(),
     }];
-    states.extend((1..=config.hosts).map(|id| ChaosOrchShard::Host {
+    states.extend((1..=config.hosts).map(|id| OrchShard::Host {
         id,
         ran: 0,
         busy: Nanos::ZERO,
-        chaos: Chaos::default(),
+        retry: RetryStats::default(),
     }));
 
     let link_gbit = config.link_gbit_x10 as f64 / 10.0;
     let mut sim = FabricSim::new(states, link_gbit, config.latency, 1.0);
     let horizon = timeline.iter().map(|(at, _)| *at).max().unwrap_or(Nanos::ZERO);
     sim.set_fault_timeline(seed, timeline);
-    let cfg = std::sync::Arc::new(config.clone());
-    sim.schedule(CONTROLLER, Nanos::ZERO, move |ctx| chaos_dispatch(ctx, horizon, cfg));
+    // Gap between task release slots, so the playbook is still running
+    // when late faults land.
+    let pace = Nanos(horizon.0 * 5 / 4 / config.tasks as u64);
+    let cfg = Arc::new(config.clone());
+    sim.schedule(CONTROLLER, Nanos::ZERO, move |ctx| dispatch_task(ctx, pace, cfg));
     let elapsed = sim.run_sharded(workers);
 
-    let ChaosOrchShard::Controller { task_finish, .. } = sim.state(CONTROLLER) else {
+    let OrchShard::Controller { task_finish, .. } = sim.state(CONTROLLER) else {
         unreachable!("shard 0 is the controller")
     };
     let mut per_host_ran = vec![0; config.hosts];
     let mut per_host_busy = vec![Nanos::ZERO; config.hosts];
     for state in sim.states() {
-        if let ChaosOrchShard::Host { id, ran, busy, .. } = state {
+        if let OrchShard::Host { id, ran, busy, .. } = state {
             per_host_ran[*id - 1] = *ran;
             per_host_busy[*id - 1] = *busy;
         }
     }
-    let all = |f: fn(&Chaos) -> u64| -> u64 {
-        sim.states()
-            .map(|s| match s {
-                ChaosOrchShard::Controller { chaos, .. } | ChaosOrchShard::Host { chaos, .. } => f(chaos),
-            })
-            .sum()
-    };
-    let chaos_of = |s: &ChaosOrchShard| match s {
-        ChaosOrchShard::Controller { chaos, .. } | ChaosOrchShard::Host { chaos, .. } => {
-            (chaos.first_fail, chaos.last_recovery)
-        }
-    };
-    let first_fail = sim.states().filter_map(|s| chaos_of(s).0).min();
-    let last_recovery = sim.states().map(|s| chaos_of(s).1).max().unwrap_or(Nanos::ZERO);
-    let recovery_ms = match first_fail {
-        Some(f) if last_recovery > f => (last_recovery - f).0 as f64 / 1e6,
-        _ => 0.0,
-    };
+    let retry = RetryStats::fold(sim.states().map(|s| match s {
+        OrchShard::Controller { retry, .. } | OrchShard::Host { retry, .. } => retry,
+    }));
     let rpcs = 2 * (config.hosts * config.tasks) as u64;
     ShardedOrchestraChaosReport {
         elapsed,
@@ -398,126 +248,71 @@ pub fn run_sharded_chaos(
         epochs: sim.epochs(),
         workers: workers.max(1),
         rpcs,
-        detections: all(|c| c.detections),
-        recovered: all(|c| c.recovered),
-        lost: all(|c| c.lost),
-        recovery_ms,
-        degraded_fraction: all(|c| c.degraded) as f64 / rpcs.max(1) as f64,
+        detections: retry.detections,
+        recovered: retry.recovered,
+        lost: retry.lost,
+        recovery_ms: retry.recovery_ms(),
+        degraded_fraction: retry.degraded as f64 / rpcs.max(1) as f64,
     }
 }
 
-type OrchChaosCtx<'a, 'b> = NetCtx<'a, 'b, ChaosOrchShard>;
+type Ctx<'a, 'b> = NetCtx<'a, 'b, OrchShard>;
 
-/// Controller: fan the current task out, no earlier than its pacing
-/// slot (so the playbook is still running when late faults land).
-fn chaos_dispatch(ctx: &mut OrchChaosCtx<'_, '_>, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
-    let ChaosOrchShard::Controller { task, resolved, .. } = ctx.state() else {
+/// Controller: fan the current task's payload out to every host, no
+/// earlier than the task's pacing slot.
+fn dispatch_task(ctx: &mut Ctx<'_, '_>, pace: Nanos, cfg: Arc<ShardedOrchestraConfig>) {
+    let OrchShard::Controller { task, resolved, .. } = ctx.state() else {
         unreachable!("dispatch runs on the controller shard")
     };
     let task = *task;
     *resolved = 0;
-    let slot = task_slot(horizon, cfg.tasks, task);
+    let slot = pace * task as u64;
     if slot > ctx.now() {
-        ctx.schedule_at(slot, move |c| fan_out(c, task, horizon, cfg));
+        ctx.schedule_at(slot, move |c| fan_out(c, task, pace, cfg));
     } else {
-        fan_out(ctx, task, horizon, cfg);
+        fan_out(ctx, task, pace, cfg);
     }
 }
 
-fn fan_out(ctx: &mut OrchChaosCtx<'_, '_>, task: usize, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
+/// Controller → host task pushes, retried; a push abandoned after
+/// `MAX_ATTEMPTS` resolves the host for this task, so the linear
+/// barrier does not hang on an unreachable machine.
+fn fan_out(ctx: &mut Ctx<'_, '_>, task: usize, pace: Nanos, cfg: Arc<ShardedOrchestraConfig>) {
     for host in 1..=cfg.hosts {
-        let cfg = std::sync::Arc::clone(&cfg);
-        send_task(ctx, host, task, 0, horizon, cfg);
+        let cfg = Arc::clone(&cfg);
+        ctx.transfer_retry(host, cfg.task_bytes, OrchShard::retry, move |c, sent| match sent {
+            Ok(()) => run_module(c, task, pace, cfg),
+            Err(_) => resolve(c, pace, cfg),
+        });
     }
 }
 
-/// Controller → host task push, retried with backoff. A retry issued
-/// right after a heal event can still fail once — its shard sees the
-/// refreshed fault snapshot only after the heal's barrier — so the
-/// loop runs until the plane catches up or the attempts are spent.
-fn send_task(
-    ctx: &mut OrchChaosCtx<'_, '_>,
-    host: usize,
-    task: usize,
-    attempt: usize,
-    horizon: Nanos,
-    cfg: std::sync::Arc<ShardedOrchestraConfig>,
-) {
-    let bytes = cfg.task_bytes;
-    let retry_cfg = std::sync::Arc::clone(&cfg);
-    ctx.transfer_or(
-        host,
-        bytes,
-        move |c| {
-            if attempt > 0 {
-                let now = c.now();
-                c.state().chaos().note_recovery(now);
-            }
-            chaos_run_module(c, task, horizon, cfg);
-        },
-        move |c, u| {
-            c.state().chaos().note_fail(u.gave_up_at, attempt);
-            if attempt + 1 >= MAX_ATTEMPTS {
-                // Abandon the host for this task: the linear barrier
-                // must not hang on an unreachable machine.
-                c.state().chaos().lost += 1;
-                resolve_rpc(c, horizon, retry_cfg);
-                return;
-            }
-            c.schedule_in(backoff(attempt), move |cc| {
-                send_task(cc, host, task, attempt + 1, horizon, retry_cfg)
-            });
-        },
-    );
-}
-
-/// Host: execute the module, then ship the result back (retried).
-fn chaos_run_module(ctx: &mut OrchChaosCtx<'_, '_>, task: usize, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
+/// Host: execute the module for the hashed duration, then ship the
+/// result back to the controller (retried). An ack abandoned after
+/// `MAX_ATTEMPTS` stalls the playbook on this task — the corruption
+/// shows up as a missing finish.
+fn run_module(ctx: &mut Ctx<'_, '_>, task: usize, pace: Nanos, cfg: Arc<ShardedOrchestraConfig>) {
     let host = ctx.node();
     let duration = module_duration(&cfg, host, task);
     ctx.schedule_in(duration, move |c| {
-        let ChaosOrchShard::Host { ran, busy, .. } = c.state() else {
+        let OrchShard::Host { ran, busy, .. } = c.state() else {
             unreachable!("modules run on host shards")
         };
         *ran += 1;
         *busy += duration;
-        send_ack(c, 0, horizon, cfg);
+        c.transfer_retry(CONTROLLER, cfg.result_bytes, OrchShard::retry, move |ctrl, sent| {
+            if sent.is_ok() {
+                resolve(ctrl, pace, cfg);
+            }
+        });
     });
-}
-
-/// Host → controller result ack, retried with backoff.
-fn send_ack(ctx: &mut OrchChaosCtx<'_, '_>, attempt: usize, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
-    let bytes = cfg.result_bytes;
-    let retry_cfg = std::sync::Arc::clone(&cfg);
-    ctx.transfer_or(
-        CONTROLLER,
-        bytes,
-        move |ctrl| {
-            if attempt > 0 {
-                let now = ctrl.now();
-                ctrl.state().chaos().note_recovery(now);
-            }
-            resolve_rpc(ctrl, horizon, cfg);
-        },
-        move |c, u| {
-            c.state().chaos().note_fail(u.gave_up_at, attempt);
-            if attempt + 1 >= MAX_ATTEMPTS {
-                c.state().chaos().lost += 1;
-                return; // The playbook stalls on this task — the
-                        // corruption shows up as a missing finish.
-            }
-            c.schedule_in(backoff(attempt), move |cc| {
-                send_ack(cc, attempt + 1, horizon, retry_cfg)
-            });
-        },
-    );
 }
 
 /// Controller: count the resolution (ack or abandoned dispatch); when
 /// every host is accounted for, record the task and release the next.
-fn resolve_rpc(ctx: &mut OrchChaosCtx<'_, '_>, horizon: Nanos, cfg: std::sync::Arc<ShardedOrchestraConfig>) {
+fn resolve(ctx: &mut Ctx<'_, '_>, pace: Nanos, cfg: Arc<ShardedOrchestraConfig>) {
     let now = ctx.now();
-    let ChaosOrchShard::Controller { resolved, task, task_finish, finish, .. } = ctx.state() else {
+    let OrchShard::Controller { resolved, task, task_finish, finish, .. } = ctx.state() else {
         unreachable!("resolutions land on the controller shard")
     };
     *resolved += 1;
@@ -530,7 +325,7 @@ fn resolve_rpc(ctx: &mut OrchChaosCtx<'_, '_>, horizon: Nanos, cfg: std::sync::A
         *finish = now;
         return;
     }
-    ctx.schedule_in(Nanos::ZERO, move |c| chaos_dispatch(c, horizon, cfg));
+    ctx.schedule_in(Nanos::ZERO, move |c| dispatch_task(c, pace, cfg));
 }
 
 #[cfg(test)]

@@ -60,7 +60,7 @@ pub use cluster::Cluster;
 pub use engine::Sim;
 pub use fault::{FaultPlane, PlaneCmd, Unreachable};
 pub use hardware::{Demand, PlatformSpec, ResourceDim};
-pub use netshard::{replay_records_serial, FabricSim, NetCtx, ReplayEntry, ReplayRecord};
+pub use netshard::{backoff, replay_records_serial, FabricSim, NetCtx, ReplayEntry, ReplayRecord, RetryStats, MAX_ATTEMPTS};
 pub use network::{Fabric, FabricParams, NodeTraffic, TransferDemand};
 pub use shard::{EpochStage, EpochView, ShardCtx, ShardedSim};
 pub use time::Nanos;

@@ -70,10 +70,75 @@ use crate::time::Nanos;
 use popper_trace::Tracer;
 use std::sync::{Arc, Mutex};
 
-type NetAction<S> = Box<dyn for<'a, 'b> FnOnce(&mut NetCtx<'a, 'b, S>) + Send>;
+/// A transfer's one continuation: `Ok` runs on the destination shard at
+/// the completion time, `Err` on the source shard when the sender gives
+/// up.
+type NetAction<S> = Box<dyn for<'a, 'b> FnOnce(&mut NetCtx<'a, 'b, S>, Result<(), Unreachable>) + Send>;
 
-/// Failure continuation for [`NetCtx::transfer_or`].
-type NetFailAction<S> = Box<dyn for<'a, 'b> FnOnce(&mut NetCtx<'a, 'b, S>, Unreachable) + Send>;
+/// Send attempts a [`NetCtx::transfer_retry`] makes before abandoning
+/// the transfer.
+pub const MAX_ATTEMPTS: usize = 12;
+
+/// Backoff before retry `attempt + 1`: 1, 2, 4, ... ms, capped at 32 ms
+/// — generous enough that any schedule ending healed is outlasted.
+pub fn backoff(attempt: usize) -> Nanos {
+    Nanos::from_millis(1 << attempt.min(5))
+}
+
+/// Failure and recovery bookkeeping of retried transfers. Each shard
+/// keeps one; [`NetCtx::transfer_retry`] charges failures to the sender's
+/// and recoveries to the receiver's, and [`RetryStats::fold`] sums a
+/// run's shards into one.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RetryStats {
+    /// Send timeouts observed.
+    pub detections: u64,
+    /// Transfers whose first attempt failed.
+    pub degraded: u64,
+    /// Transfers delivered after one or more retries.
+    pub recovered: u64,
+    /// Transfers abandoned after [`MAX_ATTEMPTS`].
+    pub lost: u64,
+    /// Earliest failure observed.
+    pub first_fail: Option<Nanos>,
+    /// Latest recovered delivery observed.
+    pub last_recovery: Nanos,
+}
+
+impl RetryStats {
+    /// A send timed out at `at`.
+    pub fn note_detection(&mut self, at: Nanos) {
+        self.detections += 1;
+        self.first_fail = Some(self.first_fail.map_or(at, |f| f.min(at)));
+    }
+
+    /// A retried transfer landed at `at`.
+    pub fn note_recovery(&mut self, at: Nanos) {
+        self.recovered += 1;
+        self.last_recovery = self.last_recovery.max(at);
+    }
+
+    /// Totals over a run's shards: counters add, the earliest failure
+    /// and the latest recovery win.
+    pub fn fold<'a>(all: impl IntoIterator<Item = &'a RetryStats>) -> RetryStats {
+        all.into_iter().fold(RetryStats::default(), |acc, s| RetryStats {
+            detections: acc.detections + s.detections,
+            degraded: acc.degraded + s.degraded,
+            recovered: acc.recovered + s.recovered,
+            lost: acc.lost + s.lost,
+            first_fail: acc.first_fail.into_iter().chain(s.first_fail).min(),
+            last_recovery: acc.last_recovery.max(s.last_recovery),
+        })
+    }
+
+    /// First failure to last recovery, in milliseconds (0 without both).
+    pub fn recovery_ms(&self) -> f64 {
+        match self.first_fail {
+            Some(f) if self.last_recovery > f => (self.last_recovery - f).0 as f64 / 1e6,
+            _ => 0.0,
+        }
+    }
+}
 
 /// One shard of a fabric-backed world: the node's endpoint state, its
 /// fault view, the demands admitted this epoch, and the user state.
@@ -86,13 +151,13 @@ pub struct NetShard<S> {
 
 struct PendingTransfer<S> {
     demand: TransferDemand,
-    /// Completion callback, run on the destination shard at the
-    /// transfer's completion time (`None` for loopback, which is
-    /// delivered locally at send time).
-    on_done: Option<NetAction<S>>,
-    /// Failure callback, run on the *source* shard when a
-    /// barrier-applied fault leaves the demand undeliverable.
-    on_fail: Option<NetFailAction<S>>,
+    /// The continuation (`None` for loopback, which is delivered locally
+    /// at send time).
+    then: Option<NetAction<S>>,
+    /// Whether a barrier-applied fault that leaves the demand
+    /// undeliverable runs `then` with `Err` on the *source* shard
+    /// ([`NetCtx::transfer_or`]) or drops it ([`NetCtx::transfer`]).
+    observe_fail: bool,
 }
 
 /// One transfer in the core stage's replay log, in the deterministic
@@ -230,7 +295,7 @@ impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
                         bytes: d.bytes,
                         sent: d.sent,
                     });
-                    if let Some(on_fail) = p.on_fail {
+                    if let Some(then) = p.then.filter(|_| p.observe_fail) {
                         let gave_up_at = d.sent + core.faults.master.timeout();
                         let u = Unreachable {
                             src: d.src,
@@ -239,9 +304,7 @@ impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
                             gave_up_at,
                         };
                         let at = gave_up_at.max(view.now(d.src));
-                        view.schedule(d.src, at, move |ctx| {
-                            on_fail(&mut NetCtx { inner: ctx }, u)
-                        });
+                        view.schedule(d.src, at, move |ctx| then(&mut NetCtx { inner: ctx }, Err(u)));
                     }
                     continue;
                 }
@@ -267,8 +330,8 @@ impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
                      latency inflation must only lengthen delays"
                 );
                 view.state(d.dst).endpoint.deliver(d.bytes);
-                if let Some(on_done) = p.on_done {
-                    view.schedule(d.dst, done, move |ctx| on_done(&mut NetCtx { inner: ctx }));
+                if let Some(then) = p.then {
+                    view.schedule(d.dst, done, move |ctx| then(&mut NetCtx { inner: ctx }, Ok(())));
                 }
             }
         }
@@ -354,7 +417,11 @@ impl<S: Send + 'static> NetCtx<'_, '_, S> {
         bytes: u64,
         on_done: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>) + Send + 'static,
     ) {
-        self.transfer_impl(dst, bytes, Box::new(on_done), None);
+        self.transfer_impl(dst, bytes, false, move |c, sent| {
+            if sent.is_ok() {
+                on_done(c)
+            }
+        });
     }
 
     /// Like [`transfer`](Self::transfer), but on an unreachable
@@ -371,15 +438,71 @@ impl<S: Send + 'static> NetCtx<'_, '_, S> {
         on_done: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>) + Send + 'static,
         on_fail: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>, Unreachable) + Send + 'static,
     ) {
-        self.transfer_impl(dst, bytes, Box::new(on_done), Some(Box::new(on_fail)));
+        self.transfer_impl(dst, bytes, true, move |c, sent| match sent {
+            Ok(()) => on_done(c),
+            Err(u) => on_fail(c, u),
+        });
+    }
+
+    /// Like [`transfer_or`](Self::transfer_or) with one continuation,
+    /// re-sending on every failure after a capped [`backoff`] until the
+    /// transfer lands or [`MAX_ATTEMPTS`] attempts have failed. `then`
+    /// runs once: with `Ok` on the destination shard when a transfer
+    /// lands, with the last failure on this shard once the attempts are
+    /// spent. `stats` picks the [`RetryStats`] out of a shard's state;
+    /// failures are charged to the sender's, deliveries after a retry
+    /// to the receiver's. A retry issued right after a heal can still
+    /// fail once — its shard sees the refreshed fault snapshot only
+    /// after the heal's barrier — so the loop runs until the plane
+    /// catches up.
+    pub fn transfer_retry(
+        &mut self,
+        dst: usize,
+        bytes: u64,
+        stats: fn(&mut S) -> &mut RetryStats,
+        then: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>, Result<(), Unreachable>) + Send + 'static,
+    ) {
+        self.retry_from(dst, bytes, stats, 0, then);
+    }
+
+    fn retry_from<F>(
+        &mut self,
+        dst: usize,
+        bytes: u64,
+        stats: fn(&mut S) -> &mut RetryStats,
+        attempt: usize,
+        then: F,
+    ) where
+        F: for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>, Result<(), Unreachable>) + Send + 'static,
+    {
+        self.transfer_impl(dst, bytes, true, move |c, sent| match sent {
+            Ok(()) => {
+                if attempt > 0 {
+                    let now = c.now();
+                    stats(c.state()).note_recovery(now);
+                }
+                then(c, Ok(()));
+            }
+            Err(u) => {
+                let s = stats(c.state());
+                s.note_detection(u.gave_up_at);
+                s.degraded += u64::from(attempt == 0);
+                if attempt + 1 >= MAX_ATTEMPTS {
+                    s.lost += 1;
+                    then(c, Err(u));
+                } else {
+                    c.schedule_in(backoff(attempt), move |c| c.retry_from(dst, bytes, stats, attempt + 1, then));
+                }
+            }
+        });
     }
 
     fn transfer_impl(
         &mut self,
         dst: usize,
         bytes: u64,
-        on_done: NetAction<S>,
-        on_fail: Option<NetFailAction<S>>,
+        observe_fail: bool,
+        then: impl for<'x, 'y> FnOnce(&mut NetCtx<'x, 'y, S>, Result<(), Unreachable>) + Send + 'static,
     ) {
         assert!(dst < self.inner.shards(), "destination node {dst} out of range");
         let now = self.inner.now();
@@ -391,23 +514,19 @@ impl<S: Send + 'static> NetCtx<'_, '_, S> {
             Ok(demand) if demand.is_loopback() => {
                 let shard = self.inner.state();
                 shard.endpoint.deliver(bytes);
-                shard.pending.push(PendingTransfer { demand, on_done: None, on_fail: None });
+                shard.pending.push(PendingTransfer { demand, then: None, observe_fail });
                 // Locality is free: deliver at the current time, after
                 // the in-flight event finishes.
-                self.schedule_in(Nanos::ZERO, move |ctx| on_done(ctx));
+                self.schedule_in(Nanos::ZERO, move |ctx| then(ctx, Ok(())));
             }
             Ok(demand) => {
-                self.inner
-                    .state()
-                    .pending
-                    .push(PendingTransfer { demand, on_done: Some(on_done), on_fail });
+                let then: NetAction<S> = Box::new(then);
+                self.inner.state().pending.push(PendingTransfer { demand, then: Some(then), observe_fail });
             }
-            Err(u) => {
-                if let Some(on_fail) = on_fail {
-                    self.inner
-                        .schedule_at(u.gave_up_at, move |ctx| on_fail(&mut NetCtx { inner: ctx }, u));
-                }
+            Err(u) if observe_fail => {
+                self.inner.schedule_at(u.gave_up_at, move |ctx| then(&mut NetCtx { inner: ctx }, Err(u)));
             }
+            Err(_) => {}
         }
     }
 }
@@ -783,6 +902,38 @@ mod tests {
             assert_eq!(parallel.state(0), reference.state(0));
             assert_eq!(parallel.state(1), reference.state(1));
         }
+    }
+
+    #[test]
+    fn transfer_retry_backs_off_recovers_and_gives_up_at_the_cap() {
+        // Node 1 is down from the start; `restart` brings it back at
+        // 10 ms. Each run sends one retried transfer 0 -> 1 and logs the
+        // outcome on whichever shard the continuation runs.
+        let run = |restart: bool| {
+            let mut sim: FabricSim<(Vec<bool>, RetryStats)> =
+                FabricSim::new(vec![(Vec::new(), RetryStats::default()); 2], 10.0, Nanos::from_micros(10), 1.0);
+            let mut timeline = vec![(Nanos::ZERO, PlaneCmd::Crash(1))];
+            if restart {
+                timeline.push((Nanos::from_millis(10), PlaneCmd::Restart(1)));
+            }
+            sim.set_fault_timeline(1, timeline);
+            sim.schedule(0, Nanos::from_micros(20), |ctx| {
+                ctx.transfer_retry(1, 4096, |s| &mut s.1, |c, sent| c.state().0.push(sent.is_ok()));
+            });
+            sim.run();
+            let stats = RetryStats::fold(sim.states().map(|s| &s.1));
+            (sim.state(0).0.clone(), sim.state(1).0.clone(), stats)
+        };
+        let (src, dst, healed) = run(true);
+        assert_eq!((src, dst), (vec![], vec![true]), "landed once, on the receiver");
+        assert_eq!((healed.degraded, healed.recovered, healed.lost), (1, 1, 0));
+        assert!(healed.detections >= 1 && healed.recovery_ms() > 0.0);
+        let (src, dst, dead) = run(false);
+        assert_eq!((src, dst), (vec![false], vec![]), "given up once, on the sender");
+        assert_eq!((dead.detections, dead.degraded, dead.recovered, dead.lost), (MAX_ATTEMPTS as u64, 1, 0, 1));
+        assert_eq!(dead.recovery_ms(), 0.0);
+        assert_eq!(backoff(0), Nanos::from_millis(1));
+        assert_eq!(backoff(MAX_ATTEMPTS), Nanos::from_millis(32));
     }
 
     #[test]

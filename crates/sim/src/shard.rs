@@ -170,8 +170,8 @@ pub trait EpochStage<S>: Send {
 /// [`EpochStage::reconcile`]: every shard's state, plus the ability to
 /// schedule events onto any shard.
 pub struct EpochView<'a, 'b, S> {
-    shards: Vec<&'a mut Shard<S>>,
-    tracer: &'b Tracer,
+    shards: &'a mut [&'b mut Shard<S>],
+    tracer: &'a Tracer,
     window_end: Nanos,
 }
 
@@ -390,71 +390,19 @@ impl<S: Send> ShardedSim<S> {
         self.shards[shard].push(at, Box::new(action));
     }
 
-    /// The earliest pending event time across all shards.
-    fn horizon(&self) -> Option<Nanos> {
-        self.shards.iter().filter_map(|s| s.next_at()).min()
-    }
-
-    /// Merge every shard's outbox into the destination queues, in the
-    /// fixed `(source shard, send seq)` order that makes the merge — and
-    /// therefore all downstream dispatch order — independent of which
-    /// worker ran which shard. Then reconcile the epoch stage (if any)
-    /// and forward buffered trace records in shard order.
-    fn epoch_boundary(&mut self, trace_on: bool, window_end: Nanos) {
-        for src in 0..self.shards.len() {
-            let outbox = std::mem::take(&mut self.shards[src].outbox);
-            for out in outbox {
-                // Conservative lookahead guarantees the arrival is at or
-                // beyond the next window's start.
-                debug_assert!(out.at >= self.shards[out.dst].now);
-                self.shards[out.dst].push(out.at, out.action);
-            }
-        }
-        if let Some(stage) = self.stage.as_mut() {
-            let mut view = EpochView {
-                shards: self.shards.iter_mut().collect(),
-                tracer: &self.tracer,
-                window_end,
-            };
-            stage.reconcile(&mut view);
-        }
-        if trace_on {
-            self.flush_trace();
-        }
-        self.epochs += 1;
-    }
-
-    /// Forward per-shard trace buffers to the tracer, in shard order.
-    /// Only ever called from the coordinating thread, so the tracer's
-    /// per-thread buffer sees one deterministic stream.
-    fn flush_trace(&mut self) {
-        for shard in &mut self.shards {
-            let track = format!("sim/shard{}", shard.id);
-            for rec in shard.trace.drain(..) {
-                match rec {
-                    TraceRec::Dispatch { ts } => {
-                        self.tracer.instant_at("sim", &track, "dispatch", ts);
-                    }
-                    TraceRec::Pending { ts, depth } => {
-                        self.tracer.counter_at(&track, "pending", depth, ts);
-                    }
-                }
-            }
-        }
-    }
-
     /// Emit the drain-time `pending = 0` sample for every shard that
     /// fired events (the counter would otherwise end on a stale depth),
     /// then flush.
     fn finish(&mut self, trace_on: bool) -> Nanos {
         if trace_on {
-            for shard in &mut self.shards {
+            let mut shards: Vec<&mut Shard<S>> = self.shards.iter_mut().collect();
+            for shard in shards.iter_mut() {
                 if shard.fired > 0 && !shard.drain_sampled && shard.queue.is_empty() {
                     shard.trace.push(TraceRec::Pending { ts: shard.now.0, depth: 0.0 });
                     shard.drain_sampled = true;
                 }
             }
-            self.flush_trace();
+            flush_trace(&mut shards, &self.tracer);
         }
         self.now()
     }
@@ -466,12 +414,14 @@ impl<S: Send> ShardedSim<S> {
         let trace_on = self.tracer.is_enabled();
         let lookahead = self.lookahead;
         let n = self.shards.len();
-        while let Some(h) = self.horizon() {
+        let mut shards: Vec<&mut Shard<S>> = self.shards.iter_mut().collect();
+        while let Some(h) = horizon(&shards) {
             let window_end = h.saturating_add(lookahead);
-            for shard in &mut self.shards {
+            for shard in shards.iter_mut() {
                 shard.process_window(window_end, lookahead, n, trace_on);
             }
-            self.epoch_boundary(trace_on, window_end);
+            epoch_boundary(&mut shards, self.stage.as_deref_mut(), &self.tracer, trace_on, window_end);
+            self.epochs += 1;
         }
         self.finish(trace_on)
     }
@@ -493,14 +443,13 @@ impl<S: Send> ShardedSim<S> {
         // Epoch coordination: the coordinator publishes a window end,
         // workers claim shards from a shared cursor, two barriers fence
         // the epoch. Shards sit behind uncontended mutexes only so the
-        // borrow can cross threads; each is locked once per epoch.
+        // borrow can cross threads.
         let window_end = AtomicU64::new(0);
         let cursor = AtomicUsize::new(0);
         let barrier = Barrier::new(workers + 1);
-        let tracer = self.tracer.clone();
-        let mut epochs_run = 0u64;
-        let mut stage = self.stage.take();
+        let mut next = self.shards.iter().filter_map(Shard::next_at).min();
         let cells: Vec<Mutex<&mut Shard<S>>> = self.shards.iter_mut().map(Mutex::new).collect();
+        let (stage, tracer, epochs) = (&mut self.stage, &self.tracer, &mut self.epochs);
 
         std::thread::scope(|scope| {
             let cells = &cells;
@@ -527,78 +476,75 @@ impl<S: Send> ShardedSim<S> {
             }
 
             // Coordinator: between barriers it is the only thread
-            // touching the shards, so the horizon scan, the outbox
-            // merge and the trace flush all see quiescent state.
-            loop {
-                let horizon = {
-                    let mut h: Option<Nanos> = None;
-                    for cell in cells.iter() {
-                        let shard = cell.lock().expect("shard lock");
-                        h = match (h, shard.next_at()) {
-                            (Some(a), Some(b)) => Some(a.min(b)),
-                            (a, b) => a.or(b),
-                        };
-                    }
-                    h
-                };
-                let Some(h) = horizon else {
-                    window_end.store(STOP, AtomicOrdering::Release);
-                    barrier.wait();
-                    break;
-                };
+            // touching the shards. It locks every shard once per epoch
+            // and runs the serial path's boundary and horizon scan on
+            // the quiescent state.
+            while let Some(h) = next {
                 cursor.store(0, AtomicOrdering::Relaxed);
                 let end = h.saturating_add(lookahead);
                 window_end.store(end.0, AtomicOrdering::Release);
                 barrier.wait(); // epoch starts
                 barrier.wait(); // epoch ends
-                // Deterministic boundary work on the coordinator: drain
-                // outboxes in shard order, deliver in (src, seq) order.
-                let mut deliveries: Vec<Outgoing<S>> = Vec::new();
-                for cell in cells.iter() {
-                    let mut shard = cell.lock().expect("shard lock");
-                    deliveries.append(&mut shard.outbox);
-                }
-                for out in deliveries {
-                    let mut dst = cells[out.dst].lock().expect("shard lock");
-                    debug_assert!(out.at >= dst.now);
-                    dst.push(out.at, out.action);
-                }
-                if let Some(stage) = stage.as_deref_mut() {
-                    // The stage sees all shards quiescent, in shard
-                    // order — the same view `epoch_boundary` builds on
-                    // the serial path.
-                    let mut guards: Vec<_> =
-                        cells.iter().map(|c| c.lock().expect("shard lock")).collect();
-                    let mut view = EpochView {
-                        shards: guards.iter_mut().map(|g| &mut ***g).collect(),
-                        tracer: &tracer,
-                        window_end: end,
-                    };
-                    stage.reconcile(&mut view);
-                }
-                if trace_on {
-                    for cell in cells.iter() {
-                        let mut shard = cell.lock().expect("shard lock");
-                        let track = format!("sim/shard{}", shard.id);
-                        for rec in shard.trace.drain(..) {
-                            match rec {
-                                TraceRec::Dispatch { ts } => {
-                                    tracer.instant_at("sim", &track, "dispatch", ts);
-                                }
-                                TraceRec::Pending { ts, depth } => {
-                                    tracer.counter_at(&track, "pending", depth, ts);
-                                }
-                            }
-                        }
-                    }
-                }
-                epochs_run += 1;
+                let mut guards: Vec<_> = cells.iter().map(|c| c.lock().expect("shard lock")).collect();
+                let mut shards: Vec<&mut Shard<S>> = guards.iter_mut().map(|g| &mut ***g).collect();
+                epoch_boundary(&mut shards, stage.as_deref_mut(), tracer, trace_on, end);
+                *epochs += 1;
+                next = horizon(&shards);
             }
+            window_end.store(STOP, AtomicOrdering::Release);
+            barrier.wait();
         });
         drop(cells);
-        self.stage = stage;
-        self.epochs += epochs_run;
         self.finish(trace_on)
+    }
+}
+
+/// The earliest pending event time across all shards.
+fn horizon<S>(shards: &[&mut Shard<S>]) -> Option<Nanos> {
+    shards.iter().filter_map(|s| s.next_at()).min()
+}
+
+/// The epoch boundary, shared by the serial and the parallel path: merge
+/// every shard's outbox into the destination queues in the fixed
+/// `(source shard, send seq)` order that makes the merge — and therefore
+/// all downstream dispatch order — independent of which worker ran which
+/// shard, then reconcile the epoch stage (if any) and forward buffered
+/// trace records in shard order.
+fn epoch_boundary<S>(
+    shards: &mut [&mut Shard<S>],
+    stage: Option<&mut (dyn EpochStage<S> + 'static)>,
+    tracer: &Tracer,
+    trace_on: bool,
+    window_end: Nanos,
+) {
+    for src in 0..shards.len() {
+        for out in std::mem::take(&mut shards[src].outbox) {
+            // Conservative lookahead guarantees the arrival is at or
+            // beyond the next window's start.
+            debug_assert!(out.at >= shards[out.dst].now);
+            shards[out.dst].push(out.at, out.action);
+        }
+    }
+    if let Some(stage) = stage {
+        stage.reconcile(&mut EpochView { shards: &mut *shards, tracer, window_end });
+    }
+    if trace_on {
+        flush_trace(shards, tracer);
+    }
+}
+
+/// Forward per-shard trace buffers to the tracer, in shard order. Only
+/// ever called from the coordinating thread, so the tracer's per-thread
+/// buffer sees one deterministic stream.
+fn flush_trace<S>(shards: &mut [&mut Shard<S>], tracer: &Tracer) {
+    for shard in shards.iter_mut() {
+        let track = format!("sim/shard{}", shard.id);
+        for rec in shard.trace.drain(..) {
+            match rec {
+                TraceRec::Dispatch { ts } => tracer.instant_at("sim", &track, "dispatch", ts),
+                TraceRec::Pending { ts, depth } => tracer.counter_at(&track, "pending", depth, ts),
+            }
+        }
     }
 }
 
