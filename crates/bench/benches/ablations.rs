@@ -9,9 +9,10 @@
 //!   two hypothesis tests on realistic runtime samples.
 //! * **FUSE writeback option** — the packaging-choice effect the
 //!   GassyFS use case motivates.
-//! * **tracing overhead** (`ablate_trace_overhead`) — the sim hot path
-//!   with a disabled vs. an enabled `popper-trace` sink; a disabled
-//!   sink must stay below 5% so instrumentation can ship always-on.
+//! * **tracing overhead** (`ablate_trace_overhead`) — the sim dispatch
+//!   path (a one-shard `ShardedSim`) with a disabled vs. an enabled
+//!   `popper-trace` sink; the print reports the disabled-sink branch's
+//!   share of that path against the 5% budget.
 //! * **fault-plane overhead** (`ablate_fault_overhead`) — the fabric
 //!   admit path with a healthy vs. an active `FaultPlane`; a healthy
 //!   plane is one branch per transfer and must stay below 5% so fault
@@ -104,22 +105,29 @@ fn transfer_loop(n: u64) -> u64 {
     acc
 }
 
-/// The engine hot path: a self-rescheduling tick chain dispatched
-/// `n` times. The engine holds its tracer as a field, so a disabled
-/// sink costs exactly one branch per dispatch.
+/// The engine hot path: a self-rescheduling tick chain dispatched `n`
+/// times on a one-shard [`popper_sim::ShardedSim`], the serial engine
+/// every world runs on. The shard state is `(world, ticks left)`. The
+/// engine holds its tracer as a field, so a disabled sink costs one
+/// branch per dispatch.
 fn dispatch_loop(tracer: Option<popper_trace::Tracer>, n: u64) -> u64 {
-    use popper_sim::{Nanos, Sim};
-    fn tick(s: &mut Sim<u64>) {
-        s.world = s.world.wrapping_mul(6364136223846793005).wrapping_add(1);
-        s.schedule_in(Nanos(1 + (s.world >> 60)), tick);
+    use popper_sim::{Nanos, ShardCtx, ShardedSim};
+    fn tick(ctx: &mut ShardCtx<'_, (u64, u64)>) {
+        let (world, left) = ctx.state();
+        *world = world.wrapping_mul(6364136223846793005).wrapping_add(1);
+        *left -= 1;
+        if *left > 0 {
+            let delay = Nanos(1 + (*world >> 60));
+            ctx.schedule_in(delay, tick);
+        }
     }
-    let mut sim: Sim<u64> = Sim::new(0x9e3779b9);
+    let mut sim = ShardedSim::new(vec![(0x9e3779b9, n)], Nanos::MAX);
     if let Some(t) = tracer {
         sim.set_tracer(t);
     }
-    sim.schedule_in(Nanos(1), tick);
-    sim.run_capped(n);
-    sim.world
+    sim.schedule(0, Nanos(1), tick);
+    sim.run();
+    sim.state(0).0
 }
 
 /// The fabric admit path under an optionally-active fault plane. With
@@ -234,12 +242,12 @@ fn print_trace_overhead_ablation() {
     eprintln!("{N} engine dispatches:");
     eprintln!("  disabled sink: {:>9.3} ms", disabled * 1e3);
     eprintln!("  enabled sink:  {:>9.3} ms  ({events} events collected)", enabled * 1e3);
-    eprintln!(
-        "  disabled-sink branch alone: {:.3} ms = {:.2}% of the dispatch path",
-        check * 1e3,
-        check / disabled * 100.0
-    );
-    eprintln!("shape: a disabled sink is one branch per dispatch — under the 5% budget.\n");
+    let pct = check / disabled * 100.0;
+    eprintln!("  disabled-sink branch alone: {:.3} ms = {pct:.2}% of the dispatch path", check * 1e3);
+    // The isolated loop also times its own loop overhead, so this is an
+    // upper bound on the branch's share; it is reported, not asserted.
+    let verdict = if pct < 5.0 { "within" } else { "over" };
+    eprintln!("shape: a disabled sink is one branch per dispatch — {pct:.2}%, {verdict} the 5% budget.\n");
 }
 
 fn ablate_trace_overhead(c: &mut Criterion) {

@@ -71,11 +71,6 @@ impl Cluster {
         &self.nodes[i]
     }
 
-    /// Mutably borrow a node.
-    pub fn node_mut(&mut self, i: usize) -> &mut Node {
-        &mut self.nodes[i]
-    }
-
     /// Install periodic OS noise on one node.
     pub fn set_noise(&mut self, node: usize, noise: Option<OsNoise>) {
         self.nodes[node].noise = noise;

@@ -138,7 +138,6 @@ pub struct FaultPlane {
     /// reproduces exactly the draws the shared plane would have made
     /// for that sender, regardless of how other senders interleave.
     draws: Vec<u64>,
-    timeout: Nanos,
 }
 
 impl FaultPlane {
@@ -154,7 +153,6 @@ impl FaultPlane {
             disk_factor: vec![1.0; nodes],
             seed: 0,
             draws: vec![0; nodes],
-            timeout: DEFAULT_TIMEOUT,
         }
     }
 
@@ -183,14 +181,9 @@ impl FaultPlane {
         self.seed = seed;
     }
 
-    /// Override the unreachable-peer timeout.
-    pub fn set_timeout(&mut self, timeout: Nanos) {
-        self.timeout = timeout;
-    }
-
     /// The unreachable-peer timeout.
     pub fn timeout(&self) -> Nanos {
-        self.timeout
+        DEFAULT_TIMEOUT
     }
 
     // ---- node crash / restart ----
@@ -270,7 +263,7 @@ impl FaultPlane {
             src,
             dst,
             crashed: self.crashed_endpoint(src, dst),
-            gave_up_at: now + self.timeout,
+            gave_up_at: now + DEFAULT_TIMEOUT,
         })
     }
 
@@ -344,8 +337,8 @@ impl FaultPlane {
     }
 
     /// Overwrite this plane's fault *state* (crashes, partition, loss,
-    /// degradation, seed, timeout) from `master`, preserving this
-    /// plane's own draw counters. This is how the sharded fabric
+    /// degradation, seed) from `master`, preserving this plane's own
+    /// draw counters. This is how the sharded fabric
     /// refreshes per-endpoint plane snapshots after barrier-applied
     /// fault events: each shard keeps its per-source draw position, so
     /// its loss-draw sequence stays identical to the one a single
@@ -359,7 +352,6 @@ impl FaultPlane {
         self.latency_factor.clone_from(&master.latency_factor);
         self.disk_factor.clone_from(&master.disk_factor);
         self.seed = master.seed;
-        self.timeout = master.timeout;
         self.active = master.active;
     }
 

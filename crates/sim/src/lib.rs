@@ -10,13 +10,12 @@
 //! Contents:
 //!
 //! * [`time`] — nanosecond-resolution virtual time ([`Nanos`]).
-//! * [`engine`] — a generic event-queue simulator ([`Sim`]) with
-//!   deterministic tie-breaking (events at equal times fire in schedule
-//!   order).
-//! * [`shard`] — the multi-core variant ([`ShardedSim`]): per-shard
-//!   event queues advanced in epoch-synchronized windows bounded by a
-//!   conservative lookahead, with a deterministic cross-shard merge so
-//!   the trace is byte-identical at every worker count.
+//! * [`shard`] — the event engine ([`ShardedSim`]): per-shard event
+//!   queues with deterministic tie-breaking (events at equal times fire
+//!   in schedule order), advanced in epoch-synchronized windows bounded
+//!   by a conservative lookahead, with a deterministic cross-shard merge
+//!   so the trace is byte-identical at every worker count. A one-shard
+//!   `ShardedSim` is the serial engine.
 //! * [`resource`] — analytic queueing primitives: serial servers
 //!   ([`resource::Serial`]) and multi-server pools
 //!   ([`resource::MultiServer`]) used to model cores, NICs and disks.
@@ -45,7 +44,6 @@
 //! experiment re-executes exactly" is the Popper convention's core claim.
 
 pub mod cluster;
-pub mod engine;
 pub mod fault;
 pub mod hardware;
 pub mod netshard;
@@ -57,7 +55,6 @@ pub mod shard;
 pub mod time;
 
 pub use cluster::Cluster;
-pub use engine::Sim;
 pub use fault::{FaultPlane, PlaneCmd, Unreachable};
 pub use hardware::{Demand, PlatformSpec, ResourceDim};
 pub use netshard::{backoff, replay_records_serial, FabricSim, NetCtx, ReplayEntry, ReplayRecord, RetryStats, MAX_ATTEMPTS};

@@ -538,7 +538,6 @@ impl<S: Send + 'static> NetCtx<'_, '_, S> {
 pub struct FabricSim<S> {
     sim: ShardedSim<NetShard<S>>,
     core: Arc<Mutex<CoreState>>,
-    params: FabricParams,
 }
 
 impl<S: Send + 'static> FabricSim<S> {
@@ -583,7 +582,7 @@ impl<S: Send + 'static> FabricSim<S> {
             faults: ShardedFaultPlane { master: faults, timeline: Vec::new(), next: 0 },
         }));
         sim.set_stage(FabricStage { core: Arc::clone(&core) });
-        FabricSim { sim, core, params }
+        FabricSim { sim, core }
     }
 
     /// Install a scheduled-fault timeline: `seed` feeds the
@@ -605,22 +604,6 @@ impl<S: Send + 'static> FabricSim<S> {
         for node in 0..self.sim.shards() {
             self.sim.state_mut(node).faults.set_seed(seed);
         }
-    }
-
-    /// The fault planes' unreachable-peer timeout (the virtual time a
-    /// sender waits before `on_fail` runs).
-    pub fn fault_timeout(&self) -> Nanos {
-        self.core.lock().expect("fabric core").faults.master.timeout()
-    }
-
-    /// Number of fabric nodes (= shards).
-    pub fn nodes(&self) -> usize {
-        self.sim.shards()
-    }
-
-    /// The fabric's propagation latency (= the engine lookahead).
-    pub fn latency(&self) -> Nanos {
-        self.params.latency
     }
 
     /// Replace the tracer captured at construction.
@@ -879,7 +862,7 @@ mod tests {
         // The in-flight demand failed at the sender's timeout ...
         let fails: Vec<_> = reference.state(0).iter().filter(|(k, _)| *k == "failed").collect();
         assert_eq!(fails.len(), 1);
-        assert_eq!(fails[0].1, Nanos::from_micros(60) + reference.fault_timeout());
+        assert_eq!(fails[0].1, Nanos::from_micros(60) + crate::fault::DEFAULT_TIMEOUT);
         // ... and the retry landed on the restarted node.
         assert_eq!(reference.state(1).iter().filter(|(k, _)| *k == "retried").count(), 1);
         // The sender was charged for the failed attempt (3 admissions on
