@@ -90,9 +90,11 @@ pub fn timeline_svg(events: &[TraceEvent]) -> String {
         let y0 = TOP + rows[e.track.as_str()] as f64 * ROW;
         let color = colors[e.category];
         match e.kind {
-            EventKind::Span { start_ns, end_ns } => {
+            EventKind::Span { start_ns, .. } => {
                 let d = depth(e.id) as f64;
-                let w = ((end_ns - start_ns) as f64 * scale).max(0.8);
+                // duration_ns() saturates: a skewed span draws as the
+                // narrowest bar rather than overflowing.
+                let w = (e.duration_ns() as f64 * scale).max(0.8);
                 let inset = (d * 3.0).min(9.0);
                 doc.rect(x(start_ns), y0 + 4.0 + inset, w, (BAR - inset).max(3.0), color);
                 // Label spans wide enough to hold text.
