@@ -4,8 +4,7 @@
 //! `traceEvents` array elements as batches are absorbed from the sink's
 //! ring buffer instead of buffering the whole run, so a long soak can
 //! record through a bounded ring without ever materialising the full
-//! event vector. A single batch containing a fully-drained run streams
-//! byte-identically to [`crate::chrome_trace_json`] (pinned by test).
+//! event vector. [`crate::chrome_trace_json`] is the one-batch case.
 //!
 //! [`TraceRecorder`] packages the sink + wall-domain tracer + exporter
 //! wiring every lifecycle mode used to hand-roll: `ordered()` buffers
@@ -13,12 +12,17 @@
 //! selfcheck), `streaming()` flushes each absorbed wave straight to the
 //! encoder (the default record-stage sink for `popper chaos` soaks).
 
+use crate::chrome::{push_event, push_meta, CLOSE, OPEN};
 use crate::event::TraceEvent;
-use crate::export::{event_value, meta_value, summary_table};
+use crate::export::summary_table;
 use crate::sink::TraceSink;
 use crate::tracer::{ClockDomain, Tracer};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
+
+/// [`ChromeStream`] hands its text buffer to the writer once it holds
+/// this many bytes, so a whole-run batch is not held twice.
+const FLUSH_AT: usize = 1 << 16;
 
 /// Streaming Chrome `trace_event` encoder over any [`Write`] target.
 ///
@@ -28,22 +32,25 @@ use std::io::{self, Write};
 /// (its first pass scans the whole document for metadata).
 pub struct ChromeStream<W: Write> {
     out: W,
+    buf: String,
     tids: BTreeMap<String, u64>,
     events_written: u64,
 }
 
 impl<W: Write> ChromeStream<W> {
     /// Open the document: array preamble plus the process metadata.
-    pub fn new(mut out: W) -> io::Result<ChromeStream<W>> {
-        out.write_all(b"{\"traceEvents\":[")?;
-        let process = popper_format::json::to_string(&meta_value("process_name", None, "popper"));
-        out.write_all(process.as_bytes())?;
-        Ok(ChromeStream { out, tids: BTreeMap::new(), events_written: 0 })
+    pub fn new(out: W) -> io::Result<ChromeStream<W>> {
+        let mut buf = String::from(OPEN);
+        push_meta(&mut buf, "process_name", None, "popper");
+        let mut stream = ChromeStream { out, buf, tids: BTreeMap::new(), events_written: 0 };
+        stream.drain_buf()?;
+        Ok(stream)
     }
 
-    fn element(&mut self, value: &popper_format::Value) -> io::Result<()> {
-        self.out.write_all(b",")?;
-        self.out.write_all(popper_format::json::to_string(value).as_bytes())
+    fn drain_buf(&mut self) -> io::Result<()> {
+        self.out.write_all(self.buf.as_bytes())?;
+        self.buf.clear();
+        Ok(())
     }
 
     /// Encode one absorbed batch. New tracks are assigned tids in
@@ -60,14 +67,18 @@ impl<W: Write> ChromeStream<W> {
         for track in fresh {
             let tid = self.tids.len() as u64 + 1;
             self.tids.insert(track.to_string(), tid);
-            self.element(&meta_value("thread_name", Some(tid), track))?;
+            self.buf.push(',');
+            push_meta(&mut self.buf, "thread_name", Some(tid), track);
         }
         for e in events {
-            let tid = self.tids[e.track.as_str()];
-            self.element(&event_value(e, tid))?;
+            self.buf.push(',');
+            push_event(&mut self.buf, e, self.tids[e.track.as_str()]);
             self.events_written += 1;
+            if self.buf.len() >= FLUSH_AT {
+                self.drain_buf()?;
+            }
         }
-        Ok(())
+        self.drain_buf()
     }
 
     /// Events encoded so far (metadata elements excluded).
@@ -77,7 +88,7 @@ impl<W: Write> ChromeStream<W> {
 
     /// Close the array and document, returning the writer.
     pub fn finish(mut self) -> io::Result<W> {
-        self.out.write_all(b"],\"displayTimeUnit\":\"ms\"}")?;
+        self.out.write_all(CLOSE.as_bytes())?;
         Ok(self.out)
     }
 }
