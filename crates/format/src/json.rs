@@ -12,7 +12,7 @@
 //! which is enforced by property tests.
 
 use crate::error::{FormatError, Result};
-use crate::value::{fmt_num, Value};
+use crate::value::{push_num, Value};
 
 /// Parse a JSON document into a [`Value`].
 pub fn parse(input: &str) -> Result<Value> {
@@ -97,32 +97,47 @@ fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
     }
 }
 
-fn write_num(out: &mut String, n: f64) {
+/// Append `n` as a JSON number: `null` for NaN and infinities (JSON has
+/// neither, and most writers do the same), integers without a fraction,
+/// anything else in its shortest round-trippable form.
+pub fn write_num(out: &mut String, n: f64) {
     if n.is_finite() {
-        out.push_str(&fmt_num(n));
+        push_num(out, n);
     } else {
-        // JSON has no NaN/Infinity; represent as null like most writers do.
         out.push_str("null");
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
+/// Append `s` as a JSON string literal. Runs of bytes that need no
+/// escape are copied whole, so a string without `"`, `\` or control
+/// characters is one copy.
+pub fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0C}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+    let mut start = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        if escape.is_empty() {
+            const HEX: &[u8; 16] = b"0123456789abcdef";
+            out.push_str("\\u00");
+            out.push(HEX[usize::from(b >> 4)] as char);
+            out.push(HEX[usize::from(b & 0xf)] as char);
+        } else {
+            out.push_str(escape);
         }
+        start = i + 1;
     }
+    out.push_str(&s[start..]);
     out.push('"');
 }
 
@@ -388,7 +403,13 @@ mod tests {
         let s = "tab\t newline\n quote\" backslash\\ unicode\u{1F600} ctrl\u{01}";
         let v = Value::Str(s.into());
         let encoded = to_string(&v);
+        assert_eq!(
+            encoded,
+            "\"tab\\t newline\\n quote\\\" backslash\\\\ unicode\u{1F600} ctrl\\u0001\""
+        );
         assert_eq!(parse(&encoded).unwrap(), v);
+        let controls = Value::Str("\u{08}\u{0c}\r\u{1f}\u{7f}".into());
+        assert_eq!(to_string(&controls), "\"\\b\\f\\r\\u001f\u{7f}\"");
     }
 
     #[test]
