@@ -98,11 +98,23 @@ impl Object {
     /// ```
     pub fn serialize(&self) -> Vec<u8> {
         let body = self.body_bytes();
-        let header = format!("{} {}\0", self.type_name(), body.len());
-        let mut out = Vec::with_capacity(header.len() + body.len());
-        out.extend_from_slice(header.as_bytes());
+        let mut out = Vec::with_capacity(HEADER_MAX + body.len());
+        write_header(&mut out, self.type_name(), body.len()).expect("writing to a Vec cannot fail");
         out.extend_from_slice(&body);
         out
+    }
+
+    /// Is `stored` the serialization of the blob holding exactly
+    /// `contents`? A length check and a byte compare: nothing is copied,
+    /// serialized or hashed.
+    pub fn is_blob_of(stored: &[u8], contents: &[u8]) -> bool {
+        let mut header = [0u8; HEADER_MAX];
+        let mut rest = &mut header[..];
+        write_header(&mut rest, "blob", contents.len()).expect("a blob header fits HEADER_MAX");
+        let header_len = HEADER_MAX - rest.len();
+        stored.len() == header_len + contents.len()
+            && stored[..header_len] == header[..header_len]
+            && stored[header_len..] == *contents
     }
 
     fn body_bytes(&self) -> Vec<u8> {
@@ -210,6 +222,15 @@ impl Object {
     }
 }
 
+/// An upper bound on a serialization header: the longest type name, a
+/// space, 20 digits of length and the NUL.
+const HEADER_MAX: usize = 32;
+
+/// Write the `<type> <len>\0` header that starts every serialization.
+fn write_header(out: &mut impl std::io::Write, type_name: &str, len: usize) -> std::io::Result<()> {
+    write!(out, "{type_name} {len}\0")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -237,6 +258,19 @@ mod tests {
         let b = Object::Blob(vec![0, 1, 2, 255, 0, 42]);
         let ser = b.serialize();
         assert_eq!(Object::deserialize(&ser).unwrap(), b);
+    }
+
+    #[test]
+    fn a_blob_serialization_is_recognised_only_for_its_own_bytes() {
+        let stored = blob("alpha").serialize();
+        assert!(Object::is_blob_of(&stored, b"alpha"));
+        assert!(!Object::is_blob_of(&stored, b"alphb"), "same length, other bytes");
+        assert!(!Object::is_blob_of(&stored, b"alph"));
+        assert!(!Object::is_blob_of(&stored, b"alpha!"));
+        assert!(Object::is_blob_of(&blob("").serialize(), b""));
+        assert!(!Object::is_blob_of(&Object::Tree(vec![]).serialize(), b""));
+        let big = vec![7u8; 12_345];
+        assert!(Object::is_blob_of(&Object::Blob(big.clone()).serialize(), &big));
     }
 
     #[test]
