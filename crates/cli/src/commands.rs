@@ -16,20 +16,35 @@ use std::path::Path;
 use std::sync::Arc;
 
 /// Dispatch a parsed command line in `dir`.
+///
+/// `--sim-workers N` shards every simulation this command drives across
+/// N worker threads (results are byte-identical to N=1; see
+/// `popper_sim::shard`). Runners pick it up via `POPPER_SIM_WORKERS` so
+/// the knob reaches simulations behind any pipeline depth; the previous
+/// value is restored when the command returns, `Ok` or `Err`, so a
+/// later command in the same process does not inherit it.
 pub fn dispatch(parsed: &Parsed, dir: &Path) -> Result<String, String> {
-    let author = parsed.flag_value("author").unwrap_or("anonymous researcher").to_string();
-    // `--sim-workers N` shards every simulation this invocation drives
-    // across N worker threads (results are byte-identical to N=1; see
-    // `popper_sim::shard`). Runners pick it up via the environment so
-    // the knob reaches simulations behind any pipeline depth.
-    if let Some(v) = parsed.flag_value("sim-workers") {
-        let n = v
-            .parse::<usize>()
-            .ok()
-            .filter(|&n| n >= 1)
-            .ok_or_else(|| format!("--sim-workers expects a positive integer, got '{v}'"))?;
-        std::env::set_var("POPPER_SIM_WORKERS", n.to_string());
+    const VAR: &str = "POPPER_SIM_WORKERS";
+    let Some(v) = parsed.flag_value("sim-workers") else {
+        return dispatch_command(parsed, dir);
+    };
+    let n = v
+        .parse::<usize>()
+        .ok()
+        .filter(|&n| n >= 1)
+        .ok_or_else(|| format!("--sim-workers expects a positive integer, got '{v}'"))?;
+    let previous = std::env::var_os(VAR);
+    std::env::set_var(VAR, n.to_string());
+    let out = dispatch_command(parsed, dir);
+    match previous {
+        Some(p) => std::env::set_var(VAR, p),
+        None => std::env::remove_var(VAR),
     }
+    out
+}
+
+fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
+    let author = parsed.flag_value("author").unwrap_or("anonymous researcher").to_string();
     match parsed.command() {
         None | Some("help") => Ok(help_text()),
         Some("init") => cmd_init(dir, &author),

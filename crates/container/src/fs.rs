@@ -92,17 +92,6 @@ impl UnionFs {
     pub fn dirty(&self) -> bool {
         !self.top.is_empty()
     }
-
-    /// Flatten the whole union into a single layer (squash).
-    pub fn squash(&self) -> Layer {
-        let mut out = Layer::new();
-        for path in self.list() {
-            if let Some(d) = self.read(&path) {
-                out.write(&path, d.to_vec());
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -181,19 +170,6 @@ mod tests {
         // The union no longer carries those changes.
         assert!(fs.exists("etc/os-release"));
         assert!(!fs.exists("opt/app"));
-    }
-
-    #[test]
-    fn squash_flattens_union() {
-        let mut rm = Layer::new();
-        rm.delete("usr/lib/libm.so");
-        let mut fs = UnionFs::mount(vec![base_layer(), rm]);
-        fs.write("new", b"n".to_vec());
-        let squashed = fs.squash();
-        let flat = UnionFs::mount(vec![squashed]);
-        assert_eq!(flat.list(), fs.list());
-        assert_eq!(flat.read("bin/sh"), fs.read("bin/sh"));
-        assert!(!flat.exists("usr/lib/libm.so"));
     }
 
     mod prop {

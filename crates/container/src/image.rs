@@ -143,7 +143,8 @@ impl ImageRegistry {
     }
 
     /// Number of unique layer blobs stored.
-    pub fn layer_count(&self) -> usize {
+    #[cfg(test)]
+    fn layer_count(&self) -> usize {
         self.layers.len()
     }
 }
@@ -282,11 +283,6 @@ impl ImageRegistry {
         self.layers.retain(|id, _| live.contains(id));
         before - self.layers.len()
     }
-
-    /// Remove a tag; layers stay until [`gc`](Self::gc).
-    pub fn untag(&mut self, reference: &str) -> bool {
-        self.images.remove(reference).is_some()
-    }
 }
 
 #[cfg(test)]
@@ -327,10 +323,5 @@ mod inspect_tests {
         assert_eq!(reg.gc(), 1);
         assert!(reg.layer(ida).is_some());
         assert!(reg.layer(idb).is_none());
-        // Untag then gc drops the rest.
-        assert!(reg.untag("keep:v"));
-        assert!(!reg.untag("keep:v"));
-        assert_eq!(reg.gc(), 1);
-        assert_eq!(reg.layer_count(), 0);
     }
 }

@@ -384,13 +384,9 @@ impl Farm {
         self.inner.store.lock().stats()
     }
 
-    /// Tenant names in registration order.
-    pub fn tenant_names(&self) -> Vec<String> {
-        self.inner.tenants.iter().map(|t| t.name.clone()).collect()
-    }
-
     /// A snapshot of one tenant's build history (badges, provenance).
-    pub fn tenant_history(&self, tenant: &str) -> Option<BuildHistory> {
+    #[cfg(test)]
+    fn tenant_history(&self, tenant: &str) -> Option<BuildHistory> {
         let t = self.inner.tenants.iter().find(|t| t.name == tenant)?;
         Some(t.history.lock().clone())
     }

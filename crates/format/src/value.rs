@@ -53,15 +53,6 @@ impl Value {
         }
     }
 
-    /// Borrow as an integer. Fails if this is not a `Num` that is an exact
-    /// integer in `i64` range.
-    pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Num(n) if n.fract() == 0.0 && n.abs() <= i64::MAX as f64 => Some(*n as i64),
-            _ => None,
-        }
-    }
-
     /// Borrow as a string slice, if this is a `Str`.
     pub fn as_str(&self) -> Option<&str> {
         match self {
@@ -272,13 +263,6 @@ mod tests {
         outer.insert("a", mid);
         assert_eq!(outer.get_path("a.b.c").and_then(|v| v.as_str()), Some("deep"));
         assert_eq!(outer.get_path("a.x.c"), None);
-    }
-
-    #[test]
-    fn as_int_rejects_fractions() {
-        assert_eq!(Value::Num(3.0).as_int(), Some(3));
-        assert_eq!(Value::Num(3.5).as_int(), None);
-        assert_eq!(Value::Str("3".into()).as_int(), None);
     }
 
     #[test]

@@ -176,76 +176,3 @@ mod tests {
         assert_eq!(t, t2);
     }
 }
-
-/// The memory-aggregation experiment: GassyFS's raison d'être.
-///
-/// The paper: GassyFS "aggregates the memory of multiple nodes" — a
-/// dataset that cannot fit in one node's RAM fits once enough nodes
-/// join the GASNet cluster. Returns, for each cluster size, whether a
-/// dataset of `dataset_bytes` could be fully written.
-pub fn run_capacity_experiment(
-    platform: &PlatformSpec,
-    node_counts: &[usize],
-    dataset_bytes: u64,
-) -> Vec<(usize, bool)> {
-    use popper_sim::Nanos;
-    node_counts
-        .iter()
-        .map(|&nodes| {
-            let cluster = Cluster::new(platform.clone(), nodes);
-            let mut fs = GassyFs::mount(cluster, MountOptions::default());
-            // Write in 64 MiB files until the dataset is stored or the
-            // cluster runs out of aggregate memory.
-            let file_bytes: u64 = 16 * 1024 * 1024;
-            let chunk = vec![0u8; file_bytes as usize];
-            let mut written = 0u64;
-            let mut t = fs.mkdir_p("/data", Nanos::ZERO).expect("fresh mount");
-            let mut fits = true;
-            let mut i = 0;
-            while written < dataset_bytes {
-                let remaining = dataset_bytes - written;
-                let this = remaining.min(file_bytes) as usize;
-                match fs.write_file(&format!("/data/part{i}"), &chunk[..this], t) {
-                    Ok(done) => {
-                        t = done;
-                        written += this as u64;
-                        i += 1;
-                    }
-                    Err(FsError::NoSpace) => {
-                        fits = false;
-                        break;
-                    }
-                    Err(e) => panic!("unexpected error: {e}"),
-                }
-            }
-            (nodes, fits)
-        })
-        .collect()
-}
-
-#[cfg(test)]
-mod capacity_tests {
-    use super::*;
-
-    #[test]
-    fn aggregation_fits_datasets_one_node_cannot() {
-        // A platform with 64 MiB of RAM per node; a 224 MiB dataset.
-        let mut platform = popper_sim::platforms::gassyfs_node();
-        platform.mem_gib = 1.0 / 16.0;
-        let dataset = 224 * 1024 * 1024;
-        let results = run_capacity_experiment(&platform, &[1, 2, 4, 8], dataset);
-        assert_eq!(results, vec![(1, false), (2, false), (4, true), (8, true)]);
-    }
-
-    #[test]
-    fn mkdir_failure_never_panics() {
-        // Root /data directory creation happens implicitly via
-        // write_file? No: write_file requires the parent to exist. The
-        // experiment must create it first — validate the helper handles
-        // a fresh mount (regression guard for the panic path).
-        let mut platform = popper_sim::platforms::gassyfs_node();
-        platform.mem_gib = 0.001;
-        let results = run_capacity_experiment(&platform, &[1], 1 << 30);
-        assert_eq!(results, vec![(1, false)]);
-    }
-}

@@ -123,13 +123,6 @@ impl GasnetStore {
     /// Size of a GASNet control message (read request / write ack).
     const CTRL_BYTES: u64 = 64;
 
-    /// The node holding a page's replica stripe: the primary's
-    /// round-robin successor. On a single-node cluster the replica
-    /// degenerates to the primary (no redundancy to fall back on).
-    pub fn replica_of(&self, page: PageId, cluster: &Cluster) -> Option<usize> {
-        self.placement.get(&page).map(|p| (p + 1) % cluster.len())
-    }
-
     /// Pick the node to serve a page: the primary, or — in degraded
     /// mode — its replica when the primary is crashed or unreachable
     /// from the client. Counts a failover when the replica is used.
@@ -246,11 +239,6 @@ impl GasnetStore {
     pub fn stats(&self) -> AccessStats {
         self.stats
     }
-
-    /// Number of live pages.
-    pub fn live_pages(&self) -> usize {
-        self.placement.len()
-    }
 }
 
 #[cfg(test)]
@@ -302,15 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn replica_of_wraps_round_robin() {
-        let mut c = cluster(3);
-        let mut s = GasnetStore::new(0);
-        let pages = s.alloc(&mut c, 3).unwrap();
-        assert_eq!(s.replica_of(pages[0], &c), Some(1));
-        assert_eq!(s.replica_of(pages[2], &c), Some(0));
-    }
-
-    #[test]
     fn alloc_skips_crashed_nodes() {
         let mut c = cluster(4);
         let mut s = GasnetStore::new(0);
@@ -351,9 +330,7 @@ mod tests {
         let mut c = cluster(2);
         let mut s = GasnetStore::new(0);
         let pages = s.alloc(&mut c, 4).unwrap();
-        assert_eq!(s.live_pages(), 4);
         s.free(&mut c, &pages);
-        assert_eq!(s.live_pages(), 0);
         assert_eq!(c.total_mem_used(), 0);
     }
 

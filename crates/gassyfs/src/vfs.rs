@@ -23,8 +23,6 @@ pub enum FsError {
     Exists(String),
     /// Operated on a directory where a file was expected (or vice versa).
     WrongType(String),
-    /// Directory not empty on rmdir.
-    NotEmpty(String),
     /// Invalid path syntax.
     BadPath(String),
     /// The page store refused an allocation (out of aggregate memory).
@@ -37,7 +35,6 @@ impl fmt::Display for FsError {
             FsError::NotFound(p) => write!(f, "ENOENT: {p}"),
             FsError::Exists(p) => write!(f, "EEXIST: {p}"),
             FsError::WrongType(p) => write!(f, "EISDIR/ENOTDIR: {p}"),
-            FsError::NotEmpty(p) => write!(f, "ENOTEMPTY: {p}"),
             FsError::BadPath(p) => write!(f, "EINVAL: {p}"),
             FsError::NoSpace => write!(f, "ENOSPC"),
         }
@@ -262,27 +259,6 @@ impl Vfs {
         }
     }
 
-    /// Remove an empty directory.
-    pub fn rmdir(&mut self, path: &str) -> Result<(), FsError> {
-        let (parent, name) = self.parent_of(path)?;
-        let ino = match self.nodes.get(&parent) {
-            Some(Node::Dir { entries }) => {
-                *entries.get(name).ok_or_else(|| FsError::NotFound(path.to_string()))?
-            }
-            _ => unreachable!(),
-        };
-        match self.nodes.get(&ino) {
-            Some(Node::Dir { entries }) if entries.is_empty() => {}
-            Some(Node::Dir { .. }) => return Err(FsError::NotEmpty(path.to_string())),
-            _ => return Err(FsError::WrongType(path.to_string())),
-        }
-        if let Some(Node::Dir { entries }) = self.nodes.get_mut(&parent) {
-            entries.remove(name);
-        }
-        self.nodes.remove(&ino);
-        Ok(())
-    }
-
     /// Rename a file or directory (same-namespace move).
     pub fn rename(&mut self, from: &str, to: &str) -> Result<(), FsError> {
         let ino = self.lookup(from)?;
@@ -331,11 +307,6 @@ impl Vfs {
             }
         }
     }
-
-    /// Number of inodes (including the root).
-    pub fn inode_count(&self) -> usize {
-        self.nodes.len()
-    }
 }
 
 #[cfg(test)]
@@ -351,7 +322,6 @@ mod tests {
         assert!(!st.is_dir);
         assert_eq!(st.size, 0);
         assert!(v.stat("/src").unwrap().is_dir);
-        assert_eq!(v.inode_count(), 3);
     }
 
     #[test]
@@ -398,16 +368,6 @@ mod tests {
         // Unlinking a dir is a type error.
         v.mkdir("/d").unwrap();
         assert!(matches!(v.unlink("/d"), Err(FsError::WrongType(_))));
-    }
-
-    #[test]
-    fn rmdir_semantics() {
-        let mut v = Vfs::new();
-        v.mkdir_p("/a/b").unwrap();
-        assert!(matches!(v.rmdir("/a"), Err(FsError::NotEmpty(_))));
-        v.rmdir("/a/b").unwrap();
-        v.rmdir("/a").unwrap();
-        assert!(v.readdir("/").unwrap().is_empty());
     }
 
     #[test]

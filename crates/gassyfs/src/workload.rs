@@ -171,53 +171,6 @@ pub fn run_compile(fs: &mut GassyFs, w: &CompileWorkload) -> Result<WorkloadResu
     })
 }
 
-/// Archive extraction: stream `files` files of `bytes` each into the
-/// mount (sequential, single job) — a pure write-bandwidth workload.
-pub fn run_extract(fs: &mut GassyFs, files: usize, bytes: usize) -> Result<WorkloadResult, FsError> {
-    fs.mkdir_p("/extract", Nanos::ZERO)?;
-    let ops_before = fs.op_count();
-    let stats_before = fs.access_stats();
-    let data = vec![b'x'; bytes];
-    let mut t = Nanos::ZERO;
-    for i in 0..files {
-        t = fs.write_file(&format!("/extract/f{i}"), &data, t)?;
-    }
-    let s = fs.access_stats();
-    let denom = (s.local + s.remote) - (stats_before.local + stats_before.remote);
-    Ok(WorkloadResult {
-        elapsed: t,
-        ops: fs.op_count() - ops_before,
-        remote_fraction: if denom == 0 {
-            0.0
-        } else {
-            (s.remote - stats_before.remote) as f64 / denom as f64
-        },
-        bytes_written: (files * bytes) as u64,
-    })
-}
-
-/// Metadata churn: create, stat, rename and unlink `files` tiny files —
-/// a namespace/latency workload where the FUSE crossing dominates.
-pub fn run_churn(fs: &mut GassyFs, files: usize) -> Result<WorkloadResult, FsError> {
-    fs.mkdir_p("/churn", Nanos::ZERO)?;
-    let ops_before = fs.op_count();
-    let mut t = Nanos::ZERO;
-    for i in 0..files {
-        let path = format!("/churn/f{i}");
-        t = fs.write_file(&path, b"x", t)?;
-        fs.stat(&path)?;
-        let renamed = format!("/churn/g{i}");
-        t = fs.rename(&path, &renamed, t)?;
-        t = fs.unlink(&renamed, t)?;
-    }
-    Ok(WorkloadResult {
-        elapsed: t,
-        ops: fs.op_count() - ops_before,
-        remote_fraction: 0.0,
-        bytes_written: files as u64,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -277,24 +230,5 @@ mod tests {
             parallel.elapsed,
             serial.elapsed
         );
-    }
-
-    #[test]
-    fn extract_scales_with_bytes() {
-        let mut fs = mount(4);
-        let small = run_extract(&mut fs, 10, 4096).unwrap();
-        let mut fs2 = mount(4);
-        let big = run_extract(&mut fs2, 10, 64 * 4096).unwrap();
-        assert!(big.elapsed > small.elapsed);
-        assert_eq!(big.bytes_written, 10 * 64 * 4096);
-    }
-
-    #[test]
-    fn churn_is_metadata_bound() {
-        let mut fs = mount(4);
-        let r = run_churn(&mut fs, 50).unwrap();
-        assert!(r.ops >= 150, "3 timed namespace ops per file (stat is free)");
-        // Nothing left behind.
-        assert!(fs.readdir("/churn").unwrap().is_empty());
     }
 }

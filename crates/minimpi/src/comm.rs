@@ -180,16 +180,6 @@ impl MpiWorld {
         self.rank_time[rank] = end;
     }
 
-    /// The retry policy used by the `try_*` operations.
-    pub fn retry_policy(&self) -> RetryPolicy {
-        self.retry
-    }
-
-    /// Replace the retry policy.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
-    }
-
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.rank_node.len()

@@ -56,7 +56,8 @@ impl LuleshConfig {
     }
 
     /// The grid coordinates of a rank.
-    pub fn coords(&self, rank: usize) -> (usize, usize, usize) {
+    #[cfg(test)]
+    fn coords(&self, rank: usize) -> (usize, usize, usize) {
         let (px, py, _pz) = self.grid;
         (rank % px, (rank / px) % py, rank / (px * py))
     }

@@ -23,7 +23,6 @@
 //! same trace bytes for every `n`.
 
 use crate::lulesh::LuleshConfig;
-use popper_sim::shard::partition;
 use popper_sim::{FabricSim, Nanos, NetCtx, PlaneCmd, PlatformSpec, RetryStats};
 use std::sync::Arc;
 
@@ -232,14 +231,6 @@ fn try_advance(ctx: &mut NetCtx<'_, '_, RankState>, step: usize, timing: Arc<Tim
     ctx.schedule_in(Nanos::ZERO, move |c| begin_step(c, step + 1, timing));
 }
 
-/// Map the decomposition's ranks onto at most `shards` balanced,
-/// contiguous groups — the subdomain partition a coarser-grained
-/// deployment would use. Exposed for callers that batch several ranks
-/// per shard; the proxy itself runs one rank per shard.
-pub fn subdomain_partition(config: &LuleshConfig, shards: usize) -> Vec<std::ops::Range<usize>> {
-    partition(config.ranks(), shards)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,12 +320,5 @@ mod tests {
         assert_eq!(chaos.per_rank_finish, healthy.per_rank_finish);
         assert_eq!(chaos.wire_bytes, healthy.wire_bytes);
         assert_eq!(chaos.detections + chaos.recovered + chaos.lost, 0);
-    }
-
-    #[test]
-    fn subdomain_partition_covers_all_ranks() {
-        let config = LuleshConfig::paper();
-        let parts = subdomain_partition(&config, 4);
-        assert_eq!(parts.iter().map(|r| r.len()).sum::<usize>(), config.ranks());
     }
 }

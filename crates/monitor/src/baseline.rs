@@ -31,7 +31,8 @@ impl Baseline {
     }
 
     /// Build from explicit measurements.
-    pub fn from_measurements(platform: &str, dims: impl IntoIterator<Item = (String, f64)>) -> Baseline {
+    #[cfg(test)]
+    fn from_measurements(platform: &str, dims: impl IntoIterator<Item = (String, f64)>) -> Baseline {
         Baseline { platform: platform.to_string(), dims: dims.into_iter().collect() }
     }
 

@@ -86,17 +86,6 @@ impl MetricStore {
         self.samples(metric, tag).into_iter().map(|s| s.value).collect()
     }
 
-    /// Values of `metric` across *all* tags.
-    pub fn values_all_tags(&self, metric: &str) -> Vec<f64> {
-        let inner = self.inner.read();
-        inner
-            .series
-            .iter()
-            .filter(|((m, _), _)| m == metric)
-            .flat_map(|(_, samples)| samples.iter().map(|s| s.value))
-            .collect()
-    }
-
     /// The distinct `(metric, tag)` keys currently held.
     pub fn keys(&self) -> Vec<(String, String)> {
         self.inner.read().series.keys().cloned().collect()
@@ -180,7 +169,6 @@ mod tests {
         m.record("t", "b", Nanos(1), 2.0);
         assert_eq!(m.values("t", "a"), vec![1.0]);
         assert_eq!(m.values("t", "b"), vec![2.0]);
-        assert_eq!(m.values_all_tags("t"), vec![1.0, 2.0]);
         assert_eq!(m.keys().len(), 2);
     }
 

@@ -39,8 +39,8 @@
 //! installs a time-ordered list of [`PlaneCmd`]s on the stage's
 //! *master* plane. At the barrier closing the window `[h, h + la)`,
 //! every command with `at < h + la` is applied to the master — in
-//! timeline order, on the coordinator, at the identical point of the
-//! serial and parallel paths — then each buffered demand is checked
+//! timeline order, on the calling thread, at the same point of every
+//! epoch whatever the worker count — then each buffered demand is checked
 //! against the *post-event* master (so a mid-epoch crash resolves as
 //! [`Unreachable`] on the replayed core stage, never as a delivery),
 //! and finally every shard's plane snapshot is refreshed via
@@ -255,7 +255,7 @@ struct FabricStage {
 }
 
 impl<S: Send + 'static> EpochStage<NetShard<S>> for FabricStage {
-    fn reconcile(&mut self, view: &mut EpochView<'_, '_, NetShard<S>>) {
+    fn reconcile(&mut self, view: &mut EpochView<'_, NetShard<S>>) {
         let window_end = view.window_end();
         let mut core = self.core.lock().expect("fabric core");
         // Scheduled fault events due inside the window this barrier

@@ -7,8 +7,15 @@
 //! propagation latency bounds how far any shard may run ahead, because
 //! no cross-shard message can arrive earlier than `send_time +
 //! lookahead`. Within one epoch every shard's events are causally
-//! independent of every other shard's, so epochs can be executed by a
-//! pool of workers in parallel.
+//! independent of every other shard's, so a thick epoch can run on
+//! scoped threads in parallel, one contiguous slice of shards each.
+//!
+//! [`ShardedSim::run`] and [`ShardedSim::run_sharded`] are one epoch
+//! loop: the calling thread computes each window, runs it (inline, or
+//! across `std::thread::scope` threads when at least
+//! [`FAN_OUT_MIN_QUEUED`] events are queued), then runs the epoch
+//! boundary alone. A panicking event action therefore propagates out of
+//! the run on every path instead of stranding its peers.
 //!
 //! Determinism is the hard invariant (the Popper convention's "the
 //! experiment re-executes exactly"): regardless of how many workers run
@@ -21,7 +28,7 @@
 //!   seq)` order, so destination queues are populated identically on
 //!   every run;
 //! * trace events are buffered per shard and flushed by the
-//!   coordinating thread in shard order, so the recorded trace is
+//!   calling thread in shard order, so the recorded trace is
 //!   byte-identical to the single-threaded reference execution.
 //!
 //! A one-shard `ShardedSim` with a lookahead of [`Nanos::MAX`] is the
@@ -29,22 +36,30 @@
 //!
 //! The property tests at the bottom (and `tests/sim_shard.rs` at the
 //! workspace root) pin the `(time, seq)` firing order and `run()` ≡
-//! `run_sharded(n)` for every `n`.
+//! `run_sharded(n)` for every `n`; the models in `tests/sim_shard.rs`
+//! and `tests/fabric_shard.rs` that queue more than
+//! [`FAN_OUT_MIN_QUEUED`] events pin it on the fan-out branch.
 
 use crate::time::Nanos;
 use popper_trace::Tracer;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex};
 
 /// How many shard-local dispatches between `pending` counter samples.
 /// Sampling (rather than recording every queue length) keeps tracing
 /// overhead bounded on event-dense models.
 const COUNTER_EVERY: u64 = 64;
 
-/// Window-end sentinel signalling workers to exit.
-const STOP: u64 = u64::MAX;
+/// Fewest events queued across all shards at the start of an epoch for
+/// [`ShardedSim::run_sharded`] to fan its window out over scoped
+/// threads; a thinner epoch runs inline on the calling thread. A
+/// spawned thread costs tens of microseconds, and the sharded worlds'
+/// epochs are thin (3 to 108 queued events at their golden and
+/// perfbench sizes): fanning every epoch out ran perfbench's orchestra
+/// world at 2 workers in 128 ms, against 2.2 ms inline, on a 2-vCPU
+/// host. Output does not depend on which branch runs, so this changes
+/// no byte.
+pub const FAN_OUT_MIN_QUEUED: usize = 256;
 
 type ShardAction<S> = Box<dyn FnOnce(&mut ShardCtx<'_, S>) + Send>;
 
@@ -80,8 +95,8 @@ struct Outgoing<S> {
     action: ShardAction<S>,
 }
 
-/// A trace record buffered inside a shard during parallel execution,
-/// forwarded to the real [`Tracer`] by the coordinator in shard order.
+/// A trace record buffered inside a shard during an epoch, forwarded to
+/// the real [`Tracer`] by the calling thread in shard order.
 enum TraceRec {
     Dispatch { ts: u64 },
     Pending { ts: u64, depth: f64 },
@@ -155,7 +170,7 @@ impl<S> Shard<S> {
 }
 
 /// A deterministic reconciliation stage run at every epoch barrier,
-/// when the coordinator has exclusive access to every shard.
+/// when the calling thread has exclusive access to every shard.
 ///
 /// This is the hook shared-resource models hang off the engine: during
 /// an epoch each shard only *records* its demand on a shared stage
@@ -163,26 +178,26 @@ impl<S> Shard<S> {
 /// stage's `reconcile` drains those demands in shard order — a fixed
 /// order independent of worker count — replays the shared admissions,
 /// and schedules the resulting completion events onto the destination
-/// shards. Because the engine calls it at the same point of both the
-/// serial reference and the parallel path, anything it does (including
-/// trace emission through [`EpochView::tracer`]) is byte-identical at
-/// every worker count.
+/// shards. The engine calls it at the same point of every epoch,
+/// whether that epoch ran inline or on scoped threads, so anything it
+/// does (including trace emission through [`EpochView::tracer`]) is
+/// byte-identical at every worker count.
 pub trait EpochStage<S>: Send {
     /// Reconcile shared state at an epoch barrier. Runs on the
-    /// coordinating thread with every shard quiescent.
-    fn reconcile(&mut self, view: &mut EpochView<'_, '_, S>);
+    /// calling thread with every shard quiescent.
+    fn reconcile(&mut self, view: &mut EpochView<'_, S>);
 }
 
-/// The coordinator's view of all shards at an epoch barrier, handed to
-/// [`EpochStage::reconcile`]: every shard's state, plus the ability to
-/// schedule events onto any shard.
-pub struct EpochView<'a, 'b, S> {
-    shards: &'a mut [&'b mut Shard<S>],
+/// The calling thread's view of all shards at an epoch barrier, handed
+/// to [`EpochStage::reconcile`]: every shard's state, plus the ability
+/// to schedule events onto any shard.
+pub struct EpochView<'a, S> {
+    shards: &'a mut [Shard<S>],
     tracer: &'a Tracer,
     window_end: Nanos,
 }
 
-impl<S> EpochView<'_, '_, S> {
+impl<S> EpochView<'_, S> {
     /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards.len()
@@ -192,8 +207,8 @@ impl<S> EpochView<'_, '_, S> {
     /// has fired all its events strictly before this time. Stages use
     /// it to decide which timeline entries (e.g. scheduled fault
     /// events) are due at this barrier — a worker-count-invariant cut,
-    /// because the window bounds are computed by the coordinator on
-    /// both the serial and the parallel path.
+    /// because the calling thread computes the window bounds the same
+    /// way at every worker count.
     pub fn window_end(&self) -> Nanos {
         self.window_end
     }
@@ -209,7 +224,7 @@ impl<S> EpochView<'_, '_, S> {
     }
 
     /// The engine's tracer. Emission from here happens on the
-    /// coordinating thread at a fixed point of the epoch, so it is
+    /// calling thread at a fixed point of the epoch, so it is
     /// deterministic across worker counts.
     pub fn tracer(&self) -> &Tracer {
         self.tracer
@@ -305,9 +320,8 @@ impl<S> ShardCtx<'_, S> {
 /// A sharded discrete-event simulator over per-shard states `S`.
 ///
 /// Seed it with [`ShardedSim::schedule`], then either [`ShardedSim::run`]
-/// (the single-threaded reference execution — the default) or
-/// [`ShardedSim::run_sharded`] with a worker count. Both produce
-/// byte-identical traces and final states.
+/// (one worker — the default) or [`ShardedSim::run_sharded`] with a
+/// worker count. Both produce byte-identical traces and final states.
 pub struct ShardedSim<S> {
     shards: Vec<Shard<S>>,
     lookahead: Nanos,
@@ -390,138 +404,100 @@ impl<S: Send> ShardedSim<S> {
     /// then flush.
     fn finish(&mut self, trace_on: bool) -> Nanos {
         if trace_on {
-            let mut shards: Vec<&mut Shard<S>> = self.shards.iter_mut().collect();
-            for shard in shards.iter_mut() {
+            for shard in self.shards.iter_mut() {
                 if shard.fired > 0 && !shard.drain_sampled && shard.queue.is_empty() {
                     shard.trace.push(TraceRec::Pending { ts: shard.now.0, depth: 0.0 });
                     shard.drain_sampled = true;
                 }
             }
-            flush_trace(&mut shards, &self.tracer);
+            flush_trace(&mut self.shards, &self.tracer);
         }
         self.now()
     }
 
-    /// Run single-threaded until every queue drains: the reference
-    /// execution the parallel path must match byte for byte. Returns
-    /// the final virtual time.
+    /// Run on the calling thread until every queue drains; the same as
+    /// `run_sharded(1)`. Returns the final virtual time.
     pub fn run(&mut self) -> Nanos {
+        self.run_sharded(1)
+    }
+
+    /// Run until every queue drains, with up to `workers` threads (the
+    /// calling thread included; 0 counts as 1) sharing each thick
+    /// epoch's shards. The trace and every shard's final state are
+    /// byte-identical at every `workers` and under any OS scheduling. A
+    /// panicking event action panics the run. Returns the final virtual
+    /// time.
+    pub fn run_sharded(&mut self, workers: usize) -> Nanos {
         let trace_on = self.tracer.is_enabled();
         let lookahead = self.lookahead;
         let n = self.shards.len();
-        let mut shards: Vec<&mut Shard<S>> = self.shards.iter_mut().collect();
-        while let Some(h) = horizon(&shards) {
-            let window_end = h.saturating_add(lookahead);
-            for shard in shards.iter_mut() {
-                shard.process_window(window_end, lookahead, n, trace_on);
+        let chunk = n.div_ceil(workers.clamp(1, n));
+        let window = move |end: Nanos, shards: &mut [Shard<S>]| {
+            for shard in shards {
+                shard.process_window(end, lookahead, n, trace_on);
             }
-            epoch_boundary(&mut shards, self.stage.as_deref_mut(), &self.tracer, trace_on, window_end);
+        };
+        while let Some((h, queued)) = scan(&self.shards) {
+            let end = h.saturating_add(lookahead);
+            if chunk == n || queued < FAN_OUT_MIN_QUEUED {
+                window(end, &mut self.shards);
+            } else {
+                std::thread::scope(|scope| {
+                    let mut slices = self.shards.chunks_mut(chunk);
+                    let first = slices.next().expect("at least one shard");
+                    for slice in slices {
+                        scope.spawn(move || window(end, slice));
+                    }
+                    window(end, first);
+                });
+            }
+            epoch_boundary(&mut self.shards, self.stage.as_deref_mut(), &self.tracer, trace_on, end);
             self.epochs += 1;
         }
         self.finish(trace_on)
     }
+}
 
-    /// Run with `workers` threads executing each epoch's shards in
-    /// parallel. `run_sharded(0)` and `run_sharded(1)` fall back to the
-    /// single-threaded reference. The trace and every shard's final
-    /// state are byte-identical to [`ShardedSim::run`] regardless of
-    /// `workers` or OS scheduling.
-    pub fn run_sharded(&mut self, workers: usize) -> Nanos {
-        if workers <= 1 || self.shards.len() <= 1 {
-            return self.run();
+/// The earliest pending event time across all shards and the number of
+/// events queued, in one pass; `None` once every queue is empty.
+fn scan<S>(shards: &[Shard<S>]) -> Option<(Nanos, usize)> {
+    let mut horizon: Option<Nanos> = None;
+    let mut queued = 0;
+    for shard in shards {
+        queued += shard.queue.len();
+        if let Some(at) = shard.next_at() {
+            horizon = Some(horizon.map_or(at, |h| h.min(at)));
         }
-        let trace_on = self.tracer.is_enabled();
-        let lookahead = self.lookahead;
-        let n = self.shards.len();
-        let workers = workers.min(n);
-
-        // Epoch coordination: the coordinator publishes a window end,
-        // workers claim shards from a shared cursor, two barriers fence
-        // the epoch. Shards sit behind uncontended mutexes only so the
-        // borrow can cross threads.
-        let window_end = AtomicU64::new(0);
-        let cursor = AtomicUsize::new(0);
-        let barrier = Barrier::new(workers + 1);
-        let mut next = self.shards.iter().filter_map(Shard::next_at).min();
-        let cells: Vec<Mutex<&mut Shard<S>>> = self.shards.iter_mut().map(Mutex::new).collect();
-        let (stage, tracer, epochs) = (&mut self.stage, &self.tracer, &mut self.epochs);
-
-        std::thread::scope(|scope| {
-            let cells = &cells;
-            let window_end = &window_end;
-            let cursor = &cursor;
-            let barrier = &barrier;
-            for _ in 0..workers {
-                scope.spawn(move || loop {
-                    barrier.wait();
-                    let end = window_end.load(AtomicOrdering::Acquire);
-                    if end == STOP {
-                        break;
-                    }
-                    loop {
-                        let i = cursor.fetch_add(1, AtomicOrdering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        let mut shard = cells[i].lock().expect("shard lock");
-                        shard.process_window(Nanos(end), lookahead, n, trace_on);
-                    }
-                    barrier.wait();
-                });
-            }
-
-            // Coordinator: between barriers it is the only thread
-            // touching the shards. It locks every shard once per epoch
-            // and runs the serial path's boundary and horizon scan on
-            // the quiescent state.
-            while let Some(h) = next {
-                cursor.store(0, AtomicOrdering::Relaxed);
-                let end = h.saturating_add(lookahead);
-                window_end.store(end.0, AtomicOrdering::Release);
-                barrier.wait(); // epoch starts
-                barrier.wait(); // epoch ends
-                let mut guards: Vec<_> = cells.iter().map(|c| c.lock().expect("shard lock")).collect();
-                let mut shards: Vec<&mut Shard<S>> = guards.iter_mut().map(|g| &mut ***g).collect();
-                epoch_boundary(&mut shards, stage.as_deref_mut(), tracer, trace_on, end);
-                *epochs += 1;
-                next = horizon(&shards);
-            }
-            window_end.store(STOP, AtomicOrdering::Release);
-            barrier.wait();
-        });
-        drop(cells);
-        self.finish(trace_on)
     }
+    horizon.map(|h| (h, queued))
 }
 
-/// The earliest pending event time across all shards.
-fn horizon<S>(shards: &[&mut Shard<S>]) -> Option<Nanos> {
-    shards.iter().filter_map(|s| s.next_at()).min()
-}
-
-/// The epoch boundary, shared by the serial and the parallel path: merge
-/// every shard's outbox into the destination queues in the fixed
+/// The epoch boundary, run by the calling thread after every window:
+/// merge every shard's outbox into the destination queues in the fixed
 /// `(source shard, send seq)` order that makes the merge — and therefore
-/// all downstream dispatch order — independent of which worker ran which
+/// all downstream dispatch order — independent of which thread ran which
 /// shard, then reconcile the epoch stage (if any) and forward buffered
 /// trace records in shard order.
 fn epoch_boundary<S>(
-    shards: &mut [&mut Shard<S>],
+    shards: &mut [Shard<S>],
     stage: Option<&mut (dyn EpochStage<S> + 'static)>,
     tracer: &Tracer,
     trace_on: bool,
     window_end: Nanos,
 ) {
     for src in 0..shards.len() {
-        for out in std::mem::take(&mut shards[src].outbox) {
+        // Moved out and back so the drained outbox keeps its capacity.
+        let mut outbox = std::mem::take(&mut shards[src].outbox);
+        for out in outbox.drain(..) {
             // Conservative lookahead guarantees the arrival is at or
             // beyond the next window's start.
             debug_assert!(out.at >= shards[out.dst].now);
             shards[out.dst].push(out.at, out.action);
         }
+        shards[src].outbox = outbox;
     }
     if let Some(stage) = stage {
-        stage.reconcile(&mut EpochView { shards: &mut *shards, tracer, window_end });
+        stage.reconcile(&mut EpochView { shards, tracer, window_end });
     }
     if trace_on {
         flush_trace(shards, tracer);
@@ -529,10 +505,10 @@ fn epoch_boundary<S>(
 }
 
 /// Forward per-shard trace buffers to the tracer, in shard order. Only
-/// ever called from the coordinating thread, so the tracer's per-thread
+/// ever called from the calling thread, so the tracer's per-thread
 /// buffer sees one deterministic stream.
-fn flush_trace<S>(shards: &mut [&mut Shard<S>], tracer: &Tracer) {
-    for shard in shards.iter_mut() {
+fn flush_trace<S>(shards: &mut [Shard<S>], tracer: &Tracer) {
+    for shard in shards.iter_mut().filter(|s| !s.trace.is_empty()) {
         let track = format!("sim/shard{}", shard.id);
         for rec in shard.trace.drain(..) {
             match rec {
@@ -552,22 +528,6 @@ pub fn configured_workers() -> usize {
         .and_then(|v| v.parse::<usize>().ok())
         .filter(|&n| n >= 1)
         .unwrap_or(1)
-}
-
-/// Balanced contiguous partition of `items` into `shards` ranges —
-/// the helper workloads use to map simulated nodes onto shards.
-pub fn partition(items: usize, shards: usize) -> Vec<std::ops::Range<usize>> {
-    let shards = shards.clamp(1, items.max(1));
-    let base = items / shards;
-    let extra = items % shards;
-    let mut out = Vec::with_capacity(shards);
-    let mut start = 0;
-    for i in 0..shards {
-        let len = base + usize::from(i < extra);
-        out.push(start..start + len);
-        start += len;
-    }
-    out
 }
 
 #[cfg(test)]
@@ -755,16 +715,6 @@ mod tests {
         empty.run();
         tracer.flush();
         assert!(sink.drain().is_empty());
-    }
-
-    #[test]
-    fn partition_is_balanced_and_covers() {
-        assert_eq!(partition(10, 3), vec![0..4, 4..7, 7..10]);
-        assert_eq!(partition(2, 8), vec![0..1, 1..2]);
-        let parts = partition(1000, 7);
-        assert_eq!(parts.len(), 7);
-        assert_eq!(parts.iter().map(|r| r.len()).sum::<usize>(), 1000);
-        assert!(parts.iter().all(|r| r.len() >= 1000 / 7));
     }
 
     #[test]

@@ -171,7 +171,8 @@ impl ChunkStore {
     }
 
     /// A store with custom chunking parameters.
-    pub fn with_config(config: ChunkerConfig) -> Result<Self, String> {
+    #[cfg(test)]
+    fn with_config(config: ChunkerConfig) -> Result<Self, String> {
         Ok(ChunkStore { chunks: HashMap::new(), config: config.validated()?, ingested: 0 })
     }
 
@@ -233,27 +234,9 @@ impl ChunkStore {
     }
 
     /// Does the store hold every chunk of `manifest`?
-    pub fn has_all(&self, manifest: &Manifest) -> bool {
+    #[cfg(test)]
+    fn has_all(&self, manifest: &Manifest) -> bool {
         manifest.chunks.iter().all(|(id, _)| self.chunks.contains_key(id))
-    }
-
-    /// Copy the chunks of `manifest` into `other` (a push/fetch between a
-    /// local store and a modeled remote). Returns the number of chunks
-    /// actually transferred (missing on the receiver).
-    pub fn sync_to(&self, manifest: &Manifest, other: &mut ChunkStore) -> Result<usize, StoreError> {
-        let mut moved = 0;
-        for (id, _) in &manifest.chunks {
-            let piece = self
-                .chunks
-                .get(id)
-                .ok_or_else(|| StoreError::MissingChunk(id.to_hex()))?;
-            if !other.chunks.contains_key(id) {
-                other.chunks.insert(*id, piece.clone());
-                other.ingested += piece.len() as u64;
-                moved += 1;
-            }
-        }
-        Ok(moved)
     }
 
     /// Current statistics.
@@ -266,7 +249,8 @@ impl ChunkStore {
     }
 
     /// Drop a chunk (corruption injection for tests).
-    pub fn corrupt_drop(&mut self, id: ChunkId) -> bool {
+    #[cfg(test)]
+    fn corrupt_drop(&mut self, id: ChunkId) -> bool {
         self.chunks.remove(&id).is_some()
     }
 }
@@ -395,19 +379,6 @@ mod tests {
             assert!(Manifest::from_text(&lines.join("\n")).is_err());
         }
         assert!(Manifest::from_text("").is_err());
-    }
-
-    #[test]
-    fn sync_to_transfers_only_missing() {
-        let mut local = ChunkStore::new();
-        let mut remote = ChunkStore::new();
-        let data = random_bytes(300_000, 8);
-        let m = local.put(&data);
-        let moved = local.sync_to(&m, &mut remote).unwrap();
-        assert_eq!(moved, m.chunks.len());
-        assert_eq!(remote.get(&m).unwrap(), data);
-        // Second sync is a no-op.
-        assert_eq!(local.sync_to(&m, &mut remote).unwrap(), 0);
     }
 
     mod prop {

@@ -162,7 +162,8 @@ impl Registry {
     }
 
     /// The descriptor for a package.
-    pub fn describe(&self, name: &str) -> Result<&DataPackage, RegistryError> {
+    #[cfg(test)]
+    fn describe(&self, name: &str) -> Result<&DataPackage, RegistryError> {
         self.packages
             .get(name)
             .map(|(p, _)| p)

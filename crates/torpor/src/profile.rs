@@ -27,24 +27,6 @@ impl PerformanceProfile {
         }
     }
 
-    /// Profile the *local* machine by really running each kernel
-    /// `iters` times and timing it. Used by the Criterion benches; kept
-    /// out of unit tests because wall-clock is noisy.
-    pub fn of_local_machine(label: &str, iters: u64) -> PerformanceProfile {
-        assert!(iters > 0);
-        let entries = STRESSORS
-            .iter()
-            .map(|s| {
-                let start = std::time::Instant::now();
-                let checksum = s.run_real(iters);
-                let secs = start.elapsed().as_secs_f64();
-                std::hint::black_box(checksum);
-                (s.name.to_string(), secs.max(1e-9))
-            })
-            .collect();
-        PerformanceProfile { platform: label.to_string(), entries }
-    }
-
     /// Runtime of one stressor.
     pub fn runtime(&self, stressor: &str) -> Option<f64> {
         self.entries.iter().find(|(n, _)| n == stressor).map(|(_, t)| *t)
@@ -126,16 +108,5 @@ mod tests {
         // And through CSV text (the on-disk artifact).
         let t2 = Table::from_csv(&t.to_csv()).unwrap();
         assert_eq!(PerformanceProfile::from_table(&t2).unwrap(), p);
-    }
-
-    #[test]
-    fn local_profile_smoke() {
-        // One iteration of each kernel: just verify it runs and reports
-        // positive times. (Timing magnitudes are asserted nowhere —
-        // wall-clock is not reproducible, which is rather the point of
-        // the whole paper.)
-        let p = PerformanceProfile::of_local_machine("ci-runner", 1);
-        assert_eq!(p.entries.len(), STRESSORS.len());
-        assert!(p.entries.iter().all(|(_, t)| *t > 0.0));
     }
 }

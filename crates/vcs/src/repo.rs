@@ -205,7 +205,8 @@ impl Repository {
     }
 
     /// Unstage a path; true if it was staged.
-    pub fn unstage(&mut self, path: &str) -> bool {
+    #[cfg(test)]
+    fn unstage(&mut self, path: &str) -> bool {
         self.index.remove(path).is_some()
     }
 

@@ -31,15 +31,6 @@ pub fn analyze(grid: &Grid) -> AirTempAnalysis {
 }
 
 impl AirTempAnalysis {
-    /// The time-series panel as a table (`year, month, temp_k`).
-    pub fn series_table(&self) -> Table {
-        let mut t = Table::new(["year", "month", "temp_k"]);
-        for (y, m, v) in &self.global_series {
-            t.push_row(vec![Value::from(*y as i64), Value::from(*m as i64), Value::Num(*v)])
-                .expect("fixed schema");
-        }
-        t
-    }
 
     /// The zonal panel as a table (`lat, temp_k, amplitude_k`).
     pub fn zonal_table(&self) -> Table {
@@ -116,8 +107,6 @@ mod tests {
     #[test]
     fn tables_round_trip_and_validate() {
         let a = analysis();
-        let st = a.series_table();
-        assert_eq!(st.len(), 24);
         let zt = a.zonal_table();
         assert_eq!(zt.len(), 19);
         // Aver over the analysis artifacts — the use case's validation:

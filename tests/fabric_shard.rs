@@ -504,6 +504,62 @@ fn lulesh_and_farm_worlds_have_identical_trace_bytes_at_1_2_8_workers() {
     }
 }
 
+// ---- thick epochs: the fan-out branch at every world ----------------
+
+/// Run `world` traced at 1, 2 and 8 workers and require the same report
+/// bytes (worker count reset by `report`) and trace bytes at each. The
+/// sizes below queue more than `FAN_OUT_MIN_QUEUED` events in some
+/// epoch, so 2 and 8 workers run it on scoped threads; the worlds'
+/// other tests are small enough that every epoch runs inline.
+fn assert_worker_invariant_when_thick(name: &str, world: impl Fn(usize) -> String) {
+    let reference = traced(|| world(1));
+    assert!(reference.1.contains("dispatch"), "{name}: no dispatches in the trace");
+    for workers in [2, 8] {
+        let run = traced(|| world(workers));
+        assert_eq!(run.0, reference.0, "{name} report, workers={workers}");
+        assert!(run.1 == reference.1, "{name} trace bytes, workers={workers}");
+    }
+}
+
+#[test]
+fn thick_lulesh_world_is_identical_at_1_2_8_workers() {
+    // 125 ranks: up to 600 queued events in an epoch.
+    let app = popper_minimpi::lulesh::LuleshConfig { grid: (5, 5, 5), ..popper_minimpi::lulesh::LuleshConfig::small() };
+    let platform = platforms::hpc_node();
+    assert_worker_invariant_when_thick("lulesh", |w| {
+        let r = popper_minimpi::run_sharded(&app, &platform, w);
+        format!("{:?}", popper_minimpi::ShardedLuleshRun { workers: 0, ..r })
+    });
+}
+
+#[test]
+fn thick_gassyfs_world_is_identical_at_1_2_8_workers() {
+    // 400 write chains in flight: up to 400 queued events in an epoch.
+    let config = popper_gassyfs::ShardedGassyConfig { nodes: 16, pages: 800, streams: 400 };
+    let platform = platforms::gassyfs_node();
+    assert_worker_invariant_when_thick("gassyfs", |w| {
+        let r = popper_gassyfs::shardworld::run_sharded(&config, &platform, w);
+        format!("{:?}", popper_gassyfs::ShardedGassyReport { workers: 0, ..r })
+    });
+}
+
+#[test]
+fn thick_orchestra_world_is_identical_at_1_2_8_workers() {
+    // 300 hosts: up to 300 queued events in an epoch.
+    let config = popper_orchestra::ShardedOrchestraConfig { hosts: 300, tasks: 3, ..Default::default() };
+    assert_worker_invariant_when_thick("orchestra", |w| {
+        let r = popper_orchestra::shardworld::run_sharded(&config, w);
+        format!("{:?}", popper_orchestra::ShardedOrchestraReport { workers: 0, ..r })
+    });
+}
+
+#[test]
+fn thick_farm_world_is_identical_at_1_2_8_workers() {
+    // 200 tenants: up to 426 queued events in an epoch.
+    let config = popper_farm::FarmSimConfig { tenants: 200, jobs_per_tenant: 4, ..Default::default() };
+    assert_worker_invariant_when_thick("farm", |w| format!("{:?}", popper_farm::simulate(&config, w)));
+}
+
 // ---- golden pin: the report and trace bytes of every world -----------
 
 /// SHA-256 of a report's `Debug` bytes and of the virtual-clock trace.

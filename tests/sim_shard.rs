@@ -8,8 +8,13 @@
 //! OS interleaves the workers.
 
 use popper_minimpi::lulesh::LuleshConfig;
+use popper_sim::shard::FAN_OUT_MIN_QUEUED;
 use popper_sim::{platforms, Nanos, ShardCtx, ShardedSim};
 use popper_trace::{ClockDomain, TraceSink};
+use std::collections::HashSet;
+use std::sync::mpsc;
+use std::thread::ThreadId;
+use std::time::Duration;
 
 /// Deterministic 64-bit mixer for the synthetic workload below.
 fn mix(x: u64) -> u64 {
@@ -73,6 +78,61 @@ fn thousand_shard_phold_trace_bytes_are_identical_at_1_2_8_workers() {
         assert_eq!(outcome.1, reference.1, "event count, workers={workers}");
         assert_eq!(outcome.2, reference.2, "virtual clock, workers={workers}");
         assert_eq!(outcome.3, reference.3, "trace bytes, workers={workers}");
+    }
+}
+
+/// The threads that fired a one-epoch model of `shards` shards with one
+/// event each, run at `workers`.
+fn firing_threads(shards: usize, workers: usize) -> HashSet<ThreadId> {
+    let mut sim: ShardedSim<Vec<ThreadId>> = ShardedSim::new(vec![Vec::new(); shards], Nanos(50));
+    for s in 0..shards {
+        sim.schedule(s, Nanos(s as u64 % 50), |ctx| ctx.state().push(std::thread::current().id()));
+    }
+    sim.run_sharded(workers);
+    assert_eq!(sim.epochs(), 1);
+    sim.states().flatten().copied().collect()
+}
+
+#[test]
+fn an_epoch_fans_out_only_from_the_queue_threshold() {
+    let caller = std::thread::current().id();
+    let thin = FAN_OUT_MIN_QUEUED - 1;
+    assert_eq!(firing_threads(thin, 8), HashSet::from([caller]), "a thin epoch runs inline");
+    for workers in [2, 8] {
+        let threads = firing_threads(FAN_OUT_MIN_QUEUED * 4, workers);
+        assert_eq!(threads.len(), workers, "workers={workers}");
+        assert!(threads.contains(&caller), "the calling thread takes the first slice");
+    }
+}
+
+#[test]
+fn a_panicking_action_in_a_thick_epoch_panics_the_run_instead_of_hanging() {
+    // 400 shards with one event each queue more than the fan-out
+    // threshold. One action sends below the lookahead, which panics; the
+    // run must propagate that panic whichever thread's slice held it.
+    assert!(400 >= FAN_OUT_MIN_QUEUED);
+    for workers in [2, 8] {
+        for culprit in [0, 399] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let outcome = std::panic::catch_unwind(move || {
+                    let mut sim: ShardedSim<()> = ShardedSim::new(vec![(); 400], Nanos(100));
+                    for s in 0..400 {
+                        sim.schedule(s, Nanos::ZERO, move |ctx| {
+                            if s == culprit {
+                                ctx.send_to((s + 1) % 400, Nanos(1), |_| {});
+                            }
+                        });
+                    }
+                    sim.run_sharded(workers);
+                });
+                let _ = tx.send(outcome.is_err());
+            });
+            let panicked = rx
+                .recv_timeout(Duration::from_secs(20))
+                .unwrap_or_else(|_| panic!("run hung after a panic, workers={workers} culprit={culprit}"));
+            assert!(panicked, "the run returned normally, workers={workers} culprit={culprit}");
+        }
     }
 }
 
