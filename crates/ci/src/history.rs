@@ -233,6 +233,7 @@ mod tests {
     use super::*;
     use crate::config::PipelineConfig;
     use crate::runner::{run_pipeline, Executor, StepCtx};
+    use popper_trace::Tracer;
     use std::sync::Arc;
 
     fn report(pass: bool) -> BuildReport {
@@ -247,7 +248,7 @@ mod tests {
                 StepOutcome::fail("boom")
             }
         });
-        run_pipeline(&cfg, executor, 1)
+        run_pipeline(&cfg, executor, 1, Tracer::disabled())
     }
 
     #[test]

@@ -26,4 +26,4 @@ pub mod runner;
 
 pub use config::{Job, Matrix, PipelineConfig};
 pub use history::{badge, BuildHistory};
-pub use runner::{run_pipeline, run_pipeline_traced, BuildReport, JobResult, JobStatus, StepCtx, StepOutcome};
+pub use runner::{run_pipeline, BuildReport, JobResult, JobStatus, StepCtx, StepOutcome};

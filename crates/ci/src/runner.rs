@@ -114,15 +114,11 @@ impl fmt::Display for BuildReport {
 /// Run a pipeline: stages sequentially; a stage's (matrix-expanded)
 /// jobs in parallel on `workers` threads; if any hard-failing job fails
 /// in a stage, later stages are canceled (their jobs report
-/// [`JobStatus::Canceled`]).
-pub fn run_pipeline(config: &PipelineConfig, executor: Executor, workers: usize) -> BuildReport {
-    run_pipeline_traced(config, executor, workers, popper_trace::Tracer::disabled())
-}
-
-/// [`run_pipeline`] with a wall-clock [`popper_trace::Tracer`]: one span
-/// per stage (`ci/pipeline` track) and one span per job on the worker
-/// thread that ran it (`ci/worker-N` tracks).
-pub fn run_pipeline_traced(
+/// [`JobStatus::Canceled`]). `tracer` (wall clock, or
+/// [`popper_trace::Tracer::disabled`]) records one span per stage
+/// (`ci/pipeline` track) and one span per job on the worker thread that
+/// ran it (`ci/worker-N` tracks).
+pub fn run_pipeline(
     config: &PipelineConfig,
     executor: Executor,
     workers: usize,
@@ -234,6 +230,7 @@ fn run_job(job: &Job, executor: &Executor) -> JobResult {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use popper_trace::Tracer;
 
     fn config(text: &str) -> PipelineConfig {
         PipelineConfig::from_pml(text).unwrap()
@@ -262,7 +259,7 @@ jobs:
 
     #[test]
     fn green_pipeline_passes() {
-        let report = run_pipeline(&config(GREEN), echo_executor(), 4);
+        let report = run_pipeline(&config(GREEN), echo_executor(), 4, Tracer::disabled());
         assert!(report.passed());
         assert_eq!(report.jobs.len(), 2);
         assert!(report.jobs.iter().all(|j| j.status == JobStatus::Passed));
@@ -282,7 +279,7 @@ jobs:
     stage: test
     steps: [run]
 ";
-        let report = run_pipeline(&config(src), echo_executor(), 2);
+        let report = run_pipeline(&config(src), echo_executor(), 2, Tracer::disabled());
         assert!(!report.passed());
         let broken = &report.jobs[0];
         assert_eq!(broken.status, JobStatus::Failed);
@@ -305,7 +302,7 @@ jobs:
     stage: test
     steps: [run]
 ";
-        let report = run_pipeline(&config(src), echo_executor(), 2);
+        let report = run_pipeline(&config(src), echo_executor(), 2, Tracer::disabled());
         assert!(report.passed());
         assert!(report.jobs.iter().any(|j| j.status == JobStatus::SoftFailed));
     }
@@ -338,7 +335,7 @@ jobs:
                 StepOutcome::pass("made it")
             }
         });
-        let report = run_pipeline(&config(src), executor, 1);
+        let report = run_pipeline(&config(src), executor, 1, Tracer::disabled());
         let flaky = report.jobs.iter().find(|j| j.name == "flaky").unwrap();
         assert_eq!(flaky.status, JobStatus::Passed, "{}", flaky.log);
         assert!(flaky.log.contains("(retry 1/2)"), "{}", flaky.log);
@@ -366,7 +363,7 @@ jobs:
     steps: [show-machine]
 ";
         let executor: Executor = Arc::new(|ctx: &StepCtx| StepOutcome::pass(format!("machine={}", ctx.env["machine"])));
-        let report = run_pipeline(&config(src), executor, 2);
+        let report = run_pipeline(&config(src), executor, 2, Tracer::disabled());
         assert_eq!(report.jobs.len(), 3);
         let logs: Vec<&str> = report.jobs.iter().map(|j| j.log.as_str()).collect();
         assert!(logs.iter().any(|l| l.contains("machine=a")));
@@ -406,7 +403,7 @@ jobs:
             }
             StepOutcome::pass("all four ran concurrently")
         });
-        let report = run_pipeline(&config(src), executor, 4);
+        let report = run_pipeline(&config(src), executor, 4, Tracer::disabled());
         assert!(report.passed(), "{}", report.summary());
     }
 
@@ -443,7 +440,7 @@ jobs:
         });
         let sink = popper_trace::TraceSink::new();
         let tracer = sink.tracer(popper_trace::ClockDomain::Wall);
-        let report = run_pipeline_traced(&config(GREEN), executor, 2, tracer.clone());
+        let report = run_pipeline(&config(GREEN), executor, 2, tracer.clone());
         tracer.flush();
         let events = sink.drain();
         *gate.0.lock().unwrap() = true;
@@ -459,7 +456,7 @@ jobs:
 
     #[test]
     fn report_accessors() {
-        let report = run_pipeline(&config(GREEN), echo_executor(), 1);
+        let report = run_pipeline(&config(GREEN), echo_executor(), 1, Tracer::disabled());
         assert_eq!(report.stage("lint").len(), 1);
         assert_eq!(report.stage("test").len(), 1);
         assert!(report.summary().contains("syntax"));
@@ -481,7 +478,7 @@ jobs:
     steps: [run]
 ";
         let names = |workers| -> Vec<String> {
-            run_pipeline(&config(src), echo_executor(), workers)
+            run_pipeline(&config(src), echo_executor(), workers, Tracer::disabled())
                 .jobs
                 .into_iter()
                 .map(|j| j.name)

@@ -41,18 +41,40 @@ impl Parsed {
             Some(v) => v.parse().map_err(|_| format!("--{name} expects a number, got '{v}'")),
         }
     }
+
+    /// A count flag (`--workers`, `--tenants`, `--jobs`,
+    /// `--sim-workers`) with a default: an integer ≥ 1. Fractions and
+    /// exponents are rejected rather than truncated.
+    pub fn flag_count(&self, name: &str, default: usize) -> Result<usize, String> {
+        match self.flag_value(name) {
+            None => Ok(default),
+            Some(v) => v
+                .parse::<usize>()
+                .ok()
+                .filter(|&n| n >= 1)
+                .ok_or_else(|| format!("--{name} expects a positive integer, got '{v}'")),
+        }
+    }
+
+    /// An unsigned integer flag (`--seed`), if given.
+    pub fn flag_u64(&self, name: &str) -> Result<Option<u64>, String> {
+        self.flag_value(name)
+            .map(|v| {
+                v.parse::<u64>()
+                    .map_err(|_| format!("--{name} expects an unsigned integer, got '{v}'"))
+            })
+            .transpose()
+    }
 }
 
 /// Known flags that take a value; everything else is boolean.
 const VALUE_FLAGS: &[&str] = &[
     "author",
     "workers",
-    "nodes",
     "seed",
     "column",
     "schedule",
     "tolerance",
-    "trace-buffer",
     "tenants",
     "jobs",
     "template",
@@ -128,5 +150,65 @@ mod tests {
     fn empty_argv() {
         let p = parse(&[]).unwrap();
         assert_eq!(p.command(), None);
+    }
+
+    #[test]
+    fn count_flags_take_positive_integers_only() {
+        let p = parse(&["farm", "serve", "--tenants", "3", "--jobs=1"]).unwrap();
+        assert_eq!(p.flag_count("tenants", 4).unwrap(), 3);
+        assert_eq!(p.flag_count("jobs", 4).unwrap(), 1);
+        assert_eq!(p.flag_count("workers", 2).unwrap(), 2);
+        for bad in ["2.5", "1.9", "0", "-1", "1e9", "", "two", "99999999999999999999999"] {
+            let p = parse(&["farm", "serve", "--workers", bad]).unwrap();
+            let err = p.flag_count("workers", 2).unwrap_err();
+            assert!(err.contains("--workers expects a positive integer"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
+    fn seeds_are_unsigned_integers() {
+        let max = parse(&["farm", "--seed", "18446744073709551615"]).unwrap();
+        assert_eq!(max.flag_u64("seed"), Ok(Some(u64::MAX)));
+        assert_eq!(parse(&["farm"]).unwrap().flag_u64("seed"), Ok(None));
+        for bad in ["7.5", "-3", "1e3", "x"] {
+            let p = parse(&["farm", "--seed", bad]).unwrap();
+            assert!(p.flag_u64("seed").unwrap_err().contains("--seed expects an unsigned integer"));
+        }
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// One argv word: a known or unknown long flag, a flag with an
+        /// inline value, a short option, a number-like word, or any text.
+        fn word() -> BoxedStrategy<String> {
+            prop_oneof![
+                (0..VALUE_FLAGS.len()).prop_map(|i| format!("--{}", VALUE_FLAGS[i])),
+                Just("--".to_string()),
+                Just("-".to_string()),
+                "--[a-z-]{0,12}=[0-9.e+-]{0,6}",
+                "-[a-z]{0,3}",
+                "[0-9.e+-]{0,24}",
+                "\\PC{0,10}",
+            ]
+            .boxed()
+        }
+
+        proptest! {
+            #[test]
+            fn never_panics(argv in proptest::collection::vec(word(), 0..8)) {
+                let argv: Vec<&str> = argv.iter().map(String::as_str).collect();
+                let Ok(p) = parse(&argv) else { return Ok(()) };
+                let _ = (p.command(), p.pos(1), p.pos(2));
+                for name in VALUE_FLAGS.iter().copied().chain(["no-cache", ""]) {
+                    let _ = (p.has_flag(name), p.flag_value(name), p.flag_num(name, 1.0));
+                    let _ = p.flag_u64(name);
+                    if let Ok(n) = p.flag_count(name, 1) {
+                        prop_assert!(n >= 1, "--{} gave {}", name, n);
+                    }
+                }
+            }
+        }
     }
 }

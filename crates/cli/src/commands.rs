@@ -25,14 +25,10 @@ use std::sync::Arc;
 /// later command in the same process does not inherit it.
 pub fn dispatch(parsed: &Parsed, dir: &Path) -> Result<String, String> {
     const VAR: &str = "POPPER_SIM_WORKERS";
-    let Some(v) = parsed.flag_value("sim-workers") else {
+    if parsed.flag_value("sim-workers").is_none() {
         return dispatch_command(parsed, dir);
-    };
-    let n = v
-        .parse::<usize>()
-        .ok()
-        .filter(|&n| n >= 1)
-        .ok_or_else(|| format!("--sim-workers expects a positive integer, got '{v}'"))?;
+    }
+    let n = parsed.flag_count("sim-workers", 1)?;
     let previous = std::env::var_os(VAR);
     std::env::set_var(VAR, n.to_string());
     let out = dispatch_command(parsed, dir);
@@ -141,7 +137,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("ci") => {
-            let workers = parsed.flag_num("workers", 4.0)?.max(1.0) as usize;
+            let workers = parsed.flag_count("workers", 4)?;
             let repo = Arc::new(Mutex::new(persist::load(dir, &author)?));
             let engine = Arc::new(full_engine());
             let report = run_ci(repo.clone(), engine, workers)?;
@@ -288,12 +284,12 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             let name = parsed.pos(1).ok_or("usage: popper trace <experiment> [--no-cache]")?;
             let mut repo = persist::load(dir, &author)?;
             let engine = full_engine();
-            // The run pipeline with an ordered recorder attached: the
-            // recorder buffers the whole lifecycle (engine/CI/orchestra
+            // The run pipeline with a recorder attached: the recorder
+            // buffers the whole lifecycle (engine/CI/orchestra
             // wall-clock spans plus any simulation the runner drives)
             // so the SVG and summary can render from the events.
             let mut ctx = popper_core::RunContext::for_experiment(&repo, name)?
-                .with_recorder(popper_trace::TraceRecorder::ordered());
+                .with_recorder(popper_trace::TraceRecorder::new());
             if cache_enabled(parsed) {
                 ctx = ctx.with_memo(popper_core::lifecycle_session(&repo, name, "trace", &[]));
             }
@@ -316,7 +312,8 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             persist::save(&repo, dir)?;
             let out = format!(
                 "{}\n-- traced {} event(s) -> experiments/{name}/trace.json, trace.svg\n{memo}{summary}",
-                report, recording.count,
+                report,
+                recording.events.len(),
             );
             if report.success() {
                 Ok(out)
@@ -341,7 +338,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             let mut repo = persist::load(dir, &author)?;
             let engine = full_engine();
             let (report, stats) =
-                engine.trace_diff_cached(&mut repo, name, ref_a, ref_b, options, cache_enabled(parsed))?;
+                engine.trace_diff(&mut repo, name, ref_a, ref_b, options, cache_enabled(parsed))?;
             persist::save(&repo, dir)?;
             let memo = memo_line(stats.as_ref());
             let out = format!(
@@ -358,31 +355,13 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
                 .pos(1)
                 .ok_or("usage: popper chaos <experiment> [--schedule <name>] [--seed <n>]")?;
             let schedule = parsed.flag_value("schedule");
-            let seed = match parsed.flag_value("seed") {
-                None => None,
-                Some(v) => Some(
-                    v.parse::<u64>()
-                        .map_err(|_| format!("--seed expects an unsigned integer, got '{v}'"))?,
-                ),
-            };
-            // Trace the run so faults and failovers are visible on the
-            // recorded timeline next to the lifecycle spans. Chaos
-            // soaks can be long, so the default sink is the streaming
-            // Chrome exporter; `--trace-buffer N` bounds the ring
-            // between stage absorbs (older events are shed + counted).
-            let recorder = match parsed.flag_value("trace-buffer") {
-                None => popper_trace::TraceRecorder::streaming(),
-                Some(v) => {
-                    let cap = v.parse::<usize>().map_err(|_| {
-                        format!("--trace-buffer expects an unsigned integer, got '{v}'")
-                    })?;
-                    popper_trace::TraceRecorder::streaming_with_capacity(cap)
-                }
-            };
+            let seed = parsed.flag_u64("seed")?;
             let mut repo = persist::load(dir, &author)?;
             let engine = full_engine();
-            let mut ctx =
-                popper_core::RunContext::for_experiment(&repo, name)?.with_recorder(recorder);
+            // Trace the run so faults and failovers are visible on the
+            // recorded timeline next to the lifecycle spans.
+            let mut ctx = popper_core::RunContext::for_experiment(&repo, name)?
+                .with_recorder(popper_trace::TraceRecorder::new());
             if cache_enabled(parsed) {
                 let mut salt = Vec::new();
                 if let Some(s) = schedule {
@@ -409,7 +388,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             persist::save(&repo, dir)?;
             let out = format!(
                 "{report}\n-- recorded experiments/{name}/faults.json, recovery.json, trace.json ({} event(s))\n{memo}",
-                recording.count,
+                recording.events.len(),
             );
             if report.success() {
                 Ok(out)
@@ -493,17 +472,31 @@ fn cmd_paper_add(dir: &Path, author: &str, tpl: &str) -> Result<String, String> 
     Ok(format!("-- installed paper template '{tpl}'\n"))
 }
 
+/// The most farm workers `--workers` may ask for. A farm spawns one OS
+/// thread per worker, so the count is checked before any farm is built.
+const MAX_FARM_WORKERS: usize = 64;
+
+/// `--workers` for `popper farm serve|submit`: 1..=[`MAX_FARM_WORKERS`],
+/// default 2.
+fn farm_workers(parsed: &Parsed) -> Result<usize, String> {
+    let workers = parsed.flag_count("workers", 2)?;
+    if workers > MAX_FARM_WORKERS {
+        return Err(format!("--workers {workers} is above the farm's limit of {MAX_FARM_WORKERS}"));
+    }
+    Ok(workers)
+}
+
 /// `popper farm serve`: spin up a multi-tenant farm with synthetic
 /// tenants seeded from a template, push a batch of jobs through it
 /// (optionally under chaos and/or with the status endpoint bound), and
 /// print the final report. The canonical event log — deterministic for
 /// a given seed — is written to `farm-events.log`.
 fn cmd_farm_serve(parsed: &Parsed, dir: &Path) -> Result<String, String> {
-    let tenants = parsed.flag_num("tenants", 4.0)?.max(1.0) as usize;
-    let jobs = parsed.flag_num("jobs", 4.0)?.max(1.0) as u64;
-    let workers = parsed.flag_num("workers", 2.0)?.max(1.0) as usize;
+    let tenants = parsed.flag_count("tenants", 4)?;
+    let jobs = parsed.flag_count("jobs", 4)?;
+    let workers = farm_workers(parsed)?;
     let template = parsed.flag_value("template").unwrap_or("ceph-rados");
-    let seed = parsed.flag_num("seed", 7.0)?.max(0.0) as u64;
+    let seed = parsed.flag_u64("seed")?.unwrap_or(7);
     let mut builder = popper_farm::FarmBuilder::new(Arc::new(full_engine()))
         .config(popper_farm::FarmConfig { workers, ..Default::default() });
     if let Some(name) = parsed.flag_value("schedule") {
@@ -560,9 +553,9 @@ fn cmd_farm_submit(parsed: &Parsed, dir: &Path, author: &str) -> Result<String, 
     let name = parsed
         .pos(2)
         .ok_or("usage: popper farm submit <experiment> [--tenants N] [--jobs M]")?;
-    let tenants = parsed.flag_num("tenants", 2.0)?.max(1.0) as usize;
-    let jobs = parsed.flag_num("jobs", 2.0)?.max(1.0) as u64;
-    let workers = parsed.flag_num("workers", 2.0)?.max(1.0) as usize;
+    let tenants = parsed.flag_count("tenants", 2)?;
+    let jobs = parsed.flag_count("jobs", 2)?;
+    let workers = farm_workers(parsed)?;
     let repo = persist::load(dir, author)?;
     if !repo.experiments().contains(&name.to_string()) {
         return Err(format!("experiment '{name}' not found; `popper add` it first"));
@@ -659,7 +652,6 @@ COMMANDS:
                               [--tolerance <pct>] [--structure-only]
     chaos <experiment>        run under fault injection; records faults.json + recovery.json
                               [--schedule node-crash|partition|packet-loss|slow-disk|gremlin] [--seed N]
-                              [--trace-buffer N] bound the in-flight trace ring during long soaks
     validate <experiment>     re-check Aver validations on stored results\n    verify <experiment>       numerical reproducibility: re-execute and compare bytes
     pack <experiment>         build a provenance-labeled container image\n    ci [--workers N]          run .popper-ci.pml
     farm serve                multi-tenant CI farm over synthetic tenants
@@ -828,6 +820,32 @@ mod tests {
         assert!(log.starts_with("farm-events v1"), "{log}");
         assert!(log.contains("t1#1"), "{log}");
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn farm_count_flags_reject_fractions_instead_of_truncating() {
+        let dir = temp_dir("farm-fractions");
+        let argv = ["farm", "serve", "--tenants", "2.5", "--jobs", "1.9", "--workers", "1.5"];
+        let err = run(&argv, &dir).unwrap_err();
+        assert!(err.contains("--tenants expects a positive integer, got '2.5'"), "{err}");
+        assert!(!dir.join("farm-events.log").exists(), "no farm may run on a rejected flag");
+        let err = run(&["farm", "serve", "--seed", "7.5"], &dir).unwrap_err();
+        assert!(err.contains("--seed expects an unsigned integer"), "{err}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn farm_workers_are_bounded_before_a_farm_is_built() {
+        use super::{farm_workers, MAX_FARM_WORKERS};
+        let workers = |argv: &[&str]| farm_workers(&crate::argparse::parse(argv).unwrap());
+        assert_eq!(workers(&["farm", "serve"]), Ok(2));
+        let max = MAX_FARM_WORKERS.to_string();
+        assert_eq!(workers(&["farm", "serve", "--workers", &max]), Ok(MAX_FARM_WORKERS));
+        let above = (MAX_FARM_WORKERS + 1).to_string();
+        for bad in [above.as_str(), "1000000000"] {
+            let err = workers(&["farm", "serve", "--workers", bad]).unwrap_err();
+            assert!(err.contains("above the farm's limit"), "{err}");
+        }
     }
 
     #[test]

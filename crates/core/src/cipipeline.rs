@@ -226,7 +226,7 @@ pub fn popper_steps(
                     Err(e) => return StepOutcome::fail(e),
                 };
                 // Wall-domain traces: compare structure only.
-                match engine.trace_diff_cached(
+                match engine.trace_diff(
                     &mut repo,
                     name,
                     &first.to_hex(),
@@ -283,7 +283,7 @@ pub fn popper_steps(
                         Err(e) => return StepOutcome::fail(e),
                     }
                 }
-                match engine.trace_diff_cached(
+                match engine.trace_diff(
                     &mut repo,
                     name,
                     &commits[0].to_hex(),
@@ -380,7 +380,7 @@ fn record_traced_run(
     use_cache: bool,
 ) -> Result<(popper_vcs::ObjectId, Option<MemoStats>), String> {
     let mut ctx = RunContext::for_experiment(repo, name)?
-        .with_recorder(popper_trace::TraceRecorder::ordered());
+        .with_recorder(popper_trace::TraceRecorder::new());
     if use_cache {
         ctx = ctx.with_memo(lifecycle_session(repo, name, "trace", &[]));
     }
@@ -432,7 +432,7 @@ pub fn run_ci(
     let config = PipelineConfig::from_pml(&config_text)?;
     let executor = popper_steps(repo, engine);
     // Propagate the caller's ambient tracer into the worker pool.
-    Ok(popper_ci::run_pipeline_traced(&config, executor, workers, popper_trace::current()))
+    Ok(popper_ci::run_pipeline(&config, executor, workers, popper_trace::current()))
 }
 
 #[cfg(test)]

@@ -65,24 +65,12 @@ impl ExperimentEngine {
     /// Diff the recorded traces of one experiment between two commits
     /// (any ref `resolve` accepts: branch, tag, hex or unique hex
     /// prefix). Lifecycle stages are traced on `core/lifecycle`.
+    /// With `use_cache`, a memo session is attached: both commits'
+    /// trace bytes are content-addressed by the resolved commit ids, so
+    /// the diff is a pure function of `(commit_a, commit_b, options,
+    /// trace.aver)` — exactly what the session salt carries. Returns the
+    /// hit/miss stats alongside the report when caching was on.
     pub fn trace_diff(
-        &self,
-        repo: &mut PopperRepo,
-        experiment: &str,
-        ref_a: &str,
-        ref_b: &str,
-        options: DiffOptions,
-    ) -> Result<TraceDiffReport, String> {
-        self.trace_diff_cached(repo, experiment, ref_a, ref_b, options, false).map(|(r, _)| r)
-    }
-
-    /// [`ExperimentEngine::trace_diff`] with an optional memo session
-    /// attached. Both commits' trace bytes are content-addressed by the
-    /// resolved commit ids, so the diff is a pure function of
-    /// `(commit_a, commit_b, options, trace.aver)` — exactly what the
-    /// session salt carries. Returns the hit/miss stats alongside the
-    /// report when caching was on.
-    pub fn trace_diff_cached(
         &self,
         repo: &mut PopperRepo,
         experiment: &str,
@@ -282,8 +270,9 @@ mod tests {
         // own recording commit lands.
         let head = repo.vcs.head_commit().unwrap().to_hex();
         let report = engine
-            .trace_diff(&mut repo, "g", "base", &head, DiffOptions::default())
-            .unwrap();
+            .trace_diff(&mut repo, "g", "base", &head, DiffOptions::default(), false)
+            .unwrap()
+            .0;
         assert!(report.success(), "{:?}", report.verdict.failures);
         assert!(report.diff.divergences.is_empty());
         assert!(report.commit.is_some());
@@ -297,8 +286,9 @@ mod tests {
         // no new commit, byte-stable report.
         let txt1 = repo.read("experiments/g/trace-diff.txt").unwrap();
         let again = engine
-            .trace_diff(&mut repo, "g", "base", &head, DiffOptions::default())
-            .unwrap();
+            .trace_diff(&mut repo, "g", "base", &head, DiffOptions::default(), false)
+            .unwrap()
+            .0;
         assert!(again.commit.is_none());
         assert_eq!(repo.read("experiments/g/trace-diff.txt").unwrap(), txt1);
     }
@@ -308,8 +298,9 @@ mod tests {
         let mut repo = repo_with_traces(155);
         let engine = ExperimentEngine::new();
         let report = engine
-            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::default())
-            .unwrap();
+            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::default(), false)
+            .unwrap()
+            .0;
         assert!(!report.success());
         assert_eq!(report.diff.structural_count(), 1);
         let body = repo.read("experiments/g/trace-diff.json").unwrap();
@@ -319,8 +310,9 @@ mod tests {
 
         // Structure-only comparison ignores the timestamp move.
         let relaxed = engine
-            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::structure_only())
-            .unwrap();
+            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::structure_only(), false)
+            .unwrap()
+            .0;
         assert!(relaxed.success(), "{:?}", relaxed.verdict.failures);
     }
 
@@ -330,8 +322,9 @@ mod tests {
         repo.write("experiments/g/trace.aver", "expect count(structural) = 99\n").unwrap();
         repo.commit("impossible trace gate").unwrap();
         let report = ExperimentEngine::new()
-            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::default())
-            .unwrap();
+            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::default(), false)
+            .unwrap()
+            .0;
         assert!(!report.success(), "custom trace.aver must be consulted");
     }
 
@@ -344,11 +337,11 @@ mod tests {
         repo.commit("popper add gassyfs g").unwrap();
         repo.vcs.tag("base", None).unwrap();
         let err = ExperimentEngine::new()
-            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::default())
+            .trace_diff(&mut repo, "g", "base", "main", DiffOptions::default(), false)
             .unwrap_err();
         assert!(err.contains("popper trace g"), "{err}");
         let err = ExperimentEngine::new()
-            .trace_diff(&mut repo, "g", "nope", "main", DiffOptions::default())
+            .trace_diff(&mut repo, "g", "nope", "main", DiffOptions::default(), false)
             .unwrap_err();
         assert!(err.contains("nope"), "{err}");
     }

@@ -227,7 +227,7 @@ impl ExperimentEngine {
                 Some((rel, data))
             })
             .collect();
-        let report = popper_orchestra::run_playbook_traced(
+        let report = popper_orchestra::run_playbook(
             &playbook,
             &inventory,
             BTreeMap::new(),

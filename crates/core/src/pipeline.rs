@@ -169,9 +169,8 @@ impl RunContext {
         Ok(RunContext::new(experiment, repo.experiment_vars(experiment)?))
     }
 
-    /// Attach a [`TraceRecorder`]: stages record through it, and the
-    /// pipeline streams each stage's wave into the recorder as it
-    /// completes (the streaming Chrome exporter encodes incrementally).
+    /// Attach a [`TraceRecorder`]: stages record through it, and
+    /// [`RunContext::finish_recording`] writes the whole run once.
     pub fn with_recorder(mut self, recorder: TraceRecorder) -> RunContext {
         self.tracer = recorder.tracer();
         self.recorder = Some(recorder);
@@ -271,9 +270,6 @@ impl<'a> Pipeline<'a> {
                     let _s = tracer.span("core", "core/lifecycle", stage.name);
                     memoize::execute_stage(repo, ctx, index, stage)?
                 };
-                if let Some(rec) = ctx.recorder.as_mut() {
-                    rec.absorb();
-                }
                 if control == StageControl::Stop {
                     break;
                 }
@@ -457,7 +453,7 @@ mod tests {
     fn pipeline_stages_record_spans_through_an_attached_recorder() {
         let mut repo = PopperRepo::init("t").unwrap();
         let mut ctx = RunContext::new("e", Value::empty_map())
-            .with_recorder(TraceRecorder::ordered());
+            .with_recorder(TraceRecorder::new());
         Pipeline::new("run e")
             .stage("sanitize", |_r, _c| Ok(StageControl::Continue))
             .stage("execute", |_r, _c| Ok(StageControl::Continue))

@@ -94,20 +94,11 @@ impl fmt::Display for PlaybookReport {
 /// Run `playbook` against `inventory`. `initial_states` seeds per-host
 /// state (facts such as platform characteristics); hosts not present
 /// start empty. `controller_files` is the control node's file area
-/// (experiment scripts for `copy`, destination for `fetch`).
-pub fn run_playbook(
-    playbook: &Playbook,
-    inventory: &Inventory,
-    initial_states: BTreeMap<String, HostState>,
-    controller_files: BTreeMap<String, Vec<u8>>,
-) -> PlaybookReport {
-    run_playbook_traced(playbook, inventory, initial_states, controller_files, popper_trace::Tracer::disabled())
-}
-
-/// [`run_playbook`] with a wall-clock [`popper_trace::Tracer`]: one span
+/// (experiment scripts for `copy`, destination for `fetch`). `tracer`
+/// (wall clock, or [`popper_trace::Tracer::disabled`]) records one span
 /// per play on the `orchestra/controller` track and one span per
 /// `(task, host)` on that host's thread (`orchestra/<host>` tracks).
-pub fn run_playbook_traced(
+pub fn run_playbook(
     playbook: &Playbook,
     inventory: &Inventory,
     mut initial_states: BTreeMap<String, HostState>,
@@ -288,6 +279,7 @@ fn run_task_attempt(
 mod tests {
     use super::*;
     use crate::playbook::Playbook;
+    use popper_trace::Tracer;
 
     fn inventory() -> Inventory {
         let mut inv = Inventory::new();
@@ -336,7 +328,7 @@ mod tests {
         let mut head = HostState::default();
         head.vars.insert("workload".into(), Value::Str("git".into()));
         initial.insert("head0".to_string(), head);
-        run_playbook(&pb, &inv, initial, BTreeMap::new())
+        run_playbook(&pb, &inv, initial, BTreeMap::new(), Tracer::disabled())
     }
 
     #[test]
@@ -394,7 +386,7 @@ mod tests {
         let mut with_file = HostState::default();
         with_file.files.insert("special.txt".into(), b"x".to_vec());
         initial.insert("node0".to_string(), with_file);
-        let report = run_playbook(&pb, &inv, initial, BTreeMap::new());
+        let report = run_playbook(&pb, &inv, initial, BTreeMap::new(), Tracer::disabled());
         assert!(!report.success());
         // node0 completed both tasks; node1 failed the first and was
         // unreachable for the second.
@@ -423,7 +415,7 @@ mod tests {
         .unwrap();
         let mut inv = Inventory::new();
         inv.add_cluster("n", 1, &[]);
-        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new());
+        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), Tracer::disabled());
         assert!(!report.success());
         match &report.hosts["n0"].entries[0].2 {
             TaskStatus::Failed(msg) => {
@@ -445,7 +437,7 @@ mod tests {
         inv.add_cluster("n", 1, &[]);
         let sink = popper_trace::TraceSink::new();
         let tracer = sink.tracer(popper_trace::ClockDomain::Wall);
-        run_playbook_traced(&pb, &inv, BTreeMap::new(), BTreeMap::new(), tracer.clone());
+        run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), tracer.clone());
         tracer.flush();
         let events = sink.drain();
         assert!(
@@ -462,7 +454,7 @@ mod tests {
         .unwrap();
         let mut inv = Inventory::new();
         inv.add_cluster("n", 1, &[]);
-        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new());
+        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), Tracer::disabled());
         assert!(!report.success());
         match &report.hosts["n0"].entries[0].2 {
             TaskStatus::Failed(msg) => assert!(msg.contains("undefined variable")),
@@ -478,7 +470,7 @@ mod tests {
         .unwrap();
         let mut inv = Inventory::new();
         inv.add_cluster("node", 2, &[]);
-        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new());
+        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), Tracer::disabled());
         assert!(report.success());
         assert_eq!(report.states["node1"].command_log, vec!["hello-from-node1"]);
     }
@@ -499,6 +491,7 @@ mod tests {
 mod with_items_tests {
     use super::*;
     use crate::playbook::Playbook;
+    use popper_trace::Tracer;
 
     #[test]
     fn with_items_expands_and_registers_list() {
@@ -519,7 +512,7 @@ mod with_items_tests {
         .unwrap();
         let mut inv = Inventory::new();
         inv.add_cluster("n", 1, &[]);
-        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new());
+        let report = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), Tracer::disabled());
         assert!(report.success(), "{}", report.recap());
         let st = &report.states["n0"];
         for pkg in ["gassyfs", "fuse", "gasnet"] {
@@ -539,10 +532,10 @@ mod with_items_tests {
         .unwrap();
         let mut inv = Inventory::new();
         inv.add_cluster("n", 1, &[]);
-        let first = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new());
+        let first = run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), Tracer::disabled());
         assert_eq!(first.hosts["n0"].entries[0].2, TaskStatus::Changed);
         // Re-run with the resulting state: nothing changes.
-        let second = run_playbook(&pb, &inv, first.states, BTreeMap::new());
+        let second = run_playbook(&pb, &inv, first.states, BTreeMap::new(), Tracer::disabled());
         assert_eq!(second.hosts["n0"].entries[0].2, TaskStatus::Ok);
     }
 

@@ -24,7 +24,7 @@ pub mod modules;
 pub mod playbook;
 pub mod shardworld;
 
-pub use executor::{run_playbook, run_playbook_traced, HostReport, PlaybookReport, TaskStatus};
+pub use executor::{run_playbook, HostReport, PlaybookReport, TaskStatus};
 pub use shardworld::{run_sharded, run_sharded_chaos, ShardedOrchestraChaosReport, ShardedOrchestraConfig, ShardedOrchestraReport};
 pub use inventory::{Host, Inventory};
 pub use modules::HostState;

@@ -164,11 +164,6 @@ impl Cluster {
         self.nodes.iter().map(|n| n.mem_used).sum()
     }
 
-    /// Aggregate memory capacity of the cluster in bytes — the number
-    /// GassyFS advertises as its file-system size.
-    pub fn aggregate_mem_bytes(&self) -> u64 {
-        (self.platform.mem_gib * 1024.0 * 1024.0 * 1024.0) as u64 * self.nodes.len() as u64
-    }
 }
 
 #[cfg(test)]
@@ -223,7 +218,6 @@ mod tests {
         c.free_mem(0, 90 * gib);
         c.alloc_mem(0, 50 * gib).unwrap();
         assert_eq!(c.total_mem_used(), 60 * gib);
-        assert_eq!(c.aggregate_mem_bytes(), 2 * 128 * gib);
     }
 
     #[test]

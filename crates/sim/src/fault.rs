@@ -312,15 +312,6 @@ impl FaultPlane {
         self.refresh();
     }
 
-    /// Return the plane to fully healthy.
-    pub fn heal_all(&mut self) {
-        for c in self.crashed.iter_mut() {
-            *c = false;
-        }
-        self.heal_partition();
-        self.clear_degradation();
-    }
-
     /// Apply one timeline command to the plane.
     pub fn apply(&mut self, cmd: &PlaneCmd) {
         match cmd {
@@ -511,21 +502,6 @@ mod tests {
         assert_eq!(p.disk_factor(1), 8.0);
         p.clear_degradation();
         assert!(!p.is_active());
-    }
-
-    #[test]
-    fn heal_all_resets_everything() {
-        let mut p = FaultPlane::new(3);
-        p.crash(1);
-        p.partition(&[0]);
-        p.set_loss(2, 0.3);
-        p.heal_all();
-        assert_eq!(p, {
-            let mut q = FaultPlane::new(3);
-            q.draws = p.draws.clone();
-            q.seed = p.seed;
-            q
-        });
     }
 
     #[test]

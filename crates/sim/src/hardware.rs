@@ -172,13 +172,6 @@ impl PlatformSpec {
         base.execute_secs(demand) / self.execute_secs(demand)
     }
 
-    /// Time to move `bytes` over this platform's NIC (serialization only;
-    /// latency and contention are the fabric's job).
-    pub fn nic_serialize(&self, bytes: u64) -> Nanos {
-        let secs = bytes as f64 * 8.0 / (self.nic_gbit * 1e9);
-        Nanos::from_secs_f64(secs * self.hypervisor_tax)
-    }
-
     /// Time for a disk transfer of `bytes` including one access latency.
     pub fn disk_io(&self, bytes: u64) -> Nanos {
         let xfer = bytes as f64 / (self.disk_mib * 1024.0 * 1024.0);
@@ -281,11 +274,8 @@ mod tests {
     }
 
     #[test]
-    fn nic_and_disk_costs() {
+    fn disk_io_cost() {
         let p = platforms::cloudlab_c220g();
-        // 10 Gbit NIC: 1 GiB takes ~0.86 s of serialization.
-        let t = p.nic_serialize(1 << 30);
-        assert!(t > Nanos::from_millis(500) && t < Nanos::from_secs(2), "got {t}");
         let d = p.disk_io(4096);
         assert!(d > Nanos::ZERO);
     }

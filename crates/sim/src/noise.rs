@@ -9,11 +9,8 @@
 //! * [`NoisyNeighbor`] — a co-located tenant stealing a fraction of CPU
 //!   and network capacity, the "consolidated infrastructure" effect that
 //!   motivates bare-metal-as-a-service in §Toolkit.
-//! * [`Jitter`] — seeded multiplicative log-normal jitter for modeling
-//!   residual measurement noise in statistical-reproducibility studies.
 
 use crate::time::Nanos;
-use rand::Rng;
 
 /// Periodic noise: every `period`, the core is stolen for `duration`,
 /// starting at `phase` past each period boundary.
@@ -101,44 +98,9 @@ impl NoisyNeighbor {
     }
 }
 
-/// Multiplicative log-normal jitter: `exp(sigma * z)` with `z ~ N(0,1)`
-/// drawn from the caller's seeded RNG via Box–Muller.
-#[derive(Debug, Clone, Copy)]
-pub struct Jitter {
-    /// Log-space standard deviation; 0 disables jitter.
-    pub sigma: f64,
-}
-
-impl Jitter {
-    /// A jitter source with the given log-space sigma.
-    pub fn new(sigma: f64) -> Self {
-        assert!(sigma >= 0.0);
-        Jitter { sigma }
-    }
-
-    /// Draw one multiplicative factor (median 1.0).
-    pub fn factor(&self, rng: &mut impl Rng) -> f64 {
-        if self.sigma == 0.0 {
-            return 1.0;
-        }
-        // Box–Muller from two uniforms; avoids needing rand_distr.
-        let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        let u2: f64 = rng.gen_range(0.0..1.0);
-        let z = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
-        (self.sigma * z).exp()
-    }
-
-    /// Apply one draw to a duration.
-    pub fn apply(&self, d: Nanos, rng: &mut impl Rng) -> Nanos {
-        d.scale(self.factor(rng))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn noise() -> OsNoise {
         // 1 ms period, 100 us stolen, no phase.
@@ -208,33 +170,6 @@ mod tests {
         assert_eq!(nb.inflate_network(Nanos(300)), Nanos(400));
         let quiet = NoisyNeighbor::none();
         assert_eq!(quiet.inflate_compute(Nanos(100)), Nanos(100));
-    }
-
-    #[test]
-    fn jitter_is_deterministic_per_seed() {
-        let j = Jitter::new(0.1);
-        let mut a = StdRng::seed_from_u64(7);
-        let mut b = StdRng::seed_from_u64(7);
-        for _ in 0..10 {
-            assert_eq!(j.factor(&mut a), j.factor(&mut b));
-        }
-    }
-
-    #[test]
-    fn jitter_zero_sigma_is_identity() {
-        let j = Jitter::new(0.0);
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(j.apply(Nanos(12345), &mut rng), Nanos(12345));
-    }
-
-    #[test]
-    fn jitter_median_near_one() {
-        let j = Jitter::new(0.2);
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut factors: Vec<f64> = (0..4001).map(|_| j.factor(&mut rng)).collect();
-        factors.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let median = factors[2000];
-        assert!((median - 1.0).abs() < 0.05, "median {median}");
     }
 
     mod prop {

@@ -125,11 +125,6 @@ impl MultiServer {
         self.next_free.iter().copied().max().unwrap_or(Nanos::ZERO)
     }
 
-    /// The earliest time any server is idle.
-    pub fn earliest_free(&self) -> Nanos {
-        self.next_free.iter().copied().min().unwrap_or(Nanos::ZERO)
-    }
-
     /// Total busy time across all servers.
     pub fn busy_total(&self) -> Nanos {
         self.busy_total
@@ -146,58 +141,6 @@ impl MultiServer {
             return 0.0;
         }
         self.busy_total.as_secs_f64() / (horizon.as_secs_f64() * self.next_free.len() as f64)
-    }
-}
-
-/// A token-bucket rate limiter used to model sustained-bandwidth devices
-/// with burst capacity (e.g. a VM's credit-based vCPU or a throttled NIC).
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    /// Sustained rate, tokens per second.
-    rate: f64,
-    /// Maximum burst size, tokens.
-    burst: f64,
-    tokens: f64,
-    last: Nanos,
-}
-
-impl TokenBucket {
-    /// A bucket that starts full.
-    pub fn new(rate_per_sec: f64, burst: f64) -> Self {
-        assert!(rate_per_sec > 0.0 && burst > 0.0);
-        TokenBucket { rate: rate_per_sec, burst, tokens: burst, last: Nanos::ZERO }
-    }
-
-    /// Request `amount` tokens at time `now`; returns the time at which
-    /// the request can proceed (>= now).
-    pub fn request(&mut self, now: Nanos, amount: f64) -> Nanos {
-        assert!(amount >= 0.0);
-        self.refill(now);
-        if self.tokens >= amount {
-            self.tokens -= amount;
-            now
-        } else {
-            let deficit = amount - self.tokens;
-            self.tokens = 0.0;
-            let wait = Nanos::from_secs_f64(deficit / self.rate);
-            let ready = now + wait;
-            self.last = ready;
-            ready
-        }
-    }
-
-    fn refill(&mut self, now: Nanos) {
-        if now > self.last {
-            let dt = (now - self.last).as_secs_f64();
-            self.tokens = (self.tokens + dt * self.rate).min(self.burst);
-            self.last = now;
-        }
-    }
-
-    /// Tokens currently available (after refill to `now`).
-    pub fn available(&mut self, now: Nanos) -> f64 {
-        self.refill(now);
-        self.tokens
     }
 }
 
@@ -238,7 +181,6 @@ mod tests {
         assert_eq!(i2, 0);
         assert_eq!(s2, Nanos(100));
         assert_eq!(m.all_free(), Nanos(200));
-        assert_eq!(m.earliest_free(), Nanos(100));
     }
 
     #[test]
@@ -254,23 +196,6 @@ mod tests {
     #[should_panic(expected = "at least one server")]
     fn empty_pool_panics() {
         let _ = MultiServer::new(0);
-    }
-
-    #[test]
-    fn token_bucket_burst_then_throttle() {
-        // 100 tokens/s, burst 10.
-        let mut tb = TokenBucket::new(100.0, 10.0);
-        assert_eq!(tb.request(Nanos(0), 10.0), Nanos(0)); // burst served at once
-        let ready = tb.request(Nanos(0), 5.0); // must wait 50ms for 5 tokens
-        assert_eq!(ready, Nanos::from_millis(50));
-    }
-
-    #[test]
-    fn token_bucket_refills_to_cap() {
-        let mut tb = TokenBucket::new(10.0, 5.0);
-        tb.request(Nanos(0), 5.0);
-        // After 10s only `burst` tokens are available, not 100.
-        assert!((tb.available(Nanos::from_secs(10)) - 5.0).abs() < 1e-9);
     }
 
     mod prop {

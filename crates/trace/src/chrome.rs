@@ -1,8 +1,7 @@
-//! The Chrome `trace_event` element writer.
+//! The Chrome `trace_event` writer.
 //!
-//! Every byte of `trace.json` comes from here: [`crate::ChromeStream`]
-//! appends elements straight into a text buffer, and
-//! [`crate::chrome_trace_json`] is a one-batch stream. The output is the
+//! Every byte of `trace.json` comes from here: [`chrome_trace_json`]
+//! appends the whole document into one `String`. The output is the
 //! compact form of `popper_format::json::to_string` over the equivalent
 //! `Value` tree, byte for byte: keys in the same order, and strings and
 //! numbers appended by the JSON writer's own `write_string`/`write_num`.
@@ -11,11 +10,6 @@
 
 use crate::event::{EventKind, TraceEvent};
 use popper_format::json::{write_num, write_string};
-
-/// The document preamble, up to the first array element.
-pub(crate) const OPEN: &str = "{\"traceEvents\":[";
-/// The document tail after the last array element.
-pub(crate) const CLOSE: &str = "],\"displayTimeUnit\":\"ms\"}";
 
 /// Below this, an integer `n` (an id, or a timestamp in ns whose
 /// microsecond value has at most 12 integer and 3 fraction digits) has
@@ -71,8 +65,33 @@ fn push_id(out: &mut String, n: u64) {
     }
 }
 
+/// The Chrome `trace_event` document (the object form, with a
+/// `traceEvents` array) as a JSON string: the process metadata, one
+/// `thread_name` per track with tids 1..n in sorted track order, then
+/// the events in the order given. Load it in `chrome://tracing` or
+/// Perfetto. Stable output: same events ⇒ same bytes.
+pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
+    let mut tracks: Vec<&str> = events.iter().map(|e| e.track.as_str()).collect();
+    tracks.sort_unstable();
+    tracks.dedup();
+    let mut out = String::with_capacity(64 + events.len() * 160);
+    out.push_str("{\"traceEvents\":[");
+    push_meta(&mut out, "process_name", None, "popper");
+    for (tid, track) in (1..).zip(&tracks) {
+        out.push(',');
+        push_meta(&mut out, "thread_name", Some(tid), track);
+    }
+    for e in events {
+        let tid = tracks.binary_search(&e.track.as_str()).expect("every track is listed") as u64 + 1;
+        out.push(',');
+        push_event(&mut out, e, tid);
+    }
+    out.push_str("],\"displayTimeUnit\":\"ms\"}");
+    out
+}
+
 /// A `ph: "M"` metadata element (`process_name` / `thread_name`).
-pub(crate) fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
+fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
     out.push_str("{\"name\":");
     write_string(out, name);
     out.push_str(",\"ph\":\"M\",\"pid\":1");
@@ -86,7 +105,7 @@ pub(crate) fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &
 }
 
 /// One trace-event array element for `e` on thread `tid`.
-pub(crate) fn push_event(out: &mut String, e: &TraceEvent, tid: u64) {
+fn push_event(out: &mut String, e: &TraceEvent, tid: u64) {
     out.push_str("{\"name\":");
     write_string(out, &e.name);
     out.push_str(",\"cat\":");
@@ -132,7 +151,7 @@ pub(crate) fn push_event(out: &mut String, e: &TraceEvent, tid: u64) {
 mod tests {
     use super::*;
     use crate::event::SpanId;
-    use crate::export::{chrome_trace_json, parse_chrome_trace};
+    use crate::export::parse_chrome_trace;
     use popper_format::{json, Value};
     use proptest::prelude::*;
 
@@ -227,6 +246,12 @@ mod tests {
                 })
                 .collect()
         })
+    }
+
+    #[test]
+    fn an_empty_recording_is_a_valid_document() {
+        let json = chrome_trace_json(&[]);
+        assert_eq!(parse_chrome_trace(&json).unwrap(), Vec::new());
     }
 
     proptest! {

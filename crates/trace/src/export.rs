@@ -2,22 +2,10 @@
 //! plus the inverse importer ([`parse_chrome_trace`]) that trace-diff
 //! uses to reload committed `trace.json` artifacts.
 
+pub use crate::chrome::chrome_trace_json;
 use crate::event::{EventKind, SpanId, TraceEvent};
-use crate::stream::ChromeStream;
 use popper_format::FormatError;
 use std::collections::BTreeMap;
-
-/// The Chrome `trace_event` document (the object form, with a
-/// `traceEvents` array) as a JSON string: one [`ChromeStream`] batch, so
-/// tracks get tids in sorted order. Load it in `chrome://tracing` or
-/// Perfetto. Stable output: same events ⇒ same bytes.
-pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut stream = ChromeStream::new(Vec::with_capacity(64 + events.len() * 160))
-        .expect("Vec sink cannot fail");
-    stream.write_batch(events).expect("Vec sink cannot fail");
-    let bytes = stream.finish().expect("Vec sink cannot fail");
-    String::from_utf8(bytes).expect("encoder emits UTF-8")
-}
 
 /// Intern a category string. [`TraceEvent::category`] is `&'static str`
 /// (recording never allocates for it), so the importer maps categories

@@ -25,9 +25,9 @@
 //! Library code deep in the stack (the sim engine, GassyFS RPCs, MPI
 //! collectives, the container runtime) records through the *ambient*
 //! tracer ([`current`]/[`with_current`]) so instrumentation does not
-//! change public signatures; thread-pool layers (popper-ci,
-//! popper-orchestra) take an explicit tracer in their `*_traced` entry
-//! points, re-enter `with_current` on each worker, and call
+//! change public signatures; thread-pool layers (popper-ci's
+//! `run_pipeline`, popper-orchestra's `run_playbook`) take an explicit
+//! tracer argument, re-enter `with_current` on each worker, and call
 //! [`Tracer::flush`] at the end of each worker so its last events reach
 //! the sink before the pool returns.
 
@@ -35,8 +35,8 @@ mod chrome;
 pub mod diff;
 pub mod event;
 pub mod export;
+pub mod recorder;
 pub mod sink;
-pub mod stream;
 pub mod svg;
 pub mod tracer;
 
@@ -44,7 +44,7 @@ pub use diff::{diff_traces, DiffOptions, Divergence, DivergenceKind, TraceDiff};
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use export::{chrome_trace_json, parse_chrome_trace, summary_table};
 pub use sink::TraceSink;
-pub use stream::{ChromeStream, TraceRecorder, TraceRecording};
+pub use recorder::{TraceRecorder, TraceRecording};
 pub use svg::{timeline_svg, timeline_svg_filtered};
 pub use tracer::{current, with_current, ClockDomain, SpanGuard, Tracer};
 

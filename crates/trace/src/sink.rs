@@ -3,24 +3,14 @@
 use crate::event::TraceEvent;
 use crate::tracer::{ClockDomain, Core, Tracer};
 use crossbeam::channel::{self, Receiver, Sender};
-use parking_lot::Mutex;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Central collection point for trace events. Create one per traced
 /// run, hand out tracers, then [`TraceSink::drain`] after the work.
-///
-/// By default the sink is unbounded. [`TraceSink::with_capacity`] puts
-/// it in ring-buffer mode: only the most recent `capacity` events are
-/// retained and [`TraceSink::dropped`] counts what was shed — the mode
-/// for long chaos soaks where the tail of the timeline is what matters.
+/// Flushed batches wait in the channel until the drain.
 pub struct TraceSink {
     tx: Sender<Vec<TraceEvent>>,
     rx: Receiver<Vec<TraceEvent>>,
-    ring: Mutex<VecDeque<TraceEvent>>,
-    capacity: Option<usize>,
-    dropped: AtomicU64,
 }
 
 impl Default for TraceSink {
@@ -30,35 +20,10 @@ impl Default for TraceSink {
 }
 
 impl TraceSink {
-    /// An empty, unbounded sink.
+    /// An empty sink.
     pub fn new() -> TraceSink {
         let (tx, rx) = channel::unbounded();
-        TraceSink { tx, rx, ring: Mutex::new(VecDeque::new()), capacity: None, dropped: AtomicU64::new(0) }
-    }
-
-    /// A sink in ring-buffer mode: keeps at most `capacity` events
-    /// (the most recently delivered), dropping the oldest. Call
-    /// [`TraceSink::absorb`] periodically during long runs to bound
-    /// memory; [`TraceSink::drain`] absorbs automatically.
-    pub fn with_capacity(capacity: usize) -> TraceSink {
-        let (tx, rx) = channel::unbounded();
-        TraceSink {
-            tx,
-            rx,
-            ring: Mutex::new(VecDeque::with_capacity(capacity.min(4096))),
-            capacity: Some(capacity),
-            dropped: AtomicU64::new(0),
-        }
-    }
-
-    /// The ring capacity, if in ring-buffer mode.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
-    }
-
-    /// Events shed by the ring so far (0 for unbounded sinks).
-    pub fn dropped(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        TraceSink { tx, rx }
     }
 
     /// A new enabled tracer feeding this sink. Each call creates an
@@ -68,34 +33,15 @@ impl TraceSink {
         Tracer { core: Some(Arc::new(Core::new(self.tx.clone(), domain))) }
     }
 
-    /// Pull everything flushed so far into the internal buffer,
-    /// enforcing the ring capacity. Returns how many events were
-    /// dropped by this call.
-    pub fn absorb(&self) -> u64 {
-        let mut ring = self.ring.lock();
-        while let Ok(batch) = self.rx.try_recv() {
-            ring.extend(batch);
-        }
-        let mut shed = 0u64;
-        if let Some(cap) = self.capacity {
-            while ring.len() > cap {
-                ring.pop_front();
-                shed += 1;
-            }
-        }
-        self.dropped.fetch_add(shed, Ordering::Relaxed);
-        shed
-    }
-
-    /// Collect everything retained so far, in a deterministic order
+    /// Collect everything flushed so far, in a deterministic order
     /// (time, then track, then name, then id) regardless of which
     /// thread delivered which batch first. Call `tracer.flush()` on the
     /// recording thread(s) first; exited threads have already flushed.
-    /// In ring-buffer mode this is the surviving suffix of the stream;
-    /// check [`TraceSink::dropped`] for what was shed.
     pub fn drain(&self) -> Vec<TraceEvent> {
-        self.absorb();
-        let mut events: Vec<TraceEvent> = self.ring.lock().drain(..).collect();
+        let mut events = Vec::new();
+        while let Ok(batch) = self.rx.try_recv() {
+            events.extend(batch);
+        }
         events.sort_by(|a, b| {
             a.start_ns()
                 .cmp(&b.start_ns())
@@ -112,50 +58,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn ring_mode_keeps_the_tail_and_counts_drops() {
-        let sink = TraceSink::with_capacity(10);
-        assert_eq!(sink.capacity(), Some(10));
-        let tracer = sink.tracer(ClockDomain::Virtual);
-        for i in 0..25u64 {
-            tracer.instant_at("test", "t", format!("ev{i}"), i);
-        }
-        tracer.flush();
-        let events = sink.drain();
-        assert_eq!(events.len(), 10);
-        assert_eq!(sink.dropped(), 15);
-        // The survivors are the most recent events.
-        assert_eq!(events.first().unwrap().name, "ev15");
-        assert_eq!(events.last().unwrap().name, "ev24");
-        // Draining again yields nothing new but keeps the counter.
-        assert!(sink.drain().is_empty());
-        assert_eq!(sink.dropped(), 15);
-    }
-
-    #[test]
-    fn absorb_bounds_memory_incrementally() {
-        let sink = TraceSink::with_capacity(5);
-        let tracer = sink.tracer(ClockDomain::Virtual);
-        for round in 0..4u64 {
-            for i in 0..5u64 {
-                tracer.instant_at("test", "t", format!("r{round}e{i}"), round * 5 + i);
-            }
-            tracer.flush();
-            sink.absorb();
-        }
-        assert_eq!(sink.dropped(), 15, "three full rounds shed");
-        assert_eq!(sink.drain().len(), 5);
-    }
-
-    #[test]
-    fn unbounded_sink_never_drops() {
+    fn sink_keeps_every_event_and_drains_once() {
         let sink = TraceSink::new();
-        assert_eq!(sink.capacity(), None);
         let tracer = sink.tracer(ClockDomain::Virtual);
         for i in 0..1000u64 {
             tracer.instant_at("test", "t", "e", i);
         }
         tracer.flush();
         assert_eq!(sink.drain().len(), 1000);
-        assert_eq!(sink.dropped(), 0);
+        assert!(sink.drain().is_empty());
     }
 }

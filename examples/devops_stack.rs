@@ -11,6 +11,7 @@ use popper::container::{build_image, BuildCache, Container, ImageRegistry, Poppe
 use popper::monitor::{Baseline, BaselineGate, MetricStore};
 use popper::orchestra::{run_playbook, Inventory, Playbook};
 use popper::sim::{platforms, Nanos};
+use popper::trace::Tracer;
 use std::collections::BTreeMap;
 
 fn main() -> Result<(), String> {
@@ -66,7 +67,7 @@ fn main() -> Result<(), String> {
     )?;
     let mut inventory = Inventory::new();
     inventory.add_cluster("node", 4, &["gassyfs"]);
-    let report = run_playbook(&playbook, &inventory, BTreeMap::new(), BTreeMap::new());
+    let report = run_playbook(&playbook, &inventory, BTreeMap::new(), BTreeMap::new(), Tracer::disabled());
     println!("\n{}", report.recap());
 
     // --- monitoring + baseline gate ------------------------------------

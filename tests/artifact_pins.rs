@@ -11,7 +11,7 @@
 //! escaping.
 
 use popper::format::Table;
-use popper::trace::{chrome_trace_json, timeline_svg, ChromeStream, EventKind, SpanId, TraceEvent};
+use popper::trace::{chrome_trace_json, timeline_svg, EventKind, SpanId, TraceEvent};
 use popper::viz::{render_from_spec, FigureSpec};
 
 fn digest(s: &str) -> String {
@@ -99,7 +99,6 @@ fn recording() -> Vec<TraceEvent> {
 }
 
 const CHROME_JSON: &str = "c2d1cb1bbf7a6caf0762a2017372fedbf9f6fd05b9187c5641592d8f37f71ede";
-const CHROME_STREAM: &str = "7f5b2936f487fe4fae8e35738a4ed0430e62f1b08f0f519005c85222a9533d1c";
 const TIMELINE_SVG: &str = "dfbb36215bf40b7ba163d100a21fa0dd3d9825123892719e4a9cace626109625";
 const CHART_SVG: &str = "09dbc14f3bd972fcfeee9cdbb51ff059a2bf1ffaf107219eae7fa33fa5a0191c";
 
@@ -107,20 +106,6 @@ const CHART_SVG: &str = "09dbc14f3bd972fcfeee9cdbb51ff059a2bf1ffaf107219eae7fa33
 fn chrome_trace_json_bytes_are_pinned() {
     let json = chrome_trace_json(&recording());
     assert_eq!(digest(&json), CHROME_JSON);
-}
-
-#[test]
-fn three_batch_chrome_stream_bytes_are_pinned() {
-    let events = recording();
-    let (first, rest) = events.split_at(100);
-    let (second, third) = rest.split_at(200);
-    let mut stream = ChromeStream::new(Vec::new()).unwrap();
-    for batch in [first, second, third] {
-        stream.write_batch(batch).unwrap();
-    }
-    assert_eq!(stream.events_written(), events.len() as u64);
-    let json = String::from_utf8(stream.finish().unwrap()).unwrap();
-    assert_eq!(digest(&json), CHROME_STREAM);
 }
 
 #[test]

@@ -72,26 +72,6 @@ fn cli_chaos_records_faults_recovery_and_trace() {
     fs::remove_dir_all(&dir).ok();
 }
 
-/// This repository eats its own dog food: its `.popper-ci.pml` must
-/// parse with the in-tree CI engine and carry the chaos smoke jobs.
-#[test]
-fn own_ci_config_parses_and_has_chaos_smoke_jobs() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
-    let text = fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
-    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
-    for job in ["chaos-determinism", "fault-overhead-smoke", "chaos-matrix", "mpi-chaos-determinism"] {
-        assert!(config.jobs.iter().any(|j| j.name == job), "missing CI job '{job}'");
-    }
-    // The chaos axis: the chaos-matrix job fans out over schedules.
-    let chaos = config.jobs.iter().find(|j| j.name == "chaos-matrix").unwrap();
-    assert!(
-        chaos.matrix.axes.iter().any(|(axis, values)| axis == "schedule" && values.len() >= 2),
-        "chaos-matrix must declare a 'schedule' matrix axis"
-    );
-    let expanded = config.expanded_jobs();
-    assert!(expanded.iter().any(|j| j.env.get("schedule").map(String::as_str) == Some("gremlin")));
-}
-
 /// Play a seeded gremlin schedule against GassyFS under a virtual-time
 /// tracer and return every artifact the run would record: the fault
 /// timeline, the recovery metrics, and the Chrome trace.

@@ -102,3 +102,109 @@ fn matrix_pipeline_runs_experiment_per_machine() {
     assert!(report.jobs.iter().any(|j| j.name.contains("machine=cloudlab-c220g")));
     assert!(report.jobs.iter().any(|j| j.name.contains("machine=hpc-node")));
 }
+
+/// This repository eats its own dog food: the root `.popper-ci.pml`
+/// partitions the test suite. Every unit, doc and integration target
+/// runs in exactly one job; each step runs whole, named targets (no
+/// test-name filter and no matrix axis, which would split or repeat a
+/// target); and the determinism and self-check targets run in the jobs
+/// named for them, beside the trace and fault overhead smoke benches.
+#[test]
+fn own_ci_config_runs_every_test_target_once() {
+    use std::collections::BTreeMap;
+    use std::path::Path;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let text = std::fs::read_to_string(root.join(".popper-ci.pml")).expect(".popper-ci.pml at the workspace root");
+    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
+
+    // Every integration target as `(package, target)`: the root
+    // package's `tests/*.rs` and each crate's `crates/*/tests/*.rs`.
+    let targets_in = |dir: &Path| -> Vec<String> {
+        let Ok(entries) = std::fs::read_dir(dir) else { return Vec::new() };
+        entries
+            .map(|e| e.unwrap().path())
+            .filter(|p| p.extension().is_some_and(|x| x == "rs"))
+            .map(|p| p.file_stem().unwrap().to_string_lossy().into_owned())
+            .collect()
+    };
+    let mut runs: BTreeMap<(String, String), Vec<String>> = BTreeMap::new();
+    for target in targets_in(&root.join("tests")) {
+        runs.insert(("popper".to_string(), target), Vec::new());
+    }
+    for krate in std::fs::read_dir(root.join("crates")).unwrap() {
+        let dir = krate.unwrap().path();
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        let package = manifest
+            .lines()
+            .find_map(|l| l.strip_prefix("name = "))
+            .expect("package name")
+            .trim_matches('"')
+            .to_string();
+        for target in targets_in(&dir.join("tests")) {
+            runs.insert((package.clone(), target), Vec::new());
+        }
+    }
+    assert!(runs.len() > 10, "found only {runs:?}");
+
+    assert!(config.matrix.axes.is_empty(), "a pipeline-wide matrix axis repeats every target");
+    let mut workspace_runs: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for job in &config.jobs {
+        for step in &job.steps {
+            let words: Vec<&str> = step.split_whitespace().collect();
+            if words.get(..2) != Some(&["cargo", "test"][..]) {
+                continue;
+            }
+            assert!(job.matrix.axes.is_empty(), "job '{}' repeats its targets over a matrix axis", job.name);
+            let package = words.windows(2).find(|w| w[0] == "-p").map_or("popper", |w| w[1]);
+            let (mut tests, mut kinds, mut workspace) = (Vec::new(), Vec::new(), false);
+            let mut args = words[2..].iter();
+            while let Some(&arg) = args.next() {
+                match arg {
+                    "-p" => {
+                        args.next();
+                    }
+                    "--test" => tests.push(*args.next().expect("--test names a target")),
+                    "--workspace" => workspace = true,
+                    "--lib" | "--bins" | "--doc" => kinds.push(arg),
+                    other => panic!("step '{step}': '{other}' filters or widens the run"),
+                }
+            }
+            if workspace {
+                assert!(tests.is_empty() && !kinds.is_empty(), "step '{step}' re-runs the integration targets");
+                workspace_runs.entry(kinds.join(" ")).or_default().push(job.name.clone());
+            } else {
+                assert!(kinds.is_empty() && !tests.is_empty(), "step '{step}' must name its targets");
+            }
+            for test in tests {
+                let jobs = runs
+                    .get_mut(&(package.to_string(), test.to_string()))
+                    .unwrap_or_else(|| panic!("step '{step}' names no test target '{package}/{test}'"));
+                jobs.push(job.name.clone());
+            }
+        }
+    }
+    for ((package, target), jobs) in &runs {
+        assert_eq!(jobs.len(), 1, "test target {package}/{target} runs in jobs {jobs:?}, not exactly one");
+    }
+    let kinds: Vec<&str> = workspace_runs.keys().map(String::as_str).collect();
+    assert_eq!(kinds, ["--doc", "--lib --bins"], "unit and doc targets: {workspace_runs:?}");
+    assert!(workspace_runs.values().all(|jobs| jobs.len() == 1), "{workspace_runs:?}");
+
+    // The determinism and self-check targets keep their named jobs.
+    for (target, job) in [
+        ("trace_pipeline", "trace-determinism"),
+        ("chaos_pipeline", "chaos-determinism"),
+        ("mpi_chaos", "mpi-chaos"),
+        ("trace_diff", "trace-diff-selfcheck"),
+        ("memo_pipeline", "memo-selfcheck"),
+        ("sim_shard", "sim-shard-determinism"),
+        ("fabric_shard", "fabric-shard-determinism"),
+    ] {
+        assert_eq!(runs[&("popper".to_string(), target.to_string())], [job], "target {target}");
+    }
+    for job in ["trace-overhead-smoke", "fault-overhead-smoke"] {
+        let job = config.jobs.iter().find(|j| j.name == job);
+        assert!(job.is_some_and(|j| j.stage == "bench"), "missing bench job {job:?}");
+    }
+}

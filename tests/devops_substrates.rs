@@ -8,6 +8,7 @@ use popper::monitor::MetricStore;
 use popper::orchestra::{run_playbook, Inventory, Playbook};
 use popper::sim::Nanos;
 use popper::store::Registry;
+use popper::trace::Tracer;
 use popper::vcs::Repository;
 use std::collections::BTreeMap;
 
@@ -50,7 +51,7 @@ fn experiment_artifacts_flow_through_all_substrates() {
     .unwrap();
     let mut inventory = Inventory::new();
     inventory.add_cluster("node", 3, &["bench"]);
-    let report = run_playbook(&playbook, &inventory, BTreeMap::new(), BTreeMap::new());
+    let report = run_playbook(&playbook, &inventory, BTreeMap::new(), BTreeMap::new(), Tracer::disabled());
     assert!(report.success(), "{}", report.recap());
     for n in 0..3 {
         assert_eq!(report.states[&format!("node{n}")].command_log, vec!["docker run demo:v1"]);

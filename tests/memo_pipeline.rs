@@ -229,12 +229,12 @@ fn trace_diff_warm_repeat_replays_the_whole_comparison() {
     let engine = ExperimentEngine::new();
     let opts = popper::trace::DiffOptions::default();
     let (cold, stats) =
-        engine.trace_diff_cached(&mut repo, "g", "base", &head, opts, true).unwrap();
+        engine.trace_diff(&mut repo, "g", "base", &head, opts, true).unwrap();
     assert!(cold.success());
     let stats = stats.expect("session attached");
     assert_eq!(stats.hits(), 0);
     let (warm, stats) =
-        engine.trace_diff_cached(&mut repo, "g", "base", &head, opts, true).unwrap();
+        engine.trace_diff(&mut repo, "g", "base", &head, opts, true).unwrap();
     let stats = stats.expect("session attached");
     assert_eq!(stats.misses(), 0, "same commits + options must be a full replay");
     assert_eq!(warm.diff, cold.diff);
@@ -265,19 +265,6 @@ fn cli_reports_memo_summary_and_no_cache_opts_out() {
     let warm = run(&["verify", "e"], &dir).unwrap();
     assert!(warm.contains("/ 0 misses"), "{warm}");
     fs::remove_dir_all(&dir).ok();
-}
-
-/// This repository eats its own dog food: the root `.popper-ci.pml`
-/// carries a memo self-check job.
-#[test]
-fn own_ci_config_has_memo_selfcheck_job() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
-    let text = fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
-    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
-    assert!(
-        config.jobs.iter().any(|j| j.name == "memo-selfcheck"),
-        "missing CI job 'memo-selfcheck'"
-    );
 }
 
 // ------------------------------------------------------- key properties
