@@ -72,6 +72,26 @@ fn cli_chaos_records_faults_recovery_and_trace() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// This repository eats its own dog food: its `.popper-ci.pml` must
+/// parse with the in-tree CI engine and carry the chaos smoke jobs,
+/// each running its whole target once (no matrix axis repeats it).
+#[test]
+fn own_ci_config_parses_and_has_chaos_smoke_jobs() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
+    let text = fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
+    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
+    for job in ["chaos-determinism", "fault-overhead-smoke", "mpi-chaos"] {
+        assert!(config.jobs.iter().any(|j| j.name == job), "missing CI job '{job}'");
+    }
+    for (name, target) in [("chaos-determinism", "chaos_pipeline"), ("mpi-chaos", "mpi_chaos")] {
+        let job = config.jobs.iter().find(|j| j.name == name).unwrap();
+        let runs_target = |s: &String| s.split_whitespace().collect::<Vec<_>>().windows(2).any(|w| w == ["--test", target]);
+        assert!(job.steps.iter().any(runs_target), "CI job '{name}' does not run --test {target}");
+        assert!(job.matrix.axes.is_empty(), "CI job '{name}' repeats {target} over a matrix axis");
+    }
+    assert_eq!(config.expanded_jobs().len(), config.jobs.len(), "a matrix axis repeats jobs");
+}
+
 /// Play a seeded gremlin schedule against GassyFS under a virtual-time
 /// tracer and return every artifact the run would record: the fault
 /// timeline, the recovery metrics, and the Chrome trace.

@@ -369,6 +369,27 @@ fn orchestra_world_is_identical_at_1_2_8_workers_including_trace_bytes() {
     }
 }
 
+/// This repository eats its own dog food: the root `.popper-ci.pml`
+/// carries the shard-determinism jobs that run this file and
+/// `tests/sim_shard.rs`. Those tests loop over worker counts against the
+/// serial run themselves, so a `workers` matrix axis would only repeat
+/// the same work.
+#[test]
+fn own_ci_config_has_shard_determinism_jobs() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
+    let text = std::fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
+    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
+    let no_workers_axis = |m: &popper::ci::Matrix| m.axes.iter().all(|(axis, _)| axis != "workers");
+    assert!(no_workers_axis(&config.matrix), "pipeline-wide workers axis");
+    for (name, target) in [("sim-shard-determinism", "sim_shard"), ("fabric-shard-determinism", "fabric_shard")] {
+        let job = config.jobs.iter().find(|j| j.name == name);
+        let job = job.unwrap_or_else(|| panic!("missing CI job '{name}'"));
+        assert!(no_workers_axis(&job.matrix), "CI job '{name}' fans out over workers");
+        let runs_target = |s: &String| s.split_whitespace().collect::<Vec<_>>().windows(2).any(|w| w == ["--test", target]);
+        assert!(job.steps.iter().any(runs_target), "CI job '{name}' does not run --test {target}");
+    }
+}
+
 // ---- chaos determinism: scheduled mid-run faults, every world -------
 
 #[test]

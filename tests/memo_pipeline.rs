@@ -267,6 +267,19 @@ fn cli_reports_memo_summary_and_no_cache_opts_out() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// This repository eats its own dog food: the root `.popper-ci.pml`
+/// carries a memo self-check job that runs this file.
+#[test]
+fn own_ci_config_has_memo_selfcheck_job() {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
+    let text = fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
+    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
+    let job = config.jobs.iter().find(|j| j.name == "memo-selfcheck");
+    let job = job.expect("missing CI job 'memo-selfcheck'");
+    let runs_target = |s: &String| s.split_whitespace().collect::<Vec<_>>().windows(2).any(|w| w == ["--test", "memo_pipeline"]);
+    assert!(job.steps.iter().any(runs_target), "memo-selfcheck does not run --test memo_pipeline");
+}
+
 // ------------------------------------------------------- key properties
 
 mod key_properties {

@@ -86,6 +86,19 @@ fn chaos_schedules_diverge_and_fail_the_gate() {
     assert!(json.contains("chaos"), "{json}");
 }
 
+/// This repository eats its own dog food: the root `.popper-ci.pml`
+/// carries a trace-diff self-check job that runs this file.
+#[test]
+fn own_ci_config_has_trace_diff_selfcheck_job() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
+    let text = fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
+    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
+    let job = config.jobs.iter().find(|j| j.name == "trace-diff-selfcheck");
+    let job = job.expect("missing CI job 'trace-diff-selfcheck'");
+    let runs_target = |s: &String| s.split_whitespace().collect::<Vec<_>>().windows(2).any(|w| w == ["--test", "trace_diff"]);
+    assert!(job.steps.iter().any(runs_target), "trace-diff-selfcheck does not run --test trace_diff");
+}
+
 #[test]
 fn trace_diff_error_paths() {
     let dir = temp_dir("errors");

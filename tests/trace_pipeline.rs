@@ -68,6 +68,21 @@ fn cli_trace_records_chrome_json_and_svg() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// This repository eats its own dog food: its `.popper-ci.pml` must
+/// parse with the in-tree CI engine and carry the tracing smoke jobs.
+#[test]
+fn own_ci_config_parses_and_has_trace_smoke_jobs() {
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(".popper-ci.pml");
+    let text = fs::read_to_string(path).expect(".popper-ci.pml at the workspace root");
+    let config = popper::ci::PipelineConfig::from_pml(&text).expect("config parses");
+    for job in ["trace-determinism", "trace-overhead-smoke"] {
+        assert!(config.jobs.iter().any(|j| j.name == job), "missing CI job '{job}'");
+    }
+    let job = config.jobs.iter().find(|j| j.name == "trace-determinism").unwrap();
+    let runs_target = |s: &String| s.split_whitespace().collect::<Vec<_>>().windows(2).any(|w| w == ["--test", "trace_pipeline"]);
+    assert!(job.steps.iter().any(runs_target), "trace-determinism does not run --test trace_pipeline");
+}
+
 /// Drive a virtual-time workload (fabric transfers + MPI collectives)
 /// under an ambient tracer and export it.
 fn virtual_trace(seed: u64, ranks: usize) -> String {
