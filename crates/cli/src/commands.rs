@@ -25,6 +25,7 @@ use std::sync::Arc;
 /// later command in the same process does not inherit it.
 pub fn dispatch(parsed: &Parsed, dir: &Path) -> Result<String, String> {
     const VAR: &str = "POPPER_SIM_WORKERS";
+    check_args(parsed)?;
     if parsed.flag_value("sim-workers").is_none() {
         return dispatch_command(parsed, dir);
     }
@@ -37,6 +38,72 @@ pub fn dispatch(parsed: &Parsed, dir: &Path) -> Result<String, String> {
         None => std::env::remove_var(VAR),
     }
     out
+}
+
+/// Flags every command accepts.
+const GLOBAL_FLAGS: &[&str] = &["author", "sim-workers"];
+
+/// Each command (with its subcommand, if it has them), the most
+/// arguments it takes after those words, and the flags it accepts
+/// besides [`GLOBAL_FLAGS`].
+const COMMANDS: &[(&str, usize, &[&str])] = &[
+    ("help", 0, &[]),
+    ("init", 0, &[]),
+    ("experiment", 0, &[]),
+    ("experiment list", 0, &[]),
+    ("experiment add", 2, &[]),
+    ("add", 2, &[]),
+    ("paper", 0, &[]),
+    ("paper list", 0, &[]),
+    ("paper add", 1, &[]),
+    ("paper build", 0, &[]),
+    ("check", 0, &[]),
+    ("run", 1, &["no-cache"]),
+    ("validate", 1, &[]),
+    ("ci", 0, &["workers"]),
+    ("status", 0, &[]),
+    ("log", 0, &[]),
+    ("diff", 1, &[]),
+    ("verify", 1, &["no-cache"]),
+    ("figure", 1, &[]),
+    ("regression", 1, &["column"]),
+    ("branch", 1, &[]),
+    ("checkout", 1, &[]),
+    ("merge", 1, &[]),
+    ("pack", 1, &["show-popperfile"]),
+    ("trace", 1, &["no-cache"]),
+    ("trace-diff", 2, &["tolerance", "structure-only", "no-cache"]),
+    ("chaos", 1, &["schedule", "seed", "no-cache"]),
+    ("farm serve", 0, &["tenants", "jobs", "workers", "template", "schedule", "seed", "port"]),
+    ("farm submit", 1, &["tenants", "jobs", "workers"]),
+    ("store stats", 0, &[]),
+    ("commit", 1, &[]),
+];
+
+/// Refuse a flag the command does not accept and an argument past the
+/// ones it takes, rather than ignore them: a mistyped `--seed` must not
+/// run seed 1. An unknown command or subcommand is left to
+/// [`dispatch_command`] to report.
+fn check_args(parsed: &Parsed) -> Result<(), String> {
+    let Some(command) = parsed.command() else { return Ok(()) };
+    let find = |words: &str| COMMANDS.iter().find(|(w, ..)| *w == words);
+    let has_subcommands = COMMANDS.iter().any(|(w, ..)| w.split_once(' ').is_some_and(|(c, _)| c == command));
+    let spec = match parsed.pos(1) {
+        Some(sub) if has_subcommands => find(&format!("{command} {sub}")),
+        _ => find(command),
+    };
+    let Some((words, takes, flags)) = spec else { return Ok(()) };
+    let accepted = || {
+        flags.iter().chain(GLOBAL_FLAGS).map(|f| format!("--{f}")).collect::<Vec<_>>().join(", ")
+    };
+    if let Some((flag, _)) = parsed.flags.iter().find(|(f, _)| !flags.contains(&f.as_str()) && !GLOBAL_FLAGS.contains(&f.as_str())) {
+        return Err(format!("popper {words}: unknown flag --{flag}; it accepts {}", accepted()));
+    }
+    let used = words.split(' ').count();
+    if let Some(extra) = parsed.positional.get(used + takes) {
+        return Err(format!("popper {words}: unexpected argument '{extra}'; it takes at most {takes}"));
+    }
+    Ok(())
 }
 
 fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
@@ -707,6 +774,50 @@ mod tests {
         assert!(dir.join("experiments/myexp/vars.pml").is_file());
         assert!(dir.join("experiments/myexp/validations.aver").is_file());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unknown_flags_and_extra_arguments_are_refused() {
+        let dir = temp_dir("flags");
+        for (argv, names) in [
+            (&["chaos", "g", "--seeed", "3"][..], "--seeed"),
+            (&["run", "g", "--no-cahce"], "--no-cahce"),
+            (&["run", "g", "--seed", "3"], "--seed"),
+            (&["ci", "--wokers", "2"], "--wokers"),
+            (&["status", "extra"], "'extra'"),
+            (&["add", "torpor", "t", "more"], "'more'"),
+            (&["farm", "submit", "e", "f"], "'f'"),
+        ] {
+            let err = run(argv, &dir).unwrap_err();
+            assert!(err.contains(names), "{argv:?}: {err}");
+        }
+        let err = run(&["chaos", "g", "--seeed", "3"], &dir).unwrap_err();
+        assert!(err.contains("--seed, --no-cache, --author, --sim-workers"), "{err}");
+        assert!(!dir.join(".popper").exists(), "refused before anything ran");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn every_accepted_command_line_passes_the_check() {
+        for argv in [
+            &["chaos", "e", "--seed", "5"][..],
+            &["chaos", "e", "--schedule", "gremlin", "--seed=5", "--no-cache"],
+            &["ci", "--workers", "2"],
+            &["commit", "add ci pipeline"],
+            &["commit"],
+            &["add", "torpor", "t"],
+            &["experiment", "add", "torpor", "t"],
+            &["run", "e", "--sim-workers", "2", "--author", "a"],
+            &["status", "--author=a"],
+            &["trace-diff", "e", "a..b", "--tolerance", "5", "--structure-only"],
+            &["farm", "serve", "--tenants", "2", "--jobs", "1", "--port", "0"],
+            &["paper", "add", "acm"],
+            &["experiment", "nope", "x", "y"],
+            &["nope", "--anything"],
+            &["--author", "a"],
+        ] {
+            assert_eq!(super::check_args(&crate::argparse::parse(argv).unwrap()), Ok(()), "{argv:?}");
+        }
     }
 
     #[test]

@@ -19,9 +19,12 @@
 //! ```
 //!
 //! * [`argparse`] — a small hand-rolled argument parser (the approved
-//!   offline crate set does not include `clap`).
+//!   offline crate set does not include `clap`); [`commands`] refuses a
+//!   flag or argument the command does not take.
 //! * [`persist`] — on-disk persistence: the working tree lives as real
-//!   files, the VCS state under `.popper/state`.
+//!   files, the VCS state in the append-only log `.popper/state`. A
+//!   command reads the objects it touches, each checked against its id
+//!   on first use, and a save appends what the command stored.
 //! * [`runners`] — registration of the real experiment runners
 //!   (`gassyfs-scalability`, `torpor-variability`, `mpi-variability`,
 //!   `bww-airtemp`) with the [`popper_core::ExperimentEngine`].

@@ -2,53 +2,75 @@
 //!
 //! The working tree lives as real files in the repository directory (so
 //! researchers edit them with their own tools); history, index and refs
-//! live in a single length-prefixed state file at `.popper/state`. The
-//! format is binary-safe: every variable-length field is preceded by
-//! its byte length.
+//! live in one append-only log at `.popper/state`:
 //!
-//! Persisting costs what a command changed: `load` streams the state
-//! file straight into one buffer per object, `save` streams it back out
-//! from a borrowed view of the repository and writes only the worktree
-//! files the command changed. The state file is replaced atomically, so
-//! a failed save leaves the previous history in place.
+//! ```text
+//! POPPER-STATE v2
+//! object <id> <len>\n<body>\n    a stored object; <id> is its SHA-256
+//! table <id> <len>\n<fields>\n   the index or the tags, as fields
+//! refs <id> <len>\n<fields>\n    clock, head, branches and the tables
+//! ```
+//!
+//! Every record's `<id>` is the SHA-256 of its body. A field is
+//! `<tag> <len>\n<body>\n`, as in the v1 format, which still loads.
+//!
+//! Persisting costs what a command touched. `load` reads record headers
+//! only, takes the last complete `refs` record and the tables it names,
+//! and hands the repository each object's position: an object is read,
+//! and checked against its id, on first use. `save` writes the worktree
+//! files the command changed, then appends the objects stored since
+//! load, any table that changed and one `refs` record, and syncs the
+//! file once. An append cut short leaves a torn tail that the next
+//! `load` ignores and the next `save` truncates. A repository that was
+//! not loaded from this very file (a new one, a v1 file, another
+//! directory) is written whole to a temporary file renamed over it.
 
 use popper_core::PopperRepo;
 use popper_vcs::{
-    repo::{RepoState, StateView},
-    Repository,
+    repo::{LoggedObject, ObjectLog, Refs, RepoState},
+    ObjectId, Repository,
 };
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::fs::{self, File};
-use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::Path;
 
-const MAGIC: &[u8] = b"POPPER-STATE v1\n";
+const MAGIC_V1: &[u8] = b"POPPER-STATE v1\n";
+const MAGIC: &[u8] = b"POPPER-STATE v2\n";
 
-/// The longest field header accepted, newline included. The longest the
-/// encoder writes is `object <20 digits>\n`.
-const MAX_HEADER: u64 = 32;
+/// The longest header accepted, newline included. The longest written
+/// is `object <64 hex digits> <20 digits>\n`, 93 bytes.
+const MAX_HEADER: u64 = 96;
 
 /// Why a `.popper/state` stream did not decode.
 #[derive(Debug)]
 enum StateError {
     /// The underlying reader failed.
     Io(io::Error),
-    /// The stream does not start with the format's magic line.
+    /// The stream does not start with a known magic line.
     BadMagic,
     /// The stream ends inside a field header, or the header runs on
     /// without a newline.
     TruncatedHeader,
-    /// A header that is not `<tag> <decimal length>`.
+    /// A header that is not `<tag> <decimal length>`, or, in a v2 log,
+    /// `<kind> <lowercase hex id> <decimal length>`.
     BadHeader(String),
     /// A field's length runs past the end of the stream.
     TruncatedBody(String),
-    /// A field's body is not followed by a newline.
+    /// A field's or record's body is not followed by a newline.
     MissingTerminator(String),
     /// A text field that does not parse.
     BadField(String),
-    /// A tag this version does not know.
+    /// A field tag or record kind this version does not know.
     UnknownField(String),
+    /// A v2 log without one complete `refs` record.
+    NoRefs,
+    /// A `refs` or `table` record, at this offset, whose body does not
+    /// hash to its id.
+    Checksum(&'static str, u64),
+    /// The `refs` record names a table the log does not hold before it.
+    MissingTable(String),
 }
 
 impl fmt::Display for StateError {
@@ -62,6 +84,9 @@ impl fmt::Display for StateError {
             StateError::MissingTerminator(tag) => write!(f, "missing field terminator after '{tag}'"),
             StateError::BadField(tag) => write!(f, "bad '{tag}' field"),
             StateError::UnknownField(tag) => write!(f, "unknown field '{tag}'"),
+            StateError::NoRefs => write!(f, "no complete refs record"),
+            StateError::Checksum(kind, at) => write!(f, "the {kind} record at byte {at} does not match its id"),
+            StateError::MissingTable(id) => write!(f, "the refs name table {id}, which the log does not hold"),
         }
     }
 }
@@ -72,41 +97,9 @@ impl From<io::Error> for StateError {
     }
 }
 
-/// Stream the VCS state (without the worktree, which lives as real
-/// files) to `out`.
-fn write_state(state: &StateView, out: &mut impl Write) -> io::Result<()> {
-    fn field(out: &mut impl Write, tag: &str, body: &[u8]) -> io::Result<()> {
-        writeln!(out, "{tag} {}", body.len())?;
-        out.write_all(body)?;
-        out.write_all(b"\n")
-    }
-    out.write_all(MAGIC)?;
-    field(out, "clock", state.clock.to_string().as_bytes())?;
-    if let Some(h) = state.head {
-        field(out, "head", h.as_bytes())?;
-    }
-    for (tag, refs) in [("branch", &state.branches), ("tag", &state.tags), ("index", &state.index)] {
-        for (name, id) in refs {
-            field(out, tag, format!("{} {name}", id.to_hex()).as_bytes())?;
-        }
-    }
-    for obj in &state.objects {
-        field(out, "object", obj)?;
-    }
-    Ok(())
-}
-
-/// Decode a state stream of `size` bytes. Each object body is read
-/// straight into a buffer of its own; a length is trusted only as far
-/// as the bytes the stream still holds.
-fn read_state(mut input: impl BufRead, size: u64) -> Result<RepoState, StateError> {
-    let mut magic = [0u8; MAGIC.len()];
-    input.read_exact(&mut magic).map_err(|_| StateError::BadMagic)?;
-    if magic != MAGIC {
-        return Err(StateError::BadMagic);
-    }
-    let mut remaining = size.saturating_sub(MAGIC.len() as u64);
-    let mut state = RepoState {
+/// An empty state for the decoders to fill.
+fn empty_state() -> RepoState {
+    RepoState {
         objects: Vec::new(),
         worktree: Vec::new(),
         index: Vec::new(),
@@ -114,7 +107,18 @@ fn read_state(mut input: impl BufRead, size: u64) -> Result<RepoState, StateErro
         tags: Vec::new(),
         head: None,
         clock: 0,
-    };
+    }
+}
+
+/// Read a stream of `size` bytes of `<tag> <len>\n<body>\n` fields,
+/// handing each tag and body to `visit`. A length is trusted only as
+/// far as the bytes the stream still holds.
+fn read_fields(
+    mut input: impl BufRead,
+    size: u64,
+    mut visit: impl FnMut(&str, Vec<u8>) -> Result<(), StateError>,
+) -> Result<(), StateError> {
+    let mut remaining = size;
     let mut header = Vec::new();
     while !input.fill_buf()?.is_empty() {
         header.clear();
@@ -142,26 +146,220 @@ fn read_state(mut input: impl BufRead, size: u64) -> Result<RepoState, StateErro
             return Err(StateError::MissingTerminator(tag.to_string()));
         }
         remaining -= len + 1;
-        if tag == "object" {
+        visit(tag, body)?;
+    }
+    Ok(())
+}
+
+/// Apply one text field (`clock`, `head`, `branch`, `tag`, `index`) to
+/// `state`.
+fn apply_field(state: &mut RepoState, tag: &str, body: Vec<u8>) -> Result<(), StateError> {
+    let bad = || StateError::BadField(tag.to_string());
+    let body = String::from_utf8(body).map_err(|_| bad())?;
+    let pair = || {
+        let (hex, name) = body.split_once(' ').ok_or_else(bad)?;
+        Ok::<_, StateError>((name.to_string(), hex.to_string()))
+    };
+    match tag {
+        "clock" => state.clock = body.parse().map_err(|_| bad())?,
+        "head" => state.head = Some(body),
+        "branch" => state.branches.push(pair()?),
+        "tag" => state.tags.push(pair()?),
+        "index" => state.index.push(pair()?),
+        other => return Err(StateError::UnknownField(other.to_string())),
+    }
+    Ok(())
+}
+
+/// What a v2 log holds as of its last complete `refs` record.
+struct Scan {
+    /// The objects logged before that record, in file order.
+    objects: Vec<LoggedObject>,
+    /// Its clock, head and branches, and the index and tags of the
+    /// tables it names. No objects.
+    state: RepoState,
+    /// The ids of the tables it names.
+    tables: HashSet<ObjectId>,
+    /// Where it ends: where the next append goes.
+    end: u64,
+}
+
+/// What a state file decodes to.
+enum Decoded {
+    /// A v1 file: every object read.
+    V1(RepoState),
+    /// A v2 log: objects by position only.
+    V2(Scan),
+}
+
+/// Decode a state stream of `size` bytes, v1 or v2.
+fn decode<R: Read + Seek>(input: &mut BufReader<R>, size: u64) -> Result<Decoded, StateError> {
+    let mut magic = [0u8; MAGIC.len()];
+    input.read_exact(&mut magic).map_err(|_| StateError::BadMagic)?;
+    if magic == MAGIC {
+        return scan_log(input, size).map(Decoded::V2);
+    }
+    if magic != MAGIC_V1 {
+        return Err(StateError::BadMagic);
+    }
+    let mut state = empty_state();
+    read_fields(input, size.saturating_sub(MAGIC_V1.len() as u64), |tag, body| match tag {
+        "object" => {
             state.objects.push(body);
-            continue;
+            Ok(())
         }
-        let bad = || StateError::BadField(tag.to_string());
-        let body = String::from_utf8(body).map_err(|_| bad())?;
-        let pair = || {
-            let (hex, name) = body.split_once(' ').ok_or_else(bad)?;
-            Ok::<_, StateError>((name.to_string(), hex.to_string()))
+        _ => apply_field(&mut state, tag, body),
+    })?;
+    Ok(Decoded::V1(state))
+}
+
+/// A v2 record header: `<kind> <lowercase hex id> <decimal length>`.
+fn parse_header(header: &[u8]) -> Result<(&str, ObjectId, u64), StateError> {
+    let bad = || StateError::BadHeader(String::from_utf8_lossy(header).into_owned());
+    let text = std::str::from_utf8(header).map_err(|_| bad())?;
+    let mut parts = text.split(' ');
+    let (Some(kind), Some(hex), Some(len), None) = (parts.next(), parts.next(), parts.next(), parts.next()) else {
+        return Err(bad());
+    };
+    let lower_hex = |s: &str| s.bytes().all(|b| b.is_ascii_digit() || (b'a'..=b'f').contains(&b));
+    let id = Some(hex).filter(|h| lower_hex(h)).and_then(ObjectId::from_hex).ok_or_else(bad)?;
+    let len = Some(len)
+        .filter(|l| !l.is_empty() && l.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|l| l.parse().ok())
+        .ok_or_else(bad)?;
+    Ok((kind, id, len))
+}
+
+/// Scan the records of a v2 log of `size` bytes, the magic line already
+/// read: headers only, skipping object bodies. A record that runs past
+/// the end of the file is a torn append: it and anything after the last
+/// complete `refs` record are ignored.
+fn scan_log<R: Read + Seek>(input: &mut BufReader<R>, size: u64) -> Result<Scan, StateError> {
+    let mut pos = MAGIC.len() as u64;
+    let mut objects = Vec::new();
+    let mut tables = HashMap::new();
+    // (id, body offset, body length, objects before it, end)
+    let mut last_refs = None;
+    let mut header = Vec::new();
+    loop {
+        header.clear();
+        let read = input.by_ref().take(MAX_HEADER).read_until(b'\n', &mut header)? as u64;
+        if read == 0 {
+            break;
+        }
+        if header.pop() != Some(b'\n') {
+            if read < MAX_HEADER {
+                break; // the file ends inside the header
+            }
+            return Err(StateError::TruncatedHeader);
+        }
+        let (kind, id, len) = parse_header(&header)?;
+        let at = pos + read;
+        let Some(end) = at.checked_add(len).and_then(|e| e.checked_add(1)).filter(|&e| e <= size) else {
+            break; // the file ends inside the body
         };
-        match tag {
-            "clock" => state.clock = body.parse().map_err(|_| bad())?,
-            "head" => state.head = Some(body),
-            "branch" => state.branches.push(pair()?),
-            "tag" => state.tags.push(pair()?),
-            "index" => state.index.push(pair()?),
+        input.seek_relative(i64::try_from(len).map_err(|_| StateError::TruncatedBody(kind.to_string()))?)?;
+        let mut terminator = [0u8];
+        input.read_exact(&mut terminator)?;
+        if terminator != *b"\n" {
+            return Err(StateError::MissingTerminator(kind.to_string()));
+        }
+        match kind {
+            "object" => objects.push(LoggedObject { id, at, len }),
+            // The first copy of a table precedes any refs record naming it.
+            "table" => {
+                tables.entry(id).or_insert((at, len));
+            }
+            "refs" => last_refs = Some((id, at, len, objects.len(), end)),
             other => return Err(StateError::UnknownField(other.to_string())),
         }
+        pos = end;
     }
-    Ok(state)
+    let (refs_id, refs_at, refs_len, logged, end) = last_refs.ok_or(StateError::NoRefs)?;
+    objects.truncate(logged);
+    let mut state = empty_state();
+    let mut named = Vec::new();
+    let body = read_record(input, "refs", refs_id, refs_at, refs_len)?;
+    read_fields(&body[..], refs_len, |tag, body| match tag {
+        "table" => {
+            let hex = String::from_utf8(body).map_err(|_| StateError::BadField("table".into()))?;
+            named.push(ObjectId::from_hex(&hex).ok_or(StateError::BadField("table".into()))?);
+            Ok(())
+        }
+        _ => apply_field(&mut state, tag, body),
+    })?;
+    for id in &named {
+        let &(at, len) = tables.get(id).filter(|(at, _)| *at < refs_at).ok_or_else(|| StateError::MissingTable(id.to_hex()))?;
+        let body = read_record(input, "table", *id, at, len)?;
+        read_fields(&body[..], len, |tag, body| apply_field(&mut state, tag, body))?;
+    }
+    Ok(Scan { objects, state, tables: named.into_iter().collect(), end })
+}
+
+/// The body of the record at `at`, checked against its `id`.
+fn read_record<R: Read + Seek>(
+    input: &mut BufReader<R>,
+    kind: &'static str,
+    id: ObjectId,
+    at: u64,
+    len: u64,
+) -> Result<Vec<u8>, StateError> {
+    input.seek(SeekFrom::Start(at))?;
+    let mut body = Vec::new();
+    input.by_ref().take(len).read_to_end(&mut body)?;
+    if ObjectId::for_bytes(&body) != id {
+        return Err(StateError::Checksum(kind, at));
+    }
+    Ok(body)
+}
+
+/// One field: `<tag> <len>\n<body>\n`.
+fn field(out: &mut Vec<u8>, tag: &str, body: &[u8]) {
+    out.extend_from_slice(format!("{tag} {}\n", body.len()).as_bytes());
+    out.extend_from_slice(body);
+    out.push(b'\n');
+}
+
+/// One record: `<kind> <id> <len>\n<body>\n`.
+fn record(out: &mut impl Write, kind: &str, id: ObjectId, body: &[u8]) -> io::Result<()> {
+    writeln!(out, "{kind} {id} {}", body.len())?;
+    out.write_all(body)?;
+    out.write_all(b"\n")
+}
+
+/// Write `objects`, the tables of `refs` that `log` does not hold, and
+/// the `refs` record naming them.
+fn write_records(
+    out: &mut impl Write,
+    objects: &[(ObjectId, &[u8])],
+    refs: &Refs,
+    log: Option<&ObjectLog>,
+) -> io::Result<()> {
+    for (id, bytes) in objects {
+        record(out, "object", *id, bytes)?;
+    }
+    let table = |tag: &str, entries: &[(&str, ObjectId)]| {
+        let mut body = Vec::new();
+        for (name, id) in entries {
+            field(&mut body, tag, format!("{} {name}", id.to_hex()).as_bytes());
+        }
+        (!body.is_empty()).then(|| (ObjectId::for_bytes(&body), body))
+    };
+    let mut body = Vec::new();
+    field(&mut body, "clock", refs.clock.to_string().as_bytes());
+    if let Some(h) = refs.head {
+        field(&mut body, "head", h.as_bytes());
+    }
+    for (name, id) in &refs.branches {
+        field(&mut body, "branch", format!("{} {name}", id.to_hex()).as_bytes());
+    }
+    for (id, table) in [table("index", &refs.index), table("tag", &refs.tags)].into_iter().flatten() {
+        if !log.is_some_and(|log| log.holds_table(id)) {
+            record(out, "table", id, &table)?;
+        }
+        field(&mut body, "table", id.to_hex().as_bytes());
+    }
+    record(out, "refs", ObjectId::for_bytes(&body), &body)
 }
 
 /// Save a repository: the worktree files changed since load to disk,
@@ -179,12 +377,42 @@ pub fn save(repo: &PopperRepo, dir: &Path) -> Result<(), String> {
     }
     let popper_dir = dir.join(".popper");
     fs::create_dir_all(&popper_dir).map_err(|e| format!("mkdir {popper_dir:?}: {e}"))?;
-    let state = repo.vcs.state_view();
-    replace_file(&popper_dir.join("state"), |file| {
-        let mut out = BufWriter::new(file);
-        write_state(&state, &mut out)?;
-        out.flush()
-    })
+    let target = popper_dir.join("state");
+    let vcs = &repo.vcs;
+    match vcs.object_log().filter(|log| appendable(log, &target)) {
+        Some(log) => append_file(&target, log.end(), |file| {
+            let mut out = BufWriter::new(file);
+            write_records(&mut out, &vcs.unlogged_objects(), &vcs.refs(), Some(log))?;
+            out.flush()
+        }),
+        None => {
+            let objects = vcs.verified_objects().map_err(|e| format!("write {target:?}: {e}"))?;
+            replace_file(&target, |file| {
+                let mut out = BufWriter::new(file);
+                out.write_all(MAGIC)?;
+                write_records(&mut out, &objects, &vcs.refs(), None)?;
+                out.flush()
+            })
+        }
+    }
+}
+
+/// Can a save append to `target`? Only if it is the file `log` was
+/// loaded from, and still holds all of it.
+fn appendable(log: &ObjectLog, target: &Path) -> bool {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::MetadataExt;
+        match (log.file().metadata(), fs::metadata(target)) {
+            (Ok(a), Ok(b)) => a.dev() == b.dev() && a.ino() == b.ino() && b.len() >= log.end(),
+            _ => false,
+        }
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (log, target);
+        false
+    }
 }
 
 fn write_file(full: &Path, contents: &[u8]) -> Result<(), String> {
@@ -192,6 +420,22 @@ fn write_file(full: &Path, contents: &[u8]) -> Result<(), String> {
         fs::create_dir_all(parent).map_err(|e| format!("mkdir {parent:?}: {e}"))?;
     }
     fs::write(full, contents).map_err(|e| format!("write {full:?}: {e}"))
+}
+
+/// Append what `write` writes to `target` at byte `end`, dropping any
+/// torn tail past it, and sync the file once. On error the file is cut
+/// back to `end`, as it was.
+fn append_file(target: &Path, end: u64, write: impl FnOnce(&File) -> io::Result<()>) -> Result<(), String> {
+    let file = fs::OpenOptions::new().write(true).open(target).map_err(|e| format!("write {target:?}: {e}"))?;
+    let appended = file
+        .set_len(end)
+        .and_then(|()| (&file).seek(SeekFrom::Start(end)))
+        .and_then(|_| write(&file))
+        .and_then(|()| file.sync_data());
+    appended.map_err(|e| {
+        file.set_len(end).ok();
+        format!("write {target:?}: {e}")
+    })
 }
 
 /// Replace `target` with what `write` puts into a sibling temporary
@@ -249,18 +493,27 @@ pub fn load(dir: &Path, author: &str) -> Result<PopperRepo, String> {
     let state_file = dir.join(".popper/state");
     let file = File::open(&state_file).map_err(|e| format!("read {state_file:?}: {e} (run `popper init`?)"))?;
     let size = file.metadata().map_err(|e| format!("read {state_file:?}: {e}"))?.len();
-    let mut state =
-        read_state(BufReader::new(file), size).map_err(|e| format!("read {state_file:?}: {e}"))?;
-    state.worktree = read_worktree(dir)?;
-    let tracked: BTreeSet<&str> = state.index.iter().map(|(path, _)| path.as_str()).collect();
-    let tracked_on_disk = state
-        .worktree
+    let mut input = BufReader::new(&file);
+    let decoded = decode(&mut input, size).map_err(|e| format!("read {state_file:?}: {e}"))?;
+    drop(input);
+    let worktree = read_worktree(dir)?;
+    let vcs = match decoded {
+        Decoded::V1(state) => Repository::import_state(RepoState { worktree, ..state }),
+        Decoded::V2(scan) => Repository::import_log(
+            ObjectLog::new(file, scan.end, scan.tables),
+            scan.objects,
+            RepoState { worktree, ..scan.state },
+        ),
+    }
+    .map_err(|e| format!("read {state_file:?}: {e}"))?;
+    let tracked_on_disk = vcs
+        .refs()
+        .index
         .iter()
-        .map(|(path, _)| path.as_str())
-        .filter(|path| tracked.contains(path))
+        .map(|(path, _)| *path)
+        .filter(|path| vcs.read_file(path).is_some())
         .map(str::to_string)
-        .collect();
-    let vcs = Repository::import_state(state).map_err(|e| e.to_string())?;
+        .collect::<BTreeSet<_>>();
     Ok(PopperRepo::from_disk(vcs, author, tracked_on_disk))
 }
 
@@ -302,6 +555,8 @@ fn walk(root: &Path, dir: &Path, out: &mut Vec<(String, Vec<u8>)>) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use popper_vcs::Object;
+    use std::io::Cursor;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -362,22 +617,58 @@ mod tests {
         fs::remove_dir_all(&dir).ok();
     }
 
+    /// The whole v2 log of a repository.
     fn encode(repo: &Repository) -> Vec<u8> {
-        let mut out = Vec::new();
-        write_state(&repo.state_view(), &mut out).unwrap();
+        let mut out = MAGIC.to_vec();
+        write_records(&mut out, &repo.verified_objects().unwrap(), &repo.refs(), None).unwrap();
         out
     }
 
-    fn decode(bytes: &[u8]) -> Result<RepoState, StateError> {
-        read_state(bytes, bytes.len() as u64)
+    fn decode_bytes(bytes: &[u8]) -> Result<Decoded, StateError> {
+        decode(&mut BufReader::new(Cursor::new(bytes)), bytes.len() as u64)
+    }
+
+    fn decode_v1(bytes: &[u8]) -> Result<RepoState, StateError> {
+        match decode_bytes(bytes)? {
+            Decoded::V1(state) => Ok(state),
+            Decoded::V2(_) => panic!("a v1 stream decoded as v2"),
+        }
+    }
+
+    fn scan(bytes: &[u8]) -> Result<Scan, StateError> {
+        match decode_bytes(bytes)? {
+            Decoded::V2(scan) => Ok(scan),
+            Decoded::V1(_) => panic!("a v2 stream decoded as v1"),
+        }
+    }
+
+    /// A state with what the log holds of `repo`, objects in id order.
+    fn logged_state(bytes: &[u8]) -> RepoState {
+        let scan = scan(bytes).unwrap();
+        let mut state = scan.state;
+        state.objects = scan
+            .objects
+            .iter()
+            .map(|o| bytes[o.at as usize..(o.at + o.len) as usize].to_vec())
+            .collect();
+        state
+    }
+
+    /// `repo`'s exported state without its worktree, objects in id order.
+    fn exported(repo: &Repository) -> RepoState {
+        let mut state = repo.export_state();
+        state.worktree.clear();
+        state.objects.sort_by_key(|bytes| ObjectId::for_bytes(bytes));
+        state
     }
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(matches!(decode(b"not magic"), Err(StateError::BadMagic)));
-        let mut truncated = encode(&PopperRepo::init("t").unwrap().vcs);
-        truncated.truncate(truncated.len() - 3);
-        assert!(matches!(decode(&truncated), Err(StateError::TruncatedBody(tag)) if tag == "object"));
+        assert!(matches!(decode_bytes(b"not magic"), Err(StateError::BadMagic)));
+        assert!(matches!(decode_bytes(b"POPPER-STATE v3\n"), Err(StateError::BadMagic)));
+        let truncated = one_field("object 8\n", b"abc\n");
+        assert!(matches!(decode_v1(&truncated), Err(StateError::TruncatedBody(tag)) if tag == "object"));
+        assert!(matches!(scan(MAGIC), Err(StateError::NoRefs)));
     }
 
     #[test]
@@ -389,17 +680,13 @@ mod tests {
         repo.commit("binary").unwrap();
         let bytes = encode(&repo.vcs);
         assert!(bytes.starts_with(MAGIC));
-        let mut decoded = decode(&bytes).unwrap();
-        let mut exported = repo.vcs.export_state();
-        exported.worktree.clear();
-        decoded.objects.sort();
-        exported.objects.sort();
-        assert_eq!(decoded, exported);
+        assert_eq!(logged_state(&bytes), exported(&repo.vcs));
+        assert_eq!(scan(&bytes).unwrap().end, bytes.len() as u64);
     }
 
-    /// A state stream of one field with the given header and body.
+    /// A v1 state stream of one field with the given header and body.
     fn one_field(header: &str, body: &[u8]) -> Vec<u8> {
-        let mut bytes = MAGIC.to_vec();
+        let mut bytes = MAGIC_V1.to_vec();
         bytes.extend_from_slice(header.as_bytes());
         bytes.extend_from_slice(body);
         bytes
@@ -409,28 +696,61 @@ mod tests {
     fn a_hostile_length_is_a_truncated_body_not_a_panic() {
         for len in [u64::MAX, u64::MAX - 1, 1 << 40, 4] {
             let bytes = one_field(&format!("object {len}\n"), b"abc\n");
-            let err = decode(&bytes).unwrap_err();
+            let err = decode_v1(&bytes).unwrap_err();
             assert!(matches!(&err, StateError::TruncatedBody(tag) if tag == "object"), "{len}: {err}");
         }
         // The stream itself ends early while the stated size says more.
         let bytes = one_field("object 8\n", b"abc");
-        assert!(matches!(read_state(&bytes[..], 1 << 20), Err(StateError::TruncatedBody(_))));
+        let mut input = BufReader::new(Cursor::new(&bytes[..]));
+        assert!(matches!(decode(&mut input, 1 << 20), Err(StateError::TruncatedBody(_))));
+        // In a v2 log a length past the end is a torn append: the state
+        // is the last complete refs record before it.
+        let clean = encode(&Repository::init());
+        for len in [u64::MAX, u64::MAX - 1, 1 << 40, 4] {
+            let mut bytes = clean.clone();
+            bytes.extend_from_slice(format!("object {} {len}\nabc\n", ObjectId([0; 32])).as_bytes());
+            assert_eq!(scan(&bytes).unwrap().end, clean.len() as u64, "{len}");
+        }
     }
 
     #[test]
     fn malformed_fields_are_typed_errors() {
         let missing_terminator = one_field("clock 1\n", b"7X\n");
-        assert!(matches!(decode(&missing_terminator), Err(StateError::MissingTerminator(tag)) if tag == "clock"));
+        assert!(matches!(decode_v1(&missing_terminator), Err(StateError::MissingTerminator(tag)) if tag == "clock"));
         let not_a_number = one_field("clock x1\n", b"7\n");
-        assert!(matches!(decode(&not_a_number), Err(StateError::BadHeader(h)) if h == "clock x1"));
+        assert!(matches!(decode_v1(&not_a_number), Err(StateError::BadHeader(h)) if h == "clock x1"));
         let no_space = one_field("clock\n", b"");
-        assert!(matches!(decode(&no_space), Err(StateError::BadHeader(_))));
+        assert!(matches!(decode_v1(&no_space), Err(StateError::BadHeader(_))));
         let endless_header = one_field(&"x".repeat(100), b"");
-        assert!(matches!(decode(&endless_header), Err(StateError::TruncatedHeader)));
+        assert!(matches!(decode_v1(&endless_header), Err(StateError::TruncatedHeader)));
         let unknown = one_field("colour 3\n", b"red\n");
-        assert!(matches!(decode(&unknown), Err(StateError::UnknownField(tag)) if tag == "colour"));
+        assert!(matches!(decode_v1(&unknown), Err(StateError::UnknownField(tag)) if tag == "colour"));
         let bad_clock = one_field("clock 2\n", b"x7\n");
-        assert!(matches!(decode(&bad_clock), Err(StateError::BadField(tag)) if tag == "clock"));
+        assert!(matches!(decode_v1(&bad_clock), Err(StateError::BadField(tag)) if tag == "clock"));
+    }
+
+    #[test]
+    fn malformed_records_are_typed_errors() {
+        let clean = encode(&Repository::init());
+        let with = |tail: &str| [clean.as_slice(), tail.as_bytes()].concat();
+        let id = ObjectId::for_bytes(b"x");
+        assert!(matches!(scan(&with(&format!("colour {id} 1\nx\n"))), Err(StateError::UnknownField(k)) if k == "colour"));
+        assert!(matches!(scan(&with(&format!("object {id} 1\nxy"))), Err(StateError::MissingTerminator(_))));
+        let upper = id.to_hex().to_uppercase();
+        assert!(matches!(scan(&with(&format!("object {upper} 1\nx\n"))), Err(StateError::BadHeader(_))));
+        assert!(matches!(scan(&with(&format!("object {id} +1\nx\n"))), Err(StateError::BadHeader(_))));
+        assert!(matches!(scan(&with(&format!("object {id}\nx\n"))), Err(StateError::BadHeader(_))));
+        assert!(matches!(scan(&with(&"x".repeat(200))), Err(StateError::TruncatedHeader)));
+        // A refs record whose body does not hash to its id.
+        let mut refs = Vec::new();
+        field(&mut refs, "clock", b"1");
+        let wrong = with(&format!("refs {id} {}\n{}\n", refs.len(), String::from_utf8(refs.clone()).unwrap()));
+        assert!(matches!(scan(&wrong), Err(StateError::Checksum("refs", _))));
+        // A refs record naming a table the log does not hold.
+        let mut refs = Vec::new();
+        field(&mut refs, "table", id.to_hex().as_bytes());
+        let named = with(&format!("refs {} {}\n{}\n", ObjectId::for_bytes(&refs), refs.len(), String::from_utf8(refs).unwrap()));
+        assert!(matches!(scan(&named), Err(StateError::MissingTable(t)) if t == id.to_hex()));
     }
 
     /// A writer that accepts `left` bytes, then fails.
@@ -457,22 +777,168 @@ mod tests {
     #[test]
     fn a_failed_state_write_keeps_the_previous_state() {
         let dir = temp_dir("atomic");
-        let mut repo = PopperRepo::init("tester").unwrap();
-        save(&repo, &dir).unwrap();
+        save(&PopperRepo::init("tester").unwrap(), &dir).unwrap();
+        let mut repo = load(&dir, "tester").unwrap();
         let head = repo.vcs.head_commit();
         repo.write("experiments/e/vars.pml", "runner: synthetic\n").unwrap();
         repo.commit("add experiment").unwrap();
         let state_file = dir.join(".popper/state");
+        let before = fs::read(&state_file).unwrap();
+        let log = repo.vcs.object_log().unwrap();
         for n in [0, 10, 100, 1000] {
-            let err = replace_file(&state_file, |file| {
-                write_state(&repo.vcs.state_view(), &mut FailAfter { inner: file, left: n })
+            let err = append_file(&state_file, log.end(), |file| {
+                let objects = repo.vcs.unlogged_objects();
+                write_records(&mut FailAfter { inner: file, left: n }, &objects, &repo.vcs.refs(), Some(log))
             });
             assert!(err.unwrap_err().contains("disk full"));
             let loaded = load(&dir, "tester").unwrap();
             assert_eq!(loaded.vcs.head_commit(), head);
-            let left: Vec<_> = fs::read_dir(dir.join(".popper")).unwrap().map(|e| e.unwrap().file_name()).collect();
-            assert_eq!(left, ["state"], "the temporary file is removed");
+            assert_eq!(fs::read(&state_file).unwrap(), before, "the failed append is cut off");
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_torn_append_loads_the_previous_refs_and_the_next_save_drops_it() {
+        let dir = temp_dir("torn");
+        save(&PopperRepo::init("tester").unwrap(), &dir).unwrap();
+        let state_file = dir.join(".popper/state");
+        let first = fs::read(&state_file).unwrap();
+        let mut repo = load(&dir, "tester").unwrap();
+        let head = repo.vcs.head_commit();
+        repo.write("experiments/e/vars.pml", "runner: synthetic\n").unwrap();
+        repo.commit("add experiment").unwrap();
+        save(&repo, &dir).unwrap();
+        let second = fs::read(&state_file).unwrap();
+        assert_eq!(second[..first.len()], first[..], "a save appends");
+        for cut in first.len()..second.len() {
+            fs::write(&state_file, &second[..cut]).unwrap();
+            let loaded = load(&dir, "tester").unwrap();
+            assert_eq!(loaded.vcs.head_commit(), head, "torn at {cut}");
+            assert_eq!(loaded.vcs.object_log().unwrap().end(), first.len() as u64);
+        }
+        // The next save drops the torn tail and appends whole records.
+        let cut = (first.len() + second.len()) / 2;
+        fs::write(&state_file, &second[..cut]).unwrap();
+        let mut repo = load(&dir, "tester").unwrap();
+        repo.write("experiments/e/vars.pml", "runner: synthetic\n").unwrap();
+        repo.commit("add experiment").unwrap();
+        save(&repo, &dir).unwrap();
+        assert_eq!(fs::read(&state_file).unwrap(), second);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_flipped_byte_in_the_last_refs_record_is_an_error_not_a_rollback() {
+        let dir = temp_dir("refs-flip");
+        save(&PopperRepo::init("tester").unwrap(), &dir).unwrap();
+        let mut repo = load(&dir, "tester").unwrap();
+        repo.write("notes.txt", "n\n").unwrap();
+        repo.commit("notes").unwrap();
+        save(&repo, &dir).unwrap();
+        let state_file = dir.join(".popper/state");
+        let clean = fs::read(&state_file).unwrap();
+        let refs = clean[..clean.len() - 1].iter().rposition(|&b| b == b'\n').unwrap();
+        let start = clean[..refs].windows(6).rposition(|w| w == b"\nrefs ").unwrap() + 1;
+        for at in start..clean.len() {
+            let mut bytes = clean.clone();
+            bytes[at] ^= 0x20;
+            fs::write(&state_file, &bytes).unwrap();
+            let err = load(&dir, "tester").err();
+            assert!(err.as_ref().is_some_and(|e| e.contains(".popper/state")), "flip at {at}: {err:?}");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_save_into_another_directory_writes_every_object() {
+        let (from, to) = (temp_dir("from"), temp_dir("to"));
+        let mut repo = PopperRepo::init("tester").unwrap();
+        repo.write("data/x.csv", "a,b\n1,2\n").unwrap();
+        repo.commit("data").unwrap();
+        save(&repo, &from).unwrap();
+        let mut repo = load(&from, "tester").unwrap();
+        repo.write("notes.txt", "n\n").unwrap();
+        repo.commit("notes").unwrap();
+        save(&repo, &to).unwrap();
+        let copy = load(&to, "tester").unwrap();
+        assert_eq!(exported(&copy.vcs), exported(&repo.vcs));
+        let head = copy.vcs.head_commit().unwrap();
+        assert_eq!(copy.vcs.file_at(head, "data/x.csv").unwrap().unwrap(), b"a,b\n1,2\n");
+        fs::remove_dir_all(&from).ok();
+        fs::remove_dir_all(&to).ok();
+    }
+
+    #[test]
+    fn a_logged_blob_that_fails_its_id_is_logged_again_by_the_next_commit() {
+        let dir = temp_dir("relog");
+        let mut repo = PopperRepo::init("tester").unwrap();
+        repo.write("notes.txt", "a note\n").unwrap();
+        repo.commit("notes").unwrap();
+        save(&repo, &dir).unwrap();
+        let state_file = dir.join(".popper/state");
+        let mut bytes = fs::read(&state_file).unwrap();
+        let at = bytes.windows(7).position(|w| w == b"a note\n").unwrap();
+        bytes[at] = b'A';
+        fs::write(&state_file, &bytes).unwrap();
+        let blob = Object::Blob(b"a note\n".to_vec()).id();
+        let mut repo = load(&dir, "tester").unwrap();
+        assert!(repo.vcs.get(blob).is_err());
+        // The worktree still holds the note: committing puts its blob again.
+        repo.commit("again").unwrap();
+        save(&repo, &dir).unwrap();
+        let repo = load(&dir, "tester").unwrap();
+        assert_eq!(repo.vcs.get(blob).unwrap(), Object::Blob(b"a note\n".to_vec()));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_save_with_the_same_index_appends_only_its_refs_record() {
+        let dir = temp_dir("growth");
+        let mut repo = PopperRepo::init("tester").unwrap();
+        for i in 0..50 {
+            repo.write(&format!("experiments/e{i}/vars.pml"), "runner: synthetic\n").unwrap();
+            repo.vcs.tag(&format!("memo/{i:064}"), None).unwrap();
+        }
+        repo.commit("fifty").unwrap();
+        save(&repo, &dir).unwrap();
+        let state_file = dir.join(".popper/state");
+        let size = || fs::metadata(&state_file).unwrap().len();
+        let before = size();
+        save(&load(&dir, "tester").unwrap(), &dir).unwrap();
+        let grown = size() - before;
+        assert!(grown < 400, "an unchanged save appended {grown} bytes");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_v1_state_is_rewritten_as_v2_on_its_first_save() {
+        let dir = temp_dir("v1");
+        let mut repo = PopperRepo::init("tester").unwrap();
+        repo.write("notes.txt", "n\n").unwrap();
+        repo.commit("notes").unwrap();
+        save(&repo, &dir).unwrap();
+        // The same state as the v1 encoder wrote it.
+        let state = repo.vcs.export_state();
+        let mut v1 = MAGIC_V1.to_vec();
+        field(&mut v1, "clock", state.clock.to_string().as_bytes());
+        field(&mut v1, "head", state.head.as_deref().unwrap().as_bytes());
+        for (tag, refs) in [("branch", &state.branches), ("tag", &state.tags), ("index", &state.index)] {
+            for (name, hex) in refs {
+                field(&mut v1, tag, format!("{hex} {name}").as_bytes());
+            }
+        }
+        for object in &state.objects {
+            field(&mut v1, "object", object);
+        }
+        let state_file = dir.join(".popper/state");
+        fs::write(&state_file, &v1).unwrap();
+        let loaded = load(&dir, "tester").unwrap();
+        assert!(loaded.vcs.object_log().is_none());
+        save(&loaded, &dir).unwrap();
+        let v2 = fs::read(&state_file).unwrap();
+        assert!(v2.starts_with(MAGIC));
+        assert_eq!(logged_state(&v2), exported(&repo.vcs));
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -503,5 +969,67 @@ mod tests {
         let err = load(&dir, "t").unwrap_err();
         assert!(err.contains("popper init"));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Raw bytes, or a real v1 or v2 state with bytes flipped, cut
+        /// or inserted, behind either magic line.
+        fn state_bytes() -> BoxedStrategy<Vec<u8>> {
+            let mut repo = PopperRepo::init("t").unwrap();
+            repo.vcs.tag("v1", None).unwrap();
+            let v2 = encode(&repo.vcs);
+            let v1 = [MAGIC_V1, &v2[MAGIC.len()..]].concat();
+            prop_oneof![
+                proptest::collection::vec(any::<u8>(), 0..256),
+                proptest::collection::vec(any::<u8>(), 0..256).prop_map(|tail| [MAGIC, &tail].concat()),
+                proptest::collection::vec(any::<u8>(), 0..256).prop_map(|tail| [MAGIC_V1, &tail].concat()),
+                (any::<bool>(), any::<usize>(), any::<u8>(), any::<usize>()).prop_map(move |(old, at, flip, cut)| {
+                    let mut bytes = if old { v1.clone() } else { v2.clone() };
+                    let at = at % bytes.len();
+                    bytes[at] ^= flip;
+                    bytes.truncate(bytes.len() - cut % 64);
+                    bytes
+                }),
+            ]
+            .boxed()
+        }
+
+        proptest! {
+            /// Any input decodes or gives a typed error: no panic, and no
+            /// allocation sized by a length the input states.
+            #[test]
+            fn any_bytes_decode_or_give_a_typed_error(bytes in state_bytes()) {
+                if let Ok(Decoded::V2(scan)) = decode_bytes(&bytes) {
+                    prop_assert!(scan.end <= bytes.len() as u64);
+                    for o in &scan.objects {
+                        prop_assert!(o.at + o.len < scan.end);
+                    }
+                }
+            }
+
+            /// What the v2 writer writes, the reader reads back.
+            #[test]
+            fn a_v2_log_round_trips(
+                files in proptest::collection::btree_map("[a-c]{1,2}/[a-c]{1,3}", proptest::collection::vec(any::<u8>(), 0..40), 1..6),
+                tags in proptest::collection::vec("[a-z/\n ]{1,12}", 0..4),
+                branch in "[a-z ]{1,8}",
+            ) {
+                let mut repo = Repository::init();
+                for (path, contents) in &files {
+                    repo.write_file(path, contents.clone()).unwrap();
+                }
+                repo.stage(".").unwrap();
+                repo.commit("p", "prop").unwrap();
+                for tag in &tags {
+                    repo.tag(tag, None).unwrap();
+                }
+                repo.create_branch(&branch).unwrap();
+                let bytes = encode(&repo);
+                prop_assert_eq!(logged_state(&bytes), exported(&repo));
+            }
+        }
     }
 }

@@ -167,7 +167,7 @@ mod tests {
     #[test]
     fn same_prefix_same_key_divergent_output_divergent_downstream() {
         let base = KeyBuilder::new("test").text("exp", "e").finish();
-        let mut a = MemoSession::new(base.clone());
+        let mut a = MemoSession::new(base);
         let mut b = MemoSession::new(base);
         // Stage 0 keys agree before anything ran.
         assert_eq!(a.stage_key(0, "sanitize", "{}"), b.stage_key(0, "sanitize", "{}"));
@@ -184,7 +184,7 @@ mod tests {
     #[test]
     fn duration_does_not_affect_the_chain() {
         let base = KeyBuilder::new("test").finish();
-        let mut a = MemoSession::new(base.clone());
+        let mut a = MemoSession::new(base);
         let mut b = MemoSession::new(base);
         let mut fast = entry_with("vars", b"x");
         let mut slow = fast.clone();

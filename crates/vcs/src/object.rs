@@ -117,6 +117,11 @@ impl Object {
             && stored[header_len..] == *contents
     }
 
+    /// The length of the blob serialization holding `len` bytes.
+    pub(crate) fn blob_len(len: usize) -> usize {
+        "blob \0".len() + len.to_string().len() + len
+    }
+
     fn body_bytes(&self) -> Vec<u8> {
         match self {
             Object::Blob(data) => data.clone(),
@@ -271,6 +276,9 @@ mod tests {
         assert!(!Object::is_blob_of(&Object::Tree(vec![]).serialize(), b""));
         let big = vec![7u8; 12_345];
         assert!(Object::is_blob_of(&Object::Blob(big.clone()).serialize(), &big));
+        for len in [0, 9, 10, 12_345] {
+            assert_eq!(Object::blob_len(len), Object::Blob(vec![1; len]).serialize().len());
+        }
     }
 
     #[test]

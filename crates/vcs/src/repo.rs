@@ -9,6 +9,9 @@ use crate::diff;
 use crate::object::{Commit, Object, ObjectId, TreeEntry};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
+use std::fs::File;
+use std::io;
+use std::sync::{Arc, OnceLock};
 
 /// Errors from repository operations.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,10 +62,88 @@ impl Change {
     }
 }
 
+/// A file of object records that a repository reads its stored
+/// objects from on first use, rather than all at import.
+#[derive(Debug)]
+pub struct ObjectLog {
+    file: File,
+    end: u64,
+    tables: HashSet<ObjectId>,
+}
+
+impl ObjectLog {
+    /// A log in `file` whose complete records end at byte `end`, also
+    /// holding the non-object records (tables) with ids `tables`.
+    pub fn new(file: File, end: u64, tables: HashSet<ObjectId>) -> ObjectLog {
+        ObjectLog { file, end, tables }
+    }
+
+    /// The file the objects are read from.
+    pub fn file(&self) -> &File {
+        &self.file
+    }
+
+    /// Where the log's complete records end: where an append goes.
+    pub fn end(&self) -> u64 {
+        self.end
+    }
+
+    /// Does the log hold a table record with this id?
+    pub fn holds_table(&self, id: ObjectId) -> bool {
+        self.tables.contains(&id)
+    }
+
+    /// `len` bytes at `at`, as they are on disk: not checked against
+    /// any id.
+    fn read(&self, at: u64, len: u64) -> io::Result<Vec<u8>> {
+        let mut buf = vec![0; usize::try_from(len).map_err(io::Error::other)?];
+        #[cfg(unix)]
+        std::os::unix::fs::FileExt::read_exact_at(&self.file, &mut buf, at)?;
+        #[cfg(windows)]
+        {
+            let mut done = 0;
+            while done < buf.len() {
+                match std::os::windows::fs::FileExt::seek_read(&self.file, &mut buf[done..], at + done as u64)? {
+                    0 => return Err(io::ErrorKind::UnexpectedEof.into()),
+                    n => done += n,
+                }
+            }
+        }
+        #[cfg(not(any(unix, windows)))]
+        return Err(io::Error::other(format!("no positioned reads on this platform ({at})")));
+        #[cfg(any(unix, windows))]
+        Ok(buf)
+    }
+}
+
+/// Where one object's serialization lies in an [`ObjectLog`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LoggedObject {
+    /// The id the log records for the object.
+    pub id: ObjectId,
+    /// Offset of the serialization in the log file.
+    pub at: u64,
+    /// Length of the serialization.
+    pub len: u64,
+}
+
+/// One object of the store.
+#[derive(Debug, Clone)]
+enum Stored {
+    /// Bytes that hash to the object's id: `put` or `import_state`
+    /// computed the id from them. Not in the repository's log.
+    Held(Vec<u8>),
+    /// A serialization in the log, read and hashed on first use; the
+    /// cell keeps the verified bytes or why they failed.
+    Logged { at: u64, len: u64, read: OnceLock<Result<Vec<u8>, String>> },
+}
+
 /// An in-memory content-addressed repository.
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
-    objects: HashMap<ObjectId, Vec<u8>>,
+    objects: HashMap<ObjectId, Stored>,
+    /// The log that `Logged` objects lie in.
+    log: Option<Arc<ObjectLog>>,
     /// Working tree: path -> contents.
     worktree: BTreeMap<String, Vec<u8>>,
     /// Staging index: path -> blob id (a snapshot of stage-time content).
@@ -85,18 +166,77 @@ impl Repository {
 
     // -- object store -------------------------------------------------
 
-    /// Store an object, returning its ID. Idempotent.
+    /// Store an object, returning its ID. Idempotent. A logged copy
+    /// whose bytes differ from the object's is replaced.
     pub fn put(&mut self, obj: &Object) -> ObjectId {
         let bytes = obj.serialize();
         let id = ObjectId::for_bytes(&bytes);
-        self.objects.entry(id).or_insert(bytes);
+        let kept = match self.objects.get(&id) {
+            None => false,
+            Some(Stored::Held(_)) => true,
+            Some(Stored::Logged { at, len, read }) => match read.get() {
+                Some(verified) => verified.is_ok(),
+                // Equal to bytes that hash to `id`, so the logged copy
+                // is verified without hashing it.
+                None => match self.read_logged(*at, *len) {
+                    Ok(logged) if logged == bytes => read.set(Ok(logged)).is_ok(),
+                    _ => false,
+                },
+            },
+        };
+        if !kept {
+            self.objects.insert(id, Stored::Held(bytes));
+        }
         id
     }
 
     /// Load and decode an object.
     pub fn get(&self, id: ObjectId) -> Result<Object, VcsError> {
-        let bytes = self.objects.get(&id).ok_or(VcsError::MissingObject(id))?;
-        Object::deserialize(bytes).map_err(VcsError::Corrupt)
+        Object::deserialize(self.raw(id)?).map_err(VcsError::Corrupt)
+    }
+
+    /// An object's stored serialization. A logged one is read and
+    /// hashed on its first use, so no bytes leave the store that do not
+    /// hash to their id.
+    fn raw(&self, id: ObjectId) -> Result<&[u8], VcsError> {
+        match self.objects.get(&id).ok_or(VcsError::MissingObject(id))? {
+            Stored::Held(bytes) => Ok(bytes),
+            Stored::Logged { at, len, read } => read
+                .get_or_init(|| {
+                    let bytes = self.read_logged(*at, *len)?;
+                    if ObjectId::for_bytes(&bytes) == id {
+                        Ok(bytes)
+                    } else {
+                        Err(format!("object {} does not match its id", id.short()))
+                    }
+                })
+                .as_deref()
+                .map_err(|e| VcsError::Corrupt(e.clone())),
+        }
+    }
+
+    /// A logged serialization as it is on disk, unverified.
+    fn read_logged(&self, at: u64, len: u64) -> Result<Vec<u8>, String> {
+        let log = self.log.as_ref().ok_or("a logged object without a log")?;
+        log.read(at, len).map_err(|e| format!("read object at byte {at}: {e}"))
+    }
+
+    /// Does the stored object `id` serialize the blob of `contents`? A
+    /// logged copy is compared as it is on disk, unverified: a mismatch
+    /// makes the caller put the blob again, and a match keeps an id
+    /// whose bytes `raw` verifies on their next read.
+    fn holds_blob_of(&self, id: ObjectId, contents: &[u8]) -> bool {
+        match self.objects.get(&id) {
+            None => false,
+            Some(Stored::Held(bytes)) => Object::is_blob_of(bytes, contents),
+            Some(Stored::Logged { at, len, read }) => match read.get() {
+                Some(verified) => verified.as_ref().is_ok_and(|bytes| Object::is_blob_of(bytes, contents)),
+                None => {
+                    *len == Object::blob_len(contents.len()) as u64
+                        && self.read_logged(*at, *len).is_ok_and(|bytes| Object::is_blob_of(&bytes, contents))
+                }
+            },
+        }
     }
 
     /// Number of objects stored.
@@ -171,11 +311,9 @@ impl Repository {
             return Ok(());
         }
         let contents = self.worktree.get(path).ok_or_else(|| VcsError::BadPath(path.to_string()))?;
-        // Every stored object hashes to its id (`put` and `import_state`
-        // both compute it), so a staged blob whose bytes equal the file's
-        // is already this file's blob: nothing to clone, serialize or hash.
-        let staged = self.index.get(path).and_then(|id| self.objects.get(id));
-        if staged.is_some_and(|stored| Object::is_blob_of(stored, contents)) {
+        // A staged blob whose bytes equal the file's is already this
+        // file's blob: nothing to clone, serialize or hash.
+        if self.index.get(path).is_some_and(|id| self.holds_blob_of(*id, contents)) {
             return Ok(());
         }
         let id = self.put(&Object::Blob(contents.clone()));
@@ -578,15 +716,10 @@ pub struct RepoState {
     pub clock: u64,
 }
 
-/// A borrowed view of a repository's full state: the fields of
-/// [`RepoState`] without copying a byte. The CLI streams `.popper/state`
-/// from it; [`Repository::export_state`] is this view made owned.
-#[derive(Debug)]
-pub struct StateView<'a> {
-    /// Raw object bytes.
-    pub objects: Vec<&'a [u8]>,
-    /// Working tree files.
-    pub worktree: Vec<(&'a str, &'a [u8])>,
+/// What a repository's state names objects by: index, branches, tags,
+/// HEAD and the clock, borrowed.
+#[derive(Debug, PartialEq)]
+pub struct Refs<'a> {
     /// Index entries as (path, blob id).
     pub index: Vec<(&'a str, ObjectId)>,
     /// Branches as (name, commit id).
@@ -599,6 +732,20 @@ pub struct StateView<'a> {
     pub clock: u64,
 }
 
+/// A borrowed view of a repository's full state: the fields of
+/// [`RepoState`] without copying a byte. [`Repository::export_state`]
+/// is this view made owned.
+#[derive(Debug)]
+pub struct StateView<'a> {
+    /// Raw object bytes, each verified against its id; a logged object
+    /// whose bytes do not hash to its id is left out.
+    pub objects: Vec<&'a [u8]>,
+    /// Working tree files.
+    pub worktree: Vec<(&'a str, &'a [u8])>,
+    /// Index, branches, tags, HEAD and clock.
+    pub refs: Refs<'a>,
+}
+
 impl StateView<'_> {
     /// Copy the viewed state out.
     pub fn to_owned_state(&self) -> RepoState {
@@ -608,30 +755,66 @@ impl StateView<'_> {
         RepoState {
             objects: self.objects.iter().map(|b| b.to_vec()).collect(),
             worktree: self.worktree.iter().map(|(p, b)| (p.to_string(), b.to_vec())).collect(),
-            index: hex(&self.index),
-            branches: hex(&self.branches),
-            tags: hex(&self.tags),
-            head: self.head.map(str::to_string),
-            clock: self.clock,
+            index: hex(&self.refs.index),
+            branches: hex(&self.refs.branches),
+            tags: hex(&self.refs.tags),
+            head: self.refs.head.map(str::to_string),
+            clock: self.refs.clock,
         }
     }
 }
 
 impl Repository {
-    /// Borrow the full repository state.
+    /// Borrow the full repository state. Reads every logged object.
     pub fn state_view(&self) -> StateView<'_> {
+        StateView {
+            objects: self.objects.keys().filter_map(|id| self.raw(*id).ok()).collect(),
+            worktree: self.worktree.iter().map(|(p, b)| (p.as_str(), b.as_slice())).collect(),
+            refs: self.refs(),
+        }
+    }
+
+    /// Borrow the index, branches, tags, HEAD and clock.
+    pub fn refs(&self) -> Refs<'_> {
         fn ids(refs: &BTreeMap<String, ObjectId>) -> Vec<(&str, ObjectId)> {
             refs.iter().map(|(name, id)| (name.as_str(), *id)).collect()
         }
-        StateView {
-            objects: self.objects.values().map(Vec::as_slice).collect(),
-            worktree: self.worktree.iter().map(|(p, b)| (p.as_str(), b.as_slice())).collect(),
+        Refs {
             index: ids(&self.index),
             branches: ids(&self.branches),
             tags: ids(&self.tags),
             head: self.head.as_deref(),
             clock: self.clock,
         }
+    }
+
+    /// Every stored object with its verified serialization, in id
+    /// order: the first object that fails its id is the error.
+    pub fn verified_objects(&self) -> Result<Vec<(ObjectId, &[u8])>, VcsError> {
+        let mut ids: Vec<ObjectId> = self.objects.keys().copied().collect();
+        ids.sort_unstable();
+        ids.into_iter().map(|id| Ok((id, self.raw(id)?))).collect()
+    }
+
+    /// The objects that are not in the repository's log, in id order:
+    /// all of them without a log, else those stored since import.
+    pub fn unlogged_objects(&self) -> Vec<(ObjectId, &[u8])> {
+        let mut held: Vec<(ObjectId, &[u8])> = self
+            .objects
+            .iter()
+            .filter_map(|(id, stored)| match stored {
+                Stored::Held(bytes) => Some((*id, bytes.as_slice())),
+                Stored::Logged { .. } => None,
+            })
+            .collect();
+        held.sort_unstable_by_key(|(id, _)| *id);
+        held
+    }
+
+    /// The log the repository's logged objects lie in, if it was
+    /// imported from one.
+    pub fn object_log(&self) -> Option<&ObjectLog> {
+        self.log.as_deref()
     }
 
     /// Export the full repository state.
@@ -646,7 +829,7 @@ impl Repository {
         let mut repo = Repository { head: state.head, clock: state.clock, ..Default::default() };
         for bytes in state.objects {
             let id = ObjectId::for_bytes(&bytes);
-            repo.objects.insert(id, bytes);
+            repo.objects.insert(id, Stored::Held(bytes));
         }
         for (path, contents) in state.worktree {
             repo.worktree.insert(path, contents);
@@ -661,6 +844,27 @@ impl Repository {
         for (name, id) in state.tags {
             repo.tags.insert(name, hex(&id)?);
         }
+        Ok(repo)
+    }
+
+    /// Rebuild a repository whose objects lie in `log`, with the rest of
+    /// its state from `state` as [`Repository::import_state`] takes it.
+    /// Nothing is read from the log here: each logged object is read and
+    /// hashed on its first use. Of two entries for one id the later wins.
+    pub fn import_log(
+        log: ObjectLog,
+        logged: impl IntoIterator<Item = LoggedObject>,
+        state: RepoState,
+    ) -> Result<Repository, VcsError> {
+        let size = log.file.metadata().map_err(|e| VcsError::Corrupt(format!("object log: {e}")))?.len();
+        let mut repo = Repository::import_state(state)?;
+        for LoggedObject { id, at, len } in logged {
+            if at.checked_add(len).is_none_or(|end| end > size) {
+                return Err(VcsError::Corrupt(format!("object {} runs past the end of its log", id.short())));
+            }
+            repo.objects.insert(id, Stored::Logged { at, len, read: OnceLock::new() });
+        }
+        repo.log = Some(Arc::new(log));
         Ok(repo)
     }
 }
@@ -704,7 +908,7 @@ fn validate_path(path: &str) -> Result<(), VcsError> {
 mod tests {
     use super::*;
 
-    fn repo_with_commit() -> (Repository, ObjectId) {
+    pub(super) fn repo_with_commit() -> (Repository, ObjectId) {
         let mut r = Repository::init();
         r.write_file("README.md", "# paper\n").unwrap();
         r.write_file("experiments/gassyfs/run.sh", "./run\n").unwrap();
@@ -975,7 +1179,7 @@ mod tests {
         let view = r.state_view();
         let state = r.export_state();
         assert_eq!(view.objects.len(), state.objects.len());
-        assert_eq!(view.head, state.head.as_deref());
+        assert_eq!(view.refs.head, state.head.as_deref());
         assert_eq!(view.to_owned_state(), state);
     }
 
@@ -1021,6 +1225,7 @@ mod tests {
 
 #[cfg(test)]
 mod state_tests {
+    use super::tests::repo_with_commit;
     use super::*;
 
     #[test]
@@ -1110,6 +1315,92 @@ mod state_tests {
         let c = r.commit("t", "first").unwrap();
         assert_eq!(r.get(blob).unwrap(), Object::Blob(b"alpha".to_vec()));
         assert_eq!(r.snapshot_of(c).unwrap()["a.txt"], b"alpha");
+    }
+
+    /// `state`'s objects moved into a log file, back to back, with
+    /// `corrupt` applied to the file's bytes.
+    fn into_log(tag: &str, mut state: RepoState, corrupt: impl FnOnce(&mut Vec<u8>)) -> Repository {
+        let mut bytes = Vec::new();
+        let mut logged = Vec::new();
+        for object in state.objects.drain(..) {
+            let (at, len) = (bytes.len() as u64, object.len() as u64);
+            logged.push(LoggedObject { id: ObjectId::for_bytes(&object), at, len });
+            bytes.extend_from_slice(&object);
+        }
+        corrupt(&mut bytes);
+        let path = std::env::temp_dir().join(format!("popper-vcs-log-{tag}-{}", std::process::id()));
+        std::fs::write(&path, &bytes).unwrap();
+        let file = File::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let end = bytes.len() as u64;
+        Repository::import_log(ObjectLog::new(file, end, HashSet::new()), logged, state).unwrap()
+    }
+
+    #[test]
+    fn a_logged_object_is_hashed_on_first_use() {
+        let (mut r, c1) = repo_with_commit();
+        r.write_file("README.md", "# v2\n").unwrap();
+        r.stage(".").unwrap();
+        let c2 = r.commit("t", "second").unwrap();
+        let logged = into_log("clean", r.export_state(), |_| {});
+        assert_eq!(logged.log(c2).unwrap(), r.log(c2).unwrap());
+        assert_eq!(logged.snapshot_of(c1).unwrap(), r.snapshot_of(c1).unwrap());
+        assert!(logged.unlogged_objects().is_empty());
+        // One flipped byte in the blob of the first README.
+        let readme = r.put(&Object::Blob(b"# paper\n".to_vec()));
+        let state = r.export_state();
+        let at: usize = state.objects.iter().take_while(|o| ObjectId::for_bytes(o) != readme).map(Vec::len).sum();
+        let flipped = into_log("flipped", state, |bytes| bytes[at + 8] ^= 0x20);
+        assert!(matches!(flipped.get(readme), Err(VcsError::Corrupt(_))));
+        assert!(flipped.snapshot_of(c1).is_err());
+        assert_eq!(flipped.snapshot_of(c2).unwrap(), r.snapshot_of(c2).unwrap());
+        assert!(flipped.verified_objects().is_err());
+        assert_eq!(flipped.state_view().objects.len(), r.object_count() - 1, "the view leaves it out");
+    }
+
+    #[test]
+    fn restaging_over_the_log_adds_no_object() {
+        let (r, c1) = repo_with_commit();
+        let mut logged = into_log("restage", r.export_state(), |_| {});
+        logged.stage(".").unwrap();
+        let c2 = logged.commit("t", "again").unwrap();
+        assert_eq!(logged.commit_info(c1).unwrap().tree, logged.commit_info(c2).unwrap().tree);
+        let new: Vec<ObjectId> = logged.unlogged_objects().iter().map(|(id, _)| *id).collect();
+        assert_eq!(new, [c2], "only the commit object is new");
+    }
+
+    #[test]
+    fn put_replaces_a_logged_copy_that_does_not_hash_to_its_id() {
+        let mut r = Repository::init();
+        r.write_file("a.txt", "alpha").unwrap();
+        r.stage("a.txt").unwrap();
+        let blob = r.put(&Object::Blob(b"alpha".to_vec()));
+        let state = r.export_state();
+        let mut logged = into_log("replace", state, |bytes| {
+            let at = bytes.windows(5).position(|w| w == b"alpha").unwrap();
+            bytes[at] = b'A';
+        });
+        logged.stage(".").unwrap();
+        let c = logged.commit("t", "first").unwrap();
+        assert_eq!(logged.get(blob).unwrap(), Object::Blob(b"alpha".to_vec()));
+        assert_eq!(logged.snapshot_of(c).unwrap()["a.txt"], b"alpha");
+        let new: Vec<ObjectId> = logged.unlogged_objects().iter().map(|(id, _)| *id).collect();
+        assert!(new.contains(&blob), "the good copy is to be logged again");
+    }
+
+    #[test]
+    fn a_logged_object_past_the_end_of_its_log_is_refused() {
+        let path = std::env::temp_dir().join(format!("popper-vcs-short-log-{}", std::process::id()));
+        std::fs::write(&path, b"blob 1\0x").unwrap();
+        let file = File::open(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        let state = Repository::init().export_state();
+        let id = ObjectId::for_bytes(b"blob 1\0x");
+        for (at, len) in [(0, 8), (1, 8), (0, 9), (u64::MAX, 2)] {
+            let log = ObjectLog::new(file.try_clone().unwrap(), 8, HashSet::new());
+            let r = Repository::import_log(log, [LoggedObject { id, at, len }], state.clone());
+            assert_eq!(r.is_ok(), (at, len) == (0, 8), "{at} {len}");
+        }
     }
 
     #[test]

@@ -51,7 +51,7 @@ fn recording() -> Vec<TraceEvent> {
         "a&b<c>d\"e",
     ];
     const TRACKS: &[&str] = &["sim/serial", "json/\"q\"\\t", "svg/<&\">", "mpi/rank-0"];
-    const CATS: &[&'static str] = &["sim", "r&d", "mpi", "cat\"<q>"];
+    const CATS: &[&str] = &["sim", "r&d", "mpi", "cat\"<q>"];
     let mut events = Vec::new();
     let mut id = 1u64;
     // Geometrically spaced spans from 1 ns up to about 10^15 ns, each

@@ -143,14 +143,14 @@ fn checkout_deletes_files_only_the_branch_left_tracks() {
 }
 
 /// Byte ranges of the `object` bodies in a `.popper/state` file: each
-/// field is `<tag> <len>\n<body>\n`.
+/// record is `<kind> <id> <len>\n<body>\n`.
 fn object_bodies(state: &[u8]) -> Vec<std::ops::Range<usize>> {
     let mut pos = state.iter().position(|&b| b == b'\n').unwrap() + 1; // magic line
     let mut out = Vec::new();
     while pos < state.len() {
         let nl = pos + state[pos..].iter().position(|&b| b == b'\n').unwrap();
         let header = std::str::from_utf8(&state[pos..nl]).unwrap();
-        let (tag, len) = header.split_once(' ').unwrap();
+        let (tag, len) = (header.split(' ').next().unwrap(), header.rsplit(' ').next().unwrap());
         let body = nl + 1..nl + 1 + len.parse::<usize>().unwrap();
         pos = body.end + 1;
         if tag == "object" {

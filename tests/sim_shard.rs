@@ -110,7 +110,7 @@ fn a_panicking_action_in_a_thick_epoch_panics_the_run_instead_of_hanging() {
     // 400 shards with one event each queue more than the fan-out
     // threshold. One action sends below the lookahead, which panics; the
     // run must propagate that panic whichever thread's slice held it.
-    assert!(400 >= FAN_OUT_MIN_QUEUED);
+    const { assert!(400 >= FAN_OUT_MIN_QUEUED) };
     for workers in [2, 8] {
         for culprit in [0, 399] {
             let (tx, rx) = mpsc::channel();
