@@ -56,6 +56,22 @@ impl Parsed {
         }
     }
 
+    /// Refuse a flag that the command `words` (`"chaos"`, `"farm
+    /// serve"`) does not take, besides [`GLOBAL_FLAGS`], and an argument
+    /// past the `args` it takes after those words, rather than ignore
+    /// them: a mistyped `--seed` must not run seed 1.
+    pub fn expect(&self, words: &str, flags: &[&str], args: usize) -> Result<(), String> {
+        let takes = |f: &str| flags.contains(&f) || GLOBAL_FLAGS.contains(&f);
+        if let Some((flag, _)) = self.flags.iter().find(|(f, _)| !takes(f)) {
+            let accepted: Vec<String> = flags.iter().chain(GLOBAL_FLAGS).map(|f| format!("--{f}")).collect();
+            return Err(format!("popper {words}: unknown flag --{flag}; it accepts {}", accepted.join(", ")));
+        }
+        if let Some(extra) = self.positional.get(words.split(' ').count() + args) {
+            return Err(format!("popper {words}: unexpected argument '{extra}'; it takes at most {args}"));
+        }
+        Ok(())
+    }
+
     /// An unsigned integer flag (`--seed`), if given.
     pub fn flag_u64(&self, name: &str) -> Result<Option<u64>, String> {
         self.flag_value(name)
@@ -66,6 +82,9 @@ impl Parsed {
             .transpose()
     }
 }
+
+/// Flags every command accepts.
+const GLOBAL_FLAGS: &[&str] = &["author", "sim-workers"];
 
 /// Known flags that take a value; everything else is boolean.
 const VALUE_FLAGS: &[&str] = &[

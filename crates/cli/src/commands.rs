@@ -25,7 +25,6 @@ use std::sync::Arc;
 /// later command in the same process does not inherit it.
 pub fn dispatch(parsed: &Parsed, dir: &Path) -> Result<String, String> {
     const VAR: &str = "POPPER_SIM_WORKERS";
-    check_args(parsed)?;
     if parsed.flag_value("sim-workers").is_none() {
         return dispatch_command(parsed, dir);
     }
@@ -40,80 +39,25 @@ pub fn dispatch(parsed: &Parsed, dir: &Path) -> Result<String, String> {
     out
 }
 
-/// Flags every command accepts.
-const GLOBAL_FLAGS: &[&str] = &["author", "sim-workers"];
-
-/// Each command (with its subcommand, if it has them), the most
-/// arguments it takes after those words, and the flags it accepts
-/// besides [`GLOBAL_FLAGS`].
-const COMMANDS: &[(&str, usize, &[&str])] = &[
-    ("help", 0, &[]),
-    ("init", 0, &[]),
-    ("experiment", 0, &[]),
-    ("experiment list", 0, &[]),
-    ("experiment add", 2, &[]),
-    ("add", 2, &[]),
-    ("paper", 0, &[]),
-    ("paper list", 0, &[]),
-    ("paper add", 1, &[]),
-    ("paper build", 0, &[]),
-    ("check", 0, &[]),
-    ("run", 1, &["no-cache"]),
-    ("validate", 1, &[]),
-    ("ci", 0, &["workers"]),
-    ("status", 0, &[]),
-    ("log", 0, &[]),
-    ("diff", 1, &[]),
-    ("verify", 1, &["no-cache"]),
-    ("figure", 1, &[]),
-    ("regression", 1, &["column"]),
-    ("branch", 1, &[]),
-    ("checkout", 1, &[]),
-    ("merge", 1, &[]),
-    ("pack", 1, &["show-popperfile"]),
-    ("trace", 1, &["no-cache"]),
-    ("trace-diff", 2, &["tolerance", "structure-only", "no-cache"]),
-    ("chaos", 1, &["schedule", "seed", "no-cache"]),
-    ("farm serve", 0, &["tenants", "jobs", "workers", "template", "schedule", "seed", "port"]),
-    ("farm submit", 1, &["tenants", "jobs", "workers"]),
-    ("store stats", 0, &[]),
-    ("commit", 1, &[]),
-];
-
-/// Refuse a flag the command does not accept and an argument past the
-/// ones it takes, rather than ignore them: a mistyped `--seed` must not
-/// run seed 1. An unknown command or subcommand is left to
-/// [`dispatch_command`] to report.
-fn check_args(parsed: &Parsed) -> Result<(), String> {
-    let Some(command) = parsed.command() else { return Ok(()) };
-    let find = |words: &str| COMMANDS.iter().find(|(w, ..)| *w == words);
-    let has_subcommands = COMMANDS.iter().any(|(w, ..)| w.split_once(' ').is_some_and(|(c, _)| c == command));
-    let spec = match parsed.pos(1) {
-        Some(sub) if has_subcommands => find(&format!("{command} {sub}")),
-        _ => find(command),
-    };
-    let Some((words, takes, flags)) = spec else { return Ok(()) };
-    let accepted = || {
-        flags.iter().chain(GLOBAL_FLAGS).map(|f| format!("--{f}")).collect::<Vec<_>>().join(", ")
-    };
-    if let Some((flag, _)) = parsed.flags.iter().find(|(f, _)| !flags.contains(&f.as_str()) && !GLOBAL_FLAGS.contains(&f.as_str())) {
-        return Err(format!("popper {words}: unknown flag --{flag}; it accepts {}", accepted()));
-    }
-    let used = words.split(' ').count();
-    if let Some(extra) = parsed.positional.get(used + takes) {
-        return Err(format!("popper {words}: unexpected argument '{extra}'; it takes at most {takes}"));
-    }
-    Ok(())
-}
-
 fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
     let author = parsed.flag_value("author").unwrap_or("anonymous researcher").to_string();
     match parsed.command() {
-        None | Some("help") => Ok(help_text()),
-        Some("init") => cmd_init(dir, &author),
+        None => Ok(help_text()),
+        Some("help") => {
+            parsed.expect("help", &[], 0)?;
+            Ok(help_text())
+        }
+        Some("init") => {
+            parsed.expect("init", &[], 0)?;
+            cmd_init(dir, &author)
+        }
         Some("experiment") => match parsed.pos(1) {
-            Some("list") | None => Ok(template_listing()),
+            Some("list") | None => {
+                parsed.expect("experiment list", &[], 0)?;
+                Ok(template_listing())
+            }
             Some("add") => {
+                parsed.expect("experiment add", &[], 2)?;
                 let tpl = parsed.pos(2).ok_or("usage: popper experiment add <template> <name>")?;
                 let name = parsed.pos(3).ok_or("usage: popper experiment add <template> <name>")?;
                 cmd_add(dir, &author, tpl, name)
@@ -121,12 +65,14 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             Some(other) => Err(format!("unknown experiment subcommand '{other}'")),
         },
         Some("add") => {
+            parsed.expect("add", &[], 2)?;
             let tpl = parsed.pos(1).ok_or("usage: popper add <template> <name>")?;
             let name = parsed.pos(2).ok_or("usage: popper add <template> <name>")?;
             cmd_add(dir, &author, tpl, name)
         }
         Some("paper") => match parsed.pos(1) {
             Some("list") | None => {
+                parsed.expect("paper list", &[], 0)?;
                 let mut out = String::from("-- available paper templates ---------\n");
                 for (name, desc) in paper_templates() {
                     out.push_str(&format!("{name:<10} {desc}\n"));
@@ -134,10 +80,12 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
                 Ok(out)
             }
             Some("add") => {
+                parsed.expect("paper add", &[], 1)?;
                 let tpl = parsed.pos(2).ok_or("usage: popper paper add <template>")?;
                 cmd_paper_add(dir, &author, tpl)
             }
             Some("build") => {
+                parsed.expect("paper build", &[], 0)?;
                 let repo = persist::load(dir, &author)?;
                 let built = build_paper(&repo).map_err(|e| e.to_string())?;
                 Ok(format!(
@@ -151,6 +99,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             Some(other) => Err(format!("unknown paper subcommand '{other}'")),
         },
         Some("check") => {
+            parsed.expect("check", &[], 0)?;
             let repo = persist::load(dir, &author)?;
             let violations = check_compliance(&repo);
             if violations.is_empty() {
@@ -169,6 +118,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("run") => {
+            parsed.expect("run", &["no-cache"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper run <experiment> [--no-cache]")?;
             let mut repo = persist::load(dir, &author)?;
             let engine = full_engine();
@@ -187,6 +137,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("validate") => {
+            parsed.expect("validate", &[], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper validate <experiment>")?;
             let repo = persist::load(dir, &author)?;
             let csv = repo
@@ -204,6 +155,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("ci") => {
+            parsed.expect("ci", &["workers"], 0)?;
             let workers = parsed.flag_count("workers", 4)?;
             let repo = Arc::new(Mutex::new(persist::load(dir, &author)?));
             let engine = Arc::new(full_engine());
@@ -218,6 +170,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("status") => {
+            parsed.expect("status", &[], 0)?;
             let repo = persist::load(dir, &author)?;
             let mut out = String::new();
             out.push_str(&repo.tree());
@@ -233,6 +186,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             Ok(out)
         }
         Some("log") => {
+            parsed.expect("log", &[], 0)?;
             let repo = persist::load(dir, &author)?;
             let head = repo.vcs.head_commit().ok_or("no commits yet")?;
             let mut out = String::new();
@@ -242,6 +196,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             Ok(out)
         }
         Some("diff") => {
+            parsed.expect("diff", &[], 1)?;
             let path = parsed.pos(1).ok_or("usage: popper diff <path>")?;
             let repo = persist::load(dir, &author)?;
             let head = repo.vcs.head_commit().ok_or("no commits yet")?;
@@ -253,6 +208,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("verify") => {
+            parsed.expect("verify", &["no-cache"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper verify <experiment> [--no-cache]")?;
             let mut repo = persist::load(dir, &author)?;
             let engine = full_engine();
@@ -270,12 +226,14 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("figure") => {
+            parsed.expect("figure", &[], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper figure <experiment>")?;
             let repo = persist::load(dir, &author)?;
             repo.read(&format!("experiments/{name}/figure.txt"))
                 .ok_or_else(|| format!("experiment '{name}' has no figure.txt (run it first)"))
         }
         Some("regression") => {
+            parsed.expect("regression", &["column"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper regression <experiment> --column <col>")?;
             let column = parsed.flag_value("column").ok_or("usage: popper regression <experiment> --column <col>")?;
             let repo = Arc::new(Mutex::new(persist::load(dir, &author)?));
@@ -292,6 +250,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("branch") => {
+            parsed.expect("branch", &[], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper branch <name>")?;
             let mut repo = persist::load(dir, &author)?;
             repo.vcs.create_branch(name).map_err(|e| e.to_string())?;
@@ -299,6 +258,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             Ok(format!("-- created and switched to branch '{name}'\n"))
         }
         Some("checkout") => {
+            parsed.expect("checkout", &[], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper checkout <branch>")?;
             let mut repo = persist::load(dir, &author)?;
             repo.vcs.checkout(name).map_err(|e| e.to_string())?;
@@ -306,6 +266,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             Ok(format!("-- switched to branch '{name}'\n"))
         }
         Some("merge") => {
+            parsed.expect("merge", &[], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper merge <branch>")?;
             let mut repo = persist::load(dir, &author)?;
             let outcome = repo.vcs.merge_branch(name, &author).map_err(|e| e.to_string())?;
@@ -326,6 +287,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("pack") => {
+            parsed.expect("pack", &["show-popperfile"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper pack <experiment>")?;
             let repo = persist::load(dir, &author)?;
             if parsed.has_flag("show-popperfile") {
@@ -348,6 +310,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             ))
         }
         Some("trace") => {
+            parsed.expect("trace", &["no-cache"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper trace <experiment> [--no-cache]")?;
             let mut repo = persist::load(dir, &author)?;
             let engine = full_engine();
@@ -389,6 +352,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("trace-diff") => {
+            parsed.expect("trace-diff", &["tolerance", "structure-only", "no-cache"], 2)?;
             let usage = "usage: popper trace-diff <experiment> <refA>..<refB> [--tolerance <pct>] [--structure-only] [--no-cache]";
             let name = parsed.pos(1).ok_or(usage)?;
             let range = parsed.pos(2).ok_or(usage)?;
@@ -418,6 +382,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("chaos") => {
+            parsed.expect("chaos", &["schedule", "seed", "no-cache"], 1)?;
             let name = parsed
                 .pos(1)
                 .ok_or("usage: popper chaos <experiment> [--schedule <name>] [--seed <n>]")?;
@@ -464,13 +429,20 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
         }
         Some("farm") => match parsed.pos(1) {
-            Some("serve") => cmd_farm_serve(parsed, dir),
-            Some("submit") => cmd_farm_submit(parsed, dir, &author),
+            Some("serve") => {
+                parsed.expect("farm serve", &["tenants", "jobs", "workers", "template", "schedule", "seed", "port"], 0)?;
+                cmd_farm_serve(parsed, dir)
+            }
+            Some("submit") => {
+                parsed.expect("farm submit", &["tenants", "jobs", "workers"], 1)?;
+                cmd_farm_submit(parsed, dir, &author)
+            }
             Some(other) => Err(format!("unknown farm subcommand '{other}'; try serve or submit")),
             None => Err("usage: popper farm serve|submit [--tenants N] [--jobs M]".into()),
         },
         Some("store") => match parsed.pos(1) {
             Some("stats") => {
+                parsed.expect("store stats", &[], 0)?;
                 let repo = persist::load(dir, &author)?;
                 Ok(format!("-- {}\n", popper_core::cipipeline::store_stats_report(&repo)))
             }
@@ -478,6 +450,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             None => Err("usage: popper store stats".into()),
         },
         Some("commit") => {
+            parsed.expect("commit", &[], 1)?;
             let mut repo = persist::load(dir, &author)?;
             let message = parsed.pos(1).unwrap_or("checkpoint").to_string();
             let id = repo.commit(&message).map_err(|e| e.to_string())?;
@@ -799,6 +772,9 @@ mod tests {
 
     #[test]
     fn every_accepted_command_line_passes_the_check() {
+        // Outside a repository each line gets past its command's check
+        // and fails, if at all, on what comes after it.
+        let dir = temp_dir("accepted");
         for argv in [
             &["chaos", "e", "--seed", "5"][..],
             &["chaos", "e", "--schedule", "gremlin", "--seed=5", "--no-cache"],
@@ -807,17 +783,25 @@ mod tests {
             &["commit"],
             &["add", "torpor", "t"],
             &["experiment", "add", "torpor", "t"],
+            &["experiment", "list"],
             &["run", "e", "--sim-workers", "2", "--author", "a"],
+            &["verify", "e", "--no-cache"],
             &["status", "--author=a"],
+            &["regression", "e", "--column", "x"],
+            &["pack", "e", "--show-popperfile"],
             &["trace-diff", "e", "a..b", "--tolerance", "5", "--structure-only"],
-            &["farm", "serve", "--tenants", "2", "--jobs", "1", "--port", "0"],
+            &["farm", "serve", "--tenants", "0", "--jobs", "1", "--port", "0", "--seed", "1"],
+            &["farm", "submit", "e", "--tenants", "0", "--workers", "1"],
             &["paper", "add", "acm"],
+            &["store", "stats"],
             &["experiment", "nope", "x", "y"],
             &["nope", "--anything"],
             &["--author", "a"],
         ] {
-            assert_eq!(super::check_args(&crate::argparse::parse(argv).unwrap()), Ok(()), "{argv:?}");
+            let out = run(argv, &dir).unwrap_or_else(|e| e);
+            assert!(!out.contains("unknown flag") && !out.contains("unexpected argument"), "{argv:?}: {out}");
         }
+        fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -22,8 +22,10 @@
 //! load, any table that changed and one `refs` record, and syncs the
 //! file once. An append cut short leaves a torn tail that the next
 //! `load` ignores and the next `save` truncates. A repository that was
-//! not loaded from this very file (a new one, a v1 file, another
-//! directory) is written whole to a temporary file renamed over it.
+//! not loaded from this very file as it still is (a new one, a v1 file,
+//! another directory, a file another process saved to since) is written
+//! whole to a temporary file renamed over it. Saves in one directory
+//! take turns on a lock of its `.popper` directory.
 
 use popper_core::PopperRepo;
 use popper_vcs::{
@@ -71,6 +73,9 @@ enum StateError {
     Checksum(&'static str, u64),
     /// The `refs` record names a table the log does not hold before it.
     MissingTable(String),
+    /// The record at this offset runs past the end of the file, but
+    /// what follows it is complete: a damaged length, not a torn append.
+    Overrun(u64),
 }
 
 impl fmt::Display for StateError {
@@ -87,6 +92,9 @@ impl fmt::Display for StateError {
             StateError::NoRefs => write!(f, "no complete refs record"),
             StateError::Checksum(kind, at) => write!(f, "the {kind} record at byte {at} does not match its id"),
             StateError::MissingTable(id) => write!(f, "the refs name table {id}, which the log does not hold"),
+            StateError::Overrun(at) => {
+                write!(f, "the record at byte {at} runs past the end of the file over complete records")
+            }
         }
     }
 }
@@ -180,6 +188,8 @@ struct Scan {
     state: RepoState,
     /// The ids of the tables it names.
     tables: HashSet<ObjectId>,
+    /// The length of the file scanned, torn tail included.
+    size: u64,
     /// Where it ends: where the next append goes.
     end: u64,
 }
@@ -232,8 +242,11 @@ fn parse_header(header: &[u8]) -> Result<(&str, ObjectId, u64), StateError> {
 
 /// Scan the records of a v2 log of `size` bytes, the magic line already
 /// read: headers only, skipping object bodies. A record that runs past
-/// the end of the file is a torn append: it and anything after the last
-/// complete `refs` record are ignored.
+/// the end of the file is a torn append, and it and anything after the
+/// last complete `refs` record are ignored, but only if no complete
+/// `refs` record follows it and it is not itself a `refs` record that
+/// fills the file: an append ends with its one `refs` record, so bytes
+/// that hold one whole are not an unfinished append.
 fn scan_log<R: Read + Seek>(input: &mut BufReader<R>, size: u64) -> Result<Scan, StateError> {
     let mut pos = MAGIC.len() as u64;
     let mut objects = Vec::new();
@@ -256,6 +269,9 @@ fn scan_log<R: Read + Seek>(input: &mut BufReader<R>, size: u64) -> Result<Scan,
         let (kind, id, len) = parse_header(&header)?;
         let at = pos + read;
         let Some(end) = at.checked_add(len).and_then(|e| e.checked_add(1)).filter(|&e| e <= size) else {
+            if refs_record_after(input, pos, size)? || (kind == "refs" && refs_body_fills(input, id, at, size)?) {
+                return Err(StateError::Overrun(pos));
+            }
             break; // the file ends inside the body
         };
         input.seek_relative(i64::try_from(len).map_err(|_| StateError::TruncatedBody(kind.to_string()))?)?;
@@ -293,7 +309,65 @@ fn scan_log<R: Read + Seek>(input: &mut BufReader<R>, size: u64) -> Result<Scan,
         let body = read_record(input, "table", *id, at, len)?;
         read_fields(&body[..], len, |tag, body| apply_field(&mut state, tag, body))?;
     }
-    Ok(Scan { objects, state, tables: named.into_iter().collect(), end })
+    Ok(Scan { objects, state, tables: named.into_iter().collect(), size, end })
+}
+
+/// Does a complete `refs` record start past byte `from`: a `refs`
+/// header after a newline whose body fits in the file and hashes to its
+/// id? Read in chunks, so no allocation is sized by the file.
+fn refs_record_after<R: Read + Seek>(input: &mut BufReader<R>, from: u64, size: u64) -> Result<bool, StateError> {
+    const NEEDLE: &[u8] = b"\nrefs ";
+    let mut chunk = Vec::new();
+    let mut at = from;
+    loop {
+        input.seek(SeekFrom::Start(at))?;
+        chunk.clear();
+        input.by_ref().take(1 << 16).read_to_end(&mut chunk)?;
+        if chunk.len() < NEEDLE.len() {
+            return Ok(false);
+        }
+        for (i, _) in chunk.windows(NEEDLE.len()).enumerate().filter(|(_, w)| *w == NEEDLE) {
+            if is_refs_record(input, at + i as u64 + 1, size)? {
+                return Ok(true);
+            }
+        }
+        // The next chunk starts where a needle cut by this one begins.
+        at += (chunk.len() - NEEDLE.len() + 1) as u64;
+    }
+}
+
+/// Does a complete `refs` record start at byte `at`?
+fn is_refs_record<R: Read + Seek>(input: &mut BufReader<R>, at: u64, size: u64) -> Result<bool, StateError> {
+    input.seek(SeekFrom::Start(at))?;
+    let mut header = Vec::new();
+    let read = input.by_ref().take(MAX_HEADER).read_until(b'\n', &mut header)? as u64;
+    if header.pop() != Some(b'\n') {
+        return Ok(false);
+    }
+    let Ok(("refs", id, len)) = parse_header(&header) else { return Ok(false) };
+    let body = at + read;
+    if body.checked_add(len).and_then(|e| e.checked_add(1)).is_none_or(|e| e > size) {
+        return Ok(false);
+    }
+    matches_id(read_record(input, "refs", id, body, len))
+}
+
+/// Do the bytes from `at` to the file's last byte, its newline, hash to
+/// the `refs` record `id` whose body starts at `at`?
+fn refs_body_fills<R: Read + Seek>(input: &mut BufReader<R>, id: ObjectId, at: u64, size: u64) -> Result<bool, StateError> {
+    if at >= size {
+        return Ok(false);
+    }
+    matches_id(read_record(input, "refs", id, at, size - 1 - at))
+}
+
+/// A record read: its body matched its id, did not, or could not be read.
+fn matches_id(read: Result<Vec<u8>, StateError>) -> Result<bool, StateError> {
+    match read {
+        Ok(_) => Ok(true),
+        Err(StateError::Checksum(..)) => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 /// The body of the record at `at`, checked against its `id`.
@@ -354,7 +428,7 @@ fn write_records(
         field(&mut body, "branch", format!("{} {name}", id.to_hex()).as_bytes());
     }
     for (id, table) in [table("index", &refs.index), table("tag", &refs.tags)].into_iter().flatten() {
-        if !log.is_some_and(|log| log.holds_table(id)) {
+        if !log.is_some_and(|log| log.holds_record(id)) {
             record(out, "table", id, &table)?;
         }
         field(&mut body, "table", id.to_hex().as_bytes());
@@ -377,6 +451,12 @@ pub fn save(repo: &PopperRepo, dir: &Path) -> Result<(), String> {
     }
     let popper_dir = dir.join(".popper");
     fs::create_dir_all(&popper_dir).map_err(|e| format!("mkdir {popper_dir:?}: {e}"))?;
+    // One state write at a time: the check that the file is as loaded
+    // and the append that relies on it must not interleave with another
+    // process's save. The lock goes when `_lock` drops.
+    let _lock = File::open(&popper_dir)
+        .and_then(|d| d.lock().map(|()| d))
+        .map_err(|e| format!("lock {popper_dir:?}: {e}"))?;
     let target = popper_dir.join("state");
     let vcs = &repo.vcs;
     match vcs.object_log().filter(|log| appendable(log, &target)) {
@@ -398,21 +478,22 @@ pub fn save(repo: &PopperRepo, dir: &Path) -> Result<(), String> {
 }
 
 /// Can a save append to `target`? Only if it is the file `log` was
-/// loaded from, and still holds all of it.
+/// loaded from and has kept the length it had then. A save by another
+/// process since then makes this one rewrite the file whole: its update
+/// is lost, but no record it wrote is cut and no reader that loaded it
+/// finds its objects gone.
+#[cfg(unix)]
 fn appendable(log: &ObjectLog, target: &Path) -> bool {
-    #[cfg(unix)]
-    {
-        use std::os::unix::fs::MetadataExt;
-        match (log.file().metadata(), fs::metadata(target)) {
-            (Ok(a), Ok(b)) => a.dev() == b.dev() && a.ino() == b.ino() && b.len() >= log.end(),
-            _ => false,
-        }
+    use std::os::unix::fs::MetadataExt;
+    match (log.file().metadata(), fs::metadata(target)) {
+        (Ok(a), Ok(b)) => a.dev() == b.dev() && a.ino() == b.ino() && b.len() == log.size(),
+        _ => false,
     }
-    #[cfg(not(unix))]
-    {
-        let _ = (log, target);
-        false
-    }
+}
+
+#[cfg(not(unix))]
+fn appendable(_log: &ObjectLog, _target: &Path) -> bool {
+    false
 }
 
 fn write_file(full: &Path, contents: &[u8]) -> Result<(), String> {
@@ -500,7 +581,7 @@ pub fn load(dir: &Path, author: &str) -> Result<PopperRepo, String> {
     let vcs = match decoded {
         Decoded::V1(state) => Repository::import_state(RepoState { worktree, ..state }),
         Decoded::V2(scan) => Repository::import_log(
-            ObjectLog::new(file, scan.end, scan.tables),
+            ObjectLog::new(file, scan.end, scan.size, scan.tables),
             scan.objects,
             RepoState { worktree, ..scan.state },
         ),
@@ -847,6 +928,75 @@ mod tests {
             let err = load(&dir, "tester").err();
             assert!(err.as_ref().is_some_and(|e| e.contains(".popper/state")), "flip at {at}: {err:?}");
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The header offsets and lengths of the records of a v2 log.
+    fn record_headers(bytes: &[u8]) -> Vec<(usize, usize)> {
+        let mut headers = Vec::new();
+        let mut pos = MAGIC.len();
+        while pos < bytes.len() {
+            let nl = pos + bytes[pos..].iter().position(|&b| b == b'\n').unwrap();
+            let len: usize = std::str::from_utf8(&bytes[pos..nl]).unwrap().rsplit(' ').next().unwrap().parse().unwrap();
+            headers.push((pos, nl - pos));
+            pos = nl + 1 + len + 1;
+        }
+        headers
+    }
+
+    #[test]
+    fn a_raised_length_in_any_record_is_an_error_not_a_torn_tail() {
+        let dir = temp_dir("raised");
+        let mut repo = PopperRepo::init("tester").unwrap();
+        repo.write("data/x.csv", "a,b\n1,2\n").unwrap();
+        repo.commit("data").unwrap();
+        save(&repo, &dir).unwrap();
+        let mut repo = load(&dir, "tester").unwrap();
+        repo.write("notes.txt", "n\n").unwrap();
+        repo.commit("notes").unwrap();
+        save(&repo, &dir).unwrap();
+        let state_file = dir.join(".popper/state");
+        let clean = fs::read(&state_file).unwrap();
+        let headers = record_headers(&clean);
+        assert!(headers.len() > 6, "two saves of objects, tables and refs");
+        for (at, len) in headers {
+            // The record's length, raised past the end of the file.
+            let header = std::str::from_utf8(&clean[at..at + len]).unwrap();
+            let (head, _) = header.rsplit_once(' ').unwrap();
+            let bytes = [&clean[..at], format!("{head} {}", clean.len()).as_bytes(), &clean[at + len..]].concat();
+            fs::write(&state_file, &bytes).unwrap();
+            let err = load(&dir, "tester").err();
+            assert!(
+                err.as_ref().is_some_and(|e| e.contains(".popper/state") && e.contains("runs past the end")),
+                "raised at {at}: {err:?}"
+            );
+            assert_eq!(fs::read(&state_file).unwrap(), bytes, "the file is left as it was");
+        }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_save_after_another_process_saved_rewrites_the_file_whole() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = temp_dir("stale");
+        save(&PopperRepo::init("tester").unwrap(), &dir).unwrap();
+        let (mut first, mut second) = (load(&dir, "tester").unwrap(), load(&dir, "tester").unwrap());
+        first.write("a.txt", "a\n").unwrap();
+        let a = first.commit("a").unwrap();
+        save(&first, &dir).unwrap();
+        let reader = load(&dir, "tester").unwrap();
+        let state_file = dir.join(".popper/state");
+        let inode = fs::metadata(&state_file).unwrap().ino();
+        // `second` loaded before `first` appended: appending at the end
+        // it loaded would cut `first`'s records from under `reader`.
+        second.write("b.txt", "b\n").unwrap();
+        let b = second.commit("b").unwrap();
+        save(&second, &dir).unwrap();
+        assert_ne!(fs::metadata(&state_file).unwrap().ino(), inode, "written whole and renamed");
+        let loaded = load(&dir, "tester").unwrap();
+        assert_eq!(loaded.vcs.head_commit(), Some(b));
+        assert!(loaded.vcs.verified_objects().is_ok(), "every object in the new file is whole");
+        assert_eq!(reader.vcs.snapshot_of(a).unwrap()["a.txt"], b"a\n", "a reader keeps what it loaded");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -7,7 +7,7 @@
 
 use crate::diff;
 use crate::object::{Commit, Object, ObjectId, TreeEntry};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{hash_map::Entry, BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::fs::File;
 use std::io;
@@ -68,14 +68,17 @@ impl Change {
 pub struct ObjectLog {
     file: File,
     end: u64,
-    tables: HashSet<ObjectId>,
+    size: u64,
+    records: HashSet<ObjectId>,
 }
 
 impl ObjectLog {
-    /// A log in `file` whose complete records end at byte `end`, also
-    /// holding the non-object records (tables) with ids `tables`.
-    pub fn new(file: File, end: u64, tables: HashSet<ObjectId>) -> ObjectLog {
-        ObjectLog { file, end, tables }
+    /// A log in `file`, `size` bytes long when it was read, whose
+    /// complete records end at byte `end`. `records` are the ids of
+    /// whatever else the log holds for its writer; the repository keeps
+    /// them and does not read them.
+    pub fn new(file: File, end: u64, size: u64, records: HashSet<ObjectId>) -> ObjectLog {
+        ObjectLog { file, end, size, records }
     }
 
     /// The file the objects are read from.
@@ -88,31 +91,28 @@ impl ObjectLog {
         self.end
     }
 
-    /// Does the log hold a table record with this id?
-    pub fn holds_table(&self, id: ObjectId) -> bool {
-        self.tables.contains(&id)
+    /// The file's length when the log was read, torn tail included.
+    pub fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// Was the log read with this id among its `records`?
+    pub fn holds_record(&self, id: ObjectId) -> bool {
+        self.records.contains(&id)
     }
 
     /// `len` bytes at `at`, as they are on disk: not checked against
     /// any id.
+    #[cfg(unix)]
     fn read(&self, at: u64, len: u64) -> io::Result<Vec<u8>> {
         let mut buf = vec![0; usize::try_from(len).map_err(io::Error::other)?];
-        #[cfg(unix)]
         std::os::unix::fs::FileExt::read_exact_at(&self.file, &mut buf, at)?;
-        #[cfg(windows)]
-        {
-            let mut done = 0;
-            while done < buf.len() {
-                match std::os::windows::fs::FileExt::seek_read(&self.file, &mut buf[done..], at + done as u64)? {
-                    0 => return Err(io::ErrorKind::UnexpectedEof.into()),
-                    n => done += n,
-                }
-            }
-        }
-        #[cfg(not(any(unix, windows)))]
-        return Err(io::Error::other(format!("no positioned reads on this platform ({at})")));
-        #[cfg(any(unix, windows))]
         Ok(buf)
+    }
+
+    #[cfg(not(unix))]
+    fn read(&self, at: u64, _len: u64) -> io::Result<Vec<u8>> {
+        Err(io::Error::other(format!("no positioned reads on this platform ({at})")))
     }
 }
 
@@ -171,21 +171,27 @@ impl Repository {
     pub fn put(&mut self, obj: &Object) -> ObjectId {
         let bytes = obj.serialize();
         let id = ObjectId::for_bytes(&bytes);
-        let kept = match self.objects.get(&id) {
-            None => false,
-            Some(Stored::Held(_)) => true,
-            Some(Stored::Logged { at, len, read }) => match read.get() {
-                Some(verified) => verified.is_ok(),
-                // Equal to bytes that hash to `id`, so the logged copy
-                // is verified without hashing it.
-                None => match self.read_logged(*at, *len) {
-                    Ok(logged) if logged == bytes => read.set(Ok(logged)).is_ok(),
-                    _ => false,
-                },
-            },
-        };
-        if !kept {
-            self.objects.insert(id, Stored::Held(bytes));
+        match self.objects.entry(id) {
+            Entry::Vacant(slot) => {
+                slot.insert(Stored::Held(bytes));
+            }
+            Entry::Occupied(mut slot) => {
+                let kept = match slot.get() {
+                    Stored::Held(_) => true,
+                    Stored::Logged { at, len, read } => match read.get() {
+                        Some(verified) => verified.is_ok(),
+                        // Equal to bytes that hash to `id`, so the logged
+                        // copy is verified without hashing it.
+                        None => match read_logged(&self.log, *at, *len) {
+                            Ok(logged) if logged == bytes => read.set(Ok(logged)).is_ok(),
+                            _ => false,
+                        },
+                    },
+                };
+                if !kept {
+                    slot.insert(Stored::Held(bytes));
+                }
+            }
         }
         id
     }
@@ -203,7 +209,7 @@ impl Repository {
             Stored::Held(bytes) => Ok(bytes),
             Stored::Logged { at, len, read } => read
                 .get_or_init(|| {
-                    let bytes = self.read_logged(*at, *len)?;
+                    let bytes = read_logged(&self.log, *at, *len)?;
                     if ObjectId::for_bytes(&bytes) == id {
                         Ok(bytes)
                     } else {
@@ -213,12 +219,6 @@ impl Repository {
                 .as_deref()
                 .map_err(|e| VcsError::Corrupt(e.clone())),
         }
-    }
-
-    /// A logged serialization as it is on disk, unverified.
-    fn read_logged(&self, at: u64, len: u64) -> Result<Vec<u8>, String> {
-        let log = self.log.as_ref().ok_or("a logged object without a log")?;
-        log.read(at, len).map_err(|e| format!("read object at byte {at}: {e}"))
     }
 
     /// Does the stored object `id` serialize the blob of `contents`? A
@@ -233,7 +233,7 @@ impl Repository {
                 Some(verified) => verified.as_ref().is_ok_and(|bytes| Object::is_blob_of(bytes, contents)),
                 None => {
                     *len == Object::blob_len(contents.len()) as u64
-                        && self.read_logged(*at, *len).is_ok_and(|bytes| Object::is_blob_of(&bytes, contents))
+                        && read_logged(&self.log, *at, *len).is_ok_and(|bytes| Object::is_blob_of(&bytes, contents))
                 }
             },
         }
@@ -856,10 +856,9 @@ impl Repository {
         logged: impl IntoIterator<Item = LoggedObject>,
         state: RepoState,
     ) -> Result<Repository, VcsError> {
-        let size = log.file.metadata().map_err(|e| VcsError::Corrupt(format!("object log: {e}")))?.len();
         let mut repo = Repository::import_state(state)?;
         for LoggedObject { id, at, len } in logged {
-            if at.checked_add(len).is_none_or(|end| end > size) {
+            if at.checked_add(len).is_none_or(|end| end > log.end) {
                 return Err(VcsError::Corrupt(format!("object {} runs past the end of its log", id.short())));
             }
             repo.objects.insert(id, Stored::Logged { at, len, read: OnceLock::new() });
@@ -867,6 +866,12 @@ impl Repository {
         repo.log = Some(Arc::new(log));
         Ok(repo)
     }
+}
+
+/// A logged serialization as it is on disk, unverified.
+fn read_logged(log: &Option<Arc<ObjectLog>>, at: u64, len: u64) -> Result<Vec<u8>, String> {
+    let log = log.as_ref().ok_or("a logged object without a log")?;
+    log.read(at, len).map_err(|e| format!("read object at byte {at}: {e}"))
 }
 
 /// Structural diff between two path->contents maps.
@@ -1333,7 +1338,7 @@ mod state_tests {
         let file = File::open(&path).unwrap();
         std::fs::remove_file(&path).ok();
         let end = bytes.len() as u64;
-        Repository::import_log(ObjectLog::new(file, end, HashSet::new()), logged, state).unwrap()
+        Repository::import_log(ObjectLog::new(file, end, end, HashSet::new()), logged, state).unwrap()
     }
 
     #[test]
@@ -1397,7 +1402,7 @@ mod state_tests {
         let state = Repository::init().export_state();
         let id = ObjectId::for_bytes(b"blob 1\0x");
         for (at, len) in [(0, 8), (1, 8), (0, 9), (u64::MAX, 2)] {
-            let log = ObjectLog::new(file.try_clone().unwrap(), 8, HashSet::new());
+            let log = ObjectLog::new(file.try_clone().unwrap(), 8, 8, HashSet::new());
             let r = Repository::import_log(log, [LoggedObject { id, at, len }], state.clone());
             assert_eq!(r.is_ok(), (at, len) == (0, 8), "{at} {len}");
         }
