@@ -295,3 +295,32 @@ fn a_state_file_from_the_first_v1_encoder_still_loads() {
     assert!(status.contains("-- working tree clean"), "{status}");
     fs::remove_dir_all(&dir).ok();
 }
+
+/// The SHA-256 of `.popper/state` in `dir`, as hex.
+fn state_digest(dir: &std::path::Path) -> String {
+    popper::vcs::ObjectId::for_bytes(&fs::read(dir.join(".popper/state")).unwrap()).to_hex()
+}
+
+#[test]
+fn a_saved_state_keeps_its_bytes() {
+    use popper::cli::persist::{load, save};
+    use popper::core::PopperRepo;
+    let dir = temp_dir("state-pin");
+    // A whole write: a new repository with one more commit, a tag and a
+    // branch.
+    let mut repo = PopperRepo::init("tester").unwrap();
+    repo.write("experiments/e/vars.pml", "runner: synthetic\n").unwrap();
+    repo.write("data/blob.bin", vec![0u8, 0xff, b'\n', 0x0a]).unwrap();
+    repo.commit("add experiment").unwrap();
+    repo.vcs.tag("v1", None).unwrap();
+    repo.vcs.create_branch("feature").unwrap();
+    save(&repo, &dir).unwrap();
+    assert_eq!(state_digest(&dir), "eff9cee457a167e63d4d17492e31ada978c21169eac25151971e4aa36d9e45c1");
+    // An append: loaded, one more commit, saved again.
+    let mut repo = load(&dir, "tester").unwrap();
+    repo.write("notes.txt", "a note\n").unwrap();
+    repo.commit("notes").unwrap();
+    save(&repo, &dir).unwrap();
+    assert_eq!(state_digest(&dir), "8a6edcdbab1f46e7c9910a68b8db4ece5d8f4a71c1ba81164ef95c388fdbec77");
+    fs::remove_dir_all(&dir).ok();
+}
