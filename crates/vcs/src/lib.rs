@@ -15,6 +15,8 @@
 //!   patch applier (used by tests to prove `apply(a, diff(a,b)) == b`).
 //! * [`repo`] — an in-memory repository: object store, staging index,
 //!   branches/tags/HEAD, commit, checkout, log and merge-base.
+//! * [`state`] — a repository on disk: the append-only log the CLI keeps
+//!   at `.popper/state`, loaded lazily and saved by appending.
 //!
 //! The Popper `core` crate versions every experiment artifact through
 //! this crate, giving the "entire end-to-end pipeline … managed by a
@@ -25,6 +27,7 @@ pub mod merge;
 pub mod object;
 pub mod repo;
 pub mod sha256;
+pub mod state;
 
 pub use object::{Commit, Object, ObjectId, TreeEntry};
 pub use merge::{merge_snapshots, MergeOutcome, MergeResult};

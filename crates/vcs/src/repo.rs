@@ -7,10 +7,9 @@
 
 use crate::diff;
 use crate::object::{Commit, Object, ObjectId, TreeEntry};
+use crate::state::Log;
 use std::collections::{hash_map::Entry, BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
-use std::fs::File;
-use std::io;
 use std::sync::{Arc, OnceLock};
 
 /// Errors from repository operations.
@@ -62,76 +61,11 @@ impl Change {
     }
 }
 
-/// A file of object records that a repository reads its stored
-/// objects from on first use, rather than all at import.
-#[derive(Debug)]
-pub struct ObjectLog {
-    file: File,
-    end: u64,
-    size: u64,
-    records: HashSet<ObjectId>,
-}
-
-impl ObjectLog {
-    /// A log in `file`, `size` bytes long when it was read, whose
-    /// complete records end at byte `end`. `records` are the ids of
-    /// whatever else the log holds for its writer; the repository keeps
-    /// them and does not read them.
-    pub fn new(file: File, end: u64, size: u64, records: HashSet<ObjectId>) -> ObjectLog {
-        ObjectLog { file, end, size, records }
-    }
-
-    /// The file the objects are read from.
-    pub fn file(&self) -> &File {
-        &self.file
-    }
-
-    /// Where the log's complete records end: where an append goes.
-    pub fn end(&self) -> u64 {
-        self.end
-    }
-
-    /// The file's length when the log was read, torn tail included.
-    pub fn size(&self) -> u64 {
-        self.size
-    }
-
-    /// Was the log read with this id among its `records`?
-    pub fn holds_record(&self, id: ObjectId) -> bool {
-        self.records.contains(&id)
-    }
-
-    /// `len` bytes at `at`, as they are on disk: not checked against
-    /// any id.
-    #[cfg(unix)]
-    fn read(&self, at: u64, len: u64) -> io::Result<Vec<u8>> {
-        let mut buf = vec![0; usize::try_from(len).map_err(io::Error::other)?];
-        std::os::unix::fs::FileExt::read_exact_at(&self.file, &mut buf, at)?;
-        Ok(buf)
-    }
-
-    #[cfg(not(unix))]
-    fn read(&self, at: u64, _len: u64) -> io::Result<Vec<u8>> {
-        Err(io::Error::other(format!("no positioned reads on this platform ({at})")))
-    }
-}
-
-/// Where one object's serialization lies in an [`ObjectLog`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LoggedObject {
-    /// The id the log records for the object.
-    pub id: ObjectId,
-    /// Offset of the serialization in the log file.
-    pub at: u64,
-    /// Length of the serialization.
-    pub len: u64,
-}
-
 /// One object of the store.
 #[derive(Debug, Clone)]
-enum Stored {
-    /// Bytes that hash to the object's id: `put` or `import_state`
-    /// computed the id from them. Not in the repository's log.
+pub(crate) enum Stored {
+    /// Bytes that hash to the object's id: `put`, `import_state` or a
+    /// v1 load computed the id from them. Not in the repository's log.
     Held(Vec<u8>),
     /// A serialization in the log, read and hashed on first use; the
     /// cell keeps the verified bytes or why they failed.
@@ -141,18 +75,18 @@ enum Stored {
 /// An in-memory content-addressed repository.
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
-    objects: HashMap<ObjectId, Stored>,
+    pub(crate) objects: HashMap<ObjectId, Stored>,
     /// The log that `Logged` objects lie in.
-    log: Option<Arc<ObjectLog>>,
+    pub(crate) log: Option<Arc<Log>>,
     /// Working tree: path -> contents.
-    worktree: BTreeMap<String, Vec<u8>>,
+    pub(crate) worktree: BTreeMap<String, Vec<u8>>,
     /// Staging index: path -> blob id (a snapshot of stage-time content).
-    index: BTreeMap<String, ObjectId>,
-    branches: BTreeMap<String, ObjectId>,
-    tags: BTreeMap<String, ObjectId>,
-    head: Option<String>,
+    pub(crate) index: BTreeMap<String, ObjectId>,
+    pub(crate) branches: BTreeMap<String, ObjectId>,
+    pub(crate) tags: BTreeMap<String, ObjectId>,
+    pub(crate) head: Option<String>,
     /// Monotonic logical clock for commit timestamps.
-    clock: u64,
+    pub(crate) clock: u64,
     /// Working-tree paths whose bytes changed since `init` or
     /// `import_state`: all a save has to write back.
     changed: BTreeSet<String>,
@@ -204,7 +138,7 @@ impl Repository {
     /// An object's stored serialization. A logged one is read and
     /// hashed on its first use, so no bytes leave the store that do not
     /// hash to their id.
-    fn raw(&self, id: ObjectId) -> Result<&[u8], VcsError> {
+    pub(crate) fn raw(&self, id: ObjectId) -> Result<&[u8], VcsError> {
         match self.objects.get(&id).ok_or(VcsError::MissingObject(id))? {
             Stored::Held(bytes) => Ok(bytes),
             Stored::Logged { at, len, read } => read
@@ -291,6 +225,11 @@ impl Repository {
         self.worktree.keys().map(String::as_str)
     }
 
+    /// Staged paths, in path order.
+    pub fn staged(&self) -> impl Iterator<Item = &str> {
+        self.index.keys().map(String::as_str)
+    }
+
     /// Working-tree paths written with different bytes, removed, or
     /// replaced by a checkout since the repository was created or
     /// imported, in path order. A path here may no longer exist.
@@ -352,25 +291,8 @@ impl Repository {
     /// fully describes the snapshot (paths absent from the index are
     /// absent from the commit).
     pub fn commit(&mut self, author: &str, message: &str) -> Result<ObjectId, VcsError> {
-        let tracer = popper_trace::current();
-        let _span = tracer.span("vcs", "vcs/repo", format!("commit ({} path(s))", self.index.len()));
-        if self.index.is_empty() {
-            return Err(VcsError::NothingStaged);
-        }
-        let tree = self.write_tree()?;
         let parents = self.head_commit().into_iter().collect();
-        self.clock += 1;
-        let commit = Commit {
-            tree,
-            parents,
-            author: author.to_string(),
-            message: message.to_string(),
-            timestamp: self.clock,
-        };
-        let id = self.put(&Object::Commit(commit));
-        let branch = self.head.clone().ok_or_else(|| VcsError::UnknownRef("HEAD".into()))?;
-        self.branches.insert(branch, id);
-        Ok(id)
+        self.commit_with_parents(author, message, parents)
     }
 
     /// Build (and store) the tree object hierarchy for the current index.
@@ -642,6 +564,8 @@ impl Repository {
         message: &str,
         parents: Vec<ObjectId>,
     ) -> Result<ObjectId, VcsError> {
+        let tracer = popper_trace::current();
+        let _span = tracer.span("vcs", "vcs/repo", format!("commit ({} path(s))", self.index.len()));
         if self.index.is_empty() {
             return Err(VcsError::NothingStaged);
         }
@@ -716,110 +640,22 @@ pub struct RepoState {
     pub clock: u64,
 }
 
-/// What a repository's state names objects by: index, branches, tags,
-/// HEAD and the clock, borrowed.
-#[derive(Debug, PartialEq)]
-pub struct Refs<'a> {
-    /// Index entries as (path, blob id).
-    pub index: Vec<(&'a str, ObjectId)>,
-    /// Branches as (name, commit id).
-    pub branches: Vec<(&'a str, ObjectId)>,
-    /// Tags as (name, commit id).
-    pub tags: Vec<(&'a str, ObjectId)>,
-    /// Current branch.
-    pub head: Option<&'a str>,
-    /// Logical clock.
-    pub clock: u64,
-}
-
-/// A borrowed view of a repository's full state: the fields of
-/// [`RepoState`] without copying a byte. [`Repository::export_state`]
-/// is this view made owned.
-#[derive(Debug)]
-pub struct StateView<'a> {
-    /// Raw object bytes, each verified against its id; a logged object
-    /// whose bytes do not hash to its id is left out.
-    pub objects: Vec<&'a [u8]>,
-    /// Working tree files.
-    pub worktree: Vec<(&'a str, &'a [u8])>,
-    /// Index, branches, tags, HEAD and clock.
-    pub refs: Refs<'a>,
-}
-
-impl StateView<'_> {
-    /// Copy the viewed state out.
-    pub fn to_owned_state(&self) -> RepoState {
-        let hex = |refs: &[(&str, ObjectId)]| -> Vec<(String, String)> {
-            refs.iter().map(|(name, id)| (name.to_string(), id.to_hex())).collect()
+impl Repository {
+    /// Export the full repository state. Every logged object is read;
+    /// one whose bytes do not hash to its id is left out.
+    pub fn export_state(&self) -> RepoState {
+        let hex = |refs: &BTreeMap<String, ObjectId>| -> Vec<(String, String)> {
+            refs.iter().map(|(name, id)| (name.clone(), id.to_hex())).collect()
         };
         RepoState {
-            objects: self.objects.iter().map(|b| b.to_vec()).collect(),
-            worktree: self.worktree.iter().map(|(p, b)| (p.to_string(), b.to_vec())).collect(),
-            index: hex(&self.refs.index),
-            branches: hex(&self.refs.branches),
-            tags: hex(&self.refs.tags),
-            head: self.refs.head.map(str::to_string),
-            clock: self.refs.clock,
-        }
-    }
-}
-
-impl Repository {
-    /// Borrow the full repository state. Reads every logged object.
-    pub fn state_view(&self) -> StateView<'_> {
-        StateView {
-            objects: self.objects.keys().filter_map(|id| self.raw(*id).ok()).collect(),
-            worktree: self.worktree.iter().map(|(p, b)| (p.as_str(), b.as_slice())).collect(),
-            refs: self.refs(),
-        }
-    }
-
-    /// Borrow the index, branches, tags, HEAD and clock.
-    pub fn refs(&self) -> Refs<'_> {
-        fn ids(refs: &BTreeMap<String, ObjectId>) -> Vec<(&str, ObjectId)> {
-            refs.iter().map(|(name, id)| (name.as_str(), *id)).collect()
-        }
-        Refs {
-            index: ids(&self.index),
-            branches: ids(&self.branches),
-            tags: ids(&self.tags),
-            head: self.head.as_deref(),
+            objects: self.objects.keys().filter_map(|id| self.raw(*id).ok()).map(<[u8]>::to_vec).collect(),
+            worktree: self.worktree.iter().map(|(p, b)| (p.clone(), b.clone())).collect(),
+            index: hex(&self.index),
+            branches: hex(&self.branches),
+            tags: hex(&self.tags),
+            head: self.head.clone(),
             clock: self.clock,
         }
-    }
-
-    /// Every stored object with its verified serialization, in id
-    /// order: the first object that fails its id is the error.
-    pub fn verified_objects(&self) -> Result<Vec<(ObjectId, &[u8])>, VcsError> {
-        let mut ids: Vec<ObjectId> = self.objects.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().map(|id| Ok((id, self.raw(id)?))).collect()
-    }
-
-    /// The objects that are not in the repository's log, in id order:
-    /// all of them without a log, else those stored since import.
-    pub fn unlogged_objects(&self) -> Vec<(ObjectId, &[u8])> {
-        let mut held: Vec<(ObjectId, &[u8])> = self
-            .objects
-            .iter()
-            .filter_map(|(id, stored)| match stored {
-                Stored::Held(bytes) => Some((*id, bytes.as_slice())),
-                Stored::Logged { .. } => None,
-            })
-            .collect();
-        held.sort_unstable_by_key(|(id, _)| *id);
-        held
-    }
-
-    /// The log the repository's logged objects lie in, if it was
-    /// imported from one.
-    pub fn object_log(&self) -> Option<&ObjectLog> {
-        self.log.as_deref()
-    }
-
-    /// Export the full repository state.
-    pub fn export_state(&self) -> RepoState {
-        self.state_view().to_owned_state()
     }
 
     /// Rebuild a repository from exported state. Object ids are
@@ -846,30 +682,10 @@ impl Repository {
         }
         Ok(repo)
     }
-
-    /// Rebuild a repository whose objects lie in `log`, with the rest of
-    /// its state from `state` as [`Repository::import_state`] takes it.
-    /// Nothing is read from the log here: each logged object is read and
-    /// hashed on its first use. Of two entries for one id the later wins.
-    pub fn import_log(
-        log: ObjectLog,
-        logged: impl IntoIterator<Item = LoggedObject>,
-        state: RepoState,
-    ) -> Result<Repository, VcsError> {
-        let mut repo = Repository::import_state(state)?;
-        for LoggedObject { id, at, len } in logged {
-            if at.checked_add(len).is_none_or(|end| end > log.end) {
-                return Err(VcsError::Corrupt(format!("object {} runs past the end of its log", id.short())));
-            }
-            repo.objects.insert(id, Stored::Logged { at, len, read: OnceLock::new() });
-        }
-        repo.log = Some(Arc::new(log));
-        Ok(repo)
-    }
 }
 
 /// A logged serialization as it is on disk, unverified.
-fn read_logged(log: &Option<Arc<ObjectLog>>, at: u64, len: u64) -> Result<Vec<u8>, String> {
+fn read_logged(log: &Option<Arc<Log>>, at: u64, len: u64) -> Result<Vec<u8>, String> {
     let log = log.as_ref().ok_or("a logged object without a log")?;
     log.read(at, len).map_err(|e| format!("read object at byte {at}: {e}"))
 }
@@ -913,7 +729,7 @@ fn validate_path(path: &str) -> Result<(), VcsError> {
 mod tests {
     use super::*;
 
-    pub(super) fn repo_with_commit() -> (Repository, ObjectId) {
+    fn repo_with_commit() -> (Repository, ObjectId) {
         let mut r = Repository::init();
         r.write_file("README.md", "# paper\n").unwrap();
         r.write_file("experiments/gassyfs/run.sh", "./run\n").unwrap();
@@ -1177,17 +993,6 @@ mod tests {
         assert!(changed(&r).is_empty(), "materializing the worktree's own snapshot changes nothing");
     }
 
-    #[test]
-    fn export_state_is_the_view_made_owned() {
-        let (mut r, _) = repo_with_commit();
-        r.tag("v1", None).unwrap();
-        let view = r.state_view();
-        let state = r.export_state();
-        assert_eq!(view.objects.len(), state.objects.len());
-        assert_eq!(view.refs.head, state.head.as_deref());
-        assert_eq!(view.to_owned_state(), state);
-    }
-
     mod prop {
         use super::*;
         use proptest::prelude::*;
@@ -1230,7 +1035,6 @@ mod tests {
 
 #[cfg(test)]
 mod state_tests {
-    use super::tests::repo_with_commit;
     use super::*;
 
     #[test]
@@ -1320,92 +1124,6 @@ mod state_tests {
         let c = r.commit("t", "first").unwrap();
         assert_eq!(r.get(blob).unwrap(), Object::Blob(b"alpha".to_vec()));
         assert_eq!(r.snapshot_of(c).unwrap()["a.txt"], b"alpha");
-    }
-
-    /// `state`'s objects moved into a log file, back to back, with
-    /// `corrupt` applied to the file's bytes.
-    fn into_log(tag: &str, mut state: RepoState, corrupt: impl FnOnce(&mut Vec<u8>)) -> Repository {
-        let mut bytes = Vec::new();
-        let mut logged = Vec::new();
-        for object in state.objects.drain(..) {
-            let (at, len) = (bytes.len() as u64, object.len() as u64);
-            logged.push(LoggedObject { id: ObjectId::for_bytes(&object), at, len });
-            bytes.extend_from_slice(&object);
-        }
-        corrupt(&mut bytes);
-        let path = std::env::temp_dir().join(format!("popper-vcs-log-{tag}-{}", std::process::id()));
-        std::fs::write(&path, &bytes).unwrap();
-        let file = File::open(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let end = bytes.len() as u64;
-        Repository::import_log(ObjectLog::new(file, end, end, HashSet::new()), logged, state).unwrap()
-    }
-
-    #[test]
-    fn a_logged_object_is_hashed_on_first_use() {
-        let (mut r, c1) = repo_with_commit();
-        r.write_file("README.md", "# v2\n").unwrap();
-        r.stage(".").unwrap();
-        let c2 = r.commit("t", "second").unwrap();
-        let logged = into_log("clean", r.export_state(), |_| {});
-        assert_eq!(logged.log(c2).unwrap(), r.log(c2).unwrap());
-        assert_eq!(logged.snapshot_of(c1).unwrap(), r.snapshot_of(c1).unwrap());
-        assert!(logged.unlogged_objects().is_empty());
-        // One flipped byte in the blob of the first README.
-        let readme = r.put(&Object::Blob(b"# paper\n".to_vec()));
-        let state = r.export_state();
-        let at: usize = state.objects.iter().take_while(|o| ObjectId::for_bytes(o) != readme).map(Vec::len).sum();
-        let flipped = into_log("flipped", state, |bytes| bytes[at + 8] ^= 0x20);
-        assert!(matches!(flipped.get(readme), Err(VcsError::Corrupt(_))));
-        assert!(flipped.snapshot_of(c1).is_err());
-        assert_eq!(flipped.snapshot_of(c2).unwrap(), r.snapshot_of(c2).unwrap());
-        assert!(flipped.verified_objects().is_err());
-        assert_eq!(flipped.state_view().objects.len(), r.object_count() - 1, "the view leaves it out");
-    }
-
-    #[test]
-    fn restaging_over_the_log_adds_no_object() {
-        let (r, c1) = repo_with_commit();
-        let mut logged = into_log("restage", r.export_state(), |_| {});
-        logged.stage(".").unwrap();
-        let c2 = logged.commit("t", "again").unwrap();
-        assert_eq!(logged.commit_info(c1).unwrap().tree, logged.commit_info(c2).unwrap().tree);
-        let new: Vec<ObjectId> = logged.unlogged_objects().iter().map(|(id, _)| *id).collect();
-        assert_eq!(new, [c2], "only the commit object is new");
-    }
-
-    #[test]
-    fn put_replaces_a_logged_copy_that_does_not_hash_to_its_id() {
-        let mut r = Repository::init();
-        r.write_file("a.txt", "alpha").unwrap();
-        r.stage("a.txt").unwrap();
-        let blob = r.put(&Object::Blob(b"alpha".to_vec()));
-        let state = r.export_state();
-        let mut logged = into_log("replace", state, |bytes| {
-            let at = bytes.windows(5).position(|w| w == b"alpha").unwrap();
-            bytes[at] = b'A';
-        });
-        logged.stage(".").unwrap();
-        let c = logged.commit("t", "first").unwrap();
-        assert_eq!(logged.get(blob).unwrap(), Object::Blob(b"alpha".to_vec()));
-        assert_eq!(logged.snapshot_of(c).unwrap()["a.txt"], b"alpha");
-        let new: Vec<ObjectId> = logged.unlogged_objects().iter().map(|(id, _)| *id).collect();
-        assert!(new.contains(&blob), "the good copy is to be logged again");
-    }
-
-    #[test]
-    fn a_logged_object_past_the_end_of_its_log_is_refused() {
-        let path = std::env::temp_dir().join(format!("popper-vcs-short-log-{}", std::process::id()));
-        std::fs::write(&path, b"blob 1\0x").unwrap();
-        let file = File::open(&path).unwrap();
-        std::fs::remove_file(&path).ok();
-        let state = Repository::init().export_state();
-        let id = ObjectId::for_bytes(b"blob 1\0x");
-        for (at, len) in [(0, 8), (1, 8), (0, 9), (u64::MAX, 2)] {
-            let log = ObjectLog::new(file.try_clone().unwrap(), 8, 8, HashSet::new());
-            let r = Repository::import_log(log, [LoggedObject { id, at, len }], state.clone());
-            assert_eq!(r.is_ok(), (at, len) == (0, 8), "{at} {len}");
-        }
     }
 
     #[test]
