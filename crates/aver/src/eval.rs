@@ -662,4 +662,74 @@ mod tests {
         );
         assert_passes("when threads >= 4 expect decreasing(threads, throughput_gbs)", &t);
     }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        const COLUMNS: &[&str] = &["workload", "machine", "nodes", "time", "ghost"];
+        const TRENDS: &[&str] = &["sublinear", "superlinear", "linear", "increasing", "decreasing", "constant"];
+        const AGGREGATES: &[&str] = &["avg", "sum", "min", "max", "count", "median", "stddev", "p90", "p95", "p99"];
+        const COMPARISONS: &[&str] = &["=", "!=", "<", "<=", ">", ">="];
+        const CONNECTIVES: &[&str] = &["and", "and", "or", "and not", "+"];
+
+        fn pick(words: &'static [&'static str]) -> BoxedStrategy<String> {
+            (0..words.len()).prop_map(move |i| words[i].to_string()).boxed()
+        }
+
+        fn number() -> BoxedStrategy<String> {
+            prop_oneof!["-?[0-9]{1,3}\\.?[0-9]{0,2}", "[0-9]e[0-9]{1,3}"].boxed()
+        }
+
+        /// A `when` term: a column compared with a value or a wildcard.
+        fn filter() -> BoxedStrategy<String> {
+            let value = prop_oneof![number(), number(), Just("*".to_string()), Just("git".to_string()), "\\PC{0,4}"];
+            (pick(COLUMNS), pick(COMPARISONS), value).prop_map(|(c, op, v)| format!("{c} {op} {v}")).boxed()
+        }
+
+        /// An `expect` term: a trend, an aggregate compared with a
+        /// number, a tolerance check, or a short arbitrary string.
+        fn expectation() -> BoxedStrategy<String> {
+            let aggregate = || {
+                (pick(AGGREGATES), pick(COLUMNS), pick(COMPARISONS), number())
+                    .prop_map(|(f, c, op, n)| format!("{f}({c}) {op} {n}"))
+            };
+            prop_oneof![
+                (pick(TRENDS), pick(COLUMNS), pick(COLUMNS)).prop_map(|(f, a, b)| format!("{f}({a}, {b})")),
+                aggregate(),
+                aggregate(),
+                (pick(AGGREGATES), pick(COLUMNS), number(), number())
+                    .prop_map(|(f, c, a, b)| format!("within({f}({c}), {a}, {b})")),
+                "\\PC{0,8}",
+            ]
+            .boxed()
+        }
+
+        /// Terms joined by connectives.
+        fn joined(term: BoxedStrategy<String>) -> BoxedStrategy<String> {
+            (term.clone(), proptest::collection::vec((pick(CONNECTIVES), term), 0..3))
+                .prop_map(|(first, rest)| rest.iter().fold(first, |out, (c, t)| format!("{out} {c} {t}")))
+                .boxed()
+        }
+
+        proptest! {
+            /// Any short assertion checks against a fixed table or gives
+            /// an error, never a panic.
+            #[test]
+            fn check_never_panics(
+                assertions in proptest::collection::vec(
+                    (proptest::strategy::option_of(joined(filter())), joined(expectation())),
+                    1..16,
+                ),
+            ) {
+                for (when, expect) in &assertions {
+                    let source = match when {
+                        Some(when) => format!("when {when} expect {expect}"),
+                        None => format!("expect {expect}"),
+                    };
+                    let _ = check(&source, &gassyfs_table());
+                }
+            }
+        }
+    }
 }

@@ -31,7 +31,7 @@ pub mod driver;
 pub mod schedule;
 
 pub use driver::ChaosDriver;
-pub use schedule::{FaultEvent, FaultKind, FaultSchedule, BUILTIN_SCHEDULES};
+pub use schedule::{FaultEvent, FaultKind, FaultSchedule, BUILTIN_SCHEDULES, MAX_FAULT_NODES};
 
 /// The default chaos validations, checked when an experiment ships no
 /// `chaos.aver` of its own. They encode the resilience contract: the

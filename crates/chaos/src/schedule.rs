@@ -145,6 +145,11 @@ pub struct FaultSchedule {
     pub events: Vec<FaultEvent>,
 }
 
+/// The most nodes a `faults:` spec may name. The built-in schedules
+/// allocate one entry per node, so a larger count is refused before
+/// anything is sized by it.
+pub const MAX_FAULT_NODES: usize = 65_536;
+
 /// The built-in schedule names accepted by `FaultSchedule::named` and
 /// the `popper chaos --schedule` flag.
 pub const BUILTIN_SCHEDULES: &[&str] =
@@ -301,7 +306,8 @@ impl FaultSchedule {
     /// ```
     ///
     /// The cluster size comes from `faults.nodes`, else the max of a
-    /// top-level `nodes` list, else a top-level `nodes` number, else 8.
+    /// top-level `nodes` list, else a top-level `nodes` number, else 8;
+    /// more than [`MAX_FAULT_NODES`] is an error.
     pub fn from_vars(vars: &Value) -> Result<Option<FaultSchedule>, String> {
         let Some(spec) = vars.get("faults") else { return Ok(None) };
         let nodes = spec
@@ -313,7 +319,11 @@ impl FaultSchedule {
             })
             .or_else(|| vars.get_num("nodes"))
             .filter(|n| *n >= 1.0)
-            .unwrap_or(8.0) as usize;
+            .unwrap_or(8.0);
+        if nodes > MAX_FAULT_NODES as f64 {
+            return Err(format!("faults.nodes: {nodes} is more than the {MAX_FAULT_NODES} nodes a schedule can target"));
+        }
+        let nodes = nodes as usize;
         let seed = spec.get_num("seed").unwrap_or(1.0) as u64;
         if let Some(name) = spec.get_str("schedule") {
             return FaultSchedule::named(name, nodes, seed).map(Some);
@@ -714,5 +724,74 @@ mod tests {
         assert_eq!(doc.get_str("schedule"), Some("gremlin"));
         assert_eq!(doc.get_num("nodes"), Some(8.0));
         assert!(!doc.get_list("events").unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_node_count_past_the_bound_is_refused() {
+        for nodes in ["1e15", "65537", "1e400"] {
+            for schedule in ["partition", "packet-loss", "gremlin"] {
+                let vars = pml::parse(&format!("faults: {{schedule: {schedule}, nodes: {nodes}}}\n")).unwrap();
+                let err = FaultSchedule::from_vars(&vars).unwrap_err();
+                assert!(err.contains("faults.nodes"), "{schedule} {nodes}: {err}");
+            }
+        }
+        let top_level = pml::parse("nodes: [1, 1e15]\nfaults: {schedule: partition}\n").unwrap();
+        assert!(FaultSchedule::from_vars(&top_level).is_err());
+        let at_bound = pml::parse("faults: {schedule: packet-loss, nodes: 65536}\n").unwrap();
+        assert_eq!(FaultSchedule::from_vars(&at_bound).unwrap().unwrap().nodes, MAX_FAULT_NODES);
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        const KEYS: &[&str] =
+            &["schedule", "nodes", "seed", "at_ms", "kind", "node", "p", "factor", "from", "to", "side"];
+        const NAMES: &[&str] = &[
+            "node-crash", "partition", "packet-loss", "slow-disk", "gremlin", "crash", "restart",
+            "heal", "loss", "loss-oneway", "latency", "disk-slow", "clear",
+        ];
+
+        /// A value: a schedule or event-kind name, a number, a list or
+        /// a short arbitrary string.
+        fn value() -> BoxedStrategy<String> {
+            prop_oneof![
+                (0..NAMES.len()).prop_map(|i| NAMES[i].to_string()),
+                "-?[0-9]{1,6}\\.?[0-9]{0,3}",
+                "[0-9]e[0-9]{1,3}",
+                "\\[[0-9, ]{0,8}\\]",
+                "\\PC{0,6}",
+            ]
+            .boxed()
+        }
+
+        /// `faults:` text: maybe a schedule, nodes and seed, and maybe
+        /// events, each with a time, a kind and other keys.
+        fn spec() -> BoxedStrategy<String> {
+            let entry = || ((0..KEYS.len()), value()).prop_map(|(k, v)| format!(", {}: {v}", KEYS[k]));
+            let event = (value(), value(), proptest::collection::vec(entry(), 0..3))
+                .prop_map(|(at, kind, rest)| format!("    - {{at_ms: {at}, kind: {kind}{}}}\n", rest.concat()));
+            let line = |key: &'static str| proptest::strategy::option_of(value()).prop_map(move |v| v.map(|v| format!("  {key}: {v}\n")));
+            (line("schedule"), line("nodes"), line("seed"), proptest::collection::vec(event, 0..4))
+                .prop_map(|(schedule, nodes, seed, events)| {
+                    let events = if events.is_empty() { String::new() } else { format!("  events:\n{}", events.concat()) };
+                    format!("faults:\n{}{}{}{events}", schedule.unwrap_or_default(), nodes.unwrap_or_default(), seed.unwrap_or_default())
+                })
+                .boxed()
+        }
+
+        proptest! {
+            /// Any `faults:` text that parses as PML gives a schedule
+            /// within the node bound or an error, never a panic.
+            #[test]
+            fn from_vars_never_panics(specs in proptest::collection::vec(spec(), 1..16)) {
+                for text in &specs {
+                    let Ok(vars) = pml::parse(text) else { continue };
+                    if let Ok(Some(s)) = FaultSchedule::from_vars(&vars) {
+                        prop_assert!(s.nodes >= 1 && s.nodes <= MAX_FAULT_NODES, "{} nodes", s.nodes);
+                    }
+                }
+            }
+        }
     }
 }

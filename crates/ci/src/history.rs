@@ -327,4 +327,44 @@ mod tests {
         assert!(!out.success);
         assert!(out.log.contains("more samples"));
     }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// A history line: a build number, a commit, a verdict and
+        /// provenance fields, each well formed or arbitrary.
+        fn line() -> BoxedStrategy<String> {
+            let number = prop_oneof!["#[0-9]{1,4}", "#[0-9]{1,4}", "#-?[0-9]{0,21}", "\\PC{0,4}"];
+            let commit = prop_oneof!["[0-9a-f]{1,12}", "\\PC{0,6}"];
+            let verdict = prop_oneof![Just("passed".to_string()), Just("failed".to_string()), "\\PC{0,6}"];
+            let field = || ((0..3usize), "-?[0-9]{0,21}").prop_map(|(k, v)| format!("{}={v}", ["wait_ms", "retries", "x"][k]));
+            let extra = prop_oneof![field(), field(), field(), "\\PC{0,6}"];
+            (number, commit, verdict, proptest::collection::vec(extra, 0..3))
+                .prop_map(|(number, commit, verdict, extra)| format!("{number} {commit} {verdict} {}", extra.join(" ")))
+                .boxed()
+        }
+
+        proptest! {
+            /// Any short history text parses or gives an error, never a
+            /// panic; what parses renders and round-trips.
+            #[test]
+            fn from_text_never_panics(
+                texts in proptest::collection::vec(
+                    proptest::collection::vec(
+                        prop_oneof![line(), line(), line(), Just("popper-history v2".to_string()), "popper-history \\PC{0,3}"],
+                        0..4,
+                    ),
+                    1..16,
+                ),
+            ) {
+                for lines in &texts {
+                    let Ok(history) = BuildHistory::from_text(&lines.join("\n")) else { continue };
+                    let _ = history.to_string();
+                    let again = BuildHistory::from_text(&history.to_text()).map(|h| h.records);
+                    prop_assert_eq!(again, Ok(history.records));
+                }
+            }
+        }
+    }
 }

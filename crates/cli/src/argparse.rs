@@ -57,9 +57,10 @@ impl Parsed {
     }
 
     /// Refuse a flag that the command `words` (`"chaos"`, `"farm
-    /// serve"`) does not take, besides [`GLOBAL_FLAGS`], and an argument
-    /// past the `args` it takes after those words, rather than ignore
-    /// them: a mistyped `--seed` must not run seed 1.
+    /// serve"`) does not take, besides the global `--author` and
+    /// `--sim-workers`, and an argument past the `args` it takes after
+    /// those words, rather than ignore them: a mistyped `--seed` must
+    /// not run seed 1.
     pub fn expect(&self, words: &str, flags: &[&str], args: usize) -> Result<(), String> {
         let takes = |f: &str| flags.contains(&f) || GLOBAL_FLAGS.contains(&f);
         if let Some((flag, _)) = self.flags.iter().find(|(f, _)| !takes(f)) {

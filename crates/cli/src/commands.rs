@@ -139,15 +139,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
         Some("validate") => {
             parsed.expect("validate", &[], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper validate <experiment>")?;
-            let repo = persist::load(dir, &author)?;
-            let csv = repo
-                .read(&format!("experiments/{name}/results.csv"))
-                .ok_or_else(|| format!("experiment '{name}' has no results.csv (run it first)"))?;
-            let src = repo
-                .experiment_validations(name)
-                .ok_or_else(|| format!("experiment '{name}' has no validations.aver"))?;
-            let table = popper_format::Table::from_csv(&csv).map_err(|e| e.to_string())?;
-            let verdict = popper_aver::check(&src, &table).map_err(|e| e.to_string())?;
+            let verdict = popper_core::cipipeline::validate_recorded(&persist::load(dir, &author)?, name)?;
             if verdict.passed {
                 Ok(format!("{verdict}\n"))
             } else {
@@ -885,7 +877,7 @@ mod tests {
         let out = run(&["chaos", "g", "--schedule", "node-crash", "--seed", "7"], &dir).unwrap();
         assert!(out.contains("SURVIVED"), "{out}");
         assert!(out.contains("recovery:"), "{out}");
-        for artifact in ["faults.json", "recovery.json", "results.csv", "trace.json"] {
+        for artifact in ["faults.json", "recovery.json", "chaos-results.csv", "trace.json"] {
             assert!(dir.join(format!("experiments/g/{artifact}")).is_file(), "missing {artifact}");
         }
         let faults = fs::read_to_string(dir.join("experiments/g/faults.json")).unwrap();

@@ -5,8 +5,10 @@
 //! overrides, the experiment's `faults:` spec in `vars.pml`, or the
 //! `node-crash` default), hand the augmented vars to the experiment's
 //! runner (fault-aware runners drive a [`popper_chaos::ChaosDriver`]
-//! against the simulated cluster), then record `results.csv`,
-//! `faults.json` and `recovery.json` as committed artifacts and check
+//! against the simulated cluster), then record `chaos-results.csv`,
+//! `faults.json`, `recovery.json` and `chaos-figure.txt` as committed
+//! artifacts, beside the `results.csv` and `figure.txt` that `popper
+//! run` records, and check
 //! the experiment's `chaos.aver` (or the
 //! [`popper_chaos::DEFAULT_ASSERTIONS`]) over the results.
 
@@ -156,10 +158,10 @@ fn record_chaos() -> impl FnOnce(&mut PopperRepo, &mut RunContext) -> Result<Sta
         let sched = ctx.schedule.as_ref().ok_or("record: no fault schedule armed")?;
         ctx.metrics = recovery_metrics(results, sched);
         let staged = vec![
-            (ctx.artifact_path("results.csv"), results.to_csv()),
+            (ctx.artifact_path("chaos-results.csv"), results.to_csv()),
             (ctx.artifact_path("faults.json"), sched.to_json()),
             (ctx.artifact_path("recovery.json"), json::to_string_pretty(&ctx.metrics)),
-            (ctx.artifact_path("figure.txt"), results.to_pretty()),
+            (ctx.artifact_path("chaos-figure.txt"), results.to_pretty()),
         ];
         for (path, bytes) in staged {
             ctx.artifacts.stage(path, bytes);
@@ -244,7 +246,7 @@ mod tests {
         assert!(report.success(), "{:?}", report.verdict.failures);
         assert_eq!(report.schedule.name, "node-crash");
         assert_eq!(report.schedule.seed, 7);
-        assert!(repo.exists("experiments/g/results.csv"));
+        assert!(repo.exists("experiments/g/chaos-results.csv"));
         assert!(repo.exists("experiments/g/faults.json"));
         assert!(repo.exists("experiments/g/recovery.json"));
         assert!(repo.vcs.status().unwrap().is_empty(), "artifacts must be committed");

@@ -177,21 +177,10 @@ pub fn popper_steps(
                 let Some(name) = args.first() else {
                     return StepOutcome::fail("validate needs an experiment name");
                 };
-                let repo = repo.lock();
-                let Some(csv) = repo.read(&format!("experiments/{name}/results.csv")) else {
-                    return StepOutcome::fail(format!("experiment '{name}' has no results.csv"));
-                };
-                let Some(src) = repo.experiment_validations(name) else {
-                    return StepOutcome::fail(format!("experiment '{name}' has no validations.aver"));
-                };
-                let table = match Table::from_csv(&csv) {
-                    Ok(t) => t,
-                    Err(e) => return StepOutcome::fail(e.to_string()),
-                };
-                match popper_aver::check(&src, &table) {
+                match validate_recorded(&repo.lock(), name) {
                     Ok(v) if v.passed => StepOutcome::pass(v.to_string()),
                     Ok(v) => StepOutcome::fail(v.to_string()),
-                    Err(e) => StepOutcome::fail(e.to_string()),
+                    Err(e) => StepOutcome::fail(e),
                 }
             }
             "regression-gate" => {
@@ -310,6 +299,20 @@ pub fn popper_steps(
             other => StepOutcome::fail(format!("unknown CI step '{other}'")),
         }
     })
+}
+
+/// Check `experiment`'s `validations.aver` against its recorded
+/// `results.csv`: the verdict, or why there is none. `popper validate`
+/// and the CI `validate` step both call this.
+pub fn validate_recorded(repo: &PopperRepo, experiment: &str) -> Result<popper_aver::Verdict, String> {
+    let csv = repo
+        .read(&format!("experiments/{experiment}/results.csv"))
+        .ok_or_else(|| format!("experiment '{experiment}' has no results.csv (run it first)"))?;
+    let src = repo
+        .experiment_validations(experiment)
+        .ok_or_else(|| format!("experiment '{experiment}' has no validations.aver"))?;
+    let table = Table::from_csv(&csv).map_err(|e| e.to_string())?;
+    popper_aver::check(&src, &table).map_err(|e| e.to_string())
 }
 
 /// Compare the working-tree `results.csv` of `experiment` against the

@@ -48,6 +48,8 @@ const GENERATED_ARTIFACTS: &[&str] = &[
     "results.csv",
     "figure.txt",
     "figure.svg",
+    "chaos-results.csv",
+    "chaos-figure.txt",
     "faults.json",
     "recovery.json",
     "trace.json",
@@ -70,7 +72,7 @@ pub fn lifecycle_session(
     mode: &str,
     salt: &[(String, String)],
 ) -> MemoSession {
-    let mut key = KeyBuilder::new("popper-memo/base/v1")
+    let mut key = KeyBuilder::new("popper-memo/base/v2")
         .text("engine", env!("CARGO_PKG_VERSION"))
         .text("mode", mode)
         .text("experiment", experiment);

@@ -13,11 +13,10 @@
 //!   draws, sender accounting, egress reservation — producing a
 //!   [`TransferDemand`] that carries the full serialization demand and
 //!   is buffered in the shard's state;
-//! * at every epoch barrier a [`FabricStage`] (an
-//!   [`EpochStage`](crate::shard::EpochStage)) drains all buffered
-//!   demands in `(source shard, admission seq)` order and replays the
-//!   shared stages — the core switch and the destinations' ingress
-//!   links — through the same [`FabricCore`] the serial fabric uses,
+//! * at every epoch barrier a `FabricStage` (an [`EpochStage`]) drains
+//!   all buffered demands in `(source shard, admission seq)` order and
+//!   replays the shared stages — the core switch and the destinations'
+//!   ingress links — through the same [`FabricCore`] the serial fabric uses,
 //!   then schedules each completion onto its destination shard.
 //!
 //! Delivery at the barrier is always causally safe: a demand admitted

@@ -5,7 +5,7 @@
 //! silently break every stored reference, so we own the implementation
 //! and pin it with the official test vectors.
 //!
-//! The block compression has two kernels. [`compress_portable`] runs
+//! The block compression has two kernels. `compress_portable` runs
 //! everywhere and is the reference; on x86_64 CPUs with the SHA
 //! extensions, [`Sha256::new`] picks the SHA-NI kernel instead. Both
 //! produce the same digests bit for bit, which the tests check.

@@ -72,6 +72,32 @@ fn cli_chaos_records_faults_recovery_and_trace() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `popper chaos` records its table beside the run's, not over it:
+/// after `run` then `chaos`, `validate` and `verify` still check the
+/// run's table, and a memo-warm `chaos` + `run` pair commits only the
+/// chaos trace.
+#[test]
+fn validate_and_verify_pass_after_a_chaos_run() {
+    let dir = temp_dir("run-then-chaos");
+    run(&["init"], &dir).unwrap();
+    run(&["add", "gassyfs", "g"], &dir).unwrap();
+    run(&["run", "g"], &dir).unwrap();
+    let recorded = fs::read(dir.join("experiments/g/results.csv")).unwrap();
+    run(&["chaos", "g", "--schedule", "node-crash", "--seed", "7"], &dir).unwrap();
+    assert_eq!(fs::read(dir.join("experiments/g/results.csv")).unwrap(), recorded, "chaos wrote over the run's table");
+    let out = run(&["validate", "g"], &dir).unwrap_or_else(|e| panic!("validate after chaos: {e}"));
+    assert!(out.contains("PASS"), "{out}");
+    let out = run(&["verify", "g"], &dir).unwrap_or_else(|e| panic!("verify after chaos: {e}"));
+    assert!(out.contains("numerically reproducible"), "{out}");
+
+    let commits = || run(&["log"], &dir).unwrap().lines().count();
+    let before = commits();
+    run(&["chaos", "g", "--schedule", "node-crash", "--seed", "7"], &dir).unwrap();
+    run(&["run", "g"], &dir).unwrap();
+    assert_eq!(commits(), before + 1, "{}", run(&["log"], &dir).unwrap());
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// This repository eats its own dog food: its `.popper-ci.pml` must
 /// parse with the in-tree CI engine and carry the chaos smoke jobs,
 /// each running its whole target once (no matrix axis repeats it).

@@ -67,7 +67,7 @@ fn regenerate_goldens() {
     run(&["add", "gassyfs", "g"], &cli).unwrap();
     run(&["chaos", "g", "--schedule", "node-crash", "--seed", "7"], &cli).unwrap();
     let dir = root.join("chaos");
-    for name in ["results.csv", "faults.json", "recovery.json", "figure.txt"] {
+    for name in ["chaos-results.csv", "faults.json", "recovery.json", "chaos-figure.txt"] {
         pin(&dir, name, &fs::read_to_string(cli.join("experiments/g").join(name)).unwrap());
     }
     fs::remove_dir_all(&cli).ok();

@@ -103,7 +103,7 @@ fn chaos_mode_artifacts_match_pre_refactor_goldens() {
     run(&["init"], &dir).unwrap();
     run(&["add", "gassyfs", "g"], &dir).unwrap();
     run(&["chaos", "g", "--schedule", "node-crash", "--seed", "7"], &dir).unwrap();
-    for name in ["results.csv", "faults.json", "recovery.json", "figure.txt"] {
+    for name in ["chaos-results.csv", "faults.json", "recovery.json", "chaos-figure.txt"] {
         assert_eq!(
             fs::read_to_string(dir.join("experiments/g").join(name)).unwrap(),
             golden("chaos", name),

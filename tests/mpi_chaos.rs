@@ -42,7 +42,7 @@ fn builtin_schedules_all_survive_lulesh_chaos() {
     }
     // The shrink policy's artifacts: a per-epoch results table and the
     // fault timeline, all committed.
-    let csv = fs::read_to_string(dir.join("experiments/m/results.csv")).unwrap();
+    let csv = fs::read_to_string(dir.join("experiments/m/chaos-results.csv")).unwrap();
     assert!(csv.starts_with("schedule,policy,epoch"), "{csv}");
     assert!(dir.join("experiments/m/faults.json").exists());
 }
@@ -57,7 +57,7 @@ fn same_seed_chaos_runs_are_deterministic() {
         (
             fs::read_to_string(dir.join("experiments/m/faults.json")).unwrap(),
             fs::read_to_string(dir.join("experiments/m/recovery.json")).unwrap(),
-            fs::read_to_string(dir.join("experiments/m/results.csv")).unwrap(),
+            fs::read_to_string(dir.join("experiments/m/chaos-results.csv")).unwrap(),
         )
     };
     let a = artifacts("11");
