@@ -24,8 +24,9 @@
 //! * the seeded gremlin generator ([`FaultSchedule::gremlin`]).
 //!
 //! Every schedule serializes to a deterministic `faults.json`
-//! ([`FaultSchedule::to_json`]) that is committed next to `results.csv`,
-//! so the fault timeline is itself a versioned Popper artifact.
+//! ([`FaultSchedule::to_json`]) that is committed next to
+//! `chaos-results.csv`, so the fault timeline is itself a versioned
+//! Popper artifact.
 
 pub mod driver;
 pub mod schedule;

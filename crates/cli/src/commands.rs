@@ -411,7 +411,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             )?;
             persist::save(&repo, dir)?;
             let out = format!(
-                "{report}\n-- recorded experiments/{name}/faults.json, recovery.json, trace.json ({} event(s))\n{memo}",
+                "{report}\n-- recorded experiments/{name}/chaos-results.csv, chaos-figure.txt, faults.json, recovery.json, trace.json ({} event(s))\n{memo}",
                 recording.events.len(),
             );
             if report.success() {

@@ -646,7 +646,7 @@ mod tests {
         assert!(report.metrics.get_num("failovers").unwrap_or(0.0) > 0.0);
         assert!(report.metrics.get_num("degraded_fraction").unwrap() <= 0.25);
         assert_eq!(report.metrics.get_num("corrupt"), Some(0.0));
-        let csv = repo.read("experiments/e/results.csv").unwrap();
+        let csv = repo.read("experiments/e/chaos-results.csv").unwrap();
         assert!(csv.starts_with("schedule,mirrors,epoch"), "{csv}");
     }
 
@@ -660,7 +660,7 @@ mod tests {
             repo.commit("add").unwrap();
             full_engine().run_chaos(&mut repo, "e", Some("gremlin"), Some(seed)).unwrap();
             (
-                repo.read("experiments/e/results.csv").unwrap(),
+                repo.read("experiments/e/chaos-results.csv").unwrap(),
                 repo.read("experiments/e/faults.json").unwrap(),
             )
         };
@@ -692,7 +692,7 @@ mod tests {
         let degraded = report.metrics.get_num("degraded_fraction").unwrap();
         assert!(degraded > 0.0 && degraded <= 0.5, "degraded {degraded}");
         assert_eq!(report.metrics.get_num("corrupt"), Some(0.0));
-        let csv = repo.read("experiments/e/results.csv").unwrap();
+        let csv = repo.read("experiments/e/chaos-results.csv").unwrap();
         assert!(csv.starts_with("schedule,policy,epoch"), "{csv}");
         assert!(repo.exists("experiments/e/recovery.json"));
     }
@@ -716,7 +716,7 @@ mod tests {
         assert_eq!(report.metrics.get_num("degraded_fraction"), Some(0.0));
         assert!(report.metrics.get_num("checkpoints").unwrap_or(0.0) > 0.0);
         assert!(report.metrics.get_num("replayed").unwrap_or(0.0) > 0.0);
-        let csv = repo.read("experiments/e/results.csv").unwrap();
+        let csv = repo.read("experiments/e/chaos-results.csv").unwrap();
         assert!(csv.contains("checkpoint-restart"), "{csv}");
     }
 
@@ -730,7 +730,7 @@ mod tests {
             repo.commit("add").unwrap();
             full_engine().run_chaos(&mut repo, "e", Some("gremlin"), Some(seed)).unwrap();
             (
-                repo.read("experiments/e/results.csv").unwrap(),
+                repo.read("experiments/e/chaos-results.csv").unwrap(),
                 repo.read("experiments/e/faults.json").unwrap(),
                 repo.read("experiments/e/recovery.json").unwrap(),
             )

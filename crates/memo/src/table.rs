@@ -3,9 +3,9 @@
 //! Entries are blobs (content-addressed, deduplicated with everything
 //! else in the repository) and keys are `memo/<hex>` refs pointing at
 //! them. Riding the existing ref/object machinery means the cache
-//! persists through `RepoState` export/import and the CLI's
-//! `.popper/state` file for free, and `popper` never grows a second
-//! storage format. The `memo/` prefix keeps keys out of the way of
+//! persists through `RepoState` export/import and, as tags, through
+//! the `.popper/state` log that `popper_vcs::state` reads and writes,
+//! for free, and `popper` never grows a second storage format. The `memo/` prefix keeps keys out of the way of
 //! branches, user tags and commit-hex resolution.
 
 use crate::{StageEntry, StageKey};

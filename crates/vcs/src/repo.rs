@@ -87,8 +87,8 @@ pub struct Repository {
     pub(crate) head: Option<String>,
     /// Monotonic logical clock for commit timestamps.
     pub(crate) clock: u64,
-    /// Working-tree paths whose bytes changed since `init` or
-    /// `import_state`: all a save has to write back.
+    /// Working-tree paths whose bytes changed since `init`,
+    /// `import_state` or a load: all a save has to write back.
     changed: BTreeSet<String>,
 }
 
