@@ -8,8 +8,7 @@
 //! against the simulated cluster), then record `chaos-results.csv`,
 //! `faults.json`, `recovery.json` and `chaos-figure.txt` as committed
 //! artifacts, beside the `results.csv` and `figure.txt` that `popper
-//! run` records, and check
-//! the experiment's `chaos.aver` (or the
+//! run` records, and check the experiment's `chaos.aver` (or the
 //! [`popper_chaos::DEFAULT_ASSERTIONS`]) over the results.
 
 use crate::experiment::ExperimentEngine;
