@@ -7,8 +7,10 @@
 //! shrinking — failing inputs are reported as generated — but the
 //! generator set (ranges, regex-subset strings, collections, tuples,
 //! `prop_oneof!`, `prop_map`, `prop_recursive`) matches what the test
-//! suites need, and runs are reproducible: the per-property seed is
-//! fixed unless `PROPTEST_SEED` overrides it.
+//! suites need, and runs are reproducible: each property's seed is a
+//! function of its module path and name, mixed with a base seed that is
+//! fixed unless `PROPTEST_SEED` overrides it, and a falsified property
+//! names the `PROPTEST_SEED` that replays it.
 
 pub mod strategy;
 pub mod string;
@@ -111,15 +113,26 @@ pub mod test_runner {
     /// The RNG driving generation. Deterministic per run.
     pub struct TestRng(pub(crate) rand::rngs::StdRng);
 
+    /// The base seed: `PROPTEST_SEED` if set to a number, else fixed.
+    pub fn base_seed() -> u64 {
+        std::env::var("PROPTEST_SEED").ok().and_then(|s| s.parse().ok()).unwrap_or(0x5eed_cafe_f00d)
+    }
+
+    /// The salt of the property `name` in module `module`: the same in
+    /// every run of every build.
+    pub fn property_salt(module: &str, name: &str) -> u64 {
+        // FNV-1a over "module::name".
+        [module, "::", name]
+            .iter()
+            .flat_map(|part| part.bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+    }
+
     impl TestRng {
         /// A deterministically seeded RNG (override with `PROPTEST_SEED`).
         pub fn deterministic(salt: u64) -> Self {
             use rand::SeedableRng;
-            let base = std::env::var("PROPTEST_SEED")
-                .ok()
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(0x5eed_cafe_f00du64);
-            TestRng(rand::rngs::StdRng::seed_from_u64(base ^ salt))
+            TestRng(rand::rngs::StdRng::seed_from_u64(base_seed() ^ salt))
         }
     }
 
@@ -310,10 +323,10 @@ macro_rules! proptest {
         $(
             $(#[$meta])*
             fn $name() {
-                // Salt the RNG with the property name so sibling
-                // properties explore different streams.
-                let salt = $name as fn() as usize as u64 ^
-                    stringify!($name).bytes().fold(0u64, |h, b| h.wrapping_mul(131).wrapping_add(b as u64));
+                // Salt the RNG with the property's path so sibling
+                // properties explore different streams, and every run
+                // the same ones.
+                let salt = $crate::test_runner::property_salt(module_path!(), stringify!($name));
                 let mut rng = $crate::test_runner::TestRng::deterministic(salt);
                 let mut accepted = 0u32;
                 let mut attempts = 0u32;
@@ -333,7 +346,13 @@ macro_rules! proptest {
                         Ok(()) => accepted += 1,
                         Err($crate::test_runner::TestCaseError::Reject(_)) => continue,
                         Err($crate::test_runner::TestCaseError::Fail(msg)) => {
-                            panic!("property '{}' falsified: {}\n  inputs: {}", stringify!($name), msg, dbg);
+                            panic!(
+                                "property '{}' falsified: {}\n  inputs: {}\n  replay: PROPTEST_SEED={}",
+                                stringify!($name),
+                                msg,
+                                dbg,
+                                $crate::test_runner::base_seed(),
+                            );
                         }
                     }
                 }
@@ -373,6 +392,54 @@ mod tests {
             prop_assert!(s.chars().count() >= 2 && s.chars().count() <= 5, "{s:?}");
             prop_assert!(s.chars().all(|c| ('a'..='c').contains(&c)), "{s:?}");
         }
+    }
+
+    /// Set in the child runs of `two_runs_draw_the_same_first_case`.
+    const PRINT_FIRST: &str = "PROPTEST_SHIM_PRINT_FIRST_CASE";
+
+    /// Whether `first_case_printer` printed its first case.
+    static PRINTED: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
+
+    proptest! {
+        /// Prints its first case when `PRINT_FIRST` is set.
+        #[test]
+        fn first_case_printer(x in 0u64..u64::MAX) {
+            prop_assert!(x < u64::MAX);
+            if std::env::var_os(PRINT_FIRST).is_some() && !PRINTED.swap(true, std::sync::atomic::Ordering::Relaxed) {
+                println!("first case: {x}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_runs_draw_the_same_first_case() {
+        // The same test binary run twice: anything address-dependent in
+        // a property's seed (the binary is loaded at a new address each
+        // run) draws two different first cases.
+        let run = || {
+            let out = std::process::Command::new(std::env::current_exe().unwrap())
+                .args(["--exact", "tests::first_case_printer", "--nocapture", "--test-threads=1"])
+                .env(PRINT_FIRST, "1")
+                .output()
+                .unwrap();
+            let stdout = String::from_utf8(out.stdout).unwrap();
+            stdout.split("first case: ").nth(1).and_then(|rest| rest.split_whitespace().next()).map(str::to_string)
+        };
+        let first = run();
+        assert!(first.is_some());
+        assert_eq!(run(), first);
+    }
+
+    #[test]
+    fn a_falsified_property_names_the_seed_that_replays_it() {
+        proptest! {
+            fn always_false(x in 0u8..4) {
+                prop_assert!(x > 10);
+            }
+        }
+        let err = std::panic::catch_unwind(always_false).unwrap_err();
+        let msg = err.downcast_ref::<String>().unwrap();
+        assert!(msg.contains(&format!("replay: PROPTEST_SEED={}", crate::test_runner::base_seed())), "{msg}");
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! * [`persist`] — on-disk persistence: the working tree lives as real
 //!   files, the VCS state in the append-only log `.popper/state`. A
 //!   command reads the objects it touches, each checked against its id
-//!   on first use, and a save appends what the command stored.
+//!   on first use, and a save appends what the command stored. The stat
+//!   cache `.popper/stat-cache` lets a load leave unread every file whose
+//!   stat data show it unchanged since it was last written or read.
 //! * [`runners`] — registration of the real experiment runners
 //!   (`gassyfs-scalability`, `torpor-variability`, `mpi-variability`,
 //!   `bww-airtemp`) with the [`popper_core::ExperimentEngine`].

@@ -19,6 +19,7 @@ use popper_ci::{BuildReport, PipelineConfig, StepCtx, StepOutcome};
 use popper_format::Table;
 use popper_monitor::RegressionCheck;
 use popper_orchestra::Playbook;
+use popper_vcs::Object;
 use std::sync::Arc;
 
 /// Build the step executor for a repository + engine. Steps:
@@ -334,17 +335,19 @@ fn regression_gate(repo: &PopperRepo, experiment: &str, column: &str) -> StepOut
         Ok(l) => l,
         Err(e) => return StepOutcome::fail(e.to_string()),
     };
+    // One path per commit, by blob id: a commit holding the current
+    // bytes is skipped unread, and nothing else of its tree is read.
+    let current_blob = repo.vcs.read_file(&path).map(Object::blob_id);
     let mut previous: Option<Table> = None;
     for (commit, _) in log {
-        if let Ok(snapshot) = repo.vcs.snapshot_of(commit) {
-            if let Some(bytes) = snapshot.get(&path) {
-                let text = String::from_utf8_lossy(bytes);
-                if *text != *current_csv {
-                    if let Ok(t) = Table::from_csv(&text) {
-                        previous = Some(t);
-                        break;
-                    }
-                }
+        let Ok(Some(blob)) = repo.vcs.blob_at(commit, &path) else { continue };
+        if Some(blob) == current_blob {
+            continue;
+        }
+        if let Ok(Object::Blob(bytes)) = repo.vcs.get(blob) {
+            if let Ok(t) = Table::from_csv(&String::from_utf8_lossy(&bytes)) {
+                previous = Some(t);
+                break;
             }
         }
     }
@@ -628,6 +631,40 @@ mod tests {
             job: "perf".into(),
         });
         assert!(outcome.success, "{}", outcome.log);
+    }
+
+    #[test]
+    fn the_regression_gate_reads_only_the_results_it_compares() {
+        let runs_csv = |mean: f64| format!("rep,runtime_s\n0,{mean}\n1,{}\n2,{mean}\n3,{}\n", mean + 0.5, mean + 0.5);
+        let mut r = PopperRepo::init("t").unwrap();
+        r.write("experiments/e/results.csv", runs_csv(100.0)).unwrap();
+        r.write("notes/old.txt", "a note that a later commit rewrites\n").unwrap();
+        r.commit("baseline runs").unwrap();
+        r.write("experiments/e/results.csv", runs_csv(100.1)).unwrap();
+        r.write("notes/old.txt", "the note today\n").unwrap();
+        r.commit("rerun").unwrap();
+        // Damage the old note's blob, which only the first commit holds.
+        let file = std::env::temp_dir().join(format!("popper-gate-{}", std::process::id()));
+        popper_vcs::state::save(&r.vcs, &file).unwrap();
+        let mut bytes = std::fs::read(&file).unwrap();
+        let at = bytes.windows(6).position(|w| w == b"a note").unwrap();
+        bytes[at] ^= 0x20;
+        std::fs::write(&file, &bytes).unwrap();
+        let mut vcs = popper_vcs::state::load(std::fs::File::open(&file).unwrap()).unwrap();
+        std::fs::remove_file(&file).ok();
+        for (path, contents) in r.vcs.export_state().worktree {
+            vcs.load_file(&path, contents, None);
+        }
+        let first = vcs.log(vcs.head_commit().unwrap()).unwrap()[1].0;
+        assert!(vcs.snapshot_of(first).is_err(), "the first commit holds a damaged blob");
+        let repo = Arc::new(Mutex::new(PopperRepo::from_vcs(vcs, "t")));
+        let outcome = popper_steps(repo, Arc::new(ExperimentEngine::new()))(&StepCtx {
+            command: "regression-gate e runtime_s".into(),
+            env: Default::default(),
+            job: "perf".into(),
+        });
+        assert!(outcome.success, "{}", outcome.log);
+        assert!(outcome.log.contains("regression gate [e.runtime_s]"), "compared with the baseline: {}", outcome.log);
     }
 
     #[test]

@@ -424,7 +424,7 @@ fn replay_entry(
         let unchanged = commit
             .writes
             .iter()
-            .all(|(path, bytes)| repo.vcs.read_file(path) == Some(bytes.as_slice()));
+            .all(|(path, bytes)| repo.vcs.file_equals(path, bytes));
         if unchanged {
             continue;
         }

@@ -85,7 +85,7 @@ impl ArtifactSet {
             let unchanged = self
                 .staged
                 .iter()
-                .all(|(path, bytes)| repo.vcs.read_file(path) == Some(bytes.as_slice()));
+                .all(|(path, bytes)| repo.vcs.file_equals(path, bytes));
             if unchanged {
                 self.staged.clear();
                 return Ok(None);

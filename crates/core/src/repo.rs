@@ -116,9 +116,9 @@ impl PopperRepo {
         self.vcs.read_file(path).map(|b| String::from_utf8_lossy(b).into_owned())
     }
 
-    /// Does a path exist in the working tree?
+    /// Does a path exist in the working tree? Reads no file.
     pub fn exists(&self, path: &str) -> bool {
-        self.vcs.read_file(path).is_some()
+        self.vcs.has_file(path)
     }
 
     /// Stage everything and commit.

@@ -14,13 +14,23 @@
 //!
 //! Every response closes the connection (`Connection: close`), so the
 //! handler never juggles keep-alive state; a status poller opening a
-//! socket per poll is well within this server's budget.
+//! socket per poll is well within this server's budget. Each connection
+//! has two seconds to send its request and take the response, so a
+//! client that connects and goes quiet delays the next one by at most
+//! that long.
 
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
+
+/// How long one connection may take, request read and response written
+/// together, before it is dropped. Connections are served one at a time,
+/// so this bounds how long any client, and `FarmServer::stop`'s wake-up,
+/// waits behind another.
+pub(crate) const CONNECTION_DEADLINE: Duration = Duration::from_secs(2);
 
 /// What the HTTP layer needs from the farm: snapshots, never locks held
 /// across a response. Implemented by the farm's inner state.
@@ -120,13 +130,22 @@ impl Drop for FarmServer {
     }
 }
 
-fn handle_connection(mut stream: TcpStream, view: &dyn FarmView) -> std::io::Result<()> {
+fn handle_connection(mut stream: TcpStream, view: &dyn FarmView) -> io::Result<()> {
+    let deadline = Instant::now() + CONNECTION_DEADLINE;
+    // The time the connection has left; an error once it has none.
+    let left = || {
+        deadline
+            .checked_duration_since(Instant::now())
+            .filter(|d| !d.is_zero())
+            .ok_or_else(|| io::Error::from(io::ErrorKind::TimedOut))
+    };
     // Read up to the header terminator; a status GET has no body worth
     // waiting for. Bounded buffer: an oversized request is cut off and
     // served on whatever request line arrived.
     let mut buf = Vec::with_capacity(512);
     let mut chunk = [0u8; 512];
     loop {
+        stream.set_read_timeout(Some(left()?))?;
         let n = stream.read(&mut chunk)?;
         if n == 0 {
             break;
@@ -141,7 +160,21 @@ fn handle_connection(mut stream: TcpStream, view: &dyn FarmView) -> std::io::Res
             break;
         }
     }
-    let request = String::from_utf8_lossy(&buf);
+    let response = respond(&buf, view);
+    let mut rest = response.as_bytes();
+    while !rest.is_empty() {
+        stream.set_write_timeout(Some(left()?))?;
+        match stream.write(rest)? {
+            0 => return Err(io::ErrorKind::WriteZero.into()),
+            n => rest = &rest[n..],
+        }
+    }
+    Ok(())
+}
+
+/// The whole response to the request bytes `request`.
+fn respond(request: &[u8], view: &dyn FarmView) -> String {
+    let request = String::from_utf8_lossy(request);
     let line = request.lines().next().unwrap_or("");
     let mut parts = line.split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or("/"));
@@ -150,11 +183,10 @@ fn handle_connection(mut stream: TcpStream, view: &dyn FarmView) -> std::io::Res
     } else {
         route(path, view)
     };
-    let response = format!(
+    format!(
         "HTTP/1.1 {status}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len(),
-    );
-    stream.write_all(response.as_bytes())
+    )
 }
 
 fn route(path: &str, view: &dyn FarmView) -> (&'static str, &'static str, String) {
@@ -286,6 +318,25 @@ mod tests {
     }
 
     #[test]
+    fn a_silent_client_delays_the_next_one_by_at_most_the_deadline() {
+        let server = FarmServer::start(Arc::new(FakeView), "127.0.0.1:0").unwrap();
+        let addr = server.addr();
+        // Connects first and never sends a byte.
+        let silent = TcpStream::connect(addr).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let fetch = std::thread::spawn(move || {
+            tx.send(get(addr, "/badge.svg")).ok();
+        });
+        let (status, body) =
+            rx.recv_timeout(CONNECTION_DEADLINE * 5).expect("the badge fetch waited behind the silent client");
+        fetch.join().unwrap();
+        assert!(status.contains("200"), "{status}");
+        assert!(body.contains("passing"));
+        drop(silent);
+        server.stop();
+    }
+
+    #[test]
     fn badge_states_render() {
         for (state, word) in
             [(Some(true), "passing"), (Some(false), "failing"), (None, "unknown")]
@@ -293,6 +344,28 @@ mod tests {
             let svg = badge_svg("build", state);
             assert!(svg.starts_with("<svg"), "{svg}");
             assert!(svg.contains(word));
+        }
+    }
+
+    mod prop {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            /// Any request bytes get a well-formed response: no panic.
+            #[test]
+            fn any_request_bytes_get_a_response(
+                bytes in proptest::collection::vec(any::<u8>(), 0..300),
+                path in "/[a-z/.?#]{0,24}",
+                get in any::<bool>(),
+            ) {
+                for request in [bytes.clone(), [format!("GET {path} HTTP/1.1\r\n").as_bytes(), &bytes].concat()] {
+                    let response = respond(if get { &request } else { &bytes }, &FakeView);
+                    prop_assert!(response.starts_with("HTTP/1.1 "), "{response}");
+                    let (head, body) = response.split_once("\r\n\r\n").unwrap();
+                    prop_assert!(head.contains(&format!("Content-Length: {}", body.len())), "{head}");
+                }
+            }
         }
     }
 }

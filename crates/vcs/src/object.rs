@@ -122,6 +122,29 @@ impl Object {
         "blob \0".len() + len.to_string().len() + len
     }
 
+    /// The id of the blob holding `contents`, hashed in place: the
+    /// serialization is never built.
+    pub fn blob_id(contents: &[u8]) -> ObjectId {
+        let mut header = [0u8; HEADER_MAX];
+        let mut rest = &mut header[..];
+        write_header(&mut rest, "blob", contents.len()).expect("a blob header fits HEADER_MAX");
+        let header_len = HEADER_MAX - rest.len();
+        let mut hasher = sha256::Sha256::new();
+        hasher.update(&header[..header_len]);
+        hasher.update(contents);
+        ObjectId(hasher.finalize())
+    }
+
+    /// The contents of a stored blob serialization, borrowed from it;
+    /// `None` if `stored` is not a well-formed blob.
+    pub(crate) fn blob_contents(stored: &[u8]) -> Option<&[u8]> {
+        let body = stored.strip_prefix(b"blob ")?;
+        let nul = body.iter().position(|&b| b == 0)?;
+        let len: usize = std::str::from_utf8(&body[..nul]).ok()?.parse().ok()?;
+        let contents = &body[nul + 1..];
+        (contents.len() == len).then_some(contents)
+    }
+
     fn body_bytes(&self) -> Vec<u8> {
         match self {
             Object::Blob(data) => data.clone(),
@@ -248,6 +271,18 @@ mod tests {
     fn identical_content_identical_id() {
         assert_eq!(blob("hello").id(), blob("hello").id());
         assert_ne!(blob("hello").id(), blob("hello!").id());
+    }
+
+    #[test]
+    fn a_blob_id_and_its_contents_match_the_serialization() {
+        for contents in [&b""[..], b"x", b"hello\n", &[0u8; 1000][..]] {
+            let blob = Object::Blob(contents.to_vec());
+            assert_eq!(Object::blob_id(contents), blob.id());
+            assert_eq!(Object::blob_contents(&blob.serialize()), Some(contents));
+        }
+        assert_eq!(Object::blob_contents(b"blob 3\0ab"), None, "short body");
+        assert_eq!(Object::blob_contents(&blob("x").serialize()[1..]), None);
+        assert_eq!(Object::blob_contents(b"tree 0\0"), None);
     }
 
     #[test]

@@ -4,6 +4,12 @@
 //! contents; `write_file`/`stage`/`commit` mirror the git workflow the
 //! paper assumes researchers follow ("version-control systems give
 //! authors, reviewers and readers access to the same code base").
+//!
+//! A file loaded from disk may stay unread: the caller vouches that its
+//! bytes are those of a stored blob ([`Repository::load_unread`]), and
+//! the repository reads that blob, verified, only when someone asks for
+//! the bytes. Staging, comparing and diffing go by blob id, so a command
+//! pays for the bytes it changes, not for the whole tree.
 
 use crate::diff;
 use crate::object::{Commit, Object, ObjectId, TreeEntry};
@@ -72,6 +78,49 @@ pub(crate) enum Stored {
     Logged { at: u64, len: u64, read: OnceLock<Result<Vec<u8>, String>> },
 }
 
+/// What the file system reports of a working-tree file: enough to tell,
+/// without reading it, that the file has not changed since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileStamp {
+    /// Length in bytes.
+    pub size: u64,
+    /// Last modification, in nanoseconds since the Unix epoch.
+    pub mtime_ns: i128,
+    /// Last status change, in nanoseconds since the Unix epoch.
+    pub ctime_ns: i128,
+    /// Inode number.
+    pub ino: u64,
+}
+
+/// One working-tree file.
+#[derive(Debug, Clone)]
+enum WorkFile {
+    /// Bytes the repository holds, with the id of their blob once
+    /// `stage` or `write_files` stored or matched it, and the stamp the
+    /// file had on disk if these are the bytes loaded from it.
+    Held { bytes: Vec<u8>, blob: Option<ObjectId>, stamp: Option<FileStamp> },
+    /// A file on disk, unchanged since it had `stamp`, whose bytes are
+    /// those of the stored blob `blob`: read from the store on first use.
+    Unread { blob: ObjectId, stamp: FileStamp },
+}
+
+impl WorkFile {
+    /// The id of the blob holding the file's bytes, if known unhashed.
+    fn blob(&self) -> Option<ObjectId> {
+        match self {
+            WorkFile::Held { blob, .. } => *blob,
+            WorkFile::Unread { blob, .. } => Some(*blob),
+        }
+    }
+
+    fn stamp(&self) -> Option<FileStamp> {
+        match self {
+            WorkFile::Held { stamp, .. } => *stamp,
+            WorkFile::Unread { stamp, .. } => Some(*stamp),
+        }
+    }
+}
+
 /// An in-memory content-addressed repository.
 #[derive(Debug, Clone, Default)]
 pub struct Repository {
@@ -79,7 +128,7 @@ pub struct Repository {
     /// The log that `Logged` objects lie in.
     pub(crate) log: Option<Arc<Log>>,
     /// Working tree: path -> contents.
-    pub(crate) worktree: BTreeMap<String, Vec<u8>>,
+    worktree: BTreeMap<String, WorkFile>,
     /// Staging index: path -> blob id (a snapshot of stage-time content).
     pub(crate) index: BTreeMap<String, ObjectId>,
     pub(crate) branches: BTreeMap<String, ObjectId>,
@@ -173,6 +222,19 @@ impl Repository {
         }
     }
 
+    /// The length of the stored serialization of `id`, without reading it.
+    fn stored_len(&self, id: ObjectId) -> Option<u64> {
+        match self.objects.get(&id)? {
+            Stored::Held(bytes) => Some(bytes.len() as u64),
+            Stored::Logged { len, .. } => Some(*len),
+        }
+    }
+
+    /// The contents of the blob `id`, borrowed from the verified store.
+    fn blob_contents(&self, id: ObjectId) -> Result<&[u8], VcsError> {
+        Object::blob_contents(self.raw(id)?).ok_or_else(|| VcsError::Corrupt(format!("object {} is not a blob", id.short())))
+    }
+
     /// Number of objects stored.
     pub fn object_count(&self) -> usize {
         self.objects.len()
@@ -190,14 +252,48 @@ impl Repository {
     /// Put `contents` at `path`, marking the path changed unless it
     /// already held exactly these bytes.
     fn set_file(&mut self, path: &str, contents: Vec<u8>) {
+        if self.file_equals(path, &contents) {
+            return;
+        }
+        let file = WorkFile::Held { bytes: contents, blob: None, stamp: None };
         match self.worktree.get_mut(path) {
-            Some(old) if *old == contents => return,
-            Some(old) => *old = contents,
+            Some(old) => *old = file,
             None => {
-                self.worktree.insert(path.to_string(), contents);
+                self.worktree.insert(path.to_string(), file);
             }
         }
         self.mark_changed(path);
+    }
+
+    /// Does the working tree hold exactly `contents` at `path`? An
+    /// unread file is compared by length and blob id, its bytes unread.
+    pub fn file_equals(&self, path: &str, contents: &[u8]) -> bool {
+        match self.worktree.get(path) {
+            None => false,
+            Some(WorkFile::Held { bytes, .. }) => bytes == contents,
+            Some(WorkFile::Unread { blob, .. }) => {
+                self.stored_len(*blob) == Some(Object::blob_len(contents.len()) as u64)
+                    && Object::blob_id(contents) == *blob
+            }
+        }
+    }
+
+    /// Put a file as read from disk into the working tree, with the
+    /// stamp it had before it was read: not a change to write back.
+    pub fn load_file(&mut self, path: &str, contents: Vec<u8>, stamp: Option<FileStamp>) {
+        self.worktree.insert(path.to_string(), WorkFile::Held { bytes: contents, blob: None, stamp });
+    }
+
+    /// Put a file that is on disk, unchanged since it had `stamp`, into
+    /// the working tree without reading it: the caller vouches that its
+    /// bytes are those of the blob `blob`. False, and nothing done, if
+    /// the store lacks that blob.
+    pub fn load_unread(&mut self, path: &str, blob: ObjectId, stamp: FileStamp) -> bool {
+        let stored = self.objects.contains_key(&blob);
+        if stored {
+            self.worktree.insert(path.to_string(), WorkFile::Unread { blob, stamp });
+        }
+        stored
     }
 
     fn mark_changed(&mut self, path: &str) {
@@ -206,9 +302,45 @@ impl Repository {
         }
     }
 
-    /// Read a file from the working tree.
+    /// Read a file from the working tree; an unread one is read from
+    /// its blob on first use.
+    ///
+    /// # Panics
+    ///
+    /// If the file is unread and its stored blob fails its id, which
+    /// [`Repository::try_read_file`] returns as an error.
     pub fn read_file(&self, path: &str) -> Option<&[u8]> {
-        self.worktree.get(path).map(Vec::as_slice)
+        self.try_read_file(path).unwrap_or_else(|e| panic!("read {path}: {e}"))
+    }
+
+    /// Read a file from the working tree, `Ok(None)` if there is none.
+    /// An unread file is read from its blob, checked against the blob's
+    /// id, on first use: a damaged blob is [`VcsError::Corrupt`], never
+    /// a missing file or other bytes.
+    pub fn try_read_file(&self, path: &str) -> Result<Option<&[u8]>, VcsError> {
+        match self.worktree.get(path) {
+            None => Ok(None),
+            Some(WorkFile::Held { bytes, .. }) => Ok(Some(bytes)),
+            Some(WorkFile::Unread { blob, .. }) => self.blob_contents(*blob).map(Some),
+        }
+    }
+
+    /// Is there a working-tree file at `path`? Reads nothing.
+    pub fn has_file(&self, path: &str) -> bool {
+        self.worktree.contains_key(path)
+    }
+
+    /// The id of the blob holding the working-tree file at `path`, if
+    /// it is known without hashing: the file is unread, or staged or
+    /// written in a batch since its bytes last changed.
+    pub fn known_blob(&self, path: &str) -> Option<ObjectId> {
+        self.worktree.get(path)?.blob()
+    }
+
+    /// The stamp the file at `path` had on disk when it was loaded, if
+    /// its bytes have not changed since.
+    pub fn stamp(&self, path: &str) -> Option<FileStamp> {
+        self.worktree.get(path)?.stamp()
     }
 
     /// Delete a file from the working tree; true if it existed.
@@ -249,14 +381,26 @@ impl Repository {
             }
             return Ok(());
         }
-        let contents = self.worktree.get(path).ok_or_else(|| VcsError::BadPath(path.to_string()))?;
-        // A staged blob whose bytes equal the file's is already this
-        // file's blob: nothing to clone, serialize or hash.
-        if self.index.get(path).is_some_and(|id| self.holds_blob_of(*id, contents)) {
-            return Ok(());
+        let id = match self.worktree.get(path).ok_or_else(|| VcsError::BadPath(path.to_string()))? {
+            // A known blob is this file's: an unread file is staged
+            // without reading either copy.
+            WorkFile::Unread { blob, .. } | WorkFile::Held { blob: Some(blob), .. } => *blob,
+            WorkFile::Held { bytes, blob: None, .. } => match self.index.get(path) {
+                // A staged blob whose bytes equal the file's is already
+                // this file's blob: nothing to clone, serialize or hash.
+                Some(id) if self.holds_blob_of(*id, bytes) => *id,
+                _ => {
+                    let blob = Object::Blob(bytes.clone());
+                    self.put(&blob)
+                }
+            },
+        };
+        if let Some(WorkFile::Held { blob, .. }) = self.worktree.get_mut(path) {
+            *blob = Some(id);
         }
-        let id = self.put(&Object::Blob(contents.clone()));
-        self.index.insert(path.to_string(), id);
+        if self.index.get(path) != Some(&id) {
+            self.index.insert(path.to_string(), id);
+        }
         Ok(())
     }
 
@@ -276,6 +420,9 @@ impl Repository {
         for (path, contents) in files {
             let id = self.put(&Object::Blob(contents.clone()));
             self.set_file(&path, contents);
+            if let Some(WorkFile::Held { blob, .. }) = self.worktree.get_mut(&path) {
+                *blob = Some(id);
+            }
             self.index.insert(path, id);
         }
         Ok(())
@@ -367,15 +514,26 @@ impl Repository {
     /// Make `snapshot` the working tree and index, marking every path
     /// it adds, drops or changes.
     fn replace_worktree(&mut self, snapshot: BTreeMap<String, Vec<u8>>) {
-        for change in diff_snapshots(&self.worktree, &snapshot) {
-            self.mark_changed(change.path());
-        }
+        let mut old = std::mem::take(&mut self.worktree);
         self.index.clear();
-        for (path, contents) in &snapshot {
+        for (path, contents) in snapshot {
             let id = self.put(&Object::Blob(contents.clone()));
+            let file = match old.remove(&path) {
+                Some(WorkFile::Unread { blob, stamp }) if blob == id => WorkFile::Unread { blob, stamp },
+                Some(WorkFile::Held { bytes, stamp, .. }) if bytes == contents => {
+                    WorkFile::Held { bytes, blob: Some(id), stamp }
+                }
+                _ => {
+                    self.mark_changed(&path);
+                    WorkFile::Held { bytes: contents, blob: Some(id), stamp: None }
+                }
+            };
             self.index.insert(path.clone(), id);
+            self.worktree.insert(path, file);
         }
-        self.worktree = snapshot;
+        for path in old.keys() {
+            self.mark_changed(path);
+        }
     }
 
     /// Tag a commit (defaults to HEAD).
@@ -417,34 +575,23 @@ impl Repository {
     /// Read one file out of a commit's tree without materializing the
     /// whole snapshot. `Ok(None)` when the path is absent.
     pub fn file_at(&self, commit: ObjectId, path: &str) -> Result<Option<Vec<u8>>, VcsError> {
-        let c = self.commit_info(commit)?;
-        let mut tree = c.tree;
+        self.blob_at(commit, path)?.map(|id| self.blob(id)).transpose()
+    }
+
+    /// The id of the blob at `path` in a commit's tree, `Ok(None)` when
+    /// the path is absent. Reads trees only.
+    pub fn blob_at(&self, commit: ObjectId, path: &str) -> Result<Option<ObjectId>, VcsError> {
+        let mut tree = self.commit_info(commit)?.tree;
         let mut parts = path.split('/').filter(|p| !p.is_empty()).peekable();
         while let Some(part) = parts.next() {
-            let entries = match self.get(tree)? {
-                Object::Tree(e) => e,
-                other => {
-                    return Err(VcsError::Corrupt(format!("expected tree, found {}", other.type_name())))
-                }
-            };
+            let entries = self.tree_entries(tree)?;
             let Some(entry) = entries.iter().find(|e| e.name == part) else {
                 return Ok(None);
             };
-            if parts.peek().is_some() {
-                if !entry.is_tree {
-                    return Ok(None);
-                }
-                tree = entry.id;
-            } else {
-                if entry.is_tree {
-                    return Ok(None);
-                }
-                return match self.get(entry.id)? {
-                    Object::Blob(data) => Ok(Some(data)),
-                    other => {
-                        Err(VcsError::Corrupt(format!("expected blob, found {}", other.type_name())))
-                    }
-                };
+            match (parts.peek().is_some(), entry.is_tree) {
+                (true, true) => tree = entry.id,
+                (false, false) => return Ok(Some(entry.id)),
+                _ => return Ok(None),
             }
         }
         Ok(None)
@@ -479,66 +626,121 @@ impl Repository {
 
     /// The full path->contents snapshot of a commit.
     pub fn snapshot_of(&self, commit: ObjectId) -> Result<BTreeMap<String, Vec<u8>>, VcsError> {
-        let c = self.commit_info(commit)?;
+        self.tree_blobs(commit)?.into_iter().map(|(path, id)| Ok((path, self.blob(id)?))).collect()
+    }
+
+    /// The path -> blob id map of a commit's tree. Reads trees only.
+    fn tree_blobs(&self, commit: ObjectId) -> Result<BTreeMap<String, ObjectId>, VcsError> {
         let mut out = BTreeMap::new();
-        self.walk_tree(c.tree, String::new(), &mut out)?;
+        self.walk_tree(self.commit_info(commit)?.tree, "", &mut out)?;
         Ok(out)
     }
 
-    fn walk_tree(
-        &self,
-        tree: ObjectId,
-        prefix: String,
-        out: &mut BTreeMap<String, Vec<u8>>,
-    ) -> Result<(), VcsError> {
-        let entries = match self.get(tree)? {
-            Object::Tree(e) => e,
-            other => return Err(VcsError::Corrupt(format!("expected tree, found {}", other.type_name()))),
-        };
-        for e in entries {
-            let path = if prefix.is_empty() { e.name.clone() } else { format!("{prefix}/{}", e.name) };
+    fn walk_tree(&self, tree: ObjectId, prefix: &str, out: &mut BTreeMap<String, ObjectId>) -> Result<(), VcsError> {
+        for e in self.tree_entries(tree)? {
+            let path = join(prefix, &e.name);
             if e.is_tree {
-                self.walk_tree(e.id, path, out)?;
+                self.walk_tree(e.id, &path, out)?;
             } else {
-                match self.get(e.id)? {
-                    Object::Blob(data) => {
-                        out.insert(path, data);
-                    }
-                    other => {
-                        return Err(VcsError::Corrupt(format!("expected blob, found {}", other.type_name())))
-                    }
-                }
+                out.insert(path, e.id);
             }
         }
         Ok(())
     }
 
-    /// Changes between two commits' snapshots.
+    fn tree_entries(&self, tree: ObjectId) -> Result<Vec<TreeEntry>, VcsError> {
+        match self.get(tree)? {
+            Object::Tree(entries) => Ok(entries),
+            other => Err(VcsError::Corrupt(format!("expected tree, found {}", other.type_name()))),
+        }
+    }
+
+    fn blob(&self, id: ObjectId) -> Result<Vec<u8>, VcsError> {
+        match self.get(id)? {
+            Object::Blob(data) => Ok(data),
+            other => Err(VcsError::Corrupt(format!("expected blob, found {}", other.type_name()))),
+        }
+    }
+
+    /// Changes between two commits' snapshots, by blob id: a subtree
+    /// with one id on both sides is not descended into, and no blob is
+    /// read.
     pub fn changes(&self, old: ObjectId, new: ObjectId) -> Result<Vec<Change>, VcsError> {
-        let a = self.snapshot_of(old)?;
-        let b = self.snapshot_of(new)?;
-        Ok(diff_snapshots(&a, &b))
+        let mut out = Vec::new();
+        self.diff_trees(Some(self.commit_info(old)?.tree), Some(self.commit_info(new)?.tree), "", &mut out)?;
+        out.sort_by(|x, y| x.path().cmp(y.path()));
+        Ok(out)
+    }
+
+    /// Push the changes from tree `old` to tree `new` (`None`: empty)
+    /// under `prefix` onto `out`.
+    fn diff_trees(
+        &self,
+        old: Option<ObjectId>,
+        new: Option<ObjectId>,
+        prefix: &str,
+        out: &mut Vec<Change>,
+    ) -> Result<(), VcsError> {
+        if old == new {
+            return Ok(());
+        }
+        let mut names: BTreeMap<String, [Option<TreeEntry>; 2]> = BTreeMap::new();
+        for (side, tree) in [old, new].into_iter().enumerate() {
+            for entry in tree.map(|t| self.tree_entries(t)).transpose()?.unwrap_or_default() {
+                let name = entry.name.clone();
+                names.entry(name).or_default()[side] = Some(entry);
+            }
+        }
+        for (name, [a, b]) in names {
+            let path = join(prefix, &name);
+            let of_kind = |e: &Option<TreeEntry>, tree: bool| e.as_ref().filter(|e| e.is_tree == tree).map(|e| e.id);
+            self.diff_trees(of_kind(&a, true), of_kind(&b, true), &path, out)?;
+            match (of_kind(&a, false), of_kind(&b, false)) {
+                (Some(x), Some(y)) if x != y => out.push(Change::Modified(path)),
+                (Some(_), None) => out.push(Change::Removed(path)),
+                (None, Some(_)) => out.push(Change::Added(path)),
+                _ => {}
+            }
+        }
+        Ok(())
     }
 
     /// Working-tree status relative to HEAD: what changed since the last
-    /// commit (or everything, on an unborn branch).
+    /// commit (or everything, on an unborn branch). Compared by blob id
+    /// where the file's is known; a file called clean is checked
+    /// against its HEAD blob as `raw` reads and verifies it, so a
+    /// damaged blob is an error, never a clean file.
     pub fn status(&self) -> Result<Vec<Change>, VcsError> {
-        let base = match self.head_commit() {
-            Some(h) => self.snapshot_of(h)?,
+        let head = match self.head_commit() {
+            Some(h) => self.tree_blobs(h)?,
             None => BTreeMap::new(),
         };
-        Ok(diff_snapshots(&base, &self.worktree))
+        let mut out = Vec::new();
+        for (path, file) in &self.worktree {
+            let Some(&id) = head.get(path) else {
+                out.push(Change::Added(path.clone()));
+                continue;
+            };
+            let clean = match file {
+                WorkFile::Held { bytes, blob: None, .. } => {
+                    self.stored_len(id) == Some(Object::blob_len(bytes.len()) as u64)
+                        && Object::is_blob_of(self.raw(id)?, bytes)
+                }
+                known => known.blob() == Some(id) && self.raw(id).map(|_| true)?,
+            };
+            if !clean {
+                out.push(Change::Modified(path.clone()));
+            }
+        }
+        out.extend(head.into_keys().filter(|p| !self.worktree.contains_key(p)).map(Change::Removed));
+        out.sort_by(|x, y| x.path().cmp(y.path()));
+        Ok(out)
     }
 
     /// Unified diff of one file between a commit and the working tree.
     pub fn diff_file(&self, commit: ObjectId, path: &str) -> Result<String, VcsError> {
-        let snap = self.snapshot_of(commit)?;
-        let old = snap.get(path).map(|b| String::from_utf8_lossy(b).into_owned()).unwrap_or_default();
-        let new = self
-            .worktree
-            .get(path)
-            .map(|b| String::from_utf8_lossy(b).into_owned())
-            .unwrap_or_default();
+        let old = self.file_at(commit, path)?.map(|b| String::from_utf8_lossy(&b).into_owned()).unwrap_or_default();
+        let new = self.try_read_file(path)?.map(|b| String::from_utf8_lossy(b).into_owned()).unwrap_or_default();
         Ok(diff::unified(&format!("a/{path}"), &format!("b/{path}"), &old, &new, 3))
     }
 
@@ -641,15 +843,20 @@ pub struct RepoState {
 }
 
 impl Repository {
-    /// Export the full repository state. Every logged object is read;
-    /// one whose bytes do not hash to its id is left out.
+    /// Export the full repository state. Every logged object and unread
+    /// file is read; an object whose bytes do not hash to its id is left
+    /// out, and so is an unread file whose blob that is.
     pub fn export_state(&self) -> RepoState {
         let hex = |refs: &BTreeMap<String, ObjectId>| -> Vec<(String, String)> {
             refs.iter().map(|(name, id)| (name.clone(), id.to_hex())).collect()
         };
         RepoState {
             objects: self.objects.keys().filter_map(|id| self.raw(*id).ok()).map(<[u8]>::to_vec).collect(),
-            worktree: self.worktree.iter().map(|(p, b)| (p.clone(), b.clone())).collect(),
+            worktree: self
+                .worktree
+                .keys()
+                .filter_map(|p| Some((p.clone(), self.try_read_file(p).ok()??.to_vec())))
+                .collect(),
             index: hex(&self.index),
             branches: hex(&self.branches),
             tags: hex(&self.tags),
@@ -668,7 +875,7 @@ impl Repository {
             repo.objects.insert(id, Stored::Held(bytes));
         }
         for (path, contents) in state.worktree {
-            repo.worktree.insert(path, contents);
+            repo.load_file(&path, contents, None);
         }
         let hex = |s: &str| ObjectId::from_hex(s).ok_or_else(|| VcsError::Corrupt(format!("bad id '{s}'")));
         for (path, id) in state.index {
@@ -688,6 +895,15 @@ impl Repository {
 fn read_logged(log: &Option<Arc<Log>>, at: u64, len: u64) -> Result<Vec<u8>, String> {
     let log = log.as_ref().ok_or("a logged object without a log")?;
     log.read(at, len).map_err(|e| format!("read object at byte {at}: {e}"))
+}
+
+/// `prefix/name`, or `name` at the root.
+fn join(prefix: &str, name: &str) -> String {
+    if prefix.is_empty() {
+        name.to_string()
+    } else {
+        format!("{prefix}/{name}")
+    }
 }
 
 /// Structural diff between two path->contents maps.
@@ -1018,6 +1234,30 @@ mod tests {
                 r.stage(".").unwrap();
                 let c = r.commit("p", "prop").unwrap();
                 prop_assert_eq!(r.snapshot_of(c).unwrap(), files);
+            }
+
+            /// `changes` by blob id says what comparing the two whole
+            /// snapshots says, either way round, a path that is a file on
+            /// one side and a directory on the other included.
+            #[test]
+            fn changes_by_id_match_the_snapshot_diff(
+                a in proptest::collection::btree_map("[a-c](/[a-c]){0,2}", proptest::collection::vec(0u8..3, 0..3), 1..8),
+                b in proptest::collection::btree_map("[a-c](/[a-c]){0,2}", proptest::collection::vec(0u8..3, 0..3), 1..8),
+            ) {
+                let no_conflict = |files: &BTreeMap<String, Vec<u8>>| {
+                    files.keys().all(|p| !files.keys().any(|q| q.len() > p.len() && q.starts_with(p.as_str()) && q.as_bytes()[p.len()] == b'/'))
+                };
+                prop_assume!(no_conflict(&a) && no_conflict(&b));
+                let mut r = Repository::init();
+                let mut commit = |files: &BTreeMap<String, Vec<u8>>| {
+                    r.materialize(files).unwrap();
+                    r.stage(".").unwrap();
+                    r.commit("p", "prop").unwrap()
+                };
+                let (ca, cb) = (commit(&a), commit(&b));
+                let (sa, sb) = (r.snapshot_of(ca).unwrap(), r.snapshot_of(cb).unwrap());
+                prop_assert_eq!(r.changes(ca, cb).unwrap(), diff_snapshots(&sa, &sb));
+                prop_assert_eq!(r.changes(cb, ca).unwrap(), diff_snapshots(&sb, &sa));
             }
 
             /// diff_snapshots is empty iff the snapshots are equal.

@@ -16,12 +16,13 @@
 //! names, and leaves each object where it lies: an object is read, and
 //! checked against its id, on first use. [`save`] appends the objects
 //! stored since load, any table that changed and one `refs` record, and
-//! syncs the file once. An append cut short leaves a torn tail that the
-//! next `load` ignores and the next `save` truncates. A repository that
-//! was not loaded from this very file as it still is (a new one, a v1
-//! file, another path, a file another process saved to since) is written
-//! whole to a temporary file renamed over it. Saves to one file must take
-//! turns; the caller holds the lock.
+//! syncs the file once; a save that would append a copy of the last
+//! `refs` record and nothing else writes nothing. An append cut short
+//! leaves a torn tail that the next `load` ignores and the next `save`
+//! truncates. A repository that was not loaded from this very file as it
+//! still is (a new one, a v1 file, another path, a file another process
+//! saved to since) is written whole to a temporary file renamed over it.
+//! Saves to one file must take turns; the caller holds the lock.
 
 use crate::object::ObjectId;
 use crate::repo::{Repository, Stored};
@@ -112,6 +113,8 @@ pub(crate) struct Log {
     size: u64,
     /// The tables the last `refs` record names.
     tables: HashSet<ObjectId>,
+    /// The id of the last `refs` record.
+    refs: ObjectId,
 }
 
 impl Log {
@@ -148,14 +151,12 @@ impl Log {
     }
 }
 
-/// Load the repository that the state file `file` holds, with
-/// `worktree` as its working tree. A v2 log stays open: its objects are
-/// read from it on first use.
-pub fn load(file: File, worktree: Vec<(String, Vec<u8>)>) -> Result<Repository, StateError> {
+/// Load the repository that the state file `file` holds, with an empty
+/// working tree for the caller to fill. A v2 log stays open: its objects
+/// are read from it on first use.
+pub fn load(file: File) -> Result<Repository, StateError> {
     let size = file.metadata()?.len();
-    let mut repo = decode(file, size)?;
-    repo.worktree = worktree.into_iter().collect();
-    Ok(repo)
+    decode(file, size)
 }
 
 /// Decode `file`, `size` bytes of it, v1 or v2.
@@ -165,9 +166,9 @@ fn decode(file: File, size: u64) -> Result<Repository, StateError> {
     let mut magic = [0u8; MAGIC.len()];
     input.read_exact(&mut magic).map_err(|_| StateError::BadMagic)?;
     if magic == MAGIC {
-        let (end, tables) = scan_log(&mut input, size, &mut repo)?;
+        let (end, tables, refs) = scan_log(&mut input, size, &mut repo)?;
         drop(input);
-        repo.log = Some(Arc::new(Log { file, end, size, tables }));
+        repo.log = Some(Arc::new(Log { file, end, size, tables, refs }));
     } else if magic == MAGIC_V1 {
         read_fields(input, size.saturating_sub(MAGIC_V1.len() as u64), |tag, body| match tag {
             "object" => {
@@ -266,18 +267,18 @@ fn parse_header(header: &[u8]) -> Result<(&str, ObjectId, u64), StateError> {
 
 /// Scan the records of a v2 log of `size` bytes into `repo`, the magic
 /// line already read: headers only, skipping object bodies, which `repo`
-/// gets as logged objects. Returns where the records end and the tables
-/// the last `refs` record names. A record that runs past the end of the
-/// file is a torn append, and it and anything after the last complete
-/// `refs` record are ignored, but only if no complete `refs` record
-/// follows it and it is not itself a `refs` record that fills the file:
-/// an append ends with its one `refs` record, so bytes that hold one
-/// whole are not an unfinished append.
+/// gets as logged objects. Returns where the records end, the tables
+/// the last `refs` record names and that record's id. A record that runs
+/// past the end of the file is a torn append, and it and anything after
+/// the last complete `refs` record are ignored, but only if no complete
+/// `refs` record follows it and it is not itself a `refs` record that
+/// fills the file: an append ends with its one `refs` record, so bytes
+/// that hold one whole are not an unfinished append.
 fn scan_log<R: Read + Seek>(
     input: &mut BufReader<R>,
     size: u64,
     repo: &mut Repository,
-) -> Result<(u64, HashSet<ObjectId>), StateError> {
+) -> Result<(u64, HashSet<ObjectId>, ObjectId), StateError> {
     let mut pos = MAGIC.len() as u64;
     // (id, body offset, body length)
     let mut objects = Vec::new();
@@ -342,7 +343,7 @@ fn scan_log<R: Read + Seek>(
         let body = read_record(input, "table", *id, at, len)?;
         read_fields(&body[..], len, |tag, body| apply_field(repo, tag, body))?;
     }
-    Ok((end, named.into_iter().collect()))
+    Ok((end, named.into_iter().collect(), refs_id))
 }
 
 /// Does a complete `refs` record start past byte `from`: a `refs`
@@ -422,14 +423,22 @@ fn read_record<R: Read + Seek>(
 
 /// Save `repo` to the state file `target`: appended to the log it was
 /// loaded from if `target` is that file as it was loaded, else written
-/// whole.
+/// whole. Nothing is written if the log already holds the state.
 pub fn save(repo: &Repository, target: &Path) -> io::Result<()> {
     match repo.log.as_deref().filter(|log| log.is_as_loaded(target)) {
-        Some(log) => append(target, log.end, |file| {
-            let mut out = BufWriter::new(file);
-            write_records(&mut out, &unlogged(repo), repo, &log.tables)?;
-            out.flush()
-        }),
+        Some(log) => {
+            let objects = unlogged(repo);
+            // The refs record names the tables by id, so equal refs
+            // mean equal tables too.
+            if objects.is_empty() && ObjectId::for_bytes(&tables_and_refs(repo).1) == log.refs {
+                return Ok(());
+            }
+            append(target, log.end, |file| {
+                let mut out = BufWriter::new(file);
+                write_records(&mut out, &objects, repo, &log.tables)?;
+                out.flush()
+            })
+        }
         None => {
             let objects = verified(repo).map_err(io::Error::other)?;
             replace(target, |file| {
@@ -489,6 +498,18 @@ fn write_records(
     for (id, bytes) in objects {
         record(out, "object", *id, bytes)?;
     }
+    let (tables, refs) = tables_and_refs(repo);
+    for (id, table) in tables {
+        if !logged.contains(&id) {
+            record(out, "table", id, &table)?;
+        }
+    }
+    record(out, "refs", ObjectId::for_bytes(&refs), &refs)
+}
+
+/// The index and tag tables of `repo` that are not empty, with their
+/// ids, and the body of the `refs` record naming them.
+fn tables_and_refs(repo: &Repository) -> (Vec<(ObjectId, Vec<u8>)>, Vec<u8>) {
     let table = |tag: &str, entries: &BTreeMap<String, ObjectId>| {
         let mut body = Vec::new();
         for (name, id) in entries {
@@ -504,13 +525,11 @@ fn write_records(
     for (name, id) in &repo.branches {
         field(&mut body, "branch", format!("{id} {name}").as_bytes());
     }
-    for (id, table) in [table("index", &repo.index), table("tag", &repo.tags)].into_iter().flatten() {
-        if !logged.contains(&id) {
-            record(out, "table", id, &table)?;
-        }
+    let tables: Vec<_> = [table("index", &repo.index), table("tag", &repo.tags)].into_iter().flatten().collect();
+    for (id, _) in &tables {
         field(&mut body, "table", id.to_hex().as_bytes());
     }
-    record(out, "refs", ObjectId::for_bytes(&body), &body)
+    (tables, body)
 }
 
 /// Append what `write` writes to `target` at byte `end`, dropping any
@@ -556,7 +575,7 @@ fn replace(target: &Path, write: impl FnOnce(&File) -> io::Result<()>) -> io::Re
 mod tests {
     use super::*;
     use crate::object::Object;
-    use crate::repo::RepoState;
+    use crate::repo::{Change, FileStamp, RepoState};
     use crate::VcsError;
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -585,7 +604,7 @@ mod tests {
     }
 
     fn load_path(path: &Path) -> Result<Repository, StateError> {
-        load(File::open(path)?, Vec::new())
+        load(File::open(path)?)
     }
 
     /// Write `files`, stage every worktree file and commit.
@@ -935,8 +954,11 @@ mod tests {
         let mut bytes = fs::read(&state_file).unwrap();
         corrupt(&mut bytes);
         fs::write(&state_file, &bytes).unwrap();
-        let worktree = repo.worktree.iter().map(|(p, b)| (p.clone(), b.clone())).collect();
-        load(File::open(&state_file).unwrap(), worktree).unwrap()
+        let mut loaded = load(File::open(&state_file).unwrap()).unwrap();
+        for (path, bytes) in repo.export_state().worktree {
+            loaded.load_file(&path, bytes, None);
+        }
+        loaded
     }
 
     /// Flip the first byte of the first copy of `needle` in `bytes`.
@@ -989,6 +1011,84 @@ mod tests {
         assert_eq!(logged.snapshot_of(c).unwrap()["a.txt"], b"alpha");
         let new: Vec<ObjectId> = unlogged(&logged).iter().map(|(id, _)| *id).collect();
         assert!(new.contains(&blob), "the good copy is to be logged again");
+    }
+
+    #[test]
+    fn changes_read_no_blob() {
+        let mut r = init();
+        let c1 = r.head_commit().unwrap();
+        let c2 = commit(&mut r, &[("paper/paper.md", "# Title, revised\n"), ("data/x.csv", "a\n")], "second");
+        // The README blob, unchanged between the commits, is damaged.
+        let logged = into_log("changes", &r, |bytes| flip(bytes, b"# paper\n"));
+        assert!(logged.snapshot_of(c1).is_err());
+        assert_eq!(
+            logged.changes(c1, c2).unwrap(),
+            [Change::Added("data/x.csv".into()), Change::Modified("paper/paper.md".into())]
+        );
+        assert_eq!(logged.file_at(c2, "data/x.csv").unwrap().unwrap(), b"a\n");
+    }
+
+    /// `repo` saved whole and loaded back with every worktree file
+    /// unread, vouched for by its staged blob, `corrupt` applied to the
+    /// file's bytes in between.
+    fn unread(tag: &str, repo: &Repository, corrupt: impl FnOnce(&mut Vec<u8>)) -> Repository {
+        let state_file = state_file(tag);
+        save(repo, &state_file).unwrap();
+        let mut bytes = fs::read(&state_file).unwrap();
+        corrupt(&mut bytes);
+        fs::write(&state_file, &bytes).unwrap();
+        let mut loaded = load_path(&state_file).unwrap();
+        let stamp = FileStamp { size: 0, mtime_ns: 0, ctime_ns: 0, ino: 0 };
+        for (path, id) in &repo.index {
+            assert!(loaded.load_unread(path, *id, stamp));
+        }
+        loaded
+    }
+
+    #[test]
+    fn an_unread_file_is_read_from_its_verified_blob_on_first_use() {
+        let r = init();
+        let logged = unread("unread", &r, |_| {});
+        assert!(logged.has_file("README.md") && !logged.has_file("nope"));
+        assert_eq!(logged.read_file("README.md").unwrap(), b"# paper\n");
+        assert!(logged.file_equals("paper/paper.md", b"# Title\n"));
+        assert!(!logged.file_equals("paper/paper.md", b"# Title!\n"));
+        assert!(logged.status().unwrap().is_empty());
+        assert!(!logged.clone().load_unread("x", ObjectId([7; 32]), FileStamp { size: 0, mtime_ns: 0, ctime_ns: 0, ino: 0 }));
+
+        // A damaged blob is an error wherever the bytes are wanted, and
+        // staging, which trusts the id, reads nothing.
+        let mut damaged = unread("unread-flip", &r, |bytes| flip(bytes, b"# paper\n"));
+        assert!(damaged.has_file("README.md"));
+        assert!(matches!(damaged.try_read_file("README.md"), Err(VcsError::Corrupt(_))));
+        assert!(damaged.status().is_err(), "a damaged HEAD blob is not a clean file");
+        assert!(damaged.export_state().worktree.iter().all(|(p, _)| p != "README.md"));
+        let before = damaged.object_count();
+        damaged.stage(".").unwrap();
+        damaged.commit("t", "again").unwrap();
+        assert_eq!(damaged.object_count(), before + 1, "only the commit object is new");
+        // Writing other bytes replaces the unread file.
+        damaged.write_file("README.md", "# new\n").unwrap();
+        assert_eq!(damaged.read_file("README.md").unwrap(), b"# new\n");
+        assert_eq!(damaged.status().unwrap(), [Change::Modified("README.md".into())]);
+    }
+
+    #[test]
+    fn a_save_that_changes_nothing_writes_nothing() {
+        let state_file = state_file("noop");
+        save(&init(), &state_file).unwrap();
+        let before = fs::read(&state_file).unwrap();
+        let modified = fs::metadata(&state_file).unwrap().modified().unwrap();
+        let mut repo = load_path(&state_file).unwrap();
+        repo.stage(".").unwrap();
+        save(&repo, &state_file).unwrap();
+        assert_eq!(fs::read(&state_file).unwrap(), before);
+        assert_eq!(fs::metadata(&state_file).unwrap().modified().unwrap(), modified);
+        // A moved ref is a change.
+        repo.create_branch("feature").unwrap();
+        save(&repo, &state_file).unwrap();
+        assert!(fs::read(&state_file).unwrap().len() > before.len());
+        assert_eq!(load_path(&state_file).unwrap().current_branch(), Some("feature"));
     }
 
     mod prop {
