@@ -309,7 +309,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             // The run pipeline with a recorder attached: the recorder
             // buffers the whole lifecycle (engine/CI/orchestra
             // wall-clock spans plus any simulation the runner drives)
-            // so the SVG and summary can render from the events.
+            // so the JSON, SVG and summary can render from the events.
             let mut ctx = popper_core::RunContext::for_experiment(&repo, name)?
                 .with_recorder(popper_trace::TraceRecorder::new());
             if cache_enabled(parsed) {
@@ -317,15 +317,14 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
             engine.run_pipeline(&mut repo, &mut ctx)?;
             let mut artifacts = std::mem::take(&mut ctx.artifacts);
-            let recording = ctx
+            let events = ctx
                 .finish_recording()
                 .or_fail("popper trace", "no trace recorder attached to the run context")?;
             let memo = memo_line(ctx.memo_stats());
             let report = popper_core::experiment::RunReport::from_ctx(ctx);
-            let svg = popper_trace::timeline_svg(&recording.events);
-            let summary = recording.summary();
-            artifacts.stage(format!("experiments/{name}/trace.json"), recording.json.into_bytes());
-            artifacts.stage(format!("experiments/{name}/trace.svg"), svg.into_bytes());
+            let (json, svg, summary) = render_trace(&events);
+            artifacts.stage(format!("experiments/{name}/trace.json"), json);
+            artifacts.stage(format!("experiments/{name}/trace.svg"), svg);
             artifacts.commit_into(
                 &mut repo,
                 &format!("popper trace {name}: record trace"),
@@ -335,7 +334,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             let out = format!(
                 "{}\n-- traced {} event(s) -> experiments/{name}/trace.json, trace.svg\n{memo}{summary}",
                 report,
-                recording.events.len(),
+                events.len(),
             );
             if report.success() {
                 Ok(out)
@@ -398,12 +397,12 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             }
             engine.chaos_pipeline(&mut repo, &mut ctx, schedule, seed)?;
             let mut artifacts = std::mem::take(&mut ctx.artifacts);
-            let recording = ctx
+            let events = ctx
                 .finish_recording()
                 .or_fail("popper chaos", "no trace recorder attached to the run context")?;
             let memo = memo_line(ctx.memo_stats());
             let report = popper_core::chaosrun::ChaosRunReport::from_ctx(ctx)?;
-            artifacts.stage(format!("experiments/{name}/trace.json"), recording.json.into_bytes());
+            artifacts.stage(format!("experiments/{name}/trace.json"), popper_trace::chrome_trace_json(&events));
             artifacts.commit_into(
                 &mut repo,
                 &format!("popper chaos {name}: record trace"),
@@ -412,7 +411,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             persist::save(&repo, dir)?;
             let out = format!(
                 "{report}\n-- recorded experiments/{name}/chaos-results.csv, chaos-figure.txt, faults.json, recovery.json, trace.json ({} event(s))\n{memo}",
-                recording.events.len(),
+                events.len(),
             );
             if report.success() {
                 Ok(out)
@@ -451,6 +450,20 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
         }
         Some(other) => Err(format!("unknown command '{other}'; try `popper help`")),
     }
+}
+
+/// What `popper trace` renders from a drained recording: the Chrome
+/// JSON, the timeline SVG and the summary table. The JSON renders on a
+/// scoped thread of its own while the calling thread renders the other
+/// two.
+pub fn render_trace(events: &[popper_trace::TraceEvent]) -> (String, String, String) {
+    std::thread::scope(|scope| {
+        let json = scope.spawn(|| popper_trace::chrome_trace_json(events));
+        let svg = popper_trace::timeline_svg(events);
+        let summary = popper_trace::summary_table(events);
+        let json = json.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        (json, svg, summary)
+    })
 }
 
 /// Stage memoization is on unless `--no-cache` or `POPPER_NO_CACHE`

@@ -10,9 +10,9 @@
 //!
 //! A load reads only the files that may have changed.
 //! `.popper/stat-cache` records, for each worktree file whose blob is
-//! known, its size, mtime, ctime and inode as last written or loaded,
-//! with its blob id, and the same stat data of `.popper/state` as the
-//! save left it. A file whose stat data match and whose mtime is older
+//! known or whose bytes equal its staged blob, its size, mtime, ctime
+//! and inode as last written or loaded, with its blob id, and the same
+//! stat data of `.popper/state` as the save left it. A file whose stat data match and whose mtime is older
 //! than the cache file's own mtime is loaded unread, as its blob. A file
 //! modified in the clock tick the cache was written in cannot be told
 //! from an unmodified one by its stat data, so it is read and hashed
@@ -71,7 +71,7 @@ pub fn save(repo: &PopperRepo, dir: &Path) -> Result<(), String> {
             .files()
             .filter_map(|path| {
                 let stamp = written.get(path).copied().or_else(|| repo.vcs.stamp(path))?;
-                Some((path, stamp, repo.vcs.known_blob(path)?))
+                Some((path, stamp, repo.vcs.clean_blob(path)?))
             })
             .collect();
         save_stat_cache(dir, state, &files);
@@ -585,6 +585,43 @@ mod tests {
         save(&repo, &dir).unwrap();
         assert_eq!((modified(".popper/state"), modified(STAT_CACHE)), before);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Copy the files under `from` to `to`: new inodes, new stat data.
+    fn copy_tree(from: &Path, to: &Path) {
+        fs::create_dir_all(to).unwrap();
+        for entry in fs::read_dir(from).unwrap() {
+            let entry = entry.unwrap();
+            let target = to.join(entry.file_name());
+            if entry.file_type().unwrap().is_dir() {
+                copy_tree(&entry.path(), &target);
+            } else {
+                fs::copy(entry.path(), &target).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn the_save_after_a_load_that_read_files_caches_the_unchanged_ones() {
+        let traced = temp_dir("traced");
+        for argv in [&["init"][..], &["add", "jupyter-bww", "b"], &["trace", "b"]] {
+            crate::run(argv, &traced).unwrap();
+        }
+        let copy = temp_dir("traced-copy");
+        copy_tree(&traced, &copy);
+        // The copy's state file has other stat data: its cache is ignored.
+        let repo = load(&copy, "tester").unwrap();
+        assert!(unread(&repo).is_empty());
+        save(&repo, &copy).unwrap();
+        // Past the racy window, the next load goes by stat data alone.
+        rewrite_cache(&copy, later(), |_| {});
+        let repo = load(&copy, "tester").unwrap();
+        let all: Vec<String> = repo.vcs.files().map(str::to_string).collect();
+        assert!(all.iter().any(|p| p.ends_with("trace.json")), "{all:?}");
+        assert_eq!(unread(&repo), all, "the copy's files are all cached");
+        assert!(repo.vcs.status().unwrap().is_empty());
+        fs::remove_dir_all(&traced).ok();
+        fs::remove_dir_all(&copy).ok();
     }
 
     mod prop {

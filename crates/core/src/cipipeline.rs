@@ -392,13 +392,13 @@ fn record_traced_run(
     }
     engine.run_pipeline(repo, &mut ctx)?;
     let mut artifacts = std::mem::take(&mut ctx.artifacts);
-    let recording = ctx.finish_recording().expect("recorder attached");
+    let events = ctx.finish_recording().expect("recorder attached");
     let stats = ctx.memo_stats().cloned();
     let report = RunReport::from_ctx(ctx);
     if !report.success() {
         return Err(format!("selfcheck run {label} of '{name}' failed: {report}"));
     }
-    artifacts.stage(format!("experiments/{name}/trace.json"), recording.json);
+    artifacts.stage(format!("experiments/{name}/trace.json"), popper_trace::chrome_trace_json(&events));
     let commit = artifacts
         .commit_into(
             repo,

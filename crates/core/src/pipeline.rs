@@ -25,7 +25,7 @@ use popper_memo::{MemoSession, MemoStats};
 use popper_chaos::FaultSchedule;
 use popper_format::{Table, Value};
 use popper_monitor::GateOutcome;
-use popper_trace::{TraceRecorder, TraceRecording, Tracer};
+use popper_trace::{TraceEvent, TraceRecorder, Tracer};
 use popper_vcs::{ObjectId, VcsError};
 
 /// How [`ArtifactSet::commit_into`] treats already-identical bytes.
@@ -170,15 +170,16 @@ impl RunContext {
     }
 
     /// Attach a [`TraceRecorder`]: stages record through it, and
-    /// [`RunContext::finish_recording`] writes the whole run once.
+    /// [`RunContext::finish_recording`] drains the whole run once.
     pub fn with_recorder(mut self, recorder: TraceRecorder) -> RunContext {
         self.tracer = recorder.tracer();
         self.recorder = Some(recorder);
         self
     }
 
-    /// Detach and finish the recorder, if one was attached.
-    pub fn finish_recording(&mut self) -> Option<TraceRecording> {
+    /// Detach and finish the recorder, if one was attached: the
+    /// recorded events, sorted.
+    pub fn finish_recording(&mut self) -> Option<Vec<TraceEvent>> {
         self.recorder.take().map(TraceRecorder::finish)
     }
 
@@ -459,8 +460,8 @@ mod tests {
             .stage("execute", |_r, _c| Ok(StageControl::Continue))
             .run(&mut repo, &mut ctx)
             .unwrap();
-        let recording = ctx.finish_recording().unwrap();
-        let names: Vec<&str> = recording.events.iter().map(|e| e.name.as_str()).collect();
+        let events = ctx.finish_recording().unwrap();
+        let names: Vec<&str> = events.iter().map(|e| e.name.as_str()).collect();
         assert!(names.contains(&"run e"));
         assert!(names.contains(&"sanitize"));
         assert!(names.contains(&"execute"));

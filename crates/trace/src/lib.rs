@@ -44,7 +44,7 @@ pub use diff::{diff_traces, DiffOptions, Divergence, DivergenceKind, TraceDiff};
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use export::{chrome_trace_json, parse_chrome_trace, summary_table};
 pub use sink::TraceSink;
-pub use recorder::{TraceRecorder, TraceRecording};
+pub use recorder::TraceRecorder;
 pub use svg::{timeline_svg, timeline_svg_filtered};
 pub use tracer::{current, with_current, ClockDomain, SpanGuard, Tracer};
 

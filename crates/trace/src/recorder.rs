@@ -1,31 +1,21 @@
 //! The lifecycle trace recorder.
 //!
-//! [`TraceRecorder`] packages the sink + wall-domain tracer + exporter
-//! wiring every traced lifecycle mode needs: it buffers the whole run,
-//! drains it once (globally sorted, so the bytes are stable) and writes
-//! it with [`chrome_trace_json`], keeping the events for the timeline
-//! SVG and the summary table.
+//! [`TraceRecorder`] packages the sink + wall-domain tracer wiring
+//! every traced lifecycle mode needs: it buffers the whole run and
+//! drains it once, globally sorted so the bytes are stable. The caller
+//! renders what it records from the drained events: `popper trace` the
+//! Chrome JSON on one thread beside the timeline SVG and the summary,
+//! `popper chaos` and the CI self-checks the JSON alone.
 
-use crate::chrome::chrome_trace_json;
 use crate::event::TraceEvent;
-use crate::export::summary_table;
 use crate::sink::TraceSink;
 use crate::tracer::{ClockDomain, Tracer};
 
 /// A self-contained trace recording session for one lifecycle run:
-/// owns the sink, hands out a wall-clock [`Tracer`], and exports to
-/// Chrome JSON when finished.
+/// owns the sink and hands out a wall-clock [`Tracer`].
 pub struct TraceRecorder {
     sink: TraceSink,
     tracer: Tracer,
-}
-
-/// The output of [`TraceRecorder::finish`].
-pub struct TraceRecording {
-    /// The complete Chrome `trace_event` JSON document.
-    pub json: String,
-    /// The recorded events, in drain order.
-    pub events: Vec<TraceEvent>,
 }
 
 impl Default for TraceRecorder {
@@ -47,29 +37,21 @@ impl TraceRecorder {
         self.tracer.clone()
     }
 
-    /// Flush, drain the whole run, and write the document.
-    pub fn finish(self) -> TraceRecording {
+    /// Flush and drain the whole run, in the order
+    /// [`chrome_trace_json`](crate::chrome_trace_json) writes it.
+    pub fn finish(self) -> Vec<TraceEvent> {
         self.tracer.flush();
-        let events = self.sink.drain();
-        let json = chrome_trace_json(&events);
-        TraceRecording { json, events }
-    }
-}
-
-impl TraceRecording {
-    /// The per-track span summary.
-    pub fn summary(&self) -> String {
-        summary_table(&self.events)
+        self.sink.drain()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::export::parse_chrome_trace;
+    use crate::export::{chrome_trace_json, parse_chrome_trace, summary_table};
 
     #[test]
-    fn recorder_keeps_the_sorted_events_it_writes() {
+    fn recorder_drains_the_sorted_events_the_json_holds() {
         let rec = TraceRecorder::new();
         let t = rec.tracer();
         {
@@ -79,10 +61,9 @@ mod tests {
         {
             let _b = t.span("core", "core/lifecycle", "record");
         }
-        let out = rec.finish();
-        assert_eq!(out.events.len(), 3);
-        assert_eq!(out.json, chrome_trace_json(&out.events));
-        assert_eq!(parse_chrome_trace(&out.json).unwrap(), out.events);
-        assert!(out.summary().contains("execute"));
+        let events = rec.finish();
+        assert_eq!(events.len(), 3);
+        assert_eq!(parse_chrome_trace(&chrome_trace_json(&events)).unwrap(), events);
+        assert!(summary_table(&events).contains("execute"));
     }
 }

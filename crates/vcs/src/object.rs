@@ -97,7 +97,11 @@ impl Object {
     /// commit <len>\0tree <hex>\n(parent <hex>\n)*author <..>\nts <..>\n\n<message>
     /// ```
     pub fn serialize(&self) -> Vec<u8> {
-        let body = self.body_bytes();
+        let body = match self {
+            Object::Blob(contents) => return Object::blob_serialization(contents),
+            Object::Tree(entries) => tree_body(entries),
+            Object::Commit(c) => commit_body(c),
+        };
         let mut out = Vec::with_capacity(HEADER_MAX + body.len());
         write_header(&mut out, self.type_name(), body.len()).expect("writing to a Vec cannot fail");
         out.extend_from_slice(&body);
@@ -108,13 +112,20 @@ impl Object {
     /// `contents`? A length check and a byte compare: nothing is copied,
     /// serialized or hashed.
     pub fn is_blob_of(stored: &[u8], contents: &[u8]) -> bool {
-        let mut header = [0u8; HEADER_MAX];
-        let mut rest = &mut header[..];
-        write_header(&mut rest, "blob", contents.len()).expect("a blob header fits HEADER_MAX");
-        let header_len = HEADER_MAX - rest.len();
+        let (header, header_len) = blob_header(contents.len());
         stored.len() == header_len + contents.len()
             && stored[..header_len] == header[..header_len]
             && stored[header_len..] == *contents
+    }
+
+    /// The serialization of the blob holding `contents`, built in one
+    /// copy into a `Vec` of exactly its length.
+    pub(crate) fn blob_serialization(contents: &[u8]) -> Vec<u8> {
+        let (header, header_len) = blob_header(contents.len());
+        let mut out = Vec::with_capacity(header_len + contents.len());
+        out.extend_from_slice(&header[..header_len]);
+        out.extend_from_slice(contents);
+        out
     }
 
     /// The length of the blob serialization holding `len` bytes.
@@ -125,10 +136,7 @@ impl Object {
     /// The id of the blob holding `contents`, hashed in place: the
     /// serialization is never built.
     pub fn blob_id(contents: &[u8]) -> ObjectId {
-        let mut header = [0u8; HEADER_MAX];
-        let mut rest = &mut header[..];
-        write_header(&mut rest, "blob", contents.len()).expect("a blob header fits HEADER_MAX");
-        let header_len = HEADER_MAX - rest.len();
+        let (header, header_len) = blob_header(contents.len());
         let mut hasher = sha256::Sha256::new();
         hasher.update(&header[..header_len]);
         hasher.update(contents);
@@ -143,38 +151,6 @@ impl Object {
         let len: usize = std::str::from_utf8(&body[..nul]).ok()?.parse().ok()?;
         let contents = &body[nul + 1..];
         (contents.len() == len).then_some(contents)
-    }
-
-    fn body_bytes(&self) -> Vec<u8> {
-        match self {
-            Object::Blob(data) => data.clone(),
-            Object::Tree(entries) => {
-                debug_assert!(
-                    entries.windows(2).all(|w| w[0].name < w[1].name),
-                    "tree entries must be sorted and unique"
-                );
-                let mut out = Vec::new();
-                for e in entries {
-                    let kind = if e.is_tree { "tree" } else { "blob" };
-                    out.extend_from_slice(
-                        format!("{kind} {} {} {}\n", e.id.to_hex(), e.name.len(), e.name).as_bytes(),
-                    );
-                }
-                out
-            }
-            Object::Commit(c) => {
-                let mut out = String::new();
-                out.push_str(&format!("tree {}\n", c.tree.to_hex()));
-                for p in &c.parents {
-                    out.push_str(&format!("parent {}\n", p.to_hex()));
-                }
-                out.push_str(&format!("author {}\n", c.author));
-                out.push_str(&format!("ts {}\n", c.timestamp));
-                out.push('\n');
-                out.push_str(&c.message);
-                out.into_bytes()
-            }
-        }
     }
 
     /// Decode a canonical serialization.
@@ -253,6 +229,41 @@ impl Object {
 /// An upper bound on a serialization header: the longest type name, a
 /// space, 20 digits of length and the NUL.
 const HEADER_MAX: usize = 32;
+
+fn tree_body(entries: &[TreeEntry]) -> Vec<u8> {
+    debug_assert!(
+        entries.windows(2).all(|w| w[0].name < w[1].name),
+        "tree entries must be sorted and unique"
+    );
+    let mut out = Vec::new();
+    for e in entries {
+        let kind = if e.is_tree { "tree" } else { "blob" };
+        out.extend_from_slice(format!("{kind} {} {} {}\n", e.id.to_hex(), e.name.len(), e.name).as_bytes());
+    }
+    out
+}
+
+fn commit_body(c: &Commit) -> Vec<u8> {
+    let mut out = String::new();
+    out.push_str(&format!("tree {}\n", c.tree.to_hex()));
+    for p in &c.parents {
+        out.push_str(&format!("parent {}\n", p.to_hex()));
+    }
+    out.push_str(&format!("author {}\n", c.author));
+    out.push_str(&format!("ts {}\n", c.timestamp));
+    out.push('\n');
+    out.push_str(&c.message);
+    out.into_bytes()
+}
+
+/// The header of the blob holding `len` bytes, and its length.
+fn blob_header(len: usize) -> ([u8; HEADER_MAX], usize) {
+    let mut header = [0u8; HEADER_MAX];
+    let mut rest = &mut header[..];
+    write_header(&mut rest, "blob", len).expect("a blob header fits HEADER_MAX");
+    let header_len = HEADER_MAX - rest.len();
+    (header, header_len)
+}
 
 /// Write the `<type> <len>\0` header that starts every serialization.
 fn write_header(out: &mut impl std::io::Write, type_name: &str, len: usize) -> std::io::Result<()> {

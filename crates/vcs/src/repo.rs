@@ -14,7 +14,7 @@
 use crate::diff;
 use crate::object::{Commit, Object, ObjectId, TreeEntry};
 use crate::state::Log;
-use std::collections::{hash_map::Entry, BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -76,6 +76,38 @@ pub(crate) enum Stored {
     /// A serialization in the log, read and hashed on first use; the
     /// cell keeps the verified bytes or why they failed.
     Logged { at: u64, len: u64, read: OnceLock<Result<Vec<u8>, String>> },
+}
+
+impl Stored {
+    /// Can a `put` of the object this is stored under keep this copy?
+    /// A held copy hashed to the id; a logged one is kept if it is
+    /// verified, or if `matches` finds its unverified bytes to be the
+    /// object's, which verifies it without hashing.
+    fn keeps(&self, log: &Option<Arc<Log>>, matches: impl FnOnce(&[u8]) -> bool) -> bool {
+        match self {
+            Stored::Held(_) => true,
+            Stored::Logged { at, len, read } => match read.get() {
+                Some(verified) => verified.is_ok(),
+                None => match read_logged(log, *at, *len) {
+                    Ok(logged) if matches(&logged) => read.set(Ok(logged)).is_ok(),
+                    _ => false,
+                },
+            },
+        }
+    }
+}
+
+/// Store the blob holding `contents` in `objects` and return its id.
+/// The id is hashed in place; only a blob the store lacks, or holds a
+/// bad logged copy of, is serialized, in one copy. It takes the store's
+/// fields rather than the repository so that `stage` can pass bytes
+/// borrowed from the working tree.
+fn put_blob(objects: &mut HashMap<ObjectId, Stored>, log: &Option<Arc<Log>>, contents: &[u8]) -> ObjectId {
+    let id = Object::blob_id(contents);
+    if !objects.get(&id).is_some_and(|stored| stored.keeps(log, |logged| Object::is_blob_of(logged, contents))) {
+        objects.insert(id, Stored::Held(Object::blob_serialization(contents)));
+    }
+    id
 }
 
 /// What the file system reports of a working-tree file: enough to tell,
@@ -152,29 +184,13 @@ impl Repository {
     /// Store an object, returning its ID. Idempotent. A logged copy
     /// whose bytes differ from the object's is replaced.
     pub fn put(&mut self, obj: &Object) -> ObjectId {
+        if let Object::Blob(contents) = obj {
+            return put_blob(&mut self.objects, &self.log, contents);
+        }
         let bytes = obj.serialize();
         let id = ObjectId::for_bytes(&bytes);
-        match self.objects.entry(id) {
-            Entry::Vacant(slot) => {
-                slot.insert(Stored::Held(bytes));
-            }
-            Entry::Occupied(mut slot) => {
-                let kept = match slot.get() {
-                    Stored::Held(_) => true,
-                    Stored::Logged { at, len, read } => match read.get() {
-                        Some(verified) => verified.is_ok(),
-                        // Equal to bytes that hash to `id`, so the logged
-                        // copy is verified without hashing it.
-                        None => match read_logged(&self.log, *at, *len) {
-                            Ok(logged) if logged == bytes => read.set(Ok(logged)).is_ok(),
-                            _ => false,
-                        },
-                    },
-                };
-                if !kept {
-                    slot.insert(Stored::Held(bytes));
-                }
-            }
+        if !self.objects.get(&id).is_some_and(|stored| stored.keeps(&self.log, |logged| logged == bytes)) {
+            self.objects.insert(id, Stored::Held(bytes));
         }
         id
     }
@@ -337,6 +353,19 @@ impl Repository {
         self.worktree.get(path)?.blob()
     }
 
+    /// The id of the blob holding the working-tree file at `path`,
+    /// hashing nothing: its [`Repository::known_blob`], or else the staged
+    /// blob if one byte compare finds that the file holds exactly its
+    /// bytes. A file read at load and left alone since is clean this way.
+    pub fn clean_blob(&self, path: &str) -> Option<ObjectId> {
+        let file = self.worktree.get(path)?;
+        file.blob().or_else(|| {
+            let WorkFile::Held { bytes, .. } = file else { return None };
+            let staged = *self.index.get(path)?;
+            self.holds_blob_of(staged, bytes).then_some(staged)
+        })
+    }
+
     /// The stamp the file at `path` had on disk when it was loaded, if
     /// its bytes have not changed since.
     pub fn stamp(&self, path: &str) -> Option<FileStamp> {
@@ -389,10 +418,7 @@ impl Repository {
                 // A staged blob whose bytes equal the file's is already
                 // this file's blob: nothing to clone, serialize or hash.
                 Some(id) if self.holds_blob_of(*id, bytes) => *id,
-                _ => {
-                    let blob = Object::Blob(bytes.clone());
-                    self.put(&blob)
-                }
+                _ => put_blob(&mut self.objects, &self.log, bytes),
             },
         };
         if let Some(WorkFile::Held { blob, .. }) = self.worktree.get_mut(path) {
@@ -418,7 +444,7 @@ impl Repository {
             validate_path(path)?;
         }
         for (path, contents) in files {
-            let id = self.put(&Object::Blob(contents.clone()));
+            let id = put_blob(&mut self.objects, &self.log, &contents);
             self.set_file(&path, contents);
             if let Some(WorkFile::Held { blob, .. }) = self.worktree.get_mut(&path) {
                 *blob = Some(id);
@@ -517,7 +543,7 @@ impl Repository {
         let mut old = std::mem::take(&mut self.worktree);
         self.index.clear();
         for (path, contents) in snapshot {
-            let id = self.put(&Object::Blob(contents.clone()));
+            let id = put_blob(&mut self.objects, &self.log, &contents);
             let file = match old.remove(&path) {
                 Some(WorkFile::Unread { blob, stamp }) if blob == id => WorkFile::Unread { blob, stamp },
                 Some(WorkFile::Held { bytes, stamp, .. }) if bytes == contents => {
@@ -1364,6 +1390,45 @@ mod state_tests {
         let c = r.commit("t", "first").unwrap();
         assert_eq!(r.get(blob).unwrap(), Object::Blob(b"alpha".to_vec()));
         assert_eq!(r.snapshot_of(c).unwrap()["a.txt"], b"alpha");
+    }
+
+    #[test]
+    fn a_staged_new_file_is_the_blob_put_stores_in_one_exact_copy() {
+        let contents = b"{\"traceEvents\":[]}\n".repeat(1000);
+        let mut put = Repository::init();
+        let id = put.put(&Object::Blob(contents.clone()));
+        let mut staged = Repository::init();
+        staged.write_file("t.json", contents.clone()).unwrap();
+        staged.stage("t.json").unwrap();
+        let mut batch = Repository::init();
+        batch.write_files([("t.json".to_string(), contents.clone())]).unwrap();
+        let mut checked_out = batch.clone();
+        checked_out.commit("t", "trace").unwrap();
+        checked_out.create_branch("copy").unwrap();
+        checked_out.checkout("copy").unwrap();
+        for r in [&put, &staged, &batch, &checked_out] {
+            assert_eq!(r.raw(id).unwrap(), Object::Blob(contents.clone()).serialize());
+            let Stored::Held(bytes) = &r.objects[&id] else { panic!("a put blob is held") };
+            assert_eq!(bytes.capacity(), bytes.len());
+        }
+        for r in [&staged, &batch, &checked_out] {
+            assert_eq!(r.index["t.json"], id);
+        }
+    }
+
+    #[test]
+    fn a_file_read_at_load_is_clean_only_while_it_holds_its_staged_bytes() {
+        let mut r = Repository::init();
+        r.write_file("a.txt", "alpha").unwrap();
+        r.stage("a.txt").unwrap();
+        let staged = r.index["a.txt"];
+        let mut r = Repository::import_state(r.export_state()).unwrap();
+        assert_eq!(r.known_blob("a.txt"), None);
+        assert_eq!(r.clean_blob("a.txt"), Some(staged));
+        r.write_file("a.txt", "alphb").unwrap();
+        assert_eq!(r.clean_blob("a.txt"), None);
+        r.write_file("b.txt", "beta").unwrap();
+        assert_eq!(r.clean_blob("b.txt"), None, "an unstaged file");
     }
 
     #[test]

@@ -46,9 +46,8 @@ const EXACT_COORD: f64 = 4e9;
 /// prints it: the binary value rounded half-to-even at the first
 /// decimal, and a `-` for every negative value, `-0.0` included (stable
 /// output, no float noise). `write!(f, "{:.1}")` itself takes the exact
-/// float formatter's slow path for every value: a 190k-event
-/// `timeline_svg` took about twice as long with it (170 ms against
-/// 80 ms on a 2-vCPU Xeon).
+/// float formatter's slow path for every value, which dominates a
+/// document that writes many coordinates.
 struct Coord(f64);
 
 impl fmt::Display for Coord {

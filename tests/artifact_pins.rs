@@ -99,7 +99,7 @@ fn recording() -> Vec<TraceEvent> {
 }
 
 const CHROME_JSON: &str = "c2d1cb1bbf7a6caf0762a2017372fedbf9f6fd05b9187c5641592d8f37f71ede";
-const TIMELINE_SVG: &str = "dfbb36215bf40b7ba163d100a21fa0dd3d9825123892719e4a9cace626109625";
+const TIMELINE_SVG: &str = "059e76403957fdda9fd2dfdf8f68e58a89d7838f14904db56eddec39aa7dd109";
 const CHART_SVG: &str = "09dbc14f3bd972fcfeee9cdbb51ff059a2bf1ffaf107219eae7fa33fa5a0191c";
 
 #[test]

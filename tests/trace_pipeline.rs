@@ -68,6 +68,25 @@ fn cli_trace_records_chrome_json_and_svg() {
     fs::remove_dir_all(&dir).ok();
 }
 
+/// `trace.json` and `trace.svg` render one drained recording: the JSON
+/// is `chrome_trace_json` of the events it holds, and the timeline is
+/// `timeline_svg` of the same events, though the two render on
+/// different threads.
+#[test]
+fn trace_json_and_svg_render_the_same_drained_events() {
+    let dir = temp_dir("same-events");
+    run(&["init"], &dir).unwrap();
+    run(&["add", "ceph-rados", "e"], &dir).unwrap();
+    run(&["trace", "e"], &dir).unwrap();
+    let json = fs::read_to_string(dir.join("experiments/e/trace.json")).unwrap();
+    let svg = fs::read_to_string(dir.join("experiments/e/trace.svg")).unwrap();
+    let events = popper::trace::parse_chrome_trace(&json).unwrap();
+    assert!(!events.is_empty());
+    assert_eq!(popper::trace::chrome_trace_json(&events), json);
+    assert_eq!(popper::trace::timeline_svg(&events), svg);
+    fs::remove_dir_all(&dir).ok();
+}
+
 /// This repository eats its own dog food: its `.popper-ci.pml` must
 /// parse with the in-tree CI engine and carry the tracing smoke jobs.
 #[test]
