@@ -356,15 +356,6 @@ impl FaultSchedule {
         self.events.iter().map(|e| (e.at, e.kind.to_cmd())).collect()
     }
 
-    /// Virtual time of the first crash event, if any (recovery clocks
-    /// start here).
-    pub fn first_crash(&self) -> Option<Nanos> {
-        self.events.iter().find_map(|e| match e.kind {
-            FaultKind::Crash { .. } => Some(e.at),
-            _ => None,
-        })
-    }
-
     /// Time of the last event.
     pub fn horizon(&self) -> Nanos {
         self.events.last().map(|e| e.at).unwrap_or(Nanos::ZERO)
@@ -389,25 +380,6 @@ impl FaultSchedule {
                 _ => None,
             })
             .fold(None, |acc, f| Some(acc.map_or(f, |a: f64| a.max(f))))
-    }
-
-    /// The first scheduled restart of `node` at or after `t`, if any —
-    /// the schedule → rank-recovery mapping checkpoint-restart policies
-    /// use to decide how long survivors must idle before a respawned
-    /// rank can rejoin. `None` means the crash is permanent (or the
-    /// restart already fired before `t`).
-    pub fn restart_after(&self, node: usize, t: Nanos) -> Option<Nanos> {
-        self.events.iter().find_map(|e| match e.kind {
-            FaultKind::Restart { node: n } if n == node && e.at >= t => Some(e.at),
-            _ => None,
-        })
-    }
-
-    /// Does the schedule ever restart `node` (at any time)?
-    pub fn ever_restarts(&self, node: usize) -> bool {
-        self.events
-            .iter()
-            .any(|e| matches!(e.kind, FaultKind::Restart { node: n } if n == node))
     }
 
     /// Serialize to the deterministic `faults.json` artifact.
@@ -521,7 +493,6 @@ mod tests {
         let s = FaultSchedule::named("node-crash", 4, 1).unwrap();
         assert_eq!(s.events[0].kind, FaultKind::Crash { node: 3 });
         assert_eq!(s.events[1].kind, FaultKind::Restart { node: 3 });
-        assert_eq!(s.first_crash(), Some(Nanos::from_millis(40)));
         assert_eq!(s.horizon(), Nanos::from_millis(120));
     }
 
@@ -541,17 +512,6 @@ mod tests {
         let s = FaultSchedule::from_vars(&vars).unwrap().unwrap();
         assert_eq!(s.crash_count(), 1);
         assert_eq!(s.max_disk_slow_factor(), Some(6.0));
-    }
-
-    #[test]
-    fn restart_after_maps_crashes_to_recovery_points() {
-        let s = FaultSchedule::named("node-crash", 4, 1).unwrap();
-        // Detection at 60ms still catches the 120ms restart…
-        assert_eq!(s.restart_after(3, Nanos::from_millis(60)), Some(Nanos::from_millis(120)));
-        // …but a detection after the restart already fired finds none.
-        assert_eq!(s.restart_after(3, Nanos::from_millis(130)), None);
-        assert!(s.ever_restarts(3));
-        assert!(!s.ever_restarts(1), "node 1 never crashes, never restarts");
     }
 
     #[test]

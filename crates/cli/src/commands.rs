@@ -402,7 +402,11 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
                 .or_fail("popper chaos", "no trace recorder attached to the run context")?;
             let memo = memo_line(ctx.memo_stats());
             let report = popper_core::chaosrun::ChaosRunReport::from_ctx(ctx)?;
-            artifacts.stage(format!("experiments/{name}/trace.json"), popper_trace::chrome_trace_json(&events));
+            // The timeline is drawn from the same recording as the JSON,
+            // so the pair never disagrees after a chaos run.
+            let (json, svg, _) = render_trace(&events);
+            artifacts.stage(format!("experiments/{name}/trace.json"), json);
+            artifacts.stage(format!("experiments/{name}/trace.svg"), svg);
             artifacts.commit_into(
                 &mut repo,
                 &format!("popper chaos {name}: record trace"),
@@ -410,7 +414,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             )?;
             persist::save(&repo, dir)?;
             let out = format!(
-                "{report}\n-- recorded experiments/{name}/chaos-results.csv, chaos-figure.txt, faults.json, recovery.json, trace.json ({} event(s))\n{memo}",
+                "{report}\n-- recorded experiments/{name}/chaos-results.csv, chaos-figure.txt, faults.json, recovery.json, trace.json, trace.svg ({} event(s))\n{memo}",
                 events.len(),
             );
             if report.success() {

@@ -38,13 +38,14 @@ fn sharded_workers(vars: &Value) -> Result<usize, String> {
     }
 }
 
-/// Guard for runners whose world has no sharded port: asking them to
-/// shard is a configuration error, not a silent no-op.
+/// Guard for runners whose healthy mode has no sharded world: asking
+/// them to shard is a configuration error, not a silent no-op.
 fn reject_sim_workers(vars: &Value, runner: &str) -> Result<(), String> {
     if vars.get("sim_workers").is_some() || std::env::var("POPPER_SIM_WORKERS").is_ok() {
         return Err(format!(
             "runner '{runner}' has no sharded world; drop 'sim_workers:' / --sim-workers \
-             (sharded runners: lulesh-sharded, gassyfs-sharded, orchestra-sharded, farm-sharded)"
+             (sharded runners: lulesh-sharded, gassyfs-sharded, orchestra-sharded, farm-sharded, \
+             lulesh-chaos, and the chaos modes of gassyfs-scalability and mpi-variability)"
         ));
     }
     Ok(())
@@ -83,29 +84,17 @@ fn num_list(vars: &Value, key: &str) -> Option<Vec<f64>> {
 }
 
 fn gassyfs_runner(vars: &Value) -> Result<Table, String> {
-    reject_sim_workers(vars, "gassyfs-scalability")?;
-    // A `faults:` spec flips the runner into chaos mode: same cluster,
-    // same workload shape, but a fault schedule plays out against the
-    // verify-read sweep and the table carries recovery metrics.
+    // A `faults:` spec flips the runner into chaos mode: the sharded
+    // world's replicated write path, sized by the schedule's node
+    // count, with the fault schedule landing mid-run.
     if let Some(schedule) = popper_chaos::FaultSchedule::from_vars(vars)? {
         let machine = vars.get_str("machine").unwrap_or("gassyfs-node");
         let platform =
             platforms::by_name(machine).ok_or_else(|| format!("unknown machine '{machine}'"))?;
-        let mut config = popper_gassyfs::ChaosConfig {
-            nodes: schedule.nodes,
-            platform,
-            machine_label: machine.to_string(),
-            ..Default::default()
-        };
-        if let Some(e) = vars.get_num("epochs") {
-            config.epochs = e.max(1.0) as usize;
-        }
-        if let Some(f) = vars.get_num("files") {
-            config.files = f.max(1.0) as usize;
-        }
-        let report = popper_gassyfs::run_fault_tolerance(&config, &schedule)?;
-        return Ok(popper_gassyfs::chaos::to_table(&report, machine));
+        let config = popper_gassyfs::ShardedGassyConfig { nodes: schedule.nodes.max(2), ..Default::default() };
+        return Ok(gassyfs_chaos_table(&config, &platform, machine, sharded_workers(vars)?, &schedule));
     }
+    reject_sim_workers(vars, "gassyfs-scalability")?;
     let nodes: Vec<usize> = num_list(vars, "nodes")
         .unwrap_or_else(|| vec![1.0, 2.0, 4.0, 8.0, 16.0])
         .into_iter()
@@ -174,14 +163,14 @@ fn lulesh_app(vars: &Value) -> Result<LuleshConfig, String> {
 }
 
 fn mpi_runner(vars: &Value) -> Result<Table, String> {
-    reject_sim_workers(vars, "mpi-variability")?;
-    // A `faults:` spec flips the runner into chaos mode: the same
-    // LULESH proxy, but a fault schedule crashes nodes under it and
-    // the configured recovery policy (shrink / checkpoint-restart)
-    // keeps it running; the table carries recovery metrics.
+    // A `faults:` spec flips the runner into chaos mode: the sharded
+    // LULESH proxy, with the configured recovery policy (shrink /
+    // checkpoint-restart) resolving the rank failures the schedule
+    // causes; the table carries recovery metrics.
     if vars.get("faults").is_some() {
         return lulesh_chaos_runner(vars);
     }
+    reject_sim_workers(vars, "mpi-variability")?;
     let app = lulesh_app(vars)?;
     let machine = vars.get_str("machine").unwrap_or("hpc-node");
     let platform = platforms::by_name(machine).ok_or_else(|| format!("unknown machine '{machine}'"))?;
@@ -197,12 +186,12 @@ fn mpi_runner(vars: &Value) -> Result<Table, String> {
     Ok(result.to_table())
 }
 
-/// The fault-tolerant LULESH experiment: run the proxy to completion
-/// while a fault schedule plays out, recovering rank failures per the
-/// `faults.policy` (`shrink` or `checkpoint-restart`). One row per
-/// communicator epoch.
+/// The fault-tolerant LULESH experiment: the sharded proxy, ranks
+/// round-robin over the schedule's nodes, run to completion while the
+/// schedule plays out, rank failures resolved per `faults.policy`
+/// (`shrink` or `checkpoint-restart`). One row per communicator epoch,
+/// identical at every worker count.
 fn lulesh_chaos_runner(vars: &Value) -> Result<Table, String> {
-    reject_sim_workers(vars, "lulesh-chaos")?;
     let schedule = popper_chaos::FaultSchedule::from_vars(vars)?.ok_or_else(|| {
         "lulesh-chaos needs a 'faults:' spec (run it via 'popper chaos')".to_string()
     })?;
@@ -210,9 +199,49 @@ fn lulesh_chaos_runner(vars: &Value) -> Result<Table, String> {
     let machine = vars.get_str("machine").unwrap_or("hpc-node");
     let platform =
         platforms::by_name(machine).ok_or_else(|| format!("unknown machine '{machine}'"))?;
-    let study = mpi_exp::ChaosStudy { app: lulesh_app(vars)?, platform, schedule, policy };
-    let result = mpi_exp::run_lulesh_chaos(&study)?;
-    Ok(result.to_table())
+    let run = popper_minimpi::run_sharded_recovery(
+        &lulesh_app(vars)?,
+        &platform,
+        sharded_workers(vars)?,
+        schedule.nodes,
+        schedule.seed,
+        schedule.plane_timeline(),
+        policy,
+    );
+    let mut t = Table::new([
+        "schedule",
+        "policy",
+        "epoch",
+        "ranks",
+        "steps",
+        "detections",
+        "checkpoints",
+        "replayed",
+        "failovers",
+        "recovery_ms",
+        "degraded_fraction",
+        "corrupt",
+        "time_ms",
+    ]);
+    for (epoch, e) in run.epochs.iter().enumerate() {
+        t.push_row(vec![
+            Value::from(schedule.name.as_str()),
+            Value::from(policy.label()),
+            Value::from(epoch),
+            Value::from(e.ranks),
+            Value::from(e.steps),
+            Value::from(e.detections as usize),
+            Value::from(e.checkpoints),
+            Value::from(e.replayed),
+            Value::from(e.ranks_lost),
+            Value::Num(e.recovery_ms),
+            Value::Num(e.degraded_fraction),
+            Value::from(usize::from(run.corrupt)),
+            Value::Num(e.end.as_millis_f64()),
+        ])
+        .expect("fixed schema");
+    }
+    Ok(t)
 }
 
 /// The sharded LULESH proxy: one shard per rank, run across the worker
@@ -311,47 +340,7 @@ fn gassyfs_sharded_runner(vars: &Value) -> Result<Table, String> {
     // at epoch barriers mid-run and the client fails over to replicas.
     if let Some(schedule) = popper_chaos::FaultSchedule::from_vars(vars)? {
         check_schedule_fits(&schedule, config.nodes, "gassyfs-sharded")?;
-        let report = popper_gassyfs::shardworld::run_sharded_chaos(
-            &config,
-            &platform,
-            workers,
-            schedule.seed,
-            schedule.plane_timeline(),
-        );
-        let mut t = Table::new([
-            "schedule",
-            "machine",
-            "workers",
-            "epochs",
-            "node",
-            "primary_pages",
-            "replica_pages",
-            "failovers",
-            "detections",
-            "recovery_ms",
-            "degraded_fraction",
-            "corrupt",
-            "elapsed_ms",
-        ]);
-        for node in 0..config.nodes {
-            t.push_row(vec![
-                Value::from(schedule.name.as_str()),
-                Value::from(machine),
-                Value::from(report.workers),
-                Value::from(report.epochs as usize),
-                Value::from(node),
-                Value::from(report.per_node_primary[node] as usize),
-                Value::from(report.per_node_replica[node] as usize),
-                Value::from(report.failovers as usize),
-                Value::from(report.detections as usize),
-                Value::Num(report.recovery_ms),
-                Value::Num(report.degraded_fraction),
-                Value::from(report.lost as usize),
-                Value::Num(report.elapsed.as_millis_f64()),
-            ])
-            .expect("fixed schema");
-        }
-        return Ok(t);
+        return Ok(gassyfs_chaos_table(&config, &platform, machine, workers, &schedule));
     }
     let report = popper_gassyfs::shardworld::run_sharded(&config, &platform, workers);
     let mut t = Table::new([
@@ -380,6 +369,58 @@ fn gassyfs_sharded_runner(vars: &Value) -> Result<Table, String> {
         .expect("fixed schema");
     }
     Ok(t)
+}
+
+/// The sharded GassyFS world's chaos table: one row per node, the
+/// run's recovery metrics repeated on each.
+fn gassyfs_chaos_table(
+    config: &popper_gassyfs::ShardedGassyConfig,
+    platform: &popper_sim::PlatformSpec,
+    machine: &str,
+    workers: usize,
+    schedule: &popper_chaos::FaultSchedule,
+) -> Table {
+    let report = popper_gassyfs::shardworld::run_sharded_chaos(
+        config,
+        platform,
+        workers,
+        schedule.seed,
+        schedule.plane_timeline(),
+    );
+    let mut t = Table::new([
+        "schedule",
+        "machine",
+        "workers",
+        "epochs",
+        "node",
+        "primary_pages",
+        "replica_pages",
+        "failovers",
+        "detections",
+        "recovery_ms",
+        "degraded_fraction",
+        "corrupt",
+        "elapsed_ms",
+    ]);
+    for node in 0..config.nodes {
+        t.push_row(vec![
+            Value::from(schedule.name.as_str()),
+            Value::from(machine),
+            Value::from(report.workers),
+            Value::from(report.epochs as usize),
+            Value::from(node),
+            Value::from(report.per_node_primary[node] as usize),
+            Value::from(report.per_node_replica[node] as usize),
+            Value::from(report.failovers as usize),
+            Value::from(report.detections as usize),
+            Value::Num(report.recovery_ms),
+            Value::Num(report.degraded_fraction),
+            Value::from(report.lost as usize),
+            Value::Num(report.elapsed.as_millis_f64()),
+        ])
+        .expect("fixed schema");
+    }
+    t
 }
 
 /// The sharded orchestra world: one shard per managed host plus the
@@ -810,7 +851,6 @@ mod tests {
             ("gassyfs-scalability", gassyfs_runner as fn(&Value) -> Result<Table, String>),
             ("torpor-variability", torpor_runner),
             ("mpi-variability", mpi_runner),
-            ("lulesh-chaos", lulesh_chaos_runner),
             ("bww-airtemp", bww_runner),
             ("synthetic", popper_core::experiment::synthetic_runner),
         ] {
@@ -834,19 +874,34 @@ mod tests {
         vars
     }
 
+    /// `chaos_vars` for a recovery run under `policy`.
+    fn policy_vars(policy: &str, extra: &[(&str, i64)]) -> Value {
+        let mut vars = chaos_vars(extra);
+        let mut faults = vars.get("faults").cloned().unwrap();
+        faults.insert("policy", Value::from(policy));
+        vars.insert("faults", faults);
+        vars
+    }
+
     #[test]
     fn sharded_chaos_runners_are_worker_count_invariant() {
         type Runner = fn(&Value) -> Result<Table, String>;
-        type Case = (&'static str, Runner, Vec<(&'static str, i64)>);
-        let cases: [Case; 4] = [
-            ("lulesh-sharded", lulesh_sharded_runner, vec![("elements", 4), ("iterations", 10), ("nodes", 8)]),
-            ("gassyfs-sharded", gassyfs_sharded_runner, vec![("nodes", 6), ("pages", 48)]),
-            ("orchestra-sharded", orchestra_sharded_runner, vec![("hosts", 6), ("tasks", 6), ("nodes", 6)]),
-            ("farm-sharded", farm_sharded_runner, vec![("tenants", 5), ("jobs", 16), ("nodes", 5)]),
+        let lulesh = [("elements", 4), ("iterations", 10), ("nodes", 9)];
+        let cases: [(&str, Runner, Value); 10] = [
+            ("lulesh-sharded", lulesh_sharded_runner, chaos_vars(&[("elements", 4), ("iterations", 10), ("nodes", 8)])),
+            ("gassyfs-sharded", gassyfs_sharded_runner, chaos_vars(&[("nodes", 6), ("pages", 48)])),
+            ("orchestra-sharded", orchestra_sharded_runner, chaos_vars(&[("hosts", 6), ("tasks", 6), ("nodes", 6)])),
+            ("farm-sharded", farm_sharded_runner, chaos_vars(&[("tenants", 5), ("jobs", 16), ("nodes", 5)])),
+            ("gassyfs-scalability", gassyfs_runner, chaos_vars(&[("nodes", 6)])),
+            ("mpi-variability", mpi_runner, chaos_vars(&lulesh)),
+            ("lulesh-chaos", lulesh_chaos_runner, chaos_vars(&lulesh)),
+            ("lulesh-chaos shrink", lulesh_chaos_runner, policy_vars("shrink", &lulesh)),
+            ("lulesh-chaos checkpoint-restart", lulesh_chaos_runner, policy_vars("checkpoint-restart", &lulesh)),
+            ("mpi-variability checkpoint-restart", mpi_runner, policy_vars("checkpoint-restart", &lulesh)),
         ];
-        for (name, runner, extra) in cases {
+        for (name, runner, vars) in cases {
             let table_for = |workers: i64| {
-                let mut vars = chaos_vars(&extra);
+                let mut vars = vars.clone();
                 vars.insert("sim_workers", Value::from(workers));
                 runner(&vars).unwrap_or_else(|e| panic!("{name}: {e}"))
             };
@@ -862,6 +917,7 @@ mod tests {
             );
             for workers in [2, 8] {
                 let sharded = table_for(workers);
+                assert_eq!(sharded.len(), serial.len(), "{name} workers={workers}");
                 for (a, b) in serial.iter().zip(sharded.iter()) {
                     for col in serial.columns() {
                         let col = col.name.as_str();
@@ -873,6 +929,93 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `popper chaos` over `vars`, returning `recovery.json`'s numbers.
+    fn recovery_json(vars: &str) -> Value {
+        let mut repo = PopperRepo::init("t").unwrap();
+        repo.write("experiments/e/vars.pml", vars).unwrap();
+        repo.commit("add").unwrap();
+        full_engine().run_chaos(&mut repo, "e", Some("node-crash"), Some(7)).unwrap();
+        popper_format::json::parse(&repo.read("experiments/e/recovery.json").unwrap()).unwrap()
+    }
+
+    #[test]
+    fn recovery_json_counters_equal_the_world_reports() {
+        let schedule = |nodes| popper_chaos::FaultSchedule::named("node-crash", nodes, 7).unwrap();
+        let hpc = platforms::hpc_node();
+        let gassy_node = platforms::gassyfs_node();
+        let check = |name: &str, metrics: Value, counters: &[(&str, u64)]| {
+            for &(counter, want) in counters {
+                assert_eq!(metrics.get_num(counter), Some(want as f64), "{name}: {counter} in {metrics:?}");
+            }
+        };
+
+        let s = schedule(16);
+        let r = popper_gassyfs::run_sharded_chaos(
+            &popper_gassyfs::ShardedGassyConfig { nodes: 16, ..Default::default() },
+            &gassy_node,
+            1,
+            7,
+            s.plane_timeline(),
+        );
+        check(
+            "gassyfs-scalability",
+            recovery_json("runner: gassyfs-scalability\nnodes: [1, 2, 4, 8, 16]\n"),
+            &[("failovers", r.failovers), ("detections", r.detections)],
+        );
+        check(
+            "gassyfs-sharded",
+            recovery_json("runner: gassyfs-sharded\nnodes: 16\n"),
+            &[("failovers", r.failovers), ("detections", r.detections)],
+        );
+
+        let app = LuleshConfig { elements_per_rank: 6, iterations: 12, ..LuleshConfig::paper() };
+        let lulesh = "grid: [3, 3, 3]\nelements: 6\niterations: 12\nnodes: 9\n";
+        for policy in [popper_minimpi::RecoveryPolicy::Shrink, popper_minimpi::RecoveryPolicy::CheckpointRestart { interval: 5 }] {
+            let r = popper_minimpi::run_sharded_recovery(&app, &hpc, 1, 9, 7, schedule(9).plane_timeline(), policy);
+            let lost: usize = r.epochs.iter().map(|e| e.ranks_lost).sum();
+            check(
+                policy.label(),
+                recovery_json(&format!("runner: mpi-variability\n{lulesh}faults: {{policy: {}}}\n", policy.label())),
+                &[
+                    ("detections", r.detections()),
+                    ("failovers", lost as u64),
+                    ("checkpoints", r.checkpoints() as u64),
+                    ("replayed", r.replayed_steps() as u64),
+                ],
+            );
+        }
+        let r = popper_minimpi::run_sharded_chaos(&app, &hpc, 1, 7, schedule(9).plane_timeline());
+        check(
+            "lulesh-sharded",
+            recovery_json(&format!("runner: lulesh-sharded\n{lulesh}")),
+            &[("detections", r.detections), ("recovered", r.recovered)],
+        );
+
+        let config = popper_orchestra::ShardedOrchestraConfig { hosts: 6, tasks: 6, ..Default::default() };
+        let r = popper_orchestra::shardworld::run_sharded_chaos(&config, 1, 7, schedule(6).plane_timeline());
+        check(
+            "orchestra-sharded",
+            recovery_json("runner: orchestra-sharded\nhosts: 6\ntasks: 6\nnodes: 6\n"),
+            &[("detections", r.detections), ("recovered", r.recovered)],
+        );
+
+        let config = popper_farm::FarmSimConfig { tenants: 5, jobs_per_tenant: 16, ..Default::default() };
+        let r = popper_farm::simulate_chaos(&config, 1, 7, schedule(5).plane_timeline());
+        check(
+            "farm-sharded",
+            recovery_json("runner: farm-sharded\ntenants: 5\njobs: 16\nnodes: 5\n"),
+            &[("recovered", r.recovered)],
+        );
+
+        let fetch = popper_weather::FetchConfig::default();
+        let r = popper_weather::fetch_with_faults(&fetch, &schedule(8)).unwrap();
+        check(
+            "bww-airtemp",
+            recovery_json("runner: bww-airtemp\n"),
+            &[("failovers", r.failovers), ("reads", r.fetched as u64)],
+        );
     }
 
     #[test]

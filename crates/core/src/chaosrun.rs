@@ -174,27 +174,25 @@ fn record_chaos() -> impl FnOnce(&mut PopperRepo, &mut RunContext) -> Result<Sta
 
 /// Distill recovery metrics from a chaos results table. Aggregate
 /// columns (`recovery_ms`, `degraded_fraction`, `corrupt`) repeat per
-/// row, so they reduce by max; per-epoch counters reduce by sum.
+/// row, so they reduce by max. Counters add up across epochs: a table
+/// with an `epoch` column has one row per epoch, so its counters sum;
+/// any other table is one run seen per node, rank or task, each row
+/// repeating the run-wide count, so a counter counts once.
 fn recovery_metrics(results: &Table, sched: &FaultSchedule) -> Value {
     let mut m = Value::empty_map();
     m.insert("schedule", Value::from(sched.name.as_str()));
     m.insert("seed", Value::from(sched.seed as i64));
     m.insert("faults", Value::from(sched.events.len()));
-    let col = |name: &str| results.numeric_column(name).ok();
-    for (name, vals) in [("recovery_ms", col("recovery_ms")), ("degraded_fraction", col("degraded_fraction")), ("corrupt", col("corrupt"))] {
-        if let Some(vals) = vals {
-            m.insert(name, Value::Num(vals.iter().cloned().fold(0.0f64, f64::max)));
+    let max = |vals: Vec<f64>| vals.into_iter().fold(0.0f64, f64::max);
+    let per_epoch = results.column_index("epoch").is_some();
+    for name in ["recovery_ms", "degraded_fraction", "corrupt"] {
+        if let Ok(vals) = results.numeric_column(name) {
+            m.insert(name, Value::Num(max(vals)));
         }
     }
-    for (name, vals) in [
-        ("failovers", col("failovers")),
-        ("reads", col("reads")),
-        ("detections", col("detections")),
-        ("checkpoints", col("checkpoints")),
-        ("replayed", col("replayed")),
-    ] {
-        if let Some(vals) = vals {
-            m.insert(name, Value::Num(vals.iter().sum()));
+    for name in ["failovers", "reads", "detections", "recovered", "checkpoints", "replayed"] {
+        if let Ok(vals) = results.numeric_column(name) {
+            m.insert(name, Value::Num(if per_epoch { vals.iter().sum() } else { max(vals) }));
         }
     }
     m

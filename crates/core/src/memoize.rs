@@ -72,7 +72,10 @@ pub fn lifecycle_session(
     mode: &str,
     salt: &[(String, String)],
 ) -> MemoSession {
-    let mut key = KeyBuilder::new("popper-memo/base/v2")
+    // The crate version never moves, so the tag does: bump it whenever
+    // a model change alters what a runner records, or a warm run would
+    // replay results of the old model.
+    let mut key = KeyBuilder::new("popper-memo/base/v3")
         .text("engine", env!("CARGO_PKG_VERSION"))
         .text("mode", mode)
         .text("experiment", experiment);

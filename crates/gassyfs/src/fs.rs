@@ -214,14 +214,6 @@ impl GassyFs {
         self.ops
     }
 
-    // ---- resilience (degraded mode + repair) ----
-
-    /// Re-fetch the page stripes of a restarted node from their
-    /// replicas, restoring full redundancy. Returns `(pages, done)`.
-    pub fn rebuild_node(&mut self, node: usize, now: Nanos) -> (usize, Nanos) {
-        self.store.rebuild_node(&mut self.cluster, node, now)
-    }
-
     /// The disk-slowdown factor currently applied to the client's disk
     /// (1.0 when the fault plane is healthy).
     fn disk_factor(&self) -> f64 {
@@ -402,28 +394,6 @@ mod tests {
         assert_eq!(a, b"int a;");
         let (mk, _) = fresh.read_file("/proj/Makefile", Nanos::ZERO).unwrap();
         assert_eq!(mk, b"all: a.o");
-    }
-
-    #[test]
-    fn reads_survive_a_node_crash_with_correct_bytes() {
-        let data: Vec<u8> = (0..40_000u32).map(|i| (i % 249) as u8).collect();
-        let mut fs = GassyFs::mount(
-            Cluster::new(platforms::gassyfs_node(), 4),
-            MountOptions { page_cache_pages: 0, ..Default::default() },
-        );
-        fs.write_file("/f", &data, Nanos::ZERO).unwrap();
-        fs.cluster.faults_mut().crash(2);
-        let (back, t) = fs.read_file("/f", Nanos::ZERO).unwrap();
-        assert_eq!(back, data, "degraded read must stay correct");
-        assert!(t > Nanos::ZERO);
-        assert!(fs.access_stats().failover > 0, "pages on node 2 must fail over");
-        // Restart and rebuild: redundancy restored, failovers stop.
-        fs.cluster.faults_mut().restart(2);
-        let (repaired, _) = fs.rebuild_node(2, Nanos::ZERO);
-        assert!(repaired > 0);
-        let before = fs.access_stats().failover;
-        fs.read_file("/f", Nanos::ZERO).unwrap();
-        assert_eq!(fs.access_stats().failover, before);
     }
 
     #[test]

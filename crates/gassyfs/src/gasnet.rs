@@ -21,11 +21,6 @@ pub struct AccessStats {
     pub local: u64,
     /// Page accesses that crossed the fabric.
     pub remote: u64,
-    /// Degraded-mode accesses served by a page's replica because its
-    /// primary node was crashed or partitioned away.
-    pub failover: u64,
-    /// Pages re-fetched from replicas while rebuilding restarted nodes.
-    pub repaired: u64,
 }
 
 impl AccessStats {
@@ -38,14 +33,6 @@ impl AccessStats {
         self.remote as f64 / total as f64
     }
 
-    /// Fraction of accesses served in degraded mode (0 when idle).
-    pub fn degraded_fraction(&self) -> f64 {
-        let total = self.local + self.remote;
-        if total == 0 {
-            return 0.0;
-        }
-        self.failover as f64 / total as f64
-    }
 }
 
 /// The striped page store.
@@ -77,23 +64,11 @@ impl GasnetStore {
     }
 
     /// Allocate `n` pages striped over the cluster, charging the
-    /// cluster's memory accounting. Returns the new page ids. Crashed
-    /// nodes are skipped, so allocation survives a partial outage.
+    /// cluster's memory accounting. Returns the new page ids.
     pub fn alloc(&mut self, cluster: &mut Cluster, n: usize) -> Result<Vec<PageId>, String> {
         let mut out = Vec::with_capacity(n);
         for _ in 0..n {
-            let mut node = self.next_node % cluster.len();
-            if cluster.faults().is_active() {
-                let mut hops = 0;
-                while cluster.faults().is_crashed(node) && hops < cluster.len() {
-                    self.next_node += 1;
-                    node = self.next_node % cluster.len();
-                    hops += 1;
-                }
-                if cluster.faults().is_crashed(node) {
-                    return Err("every node is crashed; cannot allocate".into());
-                }
-            }
+            let node = self.next_node % cluster.len();
             cluster.alloc_mem(node, PAGE_SIZE)?;
             let id = self.next_page;
             self.next_page += 1;
@@ -123,29 +98,10 @@ impl GasnetStore {
     /// Size of a GASNet control message (read request / write ack).
     const CTRL_BYTES: u64 = 64;
 
-    /// Pick the node to serve a page: the primary, or — in degraded
-    /// mode — its replica when the primary is crashed or unreachable
-    /// from the client. Counts a failover when the replica is used.
-    fn serving_node(&mut self, cluster: &Cluster, page: PageId) -> usize {
-        let primary = self.placement[&page];
-        if cluster.faults().is_active()
-            && cluster.len() > 1
-            && (cluster.faults().is_crashed(primary)
-                || !cluster.faults().reachable(self.client, primary))
-        {
-            self.stats.failover += 1;
-            (primary + 1) % cluster.len()
-        } else {
-            primary
-        }
-    }
-
     /// Charge one page *read* from the client at `now`; returns the
     /// completion time. A remote read is an RPC: request out, page back.
-    /// When the page's primary node is down the read fails over to the
-    /// replica stripe (degraded mode): same bytes, different node.
     pub fn read_page(&mut self, cluster: &mut Cluster, page: PageId, now: Nanos) -> Nanos {
-        let node = self.serving_node(cluster, page);
+        let node = self.placement[&page];
         if node == self.client {
             self.stats.local += 1;
             now
@@ -156,44 +112,6 @@ impl GasnetStore {
             Self::trace_rpc("read_page", node, now, done);
             done
         }
-    }
-
-    /// Re-fetch the pages whose primary is `node` from their replica
-    /// stripes, restoring full redundancy after a restart. Returns the
-    /// number of pages repaired and the completion time; emits one
-    /// `rebuild` span on the node's track when tracing is live.
-    pub fn rebuild_node(
-        &mut self,
-        cluster: &mut Cluster,
-        node: usize,
-        now: Nanos,
-    ) -> (usize, Nanos) {
-        if cluster.len() < 2 {
-            return (0, now);
-        }
-        let replica = (node + 1) % cluster.len();
-        let pages: Vec<PageId> = self
-            .placement
-            .iter()
-            .filter(|(_, n)| **n == node)
-            .map(|(p, _)| *p)
-            .collect();
-        let mut t = now;
-        for _ in &pages {
-            t = cluster.transfer(replica, node, PAGE_SIZE, t);
-        }
-        self.stats.repaired += pages.len() as u64;
-        let tracer = popper_trace::current();
-        if tracer.is_enabled() && !pages.is_empty() {
-            tracer.span_at(
-                "chaos",
-                format!("gassyfs/node{node}"),
-                format!("rebuild {} pages", pages.len()),
-                now.0,
-                t.0,
-            );
-        }
-        (pages.len(), t)
     }
 
     /// Record one remote-page RPC on the serving node's track.
@@ -207,7 +125,7 @@ impl GasnetStore {
     /// Charge one page *write* from the client at `now`; returns the
     /// completion time. A remote write is an RPC: page out, ack back.
     pub fn write_page(&mut self, cluster: &mut Cluster, page: PageId, now: Nanos) -> Nanos {
-        let node = self.serving_node(cluster, page);
+        let node = self.placement[&page];
         if node == self.client {
             self.stats.local += 1;
             now
@@ -269,47 +187,8 @@ mod tests {
         let t_remote = s.read_page(&mut c, pages[1], Nanos::ZERO); // node 1
         assert_eq!(t_local, Nanos::ZERO);
         assert!(t_remote > Nanos::ZERO);
-        assert_eq!(s.stats(), AccessStats { local: 1, remote: 1, failover: 0, repaired: 0 });
+        assert_eq!(s.stats(), AccessStats { local: 1, remote: 1 });
         assert_eq!(s.stats().remote_fraction(), 0.5);
-    }
-
-    #[test]
-    fn crashed_primary_fails_over_to_replica() {
-        let mut c = cluster(4);
-        let mut s = GasnetStore::new(0);
-        let pages = s.alloc(&mut c, 4).unwrap();
-        // Page on node 1; crash node 1 -> reads served by replica node 2.
-        c.faults_mut().crash(1);
-        let t = s.read_page(&mut c, pages[1], Nanos::ZERO);
-        assert!(t > Nanos::ZERO, "degraded read still crosses the fabric");
-        assert_eq!(s.stats().failover, 1);
-        assert!(s.stats().degraded_fraction() > 0.0);
-        // Healthy page unaffected.
-        s.read_page(&mut c, pages[2], Nanos::ZERO);
-        assert_eq!(s.stats().failover, 1);
-    }
-
-    #[test]
-    fn alloc_skips_crashed_nodes() {
-        let mut c = cluster(4);
-        let mut s = GasnetStore::new(0);
-        c.faults_mut().crash(1);
-        let pages = s.alloc(&mut c, 4).unwrap();
-        let nodes: Vec<usize> = pages.iter().map(|p| s.node_of(*p).unwrap()).collect();
-        assert!(!nodes.contains(&1), "crashed node must not receive pages: {nodes:?}");
-    }
-
-    #[test]
-    fn rebuild_refetches_pages_from_replica() {
-        let mut c = cluster(4);
-        let mut s = GasnetStore::new(0);
-        s.alloc(&mut c, 8).unwrap(); // 2 pages per node
-        c.faults_mut().crash(2);
-        c.faults_mut().restart(2);
-        let (pages, t) = s.rebuild_node(&mut c, 2, Nanos::ZERO);
-        assert_eq!(pages, 2);
-        assert!(t > Nanos::ZERO);
-        assert_eq!(s.stats().repaired, 2);
     }
 
     #[test]

@@ -26,8 +26,11 @@
 //! * [`experiment`] — Figure `gassyfs-git`: runtime vs cluster size,
 //!   with the Listing-3 Aver assertion (`sublinear(nodes, time)`)
 //!   checked over the result table.
+//! * [`shardworld`] — the store's replicated write path on the
+//!   shard-native fabric, one shard per node; its chaos entry point
+//!   (replica failover, retry with backoff) is what `popper chaos`
+//!   runs for GassyFS.
 
-pub mod chaos;
 pub mod checkpointing;
 pub mod experiment;
 pub mod fs;
@@ -36,7 +39,6 @@ pub mod shardworld;
 pub mod vfs;
 pub mod workload;
 
-pub use chaos::{run_fault_tolerance, ChaosConfig, ChaosReport};
 pub use checkpointing::{run_checkpoint_study, CheckpointStudy};
 pub use experiment::{run_scalability, ScalabilityConfig, ScalabilityPoint};
 pub use fs::{GassyFs, MountOptions};

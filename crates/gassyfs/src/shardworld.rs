@@ -386,6 +386,21 @@ mod tests {
     }
 
     #[test]
+    fn packet_loss_slows_writes_without_failover() {
+        use popper_sim::PlaneCmd;
+        // Loss costs retransmits, not placement: every page still lands
+        // on its primary and replica.
+        let config = ShardedGassyConfig { nodes: 4, pages: 32, streams: 2 };
+        let platform = platforms::gassyfs_node();
+        let healthy = run_sharded_chaos(&config, &platform, 1, 7, Vec::new());
+        let timeline = (1..4).map(|n| (Nanos::ZERO, PlaneCmd::Loss { node: n, p: 0.3 })).collect();
+        let lossy = run_sharded_chaos(&config, &platform, 1, 7, timeline);
+        assert_eq!((lossy.completed, lossy.failovers, lossy.lost), (config.pages, 0, 0));
+        assert_eq!(lossy.per_node_replica, healthy.per_node_replica);
+        assert!(lossy.elapsed > healthy.elapsed, "lossy {} vs healthy {}", lossy.elapsed, healthy.elapsed);
+    }
+
+    #[test]
     fn chaos_run_with_empty_timeline_sees_no_failures() {
         let config = ShardedGassyConfig { nodes: 4, pages: 24, streams: 2 };
         let report = run_sharded_chaos(&config, &platforms::gassyfs_node(), 2, 1, Vec::new());

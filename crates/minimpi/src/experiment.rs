@@ -9,10 +9,8 @@
 //! distributions and attributes the cause from the mpiP profiles.
 
 use crate::comm::MpiWorld;
-use crate::ft::{run_ft, FtLuleshRun, RecoveryPolicy};
 use crate::lulesh::{run, LuleshConfig};
 use popper_aver::stats;
-use popper_chaos::FaultSchedule;
 use popper_format::{Table, Value};
 use popper_sim::noise::{NoisyNeighbor, OsNoise};
 use popper_sim::{platforms, Cluster, Nanos, PlatformSpec};
@@ -193,99 +191,6 @@ pub fn run_variability_study(study: &VariabilityStudy) -> StudyResult {
     StudyResult { repetitions }
 }
 
-/// The chaos experiment: one LULESH run per fault schedule, recovering
-/// from whatever the gremlins inject.
-#[derive(Debug, Clone)]
-pub struct ChaosStudy {
-    /// The proxy configuration.
-    pub app: LuleshConfig,
-    /// The platform.
-    pub platform: PlatformSpec,
-    /// The fault schedule to survive (also fixes the cluster size).
-    pub schedule: FaultSchedule,
-    /// How rank failures are recovered.
-    pub policy: RecoveryPolicy,
-}
-
-impl ChaosStudy {
-    /// Paper-scale app on `hpc-node`, under `schedule`, with `policy`.
-    pub fn new(schedule: FaultSchedule, policy: RecoveryPolicy) -> Self {
-        ChaosStudy { app: LuleshConfig::paper(), platform: platforms::hpc_node(), schedule, policy }
-    }
-}
-
-/// The chaos experiment's outcome: the recovery engine's report plus
-/// the schedule identity, rendered as the long-format chaos table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ChaosStudyResult {
-    /// The fault-tolerant run's full report.
-    pub run: FtLuleshRun,
-    /// Schedule name (the chaos lifecycle's `schedule` column).
-    pub schedule: String,
-    /// Schedule seed.
-    pub seed: u64,
-}
-
-impl ChaosStudyResult {
-    /// One row per communicator epoch: `schedule, policy, epoch, ranks,
-    /// steps, detections, checkpoints, replayed, failovers, recovery_ms,
-    /// degraded_fraction, corrupt, time_ms`. The chaos lifecycle's
-    /// `recovery.json` reduces these (max over recovery_ms /
-    /// degraded_fraction / corrupt, sums over the counters), and the
-    /// default chaos gates (`recovers_within`, `degraded_at_most`,
-    /// `max(corrupt) = 0`) check every row.
-    pub fn to_table(&self) -> Table {
-        let mut t = Table::new([
-            "schedule",
-            "policy",
-            "epoch",
-            "ranks",
-            "steps",
-            "detections",
-            "checkpoints",
-            "replayed",
-            "failovers",
-            "recovery_ms",
-            "degraded_fraction",
-            "corrupt",
-            "time_ms",
-        ]);
-        let corrupt = if self.run.corrupt { 1.0 } else { 0.0 };
-        for e in &self.run.epochs {
-            t.push_row(vec![
-                Value::from(self.schedule.as_str()),
-                Value::from(self.run.policy.label()),
-                Value::from(e.epoch as usize),
-                Value::from(e.ranks),
-                Value::from(e.steps),
-                Value::from(e.detections),
-                Value::from(e.checkpoints),
-                Value::from(e.replayed),
-                Value::from(e.ranks_lost),
-                Value::Num(e.recovery_ms),
-                Value::Num(e.degraded_fraction),
-                Value::Num(corrupt),
-                Value::Num(e.end_ms),
-            ])
-            .expect("fixed schema");
-        }
-        t
-    }
-}
-
-/// Run the LULESH proxy under the study's fault schedule, recovering
-/// per its policy. Deterministic: schedule + seed fix everything.
-pub fn run_lulesh_chaos(study: &ChaosStudy) -> Result<ChaosStudyResult, String> {
-    let nodes = study.schedule.nodes.max(1);
-    let cluster = Cluster::new(study.platform.clone(), nodes);
-    let run = run_ft(cluster, &study.app, &study.schedule, study.policy)?;
-    Ok(ChaosStudyResult {
-        run,
-        schedule: study.schedule.name.clone(),
-        seed: study.schedule.seed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -369,71 +274,6 @@ mod tests {
         )
         .unwrap();
         assert!(verdict.passed, "{:?}", verdict.failures);
-    }
-
-    #[test]
-    fn chaos_study_survives_every_builtin_schedule() {
-        for name in popper_chaos::BUILTIN_SCHEDULES {
-            for policy in
-                [RecoveryPolicy::Shrink, RecoveryPolicy::CheckpointRestart { interval: 5 }]
-            {
-                let schedule = FaultSchedule::named(name, 9, 3).unwrap();
-                let study = ChaosStudy::new(schedule, policy);
-                let result = run_lulesh_chaos(&study).unwrap();
-                assert!(!result.run.corrupt, "{name}/{policy:?}");
-                assert_eq!(
-                    result.run.iterations,
-                    study.app.iterations,
-                    "{name}/{policy:?}: every configured step must complete"
-                );
-                assert!(
-                    result.run.degraded_fraction() <= 0.5,
-                    "{name}/{policy:?}: degraded {}",
-                    result.run.degraded_fraction()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn chaos_table_passes_the_default_gates() {
-        let schedule = FaultSchedule::named("node-crash", 9, 1).unwrap();
-        let study = ChaosStudy::new(schedule, RecoveryPolicy::Shrink);
-        let result = run_lulesh_chaos(&study).unwrap();
-        assert!(result.run.recoveries.len() == 1, "node-crash kills exactly one node");
-        let t = result.to_table();
-        assert_eq!(t.len(), result.run.epochs.len());
-        let verdict = popper_aver::check(popper_chaos::DEFAULT_ASSERTIONS, &t).unwrap();
-        assert!(verdict.passed, "{:?}", verdict.failures);
-    }
-
-    #[test]
-    fn chaos_policies_trade_capacity_for_time() {
-        let schedule = FaultSchedule::named("node-crash", 9, 1).unwrap();
-        let shrink =
-            run_lulesh_chaos(&ChaosStudy::new(schedule.clone(), RecoveryPolicy::Shrink)).unwrap();
-        let cr = run_lulesh_chaos(&ChaosStudy::new(
-            schedule,
-            RecoveryPolicy::CheckpointRestart { interval: 5 },
-        ))
-        .unwrap();
-        // Shrink loses capacity but replays nothing; checkpoint-restart
-        // conserves the problem but pays checkpoints + rollback.
-        assert!(shrink.run.degraded_fraction() > 0.0);
-        assert_eq!(shrink.run.replayed_steps(), 0);
-        assert_eq!(cr.run.degraded_fraction(), 0.0);
-        assert!(cr.run.checkpoints() > 0);
-        assert!(cr.run.replayed_steps() > 0, "the mid-run crash must cost replay");
-    }
-
-    #[test]
-    fn chaos_study_is_deterministic() {
-        let schedule = FaultSchedule::gremlin(9, 42);
-        let study = ChaosStudy::new(schedule, RecoveryPolicy::Shrink);
-        let a = run_lulesh_chaos(&study).unwrap();
-        let b = run_lulesh_chaos(&study).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a.to_table().to_csv(), b.to_table().to_csv());
     }
 
     #[test]

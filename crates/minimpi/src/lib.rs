@@ -24,28 +24,25 @@
 //!   root-cause attribution (the noisy node's ranks show the highest
 //!   compute time while *other* ranks show the waiting).
 //! * [`shardsim`] — the multi-core proxy: each rank's subdomain is a
-//!   [`popper_sim::ShardedSim`] shard, halos are cross-shard events
+//!   [`popper_sim::FabricSim`] shard, halos are cross-shard events
 //!   bounded by the fabric latency (the conservative lookahead), and
-//!   `run_sharded(n)` is byte-for-byte the single-threaded run.
-//! * [`ft`] — fault tolerance: rank-failure detection through the typed
-//!   `try_*` collectives plus two recovery policies (ULFM-style
-//!   communicator shrink, and checkpoint/restart with rollback replay)
-//!   that keep a LULESH run going while a chaos schedule crashes nodes
-//!   under it.
+//!   `run_sharded(n)` is byte-for-byte the single-threaded run. Its
+//!   chaos entry points either ride crashes out with retries or treat
+//!   them as rank failures and recover with a [`RecoveryPolicy`]
+//!   (ULFM-style communicator shrink, or checkpoint/restart with
+//!   rollback replay).
 
 pub mod comm;
 pub mod experiment;
-pub mod ft;
 pub mod lulesh;
 pub mod profiler;
 pub mod shardsim;
 
-pub use comm::{MpiError, MpiWorld, RetryPolicy};
-pub use experiment::{
-    run_lulesh_chaos, run_variability_study, ChaosStudy, ChaosStudyResult, NoiseScenario,
-    VariabilityStudy,
-};
-pub use ft::{run_ft, EpochRecord, FtLuleshRun, RecoveryEvent, RecoveryPolicy};
+pub use comm::MpiWorld;
+pub use experiment::{run_variability_study, NoiseScenario, VariabilityStudy};
 pub use lulesh::{LuleshConfig, LuleshResult};
 pub use profiler::{MpiOp, MpiProfile};
-pub use shardsim::{run_sharded, run_sharded_chaos, ShardedLuleshChaosRun, ShardedLuleshRun};
+pub use shardsim::{
+    boxiest_grid, run_sharded, run_sharded_chaos, run_sharded_recovery, CommEpoch, RecoveryPolicy,
+    ShardedLuleshChaosRun, ShardedLuleshRecoveryRun, ShardedLuleshRun,
+};

@@ -114,20 +114,6 @@ impl Cluster {
         now + self.nodes[src].neighbor.inflate_network(span)
     }
 
-    /// Fallible transfer (see [`Fabric::try_transfer`]) with the same
-    /// neighbor inflation as [`transfer`](Self::transfer).
-    pub fn try_transfer(
-        &mut self,
-        src: usize,
-        dst: usize,
-        bytes: u64,
-        now: Nanos,
-    ) -> Result<Nanos, crate::fault::Unreachable> {
-        let done = self.fabric.try_transfer(src, dst, bytes, now)?;
-        let span = done.saturating_sub(now);
-        Ok(now + self.nodes[src].neighbor.inflate_network(span))
-    }
-
     /// The cluster's fault plane (healthy by default).
     pub fn faults(&self) -> &crate::fault::FaultPlane {
         self.fabric.faults()

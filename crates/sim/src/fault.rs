@@ -249,24 +249,6 @@ impl FaultPlane {
         !self.crashed[src] && !self.crashed[dst] && self.group[src] == self.group[dst]
     }
 
-    /// A failure detector's view of a prospective transfer, without
-    /// sending anything: `Some` when `src` and `dst` cannot currently
-    /// exchange messages, carrying the reason (the crashed endpoint, if
-    /// any) and the virtual time at which a prober started at `now`
-    /// would give up. Heartbeat paths use this to turn what would be a
-    /// hang on the fabric admit path into a typed detection.
-    pub fn probe(&self, src: usize, dst: usize, now: Nanos) -> Option<Unreachable> {
-        if !self.active || self.reachable(src, dst) {
-            return None;
-        }
-        Some(Unreachable {
-            src,
-            dst,
-            crashed: self.crashed_endpoint(src, dst),
-            gave_up_at: now + DEFAULT_TIMEOUT,
-        })
-    }
-
     // ---- link degradation ----
 
     /// Set the packet-loss probability on links touching `node`.
@@ -433,22 +415,6 @@ mod tests {
         p.heal_partition();
         assert!(p.reachable(0, 2));
         assert!(!p.is_active());
-    }
-
-    #[test]
-    fn probe_reports_crashes_and_partitions_without_sending() {
-        let mut p = FaultPlane::new(4);
-        let now = Nanos::from_millis(5);
-        assert_eq!(p.probe(0, 2, now), None, "healthy plane: nothing to detect");
-        p.crash(2);
-        let u = p.probe(0, 2, now).unwrap();
-        assert_eq!(u.crashed, Some(2));
-        assert_eq!(u.gave_up_at, now + p.timeout());
-        p.restart(2);
-        p.partition(&[0, 1]);
-        let u = p.probe(0, 2, now).unwrap();
-        assert_eq!(u.crashed, None, "partitioned, not crashed");
-        assert!(p.probe(0, 1, now).is_none(), "same side stays reachable");
     }
 
     #[test]

@@ -379,6 +379,13 @@ impl<S: Send + 'static> NetCtx<'_, '_, S> {
         &mut self.inner.state().state
     }
 
+    /// This node's disk-slowdown factor, as of the last barrier that
+    /// applied a fault command.
+    pub fn disk_factor(&mut self) -> f64 {
+        let node = self.node();
+        self.inner.state().faults.disk_factor(node)
+    }
+
     /// This node's traffic counters so far (deliveries land at epoch
     /// barriers, so mid-epoch reads may trail in-flight transfers).
     pub fn traffic(&mut self) -> NodeTraffic {

@@ -118,26 +118,49 @@ fn own_ci_config_parses_and_has_chaos_smoke_jobs() {
     assert_eq!(config.expanded_jobs().len(), config.jobs.len(), "a matrix axis repeats jobs");
 }
 
-/// Play a seeded gremlin schedule against GassyFS under a virtual-time
-/// tracer and return every artifact the run would record: the fault
-/// timeline, the recovery metrics, and the Chrome trace.
-fn chaos_artifacts(seed: u64, nodes: usize) -> (String, String, String) {
+/// `popper trace` then `popper chaos`: the chaos run rewrites the
+/// trace pair from its own recording, so the committed timeline draws
+/// the committed JSON, not the traced run's.
+#[test]
+fn chaos_after_trace_commits_a_timeline_of_its_own_recording() {
+    let dir = temp_dir("trace-then-chaos");
+    run(&["init"], &dir).unwrap();
+    run(&["add", "jupyter-bww", "b"], &dir).unwrap();
+    run(&["trace", "b"], &dir).unwrap();
+    let traced = fs::read_to_string(dir.join("experiments/b/trace.svg")).unwrap();
+    run(&["chaos", "b", "--schedule", "node-crash", "--seed", "7"], &dir).unwrap();
+    let json = fs::read_to_string(dir.join("experiments/b/trace.json")).unwrap();
+    let svg = fs::read_to_string(dir.join("experiments/b/trace.svg")).unwrap();
+    let events = popper::trace::parse_chrome_trace(&json).unwrap();
+    assert_eq!(popper::trace::timeline_svg(&events), svg);
+    assert_ne!(svg, traced, "the chaos recording differs from the traced run's");
+    let status = run(&["status"], &dir).unwrap();
+    assert!(status.contains("working tree clean"), "the trace pair must be committed: {status}");
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// Play a seeded gremlin schedule against the sharded GassyFS world
+/// under a virtual-time tracer and return every artifact the run would
+/// record: the fault timeline, the recovery metrics, and the Chrome
+/// trace.
+fn chaos_artifacts(seed: u64, nodes: usize, workers: usize) -> (String, String, String) {
     let schedule = popper::chaos::FaultSchedule::gremlin(nodes, seed);
-    let config = popper::gassyfs::ChaosConfig {
-        nodes,
-        files: 6,
-        file_pages: 2,
-        epochs: 5,
-        ..Default::default()
-    };
+    let config = popper::gassyfs::ShardedGassyConfig { nodes, pages: 48, streams: 3 };
+    let platform = popper::sim::platforms::gassyfs_node();
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
     let report = popper::trace::with_current(tracer.clone(), || {
-        popper::gassyfs::run_fault_tolerance(&config, &schedule)
-    })
-    .expect("chaos run completes");
+        popper::gassyfs::run_sharded_chaos(&config, &platform, workers, seed, schedule.plane_timeline())
+    });
     tracer.flush();
-    let metrics = popper::format::json::to_string_pretty(&report.metrics());
+    let mut metrics = Value::empty_map();
+    metrics.insert("corrupt", Value::from(report.lost as usize));
+    metrics.insert("completed", Value::from(report.completed as usize));
+    metrics.insert("failovers", Value::from(report.failovers as usize));
+    metrics.insert("detections", Value::from(report.detections as usize));
+    metrics.insert("recovery_ms", Value::Num(report.recovery_ms));
+    metrics.insert("degraded_fraction", Value::Num(report.degraded_fraction));
+    let metrics = popper::format::json::to_string_pretty(&metrics);
     (schedule.to_json(), metrics, popper::trace::chrome_trace_json(&sink.drain()))
 }
 
@@ -148,14 +171,14 @@ mod prop {
     proptest! {
         /// Fault schedules and their consequences are Popper artifacts:
         /// the same seed must reproduce faults.json, the recovery
-        /// metrics, and the trace byte for byte.
+        /// metrics, and the trace byte for byte, at any worker count.
         #[test]
         fn same_seed_gives_identical_faults_metrics_and_trace(
             seed in 0u64..10_000,
             nodes in 3usize..8,
         ) {
-            let (fa, ma, ta) = chaos_artifacts(seed, nodes);
-            let (fb, mb, tb) = chaos_artifacts(seed, nodes);
+            let (fa, ma, ta) = chaos_artifacts(seed, nodes, 1);
+            let (fb, mb, tb) = chaos_artifacts(seed, nodes, 2);
             prop_assert!(!fa.is_empty() && !ta.is_empty());
             prop_assert_eq!(fa, fb);
             prop_assert_eq!(ma, mb);
@@ -171,11 +194,11 @@ mod prop {
             prop_assert!(a != b, "distinct seeds should almost surely differ");
         }
 
-        /// Replicated pages keep every read correct under any gremlin
-        /// schedule: degraded, never wrong.
+        /// Replicated pages survive any gremlin schedule: every page
+        /// is written and acked, degraded but never lost.
         #[test]
         fn reads_stay_correct_under_gremlins(seed in 0u64..1_000, nodes in 3usize..8) {
-            let (_, metrics, _) = chaos_artifacts(seed, nodes);
+            let (_, metrics, _) = chaos_artifacts(seed, nodes, 1);
             let doc = popper::format::json::parse(&metrics).unwrap();
             prop_assert_eq!(doc.get_num("corrupt"), Some(0.0), "{}", metrics);
         }
