@@ -221,8 +221,7 @@ fn print_trace_overhead_ablation() {
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
     let t0 = Instant::now();
-    let b = dispatch_loop(Some(tracer.clone()), N);
-    tracer.flush();
+    let b = dispatch_loop(Some(tracer), N);
     let enabled = t0.elapsed().as_secs_f64();
     let events = sink.drain().len();
     criterion::black_box(a ^ b);
@@ -261,7 +260,6 @@ fn ablate_trace_overhead(c: &mut Criterion) {
     group.bench_function("dispatch_enabled", |b| {
         b.iter(|| {
             let out = criterion::black_box(dispatch_loop(Some(tracer.clone()), 10_000));
-            tracer.flush();
             out ^ sink.drain().len() as u64
         });
     });
@@ -280,7 +278,6 @@ fn ablate_trace_overhead(c: &mut Criterion) {
             let out = popper_trace::with_current(xfer_tracer.clone(), || {
                 criterion::black_box(transfer_loop(2_000))
             });
-            xfer_tracer.flush();
             out ^ sink.drain().len() as u64
         });
     });

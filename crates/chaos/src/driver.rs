@@ -91,13 +91,12 @@ mod tests {
     fn injections_emit_trace_instants() {
         let sink = TraceSink::new();
         let tracer = sink.tracer(ClockDomain::Virtual);
-        popper_trace::with_current(tracer.clone(), || {
+        popper_trace::with_current(tracer, || {
             let s = FaultSchedule::named("node-crash", 2, 1).unwrap();
             let mut plane = FaultPlane::new(2);
             let mut d = ChaosDriver::new(s);
             d.advance(&mut plane, Nanos::from_millis(200));
         });
-        tracer.flush();
         let events = sink.drain();
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| e.track == "chaos/faults"));

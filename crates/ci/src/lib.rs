@@ -10,7 +10,8 @@
 //!   steps, an optional build matrix whose axes fan out into per-combo
 //!   jobs with injected environment variables.
 //! * [`runner`] — executes a pipeline: stages run sequentially, jobs
-//!   within a stage run in parallel on a crossbeam worker pool, steps
+//!   within a stage run in parallel on a pool of `std::thread::scope`
+//!   workers that claim jobs by index from one atomic counter, steps
 //!   within a job run in order and stop at the first failure. Step
 //!   semantics are supplied by the caller as an executor callback, so
 //!   the engine is generic over what a "step" does (build the paper,

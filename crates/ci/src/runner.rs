@@ -1,9 +1,9 @@
 //! The pipeline runner.
 
 use crate::config::{Job, PipelineConfig};
-use crossbeam::channel;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// What a step sees when it runs.
@@ -147,36 +147,28 @@ pub fn run_pipeline(
             continue;
         }
 
-        // Work queue: indices into stage_jobs; results slot per job.
-        let (tx, rx) = channel::unbounded::<usize>();
-        for i in 0..stage_jobs.len() {
-            tx.send(i).expect("queue open");
-        }
-        drop(tx);
+        // Work queue: the index of the next job in stage_jobs; results
+        // slot per job. `Relaxed` suffices: the counter publishes no
+        // data (the jobs are shared before the workers start, results
+        // go through their own locks).
+        let next = AtomicUsize::new(0);
         let results: Vec<parking_lot::Mutex<Option<JobResult>>> =
             stage_jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
 
         let _stage_span = tracer.span("ci", "ci/pipeline", format!("stage {stage}"));
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             for w in 0..workers.min(stage_jobs.len()) {
-                let rx = rx.clone();
+                let (next, results, stage_jobs) = (&next, &results, &stage_jobs);
                 let executor = executor.clone();
-                let results = &results;
-                let stage_jobs = &stage_jobs;
                 let tracer = tracer.clone();
-                scope.spawn(move |_| {
-                    while let Ok(i) = rx.recv() {
-                        let job = stage_jobs[i];
-                        let _job_span = tracer.span("ci", format!("ci/worker-{w}"), &job.name);
-                        *results[i].lock() = Some(run_job(job, &executor));
-                    }
-                    // Flush before the scope returns, not in the TLS
-                    // destructor that runs after it.
-                    tracer.flush();
+                scope.spawn(move || loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(job) = stage_jobs.get(i) else { break };
+                    let _job_span = tracer.span("ci", format!("ci/worker-{w}"), &job.name);
+                    *results[i].lock() = Some(run_job(job, &executor));
                 });
             }
-        })
-        .expect("CI worker threads must not panic");
+        });
 
         for slot in results {
             let result = slot.into_inner().expect("job ran");
@@ -440,8 +432,7 @@ jobs:
         });
         let sink = popper_trace::TraceSink::new();
         let tracer = sink.tracer(popper_trace::ClockDomain::Wall);
-        let report = run_pipeline(&config(GREEN), executor, 2, tracer.clone());
-        tracer.flush();
+        let report = run_pipeline(&config(GREEN), executor, 2, tracer);
         let events = sink.drain();
         *gate.0.lock().unwrap() = true;
         gate.1.notify_all();

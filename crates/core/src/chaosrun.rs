@@ -75,8 +75,10 @@ impl fmt::Display for ChaosRunReport {
         if let Some(r) = self.metrics.get_num("recovery_ms") {
             writeln!(f, "  recovery: {r:.2} ms")?;
         }
-        if let Some(d) = self.metrics.get_num("degraded_fraction") {
-            writeln!(f, "  degraded: {:.1}% of accesses", d * 100.0)?;
+        // What the fraction counts depends on the runner (accesses,
+        // pages, halos, ranks), so it is printed as recovery.json has it.
+        if let Some(d) = self.metrics.get("degraded_fraction") {
+            writeln!(f, "  degraded_fraction: {}", json::to_string(d))?;
         }
         write!(f, "  validation: {}", self.verdict)
     }

@@ -240,7 +240,6 @@ mod tests {
         t.span_at_child(s, "sim", "sim/serial", "service", 120, 180);
         t.instant_at("chaos", "chaos/faults", "crash", fault_ts);
         t.counter_at("sim/engine", "pending", 2.0, 160);
-        t.flush();
         chrome_trace_json(&sink.drain())
     }
 

@@ -1,7 +1,7 @@
 //! The playbook executor.
 //!
 //! Plays run in order; within a play, each task runs across the selected
-//! hosts in parallel (one crossbeam scoped thread per host), then the
+//! hosts in parallel (one `std::thread::scope` thread per host), then the
 //! executor synchronizes before the next task — Ansible's "linear"
 //! strategy. A host that fails a task skips that play's remaining tasks
 //! but other hosts continue; the playbook as a whole fails if any host
@@ -136,7 +136,7 @@ pub fn run_playbook(
             let results: Vec<Mutex<Option<(TaskStatus, HostState)>>> =
                 selected.iter().map(|_| Mutex::new(None)).collect();
 
-            crossbeam::scope(|scope| {
+            std::thread::scope(|scope| {
                 for (i, host_name) in selected.iter().enumerate() {
                     if dead[host_name] {
                         continue;
@@ -145,20 +145,15 @@ pub fn run_playbook(
                     let slot = &results[i];
                     let controller = &controller;
                     let tracer = tracer.clone();
-                    scope.spawn(move |_| {
-                        let task_span =
+                    scope.spawn(move || {
+                        let _task_span =
                             tracer.span("orchestra", format!("orchestra/{host_name}"), &task.name);
                         let status =
                             run_task_on_host(task, host_name, &mut state, controller, &tracer);
                         *slot.lock() = Some((status, state));
-                        // Flush before the scope returns, not in the TLS
-                        // destructor that runs after it.
-                        drop(task_span);
-                        tracer.flush();
                     });
                 }
-            })
-            .expect("executor threads must not panic");
+            });
 
             report.controller_files = controller.into_inner();
             for (i, host_name) in selected.iter().enumerate() {
@@ -437,8 +432,7 @@ mod tests {
         inv.add_cluster("n", 1, &[]);
         let sink = popper_trace::TraceSink::new();
         let tracer = sink.tracer(popper_trace::ClockDomain::Wall);
-        run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), tracer.clone());
-        tracer.flush();
+        run_playbook(&pb, &inv, BTreeMap::new(), BTreeMap::new(), tracer);
         let events = sink.drain();
         assert!(
             events.iter().any(|e| e.category == "chaos" && e.name.contains("retry 't'")),

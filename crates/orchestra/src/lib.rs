@@ -15,8 +15,10 @@
 //!   Modules act on a per-host [`modules::HostState`] — the model of a
 //!   managed machine.
 //! * [`executor`] — runs a playbook against an inventory, executing each
-//!   task across the selected hosts *in parallel* (crossbeam scoped
-//!   threads), collecting an auditable per-task report.
+//!   task across the selected hosts *in parallel* (one
+//!   `std::thread::scope` thread per host), collecting an auditable
+//!   per-task report; each host thread records its task span straight
+//!   into the caller's trace sink.
 
 pub mod executor;
 pub mod inventory;

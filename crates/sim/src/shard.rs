@@ -505,8 +505,8 @@ fn epoch_boundary<S>(
 }
 
 /// Forward per-shard trace buffers to the tracer, in shard order. Only
-/// ever called from the calling thread, so the tracer's per-thread
-/// buffer sees one deterministic stream.
+/// ever called from the calling thread, so the sink receives one
+/// deterministic stream.
 fn flush_trace<S>(shards: &mut [Shard<S>], tracer: &Tracer) {
     for shard in shards.iter_mut().filter(|s| !s.trace.is_empty()) {
         let track = format!("sim/shard{}", shard.id);
@@ -582,13 +582,12 @@ mod tests {
             let sink = TraceSink::new();
             let tracer = sink.tracer(ClockDomain::Virtual);
             let mut sim = ring_model(6, 9, Nanos(5));
-            sim.set_tracer(tracer.clone());
+            sim.set_tracer(tracer);
             if workers == 0 {
                 sim.run();
             } else {
                 sim.run_sharded(workers);
             }
-            tracer.flush();
             popper_trace::export::chrome_trace_json(&sink.drain())
         };
         let reference = trace_of(0);
@@ -697,7 +696,6 @@ mod tests {
             sim.schedule(0, Nanos(t), |_| {});
         }
         sim.run();
-        tracer.flush();
         let pending: Vec<(u64, f64)> = sink
             .drain()
             .iter()
@@ -711,9 +709,8 @@ mod tests {
         // dispatched emits no trace events at all.
         sim.run();
         let mut empty: ShardedSim<()> = ShardedSim::new(vec![()], Nanos::MAX);
-        empty.set_tracer(tracer.clone());
+        empty.set_tracer(tracer);
         empty.run();
-        tracer.flush();
         assert!(sink.drain().is_empty());
     }
 
@@ -770,9 +767,8 @@ mod tests {
                     let sink = TraceSink::new();
                     let tracer = sink.tracer(ClockDomain::Virtual);
                     let mut sim = build(seeds);
-                    sim.set_tracer(tracer.clone());
+                    sim.set_tracer(tracer);
                     let end = if workers <= 1 { sim.run() } else { sim.run_sharded(workers) };
-                    tracer.flush();
                     (collect(&sim), popper_trace::export::chrome_trace_json(&sink.drain()), end, sim.events_fired())
                 };
                 let reference = run(1, seeds.clone());

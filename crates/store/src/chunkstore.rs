@@ -6,7 +6,6 @@
 //! while the bytes stay in the store (or a remote it models).
 
 use crate::chunker::{chunk, ChunkerConfig};
-use bytes::Bytes;
 use popper_vcs::sha256;
 use std::collections::HashMap;
 use std::fmt;
@@ -159,7 +158,7 @@ impl std::error::Error for StoreError {}
 /// The deduplicating chunk store.
 #[derive(Debug, Clone, Default)]
 pub struct ChunkStore {
-    chunks: HashMap<ChunkId, Bytes>,
+    chunks: HashMap<ChunkId, Box<[u8]>>,
     config: ChunkerConfig,
     ingested: u64,
 }
@@ -189,7 +188,7 @@ impl ChunkStore {
         for piece in chunk(data, &self.config) {
             blob_hasher.update(piece);
             let id = ChunkId::of(piece);
-            self.chunks.entry(id).or_insert_with(|| Bytes::copy_from_slice(piece));
+            self.chunks.entry(id).or_insert_with(|| piece.into());
             chunks.push((id, piece.len() as u32));
         }
         Manifest { chunks, total_len: data.len() as u64, blob_hash: blob_hasher.finalize() }

@@ -612,7 +612,6 @@ mod tests {
         let sink = TraceSink::new();
         let t = sink.tracer(ClockDomain::Virtual);
         build(&t);
-        t.flush();
         sink.drain()
     }
 

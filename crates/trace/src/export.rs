@@ -210,7 +210,6 @@ mod tests {
         t.span_at_child(p, "sim", "serial", "service", 2_000, 4_000);
         t.instant_at("chaos", "chaos/faults", "crash", 1_500);
         t.counter_at("engine", "pending", 7.0, 1_600);
-        t.flush();
         let events = sink.drain();
         let back = parse_chrome_trace(&chrome_trace_json(&events)).unwrap();
         assert_eq!(back, events);

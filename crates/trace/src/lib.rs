@@ -16,20 +16,20 @@
 //!   across runs with the same seed — traces are Popper artifacts and
 //!   must be reproducible like any other result.
 //!
-//! Recording goes through per-thread buffers flushed in batches over a
-//! channel, so producer threads never share a lock. A disabled tracer
-//! ([`Tracer::disabled`]) reduces every recording call to one branch;
-//! the `ablate_trace_overhead` benchmark in popper-bench keeps that
-//! honest.
+//! Every tracer a [`TraceSink`] hands out records straight into the
+//! one event buffer it shares with the sink, so an event is collected
+//! as soon as its recording call returns, on whichever thread made it;
+//! [`TraceSink::drain`] takes the buffer and sorts it. A disabled
+//! tracer ([`Tracer::disabled`]) reduces every recording call to one
+//! branch; the `ablate_trace_overhead` benchmark in popper-bench keeps
+//! that honest.
 //!
 //! Library code deep in the stack (the sim engine, GassyFS RPCs, MPI
 //! collectives, the container runtime) records through the *ambient*
 //! tracer ([`current`]/[`with_current`]) so instrumentation does not
 //! change public signatures; thread-pool layers (popper-ci's
 //! `run_pipeline`, popper-orchestra's `run_playbook`) take an explicit
-//! tracer argument, re-enter `with_current` on each worker, and call
-//! [`Tracer::flush`] at the end of each worker so its last events reach
-//! the sink before the pool returns.
+//! tracer argument and re-enter `with_current` on each worker.
 
 mod chrome;
 pub mod diff;
@@ -63,7 +63,6 @@ mod tests {
             t.counter("track", "gauge", 1.0);
             assert!(t.span_at("test", "track", "virt", 0, 10).is_none());
         }
-        t.flush();
     }
 
     #[test]
@@ -78,7 +77,6 @@ mod tests {
                 std::thread::sleep(std::time::Duration::from_millis(2));
             }
         }
-        t.flush();
         let events = sink.drain();
         assert_eq!(events.len(), 2);
         let outer = events.iter().find(|e| e.name == "outer").unwrap();
@@ -98,7 +96,6 @@ mod tests {
         t.span_at_child(a, "sim", "res", "second", 120, 180);
         t.instant_at("sim", "res", "tick", 150);
         t.counter_at("res", "depth", 3.0, 160);
-        t.flush();
         let events = sink.drain();
         assert_eq!(events.len(), 4);
         assert_eq!(events[0].name, "first");
@@ -110,7 +107,7 @@ mod tests {
     }
 
     #[test]
-    fn threads_flush_on_exit_and_drain_is_deterministic() {
+    fn threads_record_into_the_sink_and_drain_is_deterministic() {
         let sink = TraceSink::new();
         let t = sink.tracer(ClockDomain::Virtual);
         let mut handles = Vec::new();
@@ -120,7 +117,6 @@ mod tests {
                 for j in 0..100u64 {
                     t.span_at("test", format!("worker-{i}"), format!("op{j}"), j * 10, j * 10 + 5);
                 }
-                // No explicit flush: the TLS destructor must deliver.
             }));
         }
         for h in handles {
@@ -141,9 +137,8 @@ mod tests {
     }
 
     /// A thread-local whose destructor holds its thread's exit until
-    /// the test opens the gate: thread-local destructors run in reverse
-    /// order of first use, so a thread that records first and touches
-    /// this second runs its trace buffer's destructor only afterwards.
+    /// the test opens the gate, so anything a thread would deliver only
+    /// as it exits cannot reach the sink before the gate opens.
     mod late_exit {
         use std::cell::RefCell;
         use std::sync::{Arc, Condvar, Mutex};
@@ -179,7 +174,7 @@ mod tests {
     }
 
     #[test]
-    fn a_worker_that_flushes_delivers_before_a_scoped_pool_returns() {
+    fn a_worker_that_never_flushes_delivers_before_a_scoped_pool_returns() {
         let sink = TraceSink::new();
         let t = sink.tracer(ClockDomain::Wall);
         let gate = late_exit::Gate::default();
@@ -187,11 +182,9 @@ mod tests {
             for w in 0..3 {
                 let (t, gate) = (t.clone(), &gate);
                 scope.spawn(move || {
-                    let job = t.span("test", format!("worker-{w}"), "job");
+                    let _job = t.span("test", format!("worker-{w}"), "job");
                     t.instant("test", format!("worker-{w}"), "last");
                     late_exit::arm(gate);
-                    drop(job);
-                    t.flush();
                 });
             }
         });
@@ -199,6 +192,29 @@ mod tests {
         let events = sink.drain();
         late_exit::open(&gate);
         assert_eq!(events.len(), 6, "every worker's span and instant arrive: {events:?}");
+    }
+
+    #[test]
+    fn two_tracers_of_one_sink_keep_their_own_wall_parents() {
+        let sink = TraceSink::new();
+        let (a, b) = (sink.tracer(ClockDomain::Wall), sink.tracer(ClockDomain::Wall));
+        // Both tracers allocate ids from 1; move b's on so that a parent
+        // taken from the wrong tracer shows as a wrong id.
+        let earlier = b.span_at("test", "b", "earlier", 0, 0);
+        {
+            let _a_outer = a.span("test", "a", "a-outer");
+            let _b_outer = b.span("test", "b", "b-outer");
+            let _a_inner = a.span("test", "a", "a-inner");
+            let _b_inner = b.span("test", "b", "b-inner");
+        }
+        let events = sink.drain();
+        let span = |name: &str| events.iter().find(|e| e.name == name).unwrap();
+        assert_eq!(events.len(), 5);
+        assert_ne!(span("a-outer").id, span("b-outer").id);
+        assert_ne!(span("b-outer").id, earlier);
+        assert!(span("a-outer").parent.is_none() && span("b-outer").parent.is_none());
+        assert_eq!(span("a-inner").parent, span("a-outer").id);
+        assert_eq!(span("b-inner").parent, span("b-outer").id);
     }
 
     #[test]
@@ -215,7 +231,6 @@ mod tests {
             assert!(current().is_enabled());
         });
         assert!(!current().is_enabled());
-        t.flush();
         assert_eq!(sink.drain().len(), 1);
     }
 
@@ -227,7 +242,6 @@ mod tests {
         t.span_at_child(p, "sim", "serial", "service", 2_000, 4_000);
         t.instant_at("sim", "engine", "dispatch", 1_500);
         t.counter_at("engine", "pending", 7.0, 1_600);
-        t.flush();
         let events = sink.drain();
         let json = chrome_trace_json(&events);
         let doc = popper_format::json::parse(&json).expect("exporter must emit valid JSON");
@@ -269,7 +283,6 @@ mod tests {
         let t = sink.tracer(ClockDomain::Virtual);
         t.span_at("farm", "tenant-a/jobs", "job 1", 0, 1_000);
         t.span_at("farm", "tenant-b/jobs", "job 2", 500, 2_000);
-        t.flush();
         let events = sink.drain();
         let svg = timeline_svg_filtered(&events, "tenant-a");
         assert!(svg.contains("tenant-a/jobs"));
@@ -288,7 +301,6 @@ mod tests {
                 let s = t.span_at("sim", "a", format!("op{i}"), i * 100, i * 100 + 40);
                 t.span_at_child(s, "sim", "b", "sub", i * 100 + 10, i * 100 + 20);
             }
-            t.flush();
             chrome_trace_json(&sink.drain())
         };
         assert_eq!(record(), record());

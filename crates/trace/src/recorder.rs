@@ -37,10 +37,9 @@ impl TraceRecorder {
         self.tracer.clone()
     }
 
-    /// Flush and drain the whole run, in the order
+    /// Drain the whole run, in the order
     /// [`chrome_trace_json`](crate::chrome_trace_json) writes it.
     pub fn finish(self) -> Vec<TraceEvent> {
-        self.tracer.flush();
         self.sink.drain()
     }
 }

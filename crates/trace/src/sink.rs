@@ -1,47 +1,38 @@
 //! The sink: the consumer half of the subsystem.
+//!
+//! A [`TraceSink`] is one event buffer shared with every tracer it
+//! hands out, plus [`TraceSink::drain`], which takes the buffer and
+//! sorts it into the order every exporter writes.
 
 use crate::event::TraceEvent;
-use crate::tracer::{ClockDomain, Core, Tracer};
-use crossbeam::channel::{self, Receiver, Sender};
+use crate::tracer::{ClockDomain, Core, SharedEvents, Tracer};
 use std::sync::Arc;
 
 /// Central collection point for trace events. Create one per traced
 /// run, hand out tracers, then [`TraceSink::drain`] after the work.
-/// Flushed batches wait in the channel until the drain.
+#[derive(Default)]
 pub struct TraceSink {
-    tx: Sender<Vec<TraceEvent>>,
-    rx: Receiver<Vec<TraceEvent>>,
-}
-
-impl Default for TraceSink {
-    fn default() -> Self {
-        Self::new()
-    }
+    events: SharedEvents,
 }
 
 impl TraceSink {
     /// An empty sink.
     pub fn new() -> TraceSink {
-        let (tx, rx) = channel::unbounded();
-        TraceSink { tx, rx }
+        TraceSink::default()
     }
 
     /// A new enabled tracer feeding this sink. Each call creates an
     /// independent span-id space; use one tracer per clock domain and
     /// clone it, rather than calling this per thread.
     pub fn tracer(&self, domain: ClockDomain) -> Tracer {
-        Tracer { core: Some(Arc::new(Core::new(self.tx.clone(), domain))) }
+        Tracer { core: Some(Arc::new(Core::new(Arc::clone(&self.events), domain))) }
     }
 
-    /// Collect everything flushed so far, in a deterministic order
-    /// (time, then track, then name, then id) regardless of which
-    /// thread delivered which batch first. Call `tracer.flush()` on the
-    /// recording thread(s) first; exited threads have already flushed.
+    /// Take everything recorded so far, in a deterministic order (time,
+    /// then track, then name, then id; the sort is stable, so ties keep
+    /// the order they were recorded in).
     pub fn drain(&self) -> Vec<TraceEvent> {
-        let mut events = Vec::new();
-        while let Ok(batch) = self.rx.try_recv() {
-            events.extend(batch);
-        }
+        let mut events = std::mem::take(&mut *self.events.lock());
         events.sort_by(|a, b| {
             a.start_ns()
                 .cmp(&b.start_ns())
@@ -64,7 +55,6 @@ mod tests {
         for i in 0..1000u64 {
             tracer.instant_at("test", "t", "e", i);
         }
-        tracer.flush();
         assert_eq!(sink.drain().len(), 1000);
         assert!(sink.drain().is_empty());
     }

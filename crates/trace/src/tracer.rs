@@ -5,18 +5,17 @@
 //! inside, so the hot path of every recording method is one branch —
 //! measured by `ablate_trace_overhead` in popper-bench.
 //!
-//! Events are buffered in per-thread buffers (a `thread_local!`
-//! registry keyed by tracer core) and flushed to the sink's channel in
-//! batches, so threads never contend on a shared lock while recording.
-//! Buffers flush on batch overflow, on [`Tracer::flush`], and on thread
-//! exit (TLS destructor). A worker of a scoped pool must call
-//! [`Tracer::flush`] before its closure returns: `std::thread::scope`
-//! returns once every closure has returned, *before* the workers' TLS
-//! destructors run, so the caller could drain the sink ahead of a
-//! worker's last batch.
+//! Every event goes straight into the buffer its [`TraceSink`] shares
+//! with all the tracers it hands out, so an event is in the sink the
+//! moment its recording call returns: a worker of a scoped pool needs
+//! no flush before its closure returns. The only per-thread state is a
+//! stack of open wall-clock spans, keyed by tracer core, for the parent
+//! links of [`Tracer::span`].
+//!
+//! [`TraceSink`]: crate::TraceSink
 
 use crate::event::{EventKind, SpanId, TraceEvent};
-use crossbeam::channel::Sender;
+use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -34,19 +33,29 @@ pub enum ClockDomain {
     Virtual,
 }
 
-/// Flush to the sink after this many buffered events.
-const BATCH: usize = 256;
+/// The buffer a sink shares with its tracers.
+pub(crate) type SharedEvents = Arc<Mutex<Vec<TraceEvent>>>;
 
 pub(crate) struct Core {
-    pub(crate) tx: Sender<Vec<TraceEvent>>,
+    events: SharedEvents,
+    // Distinguishes this core's open spans on a thread's stack; unlike
+    // the core's address it is never reused.
+    key: u64,
     next_id: AtomicU64,
     epoch: Instant,
     domain: ClockDomain,
 }
 
 impl Core {
-    pub(crate) fn new(tx: Sender<Vec<TraceEvent>>, domain: ClockDomain) -> Core {
-        Core { tx, next_id: AtomicU64::new(1), epoch: Instant::now(), domain }
+    pub(crate) fn new(events: SharedEvents, domain: ClockDomain) -> Core {
+        static NEXT_KEY: AtomicU64 = AtomicU64::new(0);
+        Core {
+            events,
+            key: NEXT_KEY.fetch_add(1, Ordering::Relaxed),
+            next_id: AtomicU64::new(1),
+            epoch: Instant::now(),
+            domain,
+        }
     }
 
     fn alloc_id(&self) -> SpanId {
@@ -57,62 +66,16 @@ impl Core {
         debug_assert_eq!(self.domain, ClockDomain::Wall, "virtual-domain tracers need *_at methods");
         self.epoch.elapsed().as_nanos() as u64
     }
-}
 
-// ---- per-thread buffering ----
-
-struct ThreadBuffer {
-    // Holding the core keeps its address stable, so the key (the Arc's
-    // pointer) cannot be reused by another tracer while this entry lives.
-    core: Arc<Core>,
-    events: Vec<TraceEvent>,
-    // Stack of open wall-clock spans on this thread (for parent links).
-    open: Vec<SpanId>,
-}
-
-impl ThreadBuffer {
-    fn flush(&mut self) {
-        if !self.events.is_empty() {
-            // The receiver may already be gone during shutdown; losing
-            // the batch then is fine — nobody is left to read it.
-            let _ = self.core.tx.send(std::mem::take(&mut self.events));
-        }
-    }
-}
-
-impl Drop for ThreadBuffer {
-    fn drop(&mut self) {
-        self.flush();
+    fn push(&self, event: TraceEvent) {
+        self.events.lock().push(event);
     }
 }
 
 thread_local! {
-    static BUFFERS: RefCell<Vec<ThreadBuffer>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Run `f` with this thread's buffer for `core`.
-fn with_buffer<R>(core: &Arc<Core>, f: impl FnOnce(&mut ThreadBuffer) -> R) -> R {
-    BUFFERS.with(|cell| {
-        let mut buffers = cell.borrow_mut();
-        let key = Arc::as_ptr(core);
-        let idx = match buffers.iter().position(|b| Arc::as_ptr(&b.core) == key) {
-            Some(i) => i,
-            None => {
-                buffers.push(ThreadBuffer { core: Arc::clone(core), events: Vec::new(), open: Vec::new() });
-                buffers.len() - 1
-            }
-        };
-        f(&mut buffers[idx])
-    })
-}
-
-fn push_event(core: &Arc<Core>, event: TraceEvent) {
-    with_buffer(core, |buf| {
-        buf.events.push(event);
-        if buf.events.len() >= BATCH {
-            buf.flush();
-        }
-    });
+    /// This thread's open wall-clock spans as `(core key, span)`,
+    /// innermost last.
+    static OPEN: RefCell<Vec<(u64, SpanId)>> = const { RefCell::new(Vec::new()) };
 }
 
 // ---- the handle ----
@@ -166,9 +129,10 @@ impl Tracer {
     ) -> SpanGuard {
         let Some(core) = &self.core else { return SpanGuard { inner: None } };
         let id = core.alloc_id();
-        let parent = with_buffer(core, |buf| {
-            let parent = buf.open.last().copied().unwrap_or(SpanId::NONE);
-            buf.open.push(id);
+        let parent = OPEN.with(|open| {
+            let mut open = open.borrow_mut();
+            let parent = open.iter().rev().find(|(key, _)| *key == core.key).map_or(SpanId::NONE, |&(_, s)| s);
+            open.push((core.key, id));
             parent
         });
         SpanGuard {
@@ -210,17 +174,14 @@ impl Tracer {
     ) -> SpanId {
         let Some(core) = &self.core else { return SpanId::NONE };
         let id = core.alloc_id();
-        push_event(
-            core,
-            TraceEvent {
-                name: name.as_ref().to_string(),
-                category,
-                track: track.as_ref().to_string(),
-                kind: EventKind::Span { start_ns, end_ns: end_ns.max(start_ns) },
-                id,
-                parent,
-            },
-        );
+        core.push(TraceEvent {
+            name: name.as_ref().to_string(),
+            category,
+            track: track.as_ref().to_string(),
+            kind: EventKind::Span { start_ns, end_ns: end_ns.max(start_ns) },
+            id,
+            parent,
+        });
         id
     }
 
@@ -240,17 +201,14 @@ impl Tracer {
         ts_ns: u64,
     ) {
         let Some(core) = &self.core else { return };
-        push_event(
-            core,
-            TraceEvent {
-                name: name.as_ref().to_string(),
-                category,
-                track: track.as_ref().to_string(),
-                kind: EventKind::Instant { ts_ns },
-                id: SpanId::NONE,
-                parent: SpanId::NONE,
-            },
-        );
+        core.push(TraceEvent {
+            name: name.as_ref().to_string(),
+            category,
+            track: track.as_ref().to_string(),
+            kind: EventKind::Instant { ts_ns },
+            id: SpanId::NONE,
+            parent: SpanId::NONE,
+        });
     }
 
     /// Sample a counter at the wall clock's current time.
@@ -263,28 +221,20 @@ impl Tracer {
     /// Sample a counter at an explicit timestamp.
     pub fn counter_at(&self, track: impl AsRef<str>, name: impl AsRef<str>, value: f64, ts_ns: u64) {
         let Some(core) = &self.core else { return };
-        push_event(
-            core,
-            TraceEvent {
-                name: name.as_ref().to_string(),
-                category: "counter",
-                track: track.as_ref().to_string(),
-                kind: EventKind::Counter { ts_ns, value },
-                id: SpanId::NONE,
-                parent: SpanId::NONE,
-            },
-        );
+        core.push(TraceEvent {
+            name: name.as_ref().to_string(),
+            category: "counter",
+            track: track.as_ref().to_string(),
+            kind: EventKind::Counter { ts_ns, value },
+            id: SpanId::NONE,
+            parent: SpanId::NONE,
+        });
     }
 
-    /// Flush this thread's buffered events for this tracer to the sink.
-    /// Call before draining the sink on the same thread, and at the end
-    /// of a scoped worker's closure (after its last span guard drops);
-    /// other threads flush when they exit.
-    pub fn flush(&self) {
-        if let Some(core) = &self.core {
-            with_buffer(core, |buf| buf.flush());
-        }
-    }
+    /// Does nothing: every event is in the sink as soon as it is
+    /// recorded, so there is nothing to flush. Kept for callers outside
+    /// this workspace that still call it.
+    pub fn flush(&self) {}
 }
 
 struct GuardInner {
@@ -313,23 +263,21 @@ impl Drop for SpanGuard {
     fn drop(&mut self) {
         let Some(g) = self.inner.take() else { return };
         let end_ns = g.core.now_ns();
-        with_buffer(&g.core, |buf| {
+        OPEN.with(|open| {
             // LIFO discipline: this span should be on top.
-            if let Some(pos) = buf.open.iter().rposition(|&s| s == g.id) {
-                buf.open.remove(pos);
+            let mut open = open.borrow_mut();
+            if let Some(pos) = open.iter().rposition(|&entry| entry == (g.core.key, g.id)) {
+                open.remove(pos);
             }
         });
-        push_event(
-            &g.core,
-            TraceEvent {
-                name: g.name,
-                category: g.category,
-                track: g.track,
-                kind: EventKind::Span { start_ns: g.start_ns, end_ns: end_ns.max(g.start_ns) },
-                id: g.id,
-                parent: g.parent,
-            },
-        );
+        g.core.push(TraceEvent {
+            name: g.name,
+            category: g.category,
+            track: g.track,
+            kind: EventKind::Span { start_ns: g.start_ns, end_ns: end_ns.max(g.start_ns) },
+            id: g.id,
+            parent: g.parent,
+        });
     }
 }
 

@@ -149,10 +149,9 @@ fn chaos_artifacts(seed: u64, nodes: usize, workers: usize) -> (String, String, 
     let platform = popper::sim::platforms::gassyfs_node();
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
-    let report = popper::trace::with_current(tracer.clone(), || {
+    let report = popper::trace::with_current(tracer, || {
         popper::gassyfs::run_sharded_chaos(&config, &platform, workers, seed, schedule.plane_timeline())
     });
-    tracer.flush();
     let mut metrics = Value::empty_map();
     metrics.insert("corrupt", Value::from(report.lost as usize));
     metrics.insert("completed", Value::from(report.completed as usize));

@@ -208,3 +208,64 @@ fn own_ci_config_runs_every_test_target_once() {
         assert!(job.is_some_and(|j| j.stage == "bench"), "missing bench job {job:?}");
     }
 }
+
+/// Every dependency a manifest declares is named in its package's
+/// sources: a `name::path` or `name as alias` in some `.rs` file under
+/// `src/`, `tests/`, `benches/` or `examples/`. An edge that no source
+/// names only lengthens the build graph.
+#[test]
+fn every_crate_dependency_is_named_in_its_sources() {
+    use std::path::{Path, PathBuf};
+
+    fn rust_sources(dir: &Path, text: &mut String) {
+        let Ok(entries) = std::fs::read_dir(dir) else { return };
+        for path in entries.map(|e| e.unwrap().path()) {
+            if path.is_dir() {
+                rust_sources(&path, text);
+            } else if path.extension().is_some_and(|x| x == "rs") {
+                text.push_str(&std::fs::read_to_string(&path).unwrap());
+            }
+        }
+    }
+    // `name` followed by `::` or ` as `, and not the tail of a longer
+    // identifier.
+    fn names(text: &str, name: &str) -> bool {
+        text.match_indices(name).any(|(at, _)| {
+            let before = text[..at].chars().next_back();
+            let after = &text[at + name.len()..];
+            !before.is_some_and(|c| c.is_alphanumeric() || c == '_')
+                && (after.starts_with("::") || after.starts_with(" as "))
+        })
+    }
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut packages: Vec<PathBuf> = vec![root.to_path_buf()];
+    for group in ["crates", "compat"] {
+        packages.extend(std::fs::read_dir(root.join(group)).unwrap().map(|e| e.unwrap().path()));
+    }
+    let mut unnamed = Vec::new();
+    for dir in &packages {
+        let manifest = std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+        let mut text = String::new();
+        for sub in ["src", "tests", "benches", "examples"] {
+            rust_sources(&dir.join(sub), &mut text);
+        }
+        let mut section = "";
+        for line in manifest.lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+                continue;
+            }
+            let declares = matches!(section, "[dependencies]" | "[dev-dependencies]");
+            if !declares || line.is_empty() || line.starts_with('#') {
+                continue;
+            }
+            let dep = line.split(['.', '=', ' ']).next().unwrap();
+            if !names(&text, &dep.replace('-', "_")) {
+                unnamed.push(format!("{} {section} {dep}", dir.strip_prefix(root).unwrap().display()));
+            }
+        }
+    }
+    assert!(packages.len() > 20, "found only {packages:?}");
+    assert!(unnamed.is_empty(), "dependencies no source names: {unnamed:#?}");
+}

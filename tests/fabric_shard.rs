@@ -330,8 +330,7 @@ mod random_schedules {
 fn traced<R>(f: impl FnOnce() -> R) -> (R, String) {
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
-    let out = popper_trace::with_current(tracer.clone(), f);
-    tracer.flush();
+    let out = popper_trace::with_current(tracer, f);
     (out, popper_trace::export::chrome_trace_json(&sink.drain()))
 }
 

@@ -215,7 +215,6 @@ fn trace_diff_warm_repeat_replays_the_whole_comparison() {
         let t = sink.tracer(popper::trace::ClockDomain::Virtual);
         t.span_at("sim", "sim/serial", "admit", 100, 200);
         t.instant_at("chaos", "chaos/faults", "crash", ts);
-        t.flush();
         popper::trace::chrome_trace_json(&sink.drain())
     };
     repo.write("experiments/g/trace.json", trace(150)).unwrap();

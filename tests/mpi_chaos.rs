@@ -103,3 +103,18 @@ fn chaos_artifacts_are_identical_at_1_2_8_workers() {
         assert_eq!(artifacts(8), reference, "{experiment}");
     }
 }
+
+/// The report names the degraded share as `recovery.json` does: for
+/// `lulesh-chaos` it is the fraction of ranks a crash took, not of
+/// accesses, so it carries no unit. A node crash takes 1 of the
+/// template's 9 nodes, and with them 3 of its 27 round-robin ranks.
+#[test]
+fn chaos_report_prints_the_degraded_fraction_as_recovery_json_names_it() {
+    let dir = mpi_repo("report");
+    let out = run(&["chaos", "m", "--schedule", "node-crash", "--seed", "5"], &dir).unwrap();
+    let line = "\n  degraded_fraction: 0.1111111111111111\n";
+    assert!(out.contains(line), "{out}");
+    let recovery = fs::read_to_string(dir.join("experiments/m/recovery.json")).unwrap();
+    assert!(recovery.contains("\"degraded_fraction\": 0.1111111111111111,"), "{recovery}");
+    assert!(!out.contains("% of accesses"), "{out}");
+}

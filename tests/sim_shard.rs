@@ -59,9 +59,8 @@ fn phold_outcome(shards: usize, workers: usize) -> (Vec<Vec<u64>>, u64, Nanos, S
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
     let mut sim = phold(shards, 12, 42);
-    sim.set_tracer(tracer.clone());
+    sim.set_tracer(tracer);
     sim.run_sharded(workers);
-    tracer.flush();
     let logs = sim.states().cloned().collect();
     let trace = popper_trace::export::chrome_trace_json(&sink.drain());
     (logs, sim.events_fired(), sim.now(), trace)
@@ -165,9 +164,8 @@ fn sharded_engine_emits_a_drain_sample_per_shard() {
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
     let mut sim = phold(4, 12, 42);
-    sim.set_tracer(tracer.clone());
+    sim.set_tracer(tracer);
     sim.run_sharded(2);
-    tracer.flush();
     let events = sink.drain();
     let mut last_pending: std::collections::BTreeMap<String, f64> =
         std::collections::BTreeMap::new();

@@ -112,7 +112,7 @@ fn virtual_trace(seed: u64, ranks: usize) -> String {
 
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
-    popper::trace::with_current(tracer.clone(), || {
+    popper::trace::with_current(tracer, || {
         let mut rng = StdRng::seed_from_u64(seed);
 
         // Raw fabric traffic.
@@ -135,7 +135,6 @@ fn virtual_trace(seed: u64, ranks: usize) -> String {
         }
         world.barrier();
     });
-    tracer.flush();
     popper::trace::chrome_trace_json(&sink.drain())
 }
 
