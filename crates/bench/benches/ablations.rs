@@ -155,37 +155,47 @@ fn fault_loop(faulted: bool, n: u64) -> u64 {
     acc
 }
 
+/// Repeats behind each overhead timing: one timing on a shared host
+/// moves a verdict by its noise alone.
+const OVERHEAD_REPEATS: usize = 7;
+
+/// The median wall seconds of `OVERHEAD_REPEATS` runs of `f`.
+fn median_secs<T>(mut f: impl FnMut() -> T) -> f64 {
+    let mut secs: Vec<f64> = (0..OVERHEAD_REPEATS)
+        .map(|_| {
+            let t0 = std::time::Instant::now();
+            criterion::black_box(f());
+            t0.elapsed().as_secs_f64()
+        })
+        .collect();
+    secs.sort_by(f64::total_cmp);
+    secs[secs.len() / 2]
+}
+
+/// `n` reads of `is_on` through `black_box`: the isolated branch whose
+/// share of a hot path the overhead ablations report.
+fn branch_loop<T>(value: &T, is_on: impl Fn(&T) -> bool, n: u64) -> u64 {
+    (0..n).filter(|_| is_on(criterion::black_box(value))).count() as u64
+}
+
 fn print_fault_overhead_ablation() {
     use popper_sim::FaultPlane;
-    use std::time::Instant;
     const N: u64 = 500_000;
     eprintln!("{}", popper_bench::banner("A4: fault-plane overhead (healthy vs active)"));
 
     // Warm the code paths.
     fault_loop(false, 10_000);
 
-    let t0 = Instant::now();
-    let a = fault_loop(false, N);
-    let healthy = t0.elapsed().as_secs_f64();
-
-    let t0 = Instant::now();
-    let b = fault_loop(true, N);
+    let healthy = median_secs(|| fault_loop(false, N));
+    let t0 = std::time::Instant::now();
+    criterion::black_box(fault_loop(true, N));
     let active = t0.elapsed().as_secs_f64();
-    criterion::black_box(a ^ b);
 
     // Marginal cost of the healthy-plane branch in isolation.
     let plane = FaultPlane::new(8);
-    let t0 = Instant::now();
-    let mut hits = 0u64;
-    for _ in 0..N {
-        if criterion::black_box(&plane).is_active() {
-            hits += 1;
-        }
-    }
-    criterion::black_box(hits);
-    let check = t0.elapsed().as_secs_f64();
+    let check = median_secs(|| branch_loop(&plane, FaultPlane::is_active, N));
 
-    eprintln!("{N} fabric transfers:");
+    eprintln!("{N} fabric transfers (healthy and branch: median of {OVERHEAD_REPEATS} runs):");
     eprintln!("  healthy plane: {:>9.3} ms", healthy * 1e3);
     eprintln!("  active plane:  {:>9.3} ms  (latency x4 + 5% loss)", active * 1e3);
     let pct = check / healthy * 100.0;
@@ -207,38 +217,26 @@ fn ablate_fault_overhead(c: &mut Criterion) {
 
 fn print_trace_overhead_ablation() {
     use popper_trace::{ClockDomain, TraceSink, Tracer};
-    use std::time::Instant;
     const N: u64 = 500_000;
     eprintln!("{}", popper_bench::banner("A3: tracing overhead (disabled vs enabled sink)"));
 
     // Warm the code paths.
     dispatch_loop(None, 10_000);
 
-    let t0 = Instant::now();
-    let a = dispatch_loop(None, N);
-    let disabled = t0.elapsed().as_secs_f64();
+    let disabled = median_secs(|| dispatch_loop(None, N));
 
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
-    let t0 = Instant::now();
-    let b = dispatch_loop(Some(tracer), N);
+    let t0 = std::time::Instant::now();
+    criterion::black_box(dispatch_loop(Some(tracer), N));
     let enabled = t0.elapsed().as_secs_f64();
     let events = sink.drain().len();
-    criterion::black_box(a ^ b);
 
     // Marginal cost of the disabled-sink branch in isolation.
     let off = Tracer::disabled();
-    let t0 = Instant::now();
-    let mut hits = 0u64;
-    for _ in 0..N {
-        if criterion::black_box(&off).is_enabled() {
-            hits += 1;
-        }
-    }
-    criterion::black_box(hits);
-    let check = t0.elapsed().as_secs_f64();
+    let check = median_secs(|| branch_loop(&off, Tracer::is_enabled, N));
 
-    eprintln!("{N} engine dispatches:");
+    eprintln!("{N} engine dispatches (disabled and branch: median of {OVERHEAD_REPEATS} runs):");
     eprintln!("  disabled sink: {:>9.3} ms", disabled * 1e3);
     eprintln!("  enabled sink:  {:>9.3} ms  ({events} events collected)", enabled * 1e3);
     let pct = check / disabled * 100.0;

@@ -95,7 +95,7 @@ fn sample(template: &str) -> ([f64; 7], f64) {
     std::hint::black_box(popper_trace::summary_table(&events));
     let summary = ms_since(started);
     let started = Instant::now();
-    let (json_doc, svg_doc, _) = popper_cli::commands::render_trace(&events);
+    let (json_doc, svg_doc, _) = popper_core::render_trace(&events, true);
     let render = drain + ms_since(started);
     artifacts.stage("experiments/e/trace.json", json_doc);
     artifacts.stage("experiments/e/trace.svg", svg_doc);

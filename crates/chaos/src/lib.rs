@@ -3,10 +3,12 @@
 //! Deterministic fault injection for the simulated stack. A
 //! [`FaultSchedule`] is a sorted list of [`FaultEvent`]s — node
 //! crash/restart, network partition/heal, packet loss, latency
-//! inflation, disk slowdown — in virtual time; a [`ChaosDriver`] applies
-//! them to a cluster's [`popper_sim::FaultPlane`] as the experiment's
-//! clock advances, emitting a `popper-trace` instant for every injection
-//! so the timeline shows cause → effect.
+//! inflation, disk slowdown — in virtual time. A schedule lowers to the
+//! sim layer's [`popper_sim::PlaneCmd`] timeline
+//! ([`FaultSchedule::plane_timeline`]); the sharded fabric applies it to
+//! its [`popper_sim::FaultPlane`] at epoch barriers and marks every
+//! injection with a `chaos/faults` trace instant, so the timeline shows
+//! cause → effect.
 //!
 //! Because the cluster is a deterministic discrete-event simulator,
 //! chaos here is perfectly reproducible: the same seed and schedule
@@ -28,10 +30,8 @@
 //! `chaos-results.csv`, so the fault timeline is itself a versioned
 //! Popper artifact.
 
-pub mod driver;
 pub mod schedule;
 
-pub use driver::ChaosDriver;
 pub use schedule::{FaultEvent, FaultKind, FaultSchedule, BUILTIN_SCHEDULES, MAX_FAULT_NODES};
 
 /// The default chaos validations, checked when an experiment ships no

@@ -31,23 +31,6 @@ pub enum FaultKind {
 }
 
 impl FaultKind {
-    /// Short human/trace label, e.g. `crash node2`.
-    pub fn label(&self) -> String {
-        match self {
-            FaultKind::Crash { node } => format!("crash node{node}"),
-            FaultKind::Restart { node } => format!("restart node{node}"),
-            FaultKind::Partition { side } => format!("partition {side:?}"),
-            FaultKind::Heal => "heal partition".to_string(),
-            FaultKind::Loss { node, p } => format!("loss node{node} p={p}"),
-            FaultKind::LossOneWay { from, to, p } => {
-                format!("loss node{from}->node{to} p={p}")
-            }
-            FaultKind::Latency { node, factor } => format!("latency node{node} x{factor}"),
-            FaultKind::DiskSlow { node, factor } => format!("disk-slow node{node} x{factor}"),
-            FaultKind::ClearDegradation => "clear degradation".to_string(),
-        }
-    }
-
     /// Lower this event to the fault-plane mutation it performs — the
     /// vocabulary [`popper_sim::FabricSim::set_fault_timeline`] takes,
     /// so sharded worlds can apply schedules at epoch barriers without
@@ -551,7 +534,7 @@ mod tests {
         let s = FaultSchedule::from_vars(&vars).unwrap().unwrap();
         assert_eq!(s.events[0].kind, FaultKind::LossOneWay { from: 2, to: 0, p: 0.4 });
         assert_eq!(s.events[0].kind.kind_name(), "loss-oneway");
-        assert_eq!(s.events[0].kind.label(), "loss node2->node0 p=0.4");
+        assert_eq!(s.events[0].kind.to_cmd().label(), "loss 2->0 p=0.4");
         let doc = json::parse(&s.to_json()).unwrap();
         let ev = &doc.get_list("events").unwrap()[0];
         assert_eq!(ev.get_num("from"), Some(2.0));
@@ -587,15 +570,14 @@ mod tests {
 
     #[test]
     fn gremlin_always_ends_healed() {
-        use crate::driver::ChaosDriver;
         use popper_sim::FaultPlane;
         for seed in 0..64 {
             let s = FaultSchedule::gremlin(6, seed);
-            let horizon = s.horizon();
             let mut plane = FaultPlane::new(6);
-            let mut d = ChaosDriver::new(s);
-            d.advance(&mut plane, horizon);
-            assert!(d.done(), "seed {seed}: all events due by the horizon");
+            for (at, cmd) in s.plane_timeline() {
+                assert!(at <= s.horizon(), "seed {seed}: all events due by the horizon");
+                plane.apply(&cmd);
+            }
             assert!(!plane.is_active(), "seed {seed}: schedule must end healthy");
         }
     }
@@ -658,21 +640,14 @@ mod tests {
 
     #[test]
     fn plane_timeline_lowers_every_event() {
-        use popper_sim::{FaultPlane, PlaneCmd};
+        use popper_sim::PlaneCmd;
         let s = FaultSchedule::gremlin(6, 3);
         let timeline = s.plane_timeline();
         assert_eq!(timeline.len(), s.events.len());
         assert!(timeline.iter().any(|(_, c)| matches!(c, PlaneCmd::HealPartition)));
-        // Applying the lowered commands equals driving the schedule.
-        let mut via_cmds = FaultPlane::new(6);
-        via_cmds.set_seed(s.seed);
-        for (_, cmd) in &timeline {
-            via_cmds.apply(cmd);
+        for ((at, cmd), event) in timeline.iter().zip(&s.events) {
+            assert_eq!((*at, cmd), (event.at, &event.kind.to_cmd()));
         }
-        let mut via_driver = FaultPlane::new(6);
-        let mut d = crate::driver::ChaosDriver::new(s.clone());
-        d.advance(&mut via_driver, s.horizon());
-        assert_eq!(via_cmds, via_driver);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use popper_core::{
     cipipeline::run_ci,
     paper::build_paper,
     templates::{experiment_templates, find_template, paper_template_files, paper_templates},
-    PopperRepo,
+    Finished, Lifecycle, PopperRepo, RunReport,
 };
 use std::path::Path;
 use std::sync::Arc;
@@ -120,16 +120,8 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
         Some("run") => {
             parsed.expect("run", &["no-cache"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper run <experiment> [--no-cache]")?;
-            let mut repo = persist::load(dir, &author)?;
-            let engine = full_engine();
-            let mut ctx = popper_core::RunContext::for_experiment(&repo, name)?;
-            if cache_enabled(parsed) {
-                ctx = ctx.with_memo(popper_core::lifecycle_session(&repo, name, "run", &[]));
-            }
-            engine.run_pipeline(&mut repo, &mut ctx)?;
-            let memo = memo_line(ctx.memo_stats());
-            let report = popper_core::experiment::RunReport::from_ctx(ctx);
-            persist::save(&repo, dir)?;
+            let (finished, memo) = run_lifecycle(parsed, dir, &author, name, Lifecycle::Run)?;
+            let report = RunReport::from_ctx(finished.ctx);
             if report.success() {
                 Ok(format!("{report}\n{memo}"))
             } else {
@@ -202,18 +194,9 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
         Some("verify") => {
             parsed.expect("verify", &["no-cache"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper verify <experiment> [--no-cache]")?;
-            let mut repo = persist::load(dir, &author)?;
-            let engine = full_engine();
-            let mut ctx = popper_core::RunContext::for_experiment(&repo, name)?;
-            if cache_enabled(parsed) {
-                ctx = ctx.with_memo(popper_core::lifecycle_session(&repo, name, "verify", &[]));
-            }
-            engine.verify_pipeline(&mut repo, &mut ctx)?;
-            let memo = memo_line(ctx.memo_stats());
-            let verdict = popper_core::ReproVerdict::from_ctx(&ctx)?;
-            persist::save(&repo, dir)?;
-            match verdict {
-                popper_core::ReproVerdict::Identical => Ok(format!("{verdict}\n{memo}")),
+            let (finished, memo) = run_lifecycle(parsed, dir, &author, name, Lifecycle::Verify)?;
+            match popper_core::ReproVerdict::from_ctx(&finished.ctx)? {
+                verdict @ popper_core::ReproVerdict::Identical => Ok(format!("{verdict}\n{memo}")),
                 other => Err(other.to_string()),
             }
         }
@@ -304,37 +287,12 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
         Some("trace") => {
             parsed.expect("trace", &["no-cache"], 1)?;
             let name = parsed.pos(1).ok_or("usage: popper trace <experiment> [--no-cache]")?;
-            let mut repo = persist::load(dir, &author)?;
-            let engine = full_engine();
-            // The run pipeline with a recorder attached: the recorder
-            // buffers the whole lifecycle (engine/CI/orchestra
-            // wall-clock spans plus any simulation the runner drives)
-            // so the JSON, SVG and summary can render from the events.
-            let mut ctx = popper_core::RunContext::for_experiment(&repo, name)?
-                .with_recorder(popper_trace::TraceRecorder::new());
-            if cache_enabled(parsed) {
-                ctx = ctx.with_memo(popper_core::lifecycle_session(&repo, name, "trace", &[]));
-            }
-            engine.run_pipeline(&mut repo, &mut ctx)?;
-            let mut artifacts = std::mem::take(&mut ctx.artifacts);
-            let events = ctx
-                .finish_recording()
-                .or_fail("popper trace", "no trace recorder attached to the run context")?;
-            let memo = memo_line(ctx.memo_stats());
-            let report = popper_core::experiment::RunReport::from_ctx(ctx);
-            let (json, svg, summary) = render_trace(&events);
-            artifacts.stage(format!("experiments/{name}/trace.json"), json);
-            artifacts.stage(format!("experiments/{name}/trace.svg"), svg);
-            artifacts.commit_into(
-                &mut repo,
-                &format!("popper trace {name}: record trace"),
-                popper_core::CommitPolicy::Always,
-            )?;
-            persist::save(&repo, dir)?;
+            let (finished, memo) = run_lifecycle(parsed, dir, &author, name, Lifecycle::Trace)?;
+            let summary = finished.summary.unwrap_or_default();
+            let report = RunReport::from_ctx(finished.ctx);
             let out = format!(
-                "{}\n-- traced {} event(s) -> experiments/{name}/trace.json, trace.svg\n{memo}{summary}",
-                report,
-                events.len(),
+                "{report}\n-- traced {} event(s) -> experiments/{name}/trace.json, trace.svg\n{memo}{summary}",
+                finished.events,
             );
             if report.success() {
                 Ok(out)
@@ -360,7 +318,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             let mut repo = persist::load(dir, &author)?;
             let engine = full_engine();
             let (report, stats) =
-                engine.trace_diff(&mut repo, name, ref_a, ref_b, options, cache_enabled(parsed))?;
+                engine.trace_diff(&mut repo, name, ref_a, ref_b, options, !parsed.has_flag("no-cache"))?;
             persist::save(&repo, dir)?;
             let memo = memo_line(stats.as_ref());
             let out = format!(
@@ -377,45 +335,15 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             let name = parsed
                 .pos(1)
                 .ok_or("usage: popper chaos <experiment> [--schedule <name>] [--seed <n>]")?;
-            let schedule = parsed.flag_value("schedule");
-            let seed = parsed.flag_u64("seed")?;
-            let mut repo = persist::load(dir, &author)?;
-            let engine = full_engine();
-            // Trace the run so faults and failovers are visible on the
-            // recorded timeline next to the lifecycle spans.
-            let mut ctx = popper_core::RunContext::for_experiment(&repo, name)?
-                .with_recorder(popper_trace::TraceRecorder::new());
-            if cache_enabled(parsed) {
-                let mut salt = Vec::new();
-                if let Some(s) = schedule {
-                    salt.push(("schedule".to_string(), s.to_string()));
-                }
-                if let Some(n) = seed {
-                    salt.push(("seed".to_string(), n.to_string()));
-                }
-                ctx = ctx.with_memo(popper_core::lifecycle_session(&repo, name, "chaos", &salt));
-            }
-            engine.chaos_pipeline(&mut repo, &mut ctx, schedule, seed)?;
-            let mut artifacts = std::mem::take(&mut ctx.artifacts);
-            let events = ctx
-                .finish_recording()
-                .or_fail("popper chaos", "no trace recorder attached to the run context")?;
-            let memo = memo_line(ctx.memo_stats());
-            let report = popper_core::chaosrun::ChaosRunReport::from_ctx(ctx)?;
-            // The timeline is drawn from the same recording as the JSON,
-            // so the pair never disagrees after a chaos run.
-            let (json, svg, _) = render_trace(&events);
-            artifacts.stage(format!("experiments/{name}/trace.json"), json);
-            artifacts.stage(format!("experiments/{name}/trace.svg"), svg);
-            artifacts.commit_into(
-                &mut repo,
-                &format!("popper chaos {name}: record trace"),
-                popper_core::CommitPolicy::Always,
-            )?;
-            persist::save(&repo, dir)?;
+            let lifecycle = Lifecycle::Chaos {
+                schedule: parsed.flag_value("schedule").map(str::to_string),
+                seed: parsed.flag_u64("seed")?,
+            };
+            let (finished, memo) = run_lifecycle(parsed, dir, &author, name, lifecycle)?;
+            let events = finished.events;
+            let report = popper_core::ChaosRunReport::from_ctx(finished.ctx)?;
             let out = format!(
-                "{report}\n-- recorded experiments/{name}/chaos-results.csv, chaos-figure.txt, faults.json, recovery.json, trace.json, trace.svg ({} event(s))\n{memo}",
-                events.len(),
+                "{report}\n-- recorded experiments/{name}/chaos-results.csv, chaos-figure.txt, faults.json, recovery.json, trace.json, trace.svg ({events} event(s))\n{memo}",
             );
             if report.success() {
                 Ok(out)
@@ -456,24 +384,21 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
     }
 }
 
-/// What `popper trace` renders from a drained recording: the Chrome
-/// JSON, the timeline SVG and the summary table. The JSON renders on a
-/// scoped thread of its own while the calling thread renders the other
-/// two.
-pub fn render_trace(events: &[popper_trace::TraceEvent]) -> (String, String, String) {
-    std::thread::scope(|scope| {
-        let json = scope.spawn(|| popper_trace::chrome_trace_json(events));
-        let svg = popper_trace::timeline_svg(events);
-        let summary = popper_trace::summary_table(events);
-        let json = json.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-        (json, svg, summary)
-    })
-}
-
-/// Stage memoization is on unless `--no-cache` or `POPPER_NO_CACHE`
-/// turns it off for this invocation.
-fn cache_enabled(parsed: &Parsed) -> bool {
-    !parsed.has_flag("no-cache") && !popper_core::cache_disabled_by_env()
+/// Load the repository, run `lifecycle` on experiment `name` and save:
+/// the finished run and its `memo:` line. A lifecycle error saves
+/// nothing.
+fn run_lifecycle(
+    parsed: &Parsed,
+    dir: &Path,
+    author: &str,
+    name: &str,
+    lifecycle: Lifecycle,
+) -> Result<(Finished, String), String> {
+    let mut repo = persist::load(dir, author)?;
+    let finished = full_engine().run_lifecycle(&mut repo, name, &lifecycle, !parsed.has_flag("no-cache"))?;
+    persist::save(&repo, dir)?;
+    let memo = memo_line(finished.ctx.memo_stats());
+    Ok((finished, memo))
 }
 
 /// The one-line `memo: N hits / M misses (X ms saved)` summary, or

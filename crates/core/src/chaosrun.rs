@@ -4,14 +4,16 @@
 //! on: resolve the fault schedule (from `--schedule`/`--seed`
 //! overrides, the experiment's `faults:` spec in `vars.pml`, or the
 //! `node-crash` default), hand the augmented vars to the experiment's
-//! runner (fault-aware runners drive a [`popper_chaos::ChaosDriver`]
-//! against the simulated cluster), then record `chaos-results.csv`,
-//! `faults.json`, `recovery.json` and `chaos-figure.txt` as committed
-//! artifacts, beside the `results.csv` and `figure.txt` that `popper
-//! run` records, and check the experiment's `chaos.aver` (or the
+//! runner (fault-aware runners apply the schedule's
+//! [`popper_chaos::FaultSchedule::plane_timeline`] to their simulated
+//! cluster), then record `chaos-results.csv`, `faults.json`,
+//! `recovery.json` and `chaos-figure.txt` as committed artifacts,
+//! beside the `results.csv` and `figure.txt` that `popper run`
+//! records, and check the experiment's `chaos.aver` (or the
 //! [`popper_chaos::DEFAULT_ASSERTIONS`]) over the results.
 
 use crate::experiment::ExperimentEngine;
+use crate::lifecycle::Lifecycle;
 use crate::pipeline::{stages, CommitPolicy, Pipeline, RunContext, StageControl};
 use crate::repo::PopperRepo;
 use popper_aver::Verdict;
@@ -85,9 +87,10 @@ impl fmt::Display for ChaosRunReport {
 }
 
 impl ExperimentEngine {
-    /// Run one chaos experiment end to end. `schedule`/`seed` override
-    /// the experiment's own `faults:` spec; with neither, `node-crash`
-    /// is assumed. Lifecycle stages are traced on `core/lifecycle`.
+    /// Run one chaos experiment end to end, uncached, recording its
+    /// trace pair as `popper chaos` does. `schedule`/`seed` override the
+    /// experiment's own `faults:` spec; with neither, `node-crash` is
+    /// assumed.
     pub fn run_chaos(
         &self,
         repo: &mut PopperRepo,
@@ -95,9 +98,8 @@ impl ExperimentEngine {
         schedule: Option<&str>,
         seed: Option<u64>,
     ) -> Result<ChaosRunReport, String> {
-        let mut ctx = RunContext::for_experiment(repo, experiment)?;
-        self.chaos_pipeline(repo, &mut ctx, schedule, seed)?;
-        ChaosRunReport::from_ctx(ctx)
+        let lifecycle = Lifecycle::Chaos { schedule: schedule.map(str::to_string), seed };
+        ChaosRunReport::from_ctx(self.run_lifecycle(repo, experiment, &lifecycle, false)?.ctx)
     }
 
     /// The `popper chaos` stage composition: the ordinary lifecycle

@@ -9,10 +9,12 @@
 //! runs the repository's `.popper-ci.pml` with it.
 
 use crate::check::check_compliance;
+use crate::chaosrun::ChaosRunReport;
 use crate::experiment::{ExperimentEngine, RunReport};
-use crate::memoize::{cache_disabled_by_env, lifecycle_session, MemoStats};
+use crate::lifecycle::Lifecycle;
+use crate::memoize::{cache_disabled_by_env, MemoStats};
 use crate::paper::build_paper;
-use crate::pipeline::{CommitPolicy, RunContext};
+use crate::pipeline::RunContext;
 use crate::repo::PopperRepo;
 use parking_lot::Mutex;
 use popper_ci::{BuildReport, PipelineConfig, StepCtx, StepOutcome};
@@ -52,9 +54,10 @@ use std::sync::Arc;
 ///   prints; in CI it doubles as a sanity check that artifacts chunk).
 ///
 /// Lifecycle steps (`run-experiment`, `run-chaos`, the self-checks)
-/// build their stage compositions directly and attach a memo session —
-/// the same memoized path the CLI lifecycles use — unless
-/// `POPPER_NO_CACHE` disables caching.
+/// go through [`ExperimentEngine::run_lifecycle`], the driver the CLI
+/// lifecycles use: the same memo session (unless `POPPER_NO_CACHE`
+/// disables caching) and, for `run-chaos` and the self-checks' traced
+/// runs, the same committed `trace.json`/`trace.svg` pair.
 pub fn popper_steps(
     repo: Arc<Mutex<PopperRepo>>,
     engine: Arc<ExperimentEngine>,
@@ -114,29 +117,16 @@ pub fn popper_steps(
                 let Some(name) = args.first() else {
                     return StepOutcome::fail("run-experiment needs an experiment name");
                 };
-                let mut repo = repo.lock();
-                let mut run = || -> Result<(RunReport, Option<MemoStats>), String> {
-                    let mut run_ctx = RunContext::for_experiment(&repo, name)?;
-                    if !cache_disabled_by_env() {
-                        run_ctx = run_ctx.with_memo(lifecycle_session(&repo, name, "run", &[]));
-                    }
-                    engine.run_pipeline(&mut repo, &mut run_ctx)?;
-                    let stats = run_ctx.memo_stats().cloned();
-                    Ok((RunReport::from_ctx(run_ctx), stats))
-                };
-                match run() {
-                    Ok((report, stats)) if report.success() => {
-                        StepOutcome::pass(with_memo_note(format!("{report}"), stats))
-                    }
-                    Ok((report, _)) => StepOutcome::fail(format!("{report}")),
-                    Err(e) => StepOutcome::fail(e),
-                }
+                lifecycle_step(&repo, &engine, name, Lifecycle::Run, |ctx| {
+                    let report = RunReport::from_ctx(ctx);
+                    Ok((report.success(), report.to_string()))
+                })
             }
             "run-chaos" => {
                 let Some(name) = args.first() else {
                     return StepOutcome::fail("run-chaos needs an experiment name");
                 };
-                let schedule = ctx.env.get("schedule").map(String::as_str);
+                let schedule = ctx.env.get("schedule").cloned();
                 let seed = match ctx.env.get("seed") {
                     Some(s) => match s.parse::<u64>() {
                         Ok(n) => Some(n),
@@ -148,31 +138,10 @@ pub fn popper_steps(
                     },
                     None => None,
                 };
-                let mut repo = repo.lock();
-                let mut run = || -> Result<(crate::ChaosRunReport, Option<MemoStats>), String> {
-                    let mut run_ctx = RunContext::for_experiment(&repo, name)?;
-                    if !cache_disabled_by_env() {
-                        let mut salt = Vec::new();
-                        if let Some(s) = schedule {
-                            salt.push(("schedule".to_string(), s.to_string()));
-                        }
-                        if let Some(n) = seed {
-                            salt.push(("seed".to_string(), n.to_string()));
-                        }
-                        run_ctx =
-                            run_ctx.with_memo(lifecycle_session(&repo, name, "chaos", &salt));
-                    }
-                    engine.chaos_pipeline(&mut repo, &mut run_ctx, schedule, seed)?;
-                    let stats = run_ctx.memo_stats().cloned();
-                    Ok((crate::ChaosRunReport::from_ctx(run_ctx)?, stats))
-                };
-                match run() {
-                    Ok((report, stats)) if report.success() => {
-                        StepOutcome::pass(with_memo_note(format!("{report}"), stats))
-                    }
-                    Ok((report, _)) => StepOutcome::fail(format!("{report}")),
-                    Err(e) => StepOutcome::fail(e),
-                }
+                lifecycle_step(&repo, &engine, name, Lifecycle::Chaos { schedule, seed }, |ctx| {
+                    let report = ChaosRunReport::from_ctx(ctx)?;
+                    Ok((report.success(), report.to_string()))
+                })
             }
             "validate" => {
                 let Some(name) = args.first() else {
@@ -196,22 +165,20 @@ pub fn popper_steps(
                     return StepOutcome::fail("trace-diff-selfcheck needs an experiment name");
                 };
                 let mut repo = repo.lock();
-                let use_cache = !cache_disabled_by_env();
                 // The warm-up recording puts the repository in a state
                 // where the two compared runs have identical lifecycles:
                 // it establishes the baseline fingerprint, the committed
-                // trace.json path (the vcs layer's span names include
-                // the committed path set), and — cache on — the memo
-                // entries the two compared runs then replay from.
-                if let Err(e) = record_traced_run(&mut repo, &engine, name, "warm-up", use_cache)
-                {
+                // trace.json/trace.svg paths (the vcs layer's span names
+                // include the committed path set), and — cache on — the
+                // memo entries the two compared runs then replay from.
+                if let Err(e) = selfcheck_trace(&mut repo, &engine, name, "warm-up") {
                     return StepOutcome::fail(e);
                 }
-                let first = match record_traced_run(&mut repo, &engine, name, "1/2", use_cache) {
+                let first = match selfcheck_trace(&mut repo, &engine, name, "1/2") {
                     Ok((c, _)) => c,
                     Err(e) => return StepOutcome::fail(e),
                 };
-                let second = match record_traced_run(&mut repo, &engine, name, "2/2", use_cache) {
+                let second = match selfcheck_trace(&mut repo, &engine, name, "2/2") {
                     Ok((c, _)) => c,
                     Err(e) => return StepOutcome::fail(e),
                 };
@@ -222,7 +189,7 @@ pub fn popper_steps(
                     &first.to_hex(),
                     &second.to_hex(),
                     popper_trace::DiffOptions::structure_only(),
-                    use_cache,
+                    true,
                 ) {
                     Ok((report, _)) if report.diff.divergences.is_empty() => {
                         StepOutcome::pass(format!(
@@ -251,12 +218,12 @@ pub fn popper_steps(
                 // equivalent timelines (cold and warm traces differ —
                 // replayed stages skip their body spans — so the warm
                 // runs are compared against each other, not the prime).
-                if let Err(e) = record_traced_run(&mut repo, &engine, name, "prime", true) {
+                if let Err(e) = selfcheck_trace(&mut repo, &engine, name, "prime") {
                     return StepOutcome::fail(e);
                 }
                 let mut commits = Vec::new();
                 for label in ["warm 1/2", "warm 2/2"] {
-                    match record_traced_run(&mut repo, &engine, name, label, true) {
+                    match selfcheck_trace(&mut repo, &engine, name, label) {
                         Ok((commit, Some(stats))) if stats.misses() == 0 => commits.push(commit),
                         Ok((_, Some(stats))) => {
                             return StepOutcome::fail(format!(
@@ -365,46 +332,48 @@ fn regression_gate(repo: &PopperRepo, experiment: &str, column: &str) -> StepOut
     )
 }
 
-/// Append the memo hit/miss summary to a step log when a session ran.
-fn with_memo_note(log: String, stats: Option<MemoStats>) -> String {
-    match stats {
-        Some(s) => format!("{log}\n{}", s.summary()),
-        None => log,
+/// Run one lifecycle as a CI step: it passes when `report` finds the
+/// finished context successful, and a passing log carries the memo
+/// hit/miss summary when a session ran.
+fn lifecycle_step(
+    repo: &Mutex<PopperRepo>,
+    engine: &ExperimentEngine,
+    name: &str,
+    lifecycle: Lifecycle,
+    report: impl FnOnce(RunContext) -> Result<(bool, String), String>,
+) -> StepOutcome {
+    let finished = match engine.run_lifecycle(&mut repo.lock(), name, &lifecycle, true) {
+        Ok(finished) => finished,
+        Err(e) => return StepOutcome::fail(e),
+    };
+    let stats = finished.ctx.memo_stats().cloned();
+    match report(finished.ctx) {
+        Ok((true, log)) => match stats {
+            Some(s) => StepOutcome::pass(format!("{log}\n{}", s.summary())),
+            None => StepOutcome::pass(log),
+        },
+        Ok((false, log)) => StepOutcome::fail(log),
+        Err(e) => StepOutcome::fail(e),
     }
 }
 
-/// One traced lifecycle run for the self-checks: execute the run
-/// pipeline under a fresh recorder (and, when `use_cache`, a memo
-/// session) and commit the recorded timeline as
-/// `experiments/<name>/trace.json` (same recording the `popper trace`
-/// command performs).
-fn record_traced_run(
+/// One `popper trace` of `name` for the self-checks: the commit that
+/// recorded its trace pair, and the memo stats unless `POPPER_NO_CACHE`
+/// turned caching off.
+fn selfcheck_trace(
     repo: &mut PopperRepo,
     engine: &ExperimentEngine,
     name: &str,
     label: &str,
-    use_cache: bool,
 ) -> Result<(popper_vcs::ObjectId, Option<MemoStats>), String> {
-    let mut ctx = RunContext::for_experiment(repo, name)?
-        .with_recorder(popper_trace::TraceRecorder::new());
-    if use_cache {
-        ctx = ctx.with_memo(lifecycle_session(repo, name, "trace", &[]));
-    }
-    engine.run_pipeline(repo, &mut ctx)?;
-    let mut artifacts = std::mem::take(&mut ctx.artifacts);
-    let events = ctx.finish_recording().expect("recorder attached");
-    let stats = ctx.memo_stats().cloned();
-    let report = RunReport::from_ctx(ctx);
+    let finished = engine.run_lifecycle(repo, name, &Lifecycle::Trace, true)?;
+    let stats = finished.ctx.memo_stats().cloned();
+    let report = RunReport::from_ctx(finished.ctx);
     if !report.success() {
         return Err(format!("selfcheck run {label} of '{name}' failed: {report}"));
     }
-    artifacts.stage(format!("experiments/{name}/trace.json"), popper_trace::chrome_trace_json(&events));
-    let commit = artifacts
-        .commit_into(
-            repo,
-            &format!("popper trace {name}: selfcheck recording {label}"),
-            CommitPolicy::Always,
-        )?
+    let commit = report
+        .commit
         .ok_or_else(|| format!("selfcheck recording {label} of '{name}' produced no commit"))?;
     Ok((commit, stats))
 }

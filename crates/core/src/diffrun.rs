@@ -12,7 +12,7 @@
 //! compared structure-only or under a tolerance.
 
 use crate::experiment::ExperimentEngine;
-use crate::memoize::{lifecycle_session, MemoStats};
+use crate::memoize::{cache_disabled_by_env, lifecycle_session, MemoStats};
 use crate::pipeline::{CommitPolicy, Pipeline, RunContext, StageControl};
 use crate::repo::PopperRepo;
 use popper_aver::Verdict;
@@ -65,11 +65,12 @@ impl ExperimentEngine {
     /// Diff the recorded traces of one experiment between two commits
     /// (any ref `resolve` accepts: branch, tag, hex or unique hex
     /// prefix). Lifecycle stages are traced on `core/lifecycle`.
-    /// With `use_cache`, a memo session is attached: both commits'
-    /// trace bytes are content-addressed by the resolved commit ids, so
-    /// the diff is a pure function of `(commit_a, commit_b, options,
-    /// trace.aver)` — exactly what the session salt carries. Returns the
-    /// hit/miss stats alongside the report when caching was on.
+    /// With `use_cache` (and `POPPER_NO_CACHE` unset), a memo session is
+    /// attached: both commits' trace bytes are content-addressed by the
+    /// resolved commit ids, so the diff is a pure function of
+    /// `(commit_a, commit_b, options, trace.aver)` — exactly what the
+    /// session salt carries. Returns the hit/miss stats alongside the
+    /// report when caching was on.
     pub fn trace_diff(
         &self,
         repo: &mut PopperRepo,
@@ -84,7 +85,7 @@ impl ExperimentEngine {
         let commit_a = repo.vcs.resolve(ref_a).map_err(|e| e.to_string())?;
         let commit_b = repo.vcs.resolve(ref_b).map_err(|e| e.to_string())?;
         let mut ctx = RunContext::new(experiment, Value::empty_map());
-        if use_cache {
+        if use_cache && !cache_disabled_by_env() {
             let salt = [
                 ("commit_a".to_string(), commit_a.to_hex()),
                 ("commit_b".to_string(), commit_b.to_hex()),

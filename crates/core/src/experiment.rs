@@ -17,6 +17,7 @@
 //!    ("validate and version the results").
 //! 5. **validate** — check `validations.aver` against the results.
 
+use crate::lifecycle::Lifecycle;
 use crate::pipeline::{stages, ArtifactSet, CommitPolicy, Pipeline, RunContext, StageControl};
 use crate::repo::PopperRepo;
 use popper_aver::Verdict;
@@ -141,13 +142,12 @@ impl ExperimentEngine {
         self.runners.get(name)
     }
 
-    /// Run one experiment end to end. With an ambient wall-clock
-    /// [`popper_trace::current`] tracer, each lifecycle stage records a
-    /// span on the `core/lifecycle` track.
+    /// Run one experiment end to end, uncached. With an ambient
+    /// wall-clock [`popper_trace::current`] tracer, each lifecycle stage
+    /// records a span on the `core/lifecycle` track.
     pub fn run(&self, repo: &mut PopperRepo, experiment: &str) -> Result<RunReport, String> {
-        let mut ctx = RunContext::for_experiment(repo, experiment)?;
-        self.run_pipeline(repo, &mut ctx)?;
-        Ok(RunReport::from_ctx(ctx))
+        let finished = self.run_lifecycle(repo, experiment, &Lifecycle::Run, false)?;
+        Ok(RunReport::from_ctx(finished.ctx))
     }
 
     /// The `popper run` stage composition (the paper's Figure 1):

@@ -23,6 +23,8 @@
 //! * [`experiment`] — the experiment lifecycle engine: sanitize
 //!   (baseline gate) → orchestrate (playbook) → execute (a registered
 //!   runner) → record (`results.csv`, committed) → validate (Aver).
+//! * [`lifecycle`] — the one driver behind `popper run|verify|trace|chaos`,
+//!   the CI lifecycle steps and the farm's jobs.
 //! * [`paper`] — the manuscript side: `paper/build.sh` semantics
 //!   (assemble the article, resolve figure references against
 //!   experiment outputs) — the "PDF builds" CI check.
@@ -38,6 +40,7 @@ pub mod pack;
 pub mod pipeline;
 pub mod cipipeline;
 pub mod experiment;
+pub mod lifecycle;
 pub mod memoize;
 pub mod paper;
 pub mod repo;
@@ -47,10 +50,11 @@ pub mod verify;
 pub use chaosrun::ChaosRunReport;
 pub use check::{check_compliance, Violation};
 pub use diffrun::TraceDiffReport;
-pub use memoize::{cache_disabled_by_env, lifecycle_session, MemoSession, MemoStats, StageOutcome};
+pub use memoize::{lifecycle_session, MemoSession, MemoStats, StageOutcome};
 pub use pack::pack_experiment;
 pub use pipeline::{ArtifactSet, CommitPolicy, Pipeline, RunContext, Stage, StageControl};
 pub use experiment::{ExperimentEngine, RunReport, RunnerFn};
+pub use lifecycle::{render_trace, Finished, Lifecycle};
 pub use repo::PopperRepo;
 pub use templates::{experiment_templates, paper_templates, Template};
 pub use verify::ReproVerdict;

@@ -10,6 +10,7 @@
 //! unchanged experiment is idempotent: no new commit, no churn.
 
 use crate::experiment::ExperimentEngine;
+use crate::lifecycle::Lifecycle;
 use crate::pipeline::{stages, CommitPolicy, Pipeline, RunContext, StageControl};
 use crate::repo::PopperRepo;
 use popper_format::{json, Value};
@@ -57,13 +58,11 @@ impl ExperimentEngine {
     /// The verdict is recorded to `experiments/<exp>/verify.json`
     /// (committed only when it changed).
     pub fn verify(&self, repo: &mut PopperRepo, experiment: &str) -> Result<ReproVerdict, String> {
-        let mut ctx = RunContext::for_experiment(repo, experiment)?;
-        self.verify_pipeline(repo, &mut ctx)?;
-        ReproVerdict::from_ctx(&ctx)
+        ReproVerdict::from_ctx(&self.run_lifecycle(repo, experiment, &Lifecycle::Verify, false)?.ctx)
     }
 
-    /// The verify stage composition over a caller-built context (the
-    /// CLI attaches a memo session before calling this). All
+    /// The verify stage composition over a caller-built context
+    /// ([`ExperimentEngine::run_lifecycle`] builds it). All
     /// cross-stage state rides in `ctx.metrics` — never in captured
     /// closure state — so a warm prefix of cache hits replays soundly.
     pub fn verify_pipeline(

@@ -31,7 +31,7 @@ use crate::queue::{DrrScheduler, QueuedJob};
 use popper_chaos::FaultSchedule;
 use popper_ci::history::BuildHistory;
 use popper_core::templates::find_template;
-use popper_core::{cache_disabled_by_env, lifecycle_session, ExperimentEngine, PopperRepo, RunContext};
+use popper_core::{ExperimentEngine, Lifecycle, PopperRepo, RunContext};
 use popper_format::{Table, Value};
 use popper_store::ChunkStore;
 use std::collections::BTreeMap;
@@ -716,24 +716,17 @@ fn run_job(
 ) -> JobOutcome {
     let tenant = &inner.tenants[tenant_idx];
     let mut repo = tenant.repo.lock();
-    let ctx = RunContext::for_experiment(&repo, experiment);
-    let mut ctx = match ctx {
-        Ok(ctx) => ctx,
-        Err(_) => return JobOutcome::Failed,
-    };
-    if !cache_disabled_by_env() {
-        ctx = ctx.with_memo(lifecycle_session(&repo, experiment, "run", &[]));
-    }
-    let run = inner.engine.run_pipeline(&mut repo, &mut ctx);
-    let passed = run.is_ok() && ctx.success();
-    if let Some(stats) = ctx.memo_stats() {
+    let run = inner.engine.run_lifecycle(&mut repo, experiment, &Lifecycle::Run, true);
+    let ctx = run.as_ref().map(|finished| &finished.ctx);
+    let passed = ctx.is_ok_and(RunContext::success);
+    if let Some(stats) = ctx.ok().and_then(RunContext::memo_stats) {
         let (hits, misses) = (stats.hits() as u64, stats.misses() as u64);
         with_record(inner, job, |r| {
             r.memo_hits = hits;
             r.memo_misses = misses;
         });
     }
-    let commit = ctx.commit.map(|c| c.short()).unwrap_or_else(|| "worktree".to_string());
+    let commit = ctx.ok().and_then(|c| c.commit).map(|c| c.short()).unwrap_or_else(|| "worktree".to_string());
 
     // Archive result artifacts into the shared store: buffer now, batch
     // later. Manifests land under farm/ in the tenant repo.

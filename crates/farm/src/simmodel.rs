@@ -17,6 +17,7 @@
 //! the same deterministic-hash idiom the farm's chaos projection uses —
 //! so the model is a pure function of its config at every worker count.
 
+use popper_sim::fault::splitmix64;
 use popper_sim::{FabricSim, Nanos, NetCtx, PlaneCmd, RetryStats};
 use std::sync::Arc;
 
@@ -99,21 +100,13 @@ pub struct FarmSimReport {
     pub events: u64,
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Hash key for job `(tenant, job)` under `seed`. The seed is pre-mixed
 /// through splitmix before the counters are XORed in: a raw small seed
 /// XOR a dense job range `0..n` merely permutes the same input set, so
 /// any *sum* over a pipeline's jobs (e.g. its finish time) would come
 /// out seed-invariant.
 fn job_key(config: &FarmSimConfig, salt: u64, tenant: usize, job: usize) -> u64 {
-    splitmix(splitmix(config.seed ^ salt) ^ ((tenant as u64) << 32) ^ job as u64)
+    splitmix64(splitmix64(config.seed ^ salt) ^ ((tenant as u64) << 32) ^ job as u64)
 }
 
 /// Deterministic per-job duration: `0.5x .. 1.5x` of the mean.

@@ -214,16 +214,6 @@ impl GassyFs {
         self.ops
     }
 
-    /// The disk-slowdown factor currently applied to the client's disk
-    /// (1.0 when the fault plane is healthy).
-    fn disk_factor(&self) -> f64 {
-        if self.cluster.faults().is_active() {
-            self.cluster.faults().disk_factor(self.store.client)
-        } else {
-            1.0
-        }
-    }
-
     // ---- persistence (the paper: "file systems in GassyFS are
     // ephemeral … explicitly saved/loaded to/from durable storage,
     // e.g. local disk or Amazon S3") ----
@@ -241,8 +231,8 @@ impl GassyFs {
         let files = self.vfs.walk_files();
         for (path, _ino) in files {
             let (data, t2) = self.read_file(&path, t)?;
-            // Disk write on the client (inflated under a disk-slowdown fault).
-            let disk = self.cluster.platform().disk_io(data.len() as u64).scale(self.disk_factor());
+            // Disk write on the client.
+            let disk = self.cluster.platform().disk_io(data.len() as u64);
             t = t2 + disk;
             out.push((path.clone(), durable.put(&data)));
         }
@@ -264,7 +254,7 @@ impl GassyFs {
                     self.mkdir_p(&path[..dir], t)?;
                 }
             }
-            let disk = self.cluster.platform().disk_io(data.len() as u64).scale(self.disk_factor());
+            let disk = self.cluster.platform().disk_io(data.len() as u64);
             t = self.write_file(path, &data, t + disk)?;
         }
         Ok(t)
@@ -394,23 +384,6 @@ mod tests {
         assert_eq!(a, b"int a;");
         let (mk, _) = fresh.read_file("/proj/Makefile", Nanos::ZERO).unwrap();
         assert_eq!(mk, b"all: a.o");
-    }
-
-    #[test]
-    fn disk_slowdown_inflates_checkpoint_time() {
-        let mk = || {
-            let mut fs = mount(2);
-            fs.write_file("/big", &vec![3u8; 64 * PAGE_SIZE as usize], Nanos::ZERO).unwrap();
-            fs
-        };
-        let mut healthy = mk();
-        let mut slow = mk();
-        slow.cluster.faults_mut().set_disk_factor(0, 8.0);
-        let mut d1 = ChunkStore::new();
-        let mut d2 = ChunkStore::new();
-        let (_, t_healthy) = healthy.checkpoint(&mut d1, Nanos::ZERO).unwrap();
-        let (_, t_slow) = slow.checkpoint(&mut d2, Nanos::ZERO).unwrap();
-        assert!(t_slow > t_healthy, "slow disk {t_slow} must beat healthy {t_healthy}");
     }
 
     #[test]

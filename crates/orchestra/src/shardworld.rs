@@ -18,6 +18,7 @@
 //! per-host busy time, traffic counters and trace bytes are identical
 //! at every worker count.
 
+use popper_sim::fault::splitmix64;
 use popper_sim::{FabricSim, Nanos, NetCtx, NodeTraffic, PlaneCmd, RetryStats};
 use std::sync::Arc;
 
@@ -116,18 +117,10 @@ pub struct ShardedOrchestraReport {
     pub workers: usize,
 }
 
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^ (z >> 31)
-}
-
 /// Deterministic module duration on `host` for `task`: `0.5x .. 1.5x`
 /// of the mean — the same hashed-jitter idiom the farm model uses.
 fn module_duration(config: &ShardedOrchestraConfig, host: usize, task: usize) -> Nanos {
-    let key = splitmix(splitmix(config.seed) ^ ((host as u64) << 32) ^ task as u64);
+    let key = splitmix64(splitmix64(config.seed) ^ ((host as u64) << 32) ^ task as u64);
     let jitter = (key % 1000) as f64 / 1000.0; // [0, 1)
     config.mean_task.scale(0.5 + jitter)
 }

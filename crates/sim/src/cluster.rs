@@ -114,16 +114,6 @@ impl Cluster {
         now + self.nodes[src].neighbor.inflate_network(span)
     }
 
-    /// The cluster's fault plane (healthy by default).
-    pub fn faults(&self) -> &crate::fault::FaultPlane {
-        self.fabric.faults()
-    }
-
-    /// Mutably borrow the fault plane to inject or heal faults.
-    pub fn faults_mut(&mut self) -> &mut crate::fault::FaultPlane {
-        self.fabric.faults_mut()
-    }
-
     /// Allocate `bytes` of memory on `node`; errors if the platform's
     /// capacity would be exceeded.
     pub fn alloc_mem(&mut self, node: usize, bytes: u64) -> Result<(), String> {

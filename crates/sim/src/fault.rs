@@ -93,9 +93,8 @@ pub enum PlaneCmd {
 }
 
 impl PlaneCmd {
-    /// A short human label (mirrors `FaultKind::label` in
-    /// `popper-chaos` so barrier-applied events trace identically to
-    /// driver-applied ones).
+    /// A short human label: the name of the `chaos/faults` trace instant
+    /// that marks this command.
     pub fn label(&self) -> String {
         match self {
             PlaneCmd::Crash(n) => format!("crash node {n}"),
@@ -128,7 +127,7 @@ pub struct FaultPlane {
     /// Per-node latency inflation factor (>= 1.0).
     latency_factor: Vec<f64>,
     /// Per-node disk-slowdown factor (>= 1.0), consulted by layers that
-    /// model durable I/O (GassyFS checkpoint/restore).
+    /// model durable I/O (minimpi's checkpoint-restart).
     disk_factor: Vec<f64>,
     seed: u64,
     /// Per-source monotonic draw counters for deterministic loss
@@ -372,7 +371,9 @@ impl FaultPlane {
     }
 }
 
-fn splitmix64(x: u64) -> u64 {
+/// The splitmix64 finalizer: a well-spread 64-bit hash of `x`. The
+/// loss sampler and the sharded worlds' deterministic jitter share it.
+pub fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9e3779b97f4a7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);

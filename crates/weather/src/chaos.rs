@@ -3,9 +3,10 @@
 //!
 //! The BWW experiment's external dependency is its dataset: monthly
 //! reanalysis chunks served by a pool of datapackage mirrors. This
-//! module simulates that fetch against a [`FaultPlane`] driven by a
-//! [`ChaosDriver`]: node 0 is the analysis client, nodes `1..n` are
-//! mirrors, and one chunk is one month of the record. Lossy links cost
+//! module simulates that fetch against a [`FaultPlane`] that applies the
+//! schedule's [`FaultSchedule::plane_timeline`] as the fetch's clock
+//! advances: node 0 is the analysis client, nodes `1..n` are mirrors,
+//! and one chunk is one month of the record. Lossy links cost
 //! exponential-backoff retries (deterministic, from the plane's seeded
 //! sampler); an unreachable mirror fails over to the next one; a chunk
 //! that exhausts its retransmission budget — or finds every mirror
@@ -17,7 +18,7 @@
 use crate::analysis::{analyze, AirTempAnalysis};
 use crate::grid::Grid;
 use crate::reanalysis::{generate, ReanalysisConfig};
-use popper_chaos::{ChaosDriver, FaultSchedule};
+use popper_chaos::FaultSchedule;
 use popper_format::{Table, Value};
 use popper_sim::fault::MAX_RETRANSMITS;
 use popper_sim::{FaultPlane, Nanos};
@@ -105,7 +106,19 @@ pub fn fetch_with_faults(
     let full = generate(&cfg.data);
     let chunks = full.times.len();
     let mut plane = FaultPlane::new(nodes);
-    let mut driver = ChaosDriver::new(schedule.clone());
+    plane.set_seed(schedule.seed);
+    // Apply every fault due at or before `now`, each marked by a
+    // `chaos/faults` instant.
+    let (timeline, tracer, mut next) = (schedule.plane_timeline(), popper_trace::current(), 0);
+    let mut advance = |plane: &mut FaultPlane, now: Nanos| {
+        while let Some((at, cmd)) = timeline.get(next).filter(|(at, _)| *at <= now) {
+            plane.apply(cmd);
+            if tracer.is_enabled() {
+                tracer.instant_at("chaos", "chaos/faults", cmd.label(), at.0);
+            }
+            next += 1;
+        }
+    };
     let mut t = Nanos::ZERO;
     let mut dropped_months = vec![false; chunks];
     let mut epochs: Vec<FetchEpoch> = Vec::new();
@@ -126,7 +139,7 @@ pub fn fetch_with_faults(
             });
         }
         let start = t;
-        driver.advance(&mut plane, t);
+        advance(&mut plane, t);
 
         // Pick a mirror: round-robin preference, failover to the next
         // live one; wait out a total outage up to `patience` timeouts.
@@ -148,7 +161,7 @@ pub fn fetch_with_faults(
                 None if waits < cfg.patience => {
                     waits += 1;
                     t += plane.timeout();
-                    driver.advance(&mut plane, t);
+                    advance(&mut plane, t);
                 }
                 None => break,
             }
@@ -187,7 +200,7 @@ pub fn fetch_with_faults(
         epochs[epoch].duration += t - start;
     }
     // Let the rest of the schedule play out for the trace timeline.
-    driver.advance(&mut plane, schedule.horizon().max(t));
+    advance(&mut plane, schedule.horizon().max(t));
 
     let dropped = dropped_months.iter().filter(|d| **d).count();
     let fetched = chunks - dropped;
@@ -293,7 +306,14 @@ mod tests {
     #[test]
     fn node_crash_fails_over_and_recovers() {
         let schedule = FaultSchedule::named("node-crash", 4, 7).unwrap();
-        let report = fetch_with_faults(&small_cfg(), &schedule).unwrap();
+        let sink = popper_trace::TraceSink::new();
+        let tracer = sink.tracer(popper_trace::ClockDomain::Virtual);
+        let report =
+            popper_trace::with_current(tracer, || fetch_with_faults(&small_cfg(), &schedule)).unwrap();
+        // Every injected fault is marked on the timeline under its
+        // `PlaneCmd` label.
+        let faults: Vec<String> = sink.drain().into_iter().map(|e| e.name).collect();
+        assert_eq!(faults, ["crash node 3", "restart node 3"]);
         assert!(report.failovers > 0, "crashed mirror must force failovers");
         assert_eq!(report.corrupt, 0);
         assert!(report.recovery_ms < 5000.0, "default recovers_within bound");

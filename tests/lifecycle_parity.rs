@@ -115,6 +115,64 @@ fn chaos_mode_artifacts_match_pre_refactor_goldens() {
     fs::remove_dir_all(&dir).ok();
 }
 
+// ------------------------------------------- one driver, one recording
+
+/// The committed `trace.svg` draws the committed `trace.json`.
+fn assert_trace_pair_is_one_recording(dir: &Path, experiment: &str) {
+    let json = fs::read_to_string(dir.join("experiments").join(experiment).join("trace.json")).unwrap();
+    let svg = fs::read_to_string(dir.join("experiments").join(experiment).join("trace.svg")).unwrap();
+    let events = popper::trace::parse_chrome_trace(&json).unwrap();
+    assert!(svg == popper::trace::timeline_svg(&events), "trace.svg does not draw trace.json");
+}
+
+/// The files a lifecycle left under `experiments/<experiment>/`.
+fn experiment_files(dir: &Path, experiment: &str) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir.join("experiments").join(experiment))
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// Run `steps` as the repository's only CI job.
+fn run_ci_job(dir: &Path, steps: &str, matrix: &str) {
+    let pml = format!("stages: [check]\njobs:\n  - name: check\n    stage: check\n{matrix}    steps: [{steps}]\n");
+    fs::write(dir.join(".popper-ci.pml"), pml).unwrap();
+    run(&["commit", "one CI job"], dir).unwrap();
+    run(&["ci"], dir).unwrap();
+}
+
+/// CI records what a human records: the self-checks re-record the trace
+/// pair from one recording, and `run-chaos` leaves the artifacts
+/// `popper chaos` leaves.
+#[test]
+fn ci_lifecycle_steps_record_what_the_cli_records() {
+    let dir = temp_dir("ci-trace-pair");
+    run(&["init"], &dir).unwrap();
+    run(&["add", "ceph-rados", "e"], &dir).unwrap();
+    run(&["trace", "e"], &dir).unwrap();
+    run_ci_job(&dir, "memo-selfcheck e, trace-diff-selfcheck e", "");
+    assert_trace_pair_is_one_recording(&dir, "e");
+    fs::remove_dir_all(&dir).ok();
+
+    let human = temp_dir("chaos-human");
+    run(&["init"], &human).unwrap();
+    run(&["add", "jupyter-bww", "w"], &human).unwrap();
+    run(&["chaos", "w", "--schedule", "node-crash", "--seed", "7"], &human).unwrap();
+    let ci = temp_dir("chaos-ci");
+    run(&["init"], &ci).unwrap();
+    run(&["add", "jupyter-bww", "w"], &ci).unwrap();
+    run_ci_job(&ci, "run-chaos w", "    matrix:\n      schedule: [node-crash]\n      seed: [\"7\"]\n");
+    assert_eq!(experiment_files(&ci, "w"), experiment_files(&human, "w"));
+    assert_trace_pair_is_one_recording(&ci, "w");
+    for dir in [human, ci] {
+        let status = run(&["status"], &dir).unwrap();
+        assert!(status.contains("working tree clean"), "{status}");
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
 // ------------------------------------------------- commit atomicity
 
 /// A record-stage error (the figure spec names a column the results
