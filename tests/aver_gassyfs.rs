@@ -6,6 +6,9 @@ use popper::aver;
 use popper::format::Table;
 use popper::gassyfs::experiment::{run_scalability, to_table, ScalabilityConfig, LISTING3_ASSERTION};
 use popper::gassyfs::workload::CompileWorkload;
+use popper::trace::{parse_chrome_trace, SpanId};
+use std::collections::HashMap;
+use std::path::PathBuf;
 
 fn small_points() -> Vec<popper::gassyfs::ScalabilityPoint> {
     run_scalability(&ScalabilityConfig {
@@ -85,4 +88,63 @@ fn mount_option_ablation_affects_the_curve_but_not_the_shape() {
     }
     let table = to_table(&uncached, "git", "cloudlab-direct-io");
     assert!(aver::check(LISTING3_ASSERTION, &table).unwrap().passed);
+}
+
+// ------------------------------------------------- pins of the full figure
+
+/// A new repository holding the gassyfs template, default vars, as `e`.
+fn gassyfs_repository(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "popper-aver-gassyfs-{tag}-{}",
+        std::time::SystemTime::now().duration_since(std::time::UNIX_EPOCH).unwrap().as_nanos()
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    popper::cli::run(&["init"], &dir).unwrap();
+    popper::cli::run(&["add", "gassyfs", "e"], &dir).unwrap();
+    dir
+}
+
+#[test]
+fn default_sweep_results_csv_bytes_are_pinned() {
+    let dir = gassyfs_repository("run");
+    popper::cli::run(&["run", "e", "--no-cache"], &dir).unwrap();
+    let csv = std::fs::read_to_string(dir.join("experiments/e/results.csv")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        csv,
+        "workload,machine,nodes,time,remote_fraction,ops\n\
+         git,gassyfs-node,1,0.913652188,0,8135\n\
+         git,gassyfs-node,2,1.45615012,0.5,8135\n\
+         git,gassyfs-node,4,1.726703158,0.7502883506343714,8135\n\
+         git,gassyfs-node,8,1.861975114,0.8750480584390619,8135\n\
+         git,gassyfs-node,16,1.92972147,0.9375240292195309,8135\n"
+    );
+}
+
+#[test]
+fn default_sweep_virtual_trace_events_are_pinned() {
+    // The simulated fabric (`sim/`) and page-store RPC (`gassyfs/`)
+    // tracks carry virtual-clock timestamps, so they are the same bytes
+    // on every run; the wall-clock lifecycle tracks are left out. Span
+    // ids are numbered by first appearance among the kept events, so
+    // the pin does not depend on how many wall spans opened before.
+    let dir = gassyfs_repository("trace");
+    popper::cli::run(&["trace", "e", "--no-cache"], &dir).unwrap();
+    let json = std::fs::read_to_string(dir.join("experiments/e/trace.json")).unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+    let events = parse_chrome_trace(&json).unwrap();
+    let mut ids: HashMap<SpanId, usize> = HashMap::from([(SpanId::NONE, 0)]);
+    let mut lines = String::new();
+    let mut kept = 0usize;
+    for e in events.iter().filter(|e| e.track.starts_with("sim/") || e.track.starts_with("gassyfs/")) {
+        let next = ids.len();
+        let id = *ids.entry(e.id).or_insert(next);
+        let next = ids.len();
+        let parent = *ids.entry(e.parent).or_insert(next);
+        lines.push_str(&format!("{}|{}|{}|{:?}|{id}|{parent}\n", e.category, e.track, e.name, e.kind));
+        kept += 1;
+    }
+    let digest = popper::vcs::sha256::to_hex(&popper::vcs::sha256::digest(lines.as_bytes()));
+    assert_eq!(kept, 189_690);
+    assert_eq!(digest, "588b721b4d107b070bdafd8a2c2a8ed152a73abbe7438107f5f54dd1e99c00e2");
 }
