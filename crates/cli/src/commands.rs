@@ -602,8 +602,37 @@ fn template_listing() -> String {
     out
 }
 
+/// `text` wrapped to `width` columns, every line indented by `indent`.
+fn indented(text: &str, indent: usize, width: usize) -> String {
+    let mut out = String::new();
+    let mut line = String::new();
+    for word in text.split_whitespace() {
+        if !line.is_empty() && indent + line.chars().count() + 1 + word.chars().count() > width {
+            out += &format!("{:indent$}{line}\n", "");
+            line.clear();
+        }
+        if !line.is_empty() {
+            line.push(' ');
+        }
+        line.push_str(word);
+    }
+    if !line.is_empty() {
+        out += &format!("{:indent$}{line}\n", "");
+    }
+    out
+}
+
 fn help_text() -> String {
-    "\
+    let sharded = indented(
+        &format!(
+            "(byte-identical results at every N; sharded runners: {} — others reject the flag)",
+            crate::runners::sharded_runners()
+        ),
+        30,
+        80,
+    );
+    format!(
+        "\
 popper — the Popper convention CLI
 
 USAGE:
@@ -618,10 +647,7 @@ COMMANDS:
     check                     compliance check (is this Popperized?)
     run <experiment>          run the full experiment lifecycle
                               [--sim-workers N] shard simulations across N cores
-                              (byte-identical results at every N; sharded
-                              runners: lulesh-sharded, gassyfs-sharded,
-                              orchestra-sharded — others reject the flag)
-    trace <experiment>        run with tracing; records trace.json + trace.svg
+{sharded}    trace <experiment>        run with tracing; records trace.json + trace.svg
     trace-diff <exp> <a>..<b> diff recorded traces between two commits; exit 1 on divergence
                               [--tolerance <pct>] [--structure-only]
     chaos <experiment>        run under fault injection; records faults.json + recovery.json
@@ -642,7 +668,7 @@ CACHING:
     prints `memo: N hits / M misses (X ms saved)`. Disable per
     invocation with --no-cache, or globally with POPPER_NO_CACHE=1.
 "
-    .to_string()
+    )
 }
 
 #[cfg(test)]
@@ -681,6 +707,17 @@ mod tests {
         assert!(dir.join("experiments/myexp/vars.pml").is_file());
         assert!(dir.join("experiments/myexp/validations.aver").is_file());
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn help_names_every_runner_that_takes_sim_workers() {
+        use crate::runners::{sharded_runners, Sharding, RUNNERS};
+        let help = super::help_text();
+        let flat = help.split_whitespace().collect::<Vec<_>>().join(" ");
+        assert!(flat.contains(&format!("sharded runners: {} — others reject the flag", sharded_runners())), "{help}");
+        for (name, _, sharding) in RUNNERS {
+            assert_eq!(flat.contains(name), sharding != Sharding::Never, "{name}: {help}");
+        }
     }
 
     #[test]

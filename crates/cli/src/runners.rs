@@ -15,17 +15,51 @@ use popper_sim::platforms;
 use popper_torpor::experiment as torpor_exp;
 use popper_weather::{analyze, generate, ReanalysisConfig};
 
+/// Which runs of a runner drive a sharded world, and so take
+/// `sim_workers:` / `--sim-workers`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Sharding {
+    /// Every run.
+    Always,
+    /// Only a chaos run (one with a `faults:` spec).
+    Chaos,
+    /// None: the runner rejects the flag.
+    Never,
+}
+
+type Runner = fn(&Value) -> Result<Table, String>;
+
+/// The use-case runners: name, entry point, and which runs shard.
+pub(crate) const RUNNERS: [(&str, Runner, Sharding); 9] = [
+    ("gassyfs-scalability", gassyfs_runner, Sharding::Chaos),
+    ("torpor-variability", torpor_runner, Sharding::Never),
+    ("mpi-variability", mpi_runner, Sharding::Chaos),
+    ("lulesh-chaos", lulesh_chaos_runner, Sharding::Always),
+    ("lulesh-sharded", lulesh_sharded_runner, Sharding::Always),
+    ("gassyfs-sharded", gassyfs_sharded_runner, Sharding::Always),
+    ("orchestra-sharded", orchestra_sharded_runner, Sharding::Always),
+    ("farm-sharded", farm_sharded_runner, Sharding::Always),
+    ("bww-airtemp", bww_runner, Sharding::Never),
+];
+
 /// Register the use-case runners with an engine.
 pub fn register_builtin_runners(engine: &mut ExperimentEngine) {
-    engine.register("gassyfs-scalability", gassyfs_runner);
-    engine.register("torpor-variability", torpor_runner);
-    engine.register("mpi-variability", mpi_runner);
-    engine.register("lulesh-chaos", lulesh_chaos_runner);
-    engine.register("lulesh-sharded", lulesh_sharded_runner);
-    engine.register("gassyfs-sharded", gassyfs_sharded_runner);
-    engine.register("orchestra-sharded", orchestra_sharded_runner);
-    engine.register("farm-sharded", farm_sharded_runner);
-    engine.register("bww-airtemp", bww_runner);
+    for (name, runner, _) in RUNNERS {
+        engine.register(name, runner);
+    }
+}
+
+/// The runners that take `--sim-workers`, as a phrase:
+/// "a, b, and the chaos modes of c and d".
+pub fn sharded_runners() -> String {
+    let named = |sharding| RUNNERS.iter().filter(|r| r.2 == sharding).map(|r| r.0).collect::<Vec<_>>();
+    let chaos = named(Sharding::Chaos);
+    let chaos = match chaos.split_last() {
+        Some((last, [])) => last.to_string(),
+        Some((last, rest)) => format!("{} and {last}", rest.join(", ")),
+        None => return named(Sharding::Always).join(", "),
+    };
+    format!("{}, and the chaos modes of {chaos}", named(Sharding::Always).join(", "))
 }
 
 /// Parse the worker count for a sharded runner from `sim_workers:` (or
@@ -44,8 +78,8 @@ fn reject_sim_workers(vars: &Value, runner: &str) -> Result<(), String> {
     if vars.get("sim_workers").is_some() || std::env::var("POPPER_SIM_WORKERS").is_ok() {
         return Err(format!(
             "runner '{runner}' has no sharded world; drop 'sim_workers:' / --sim-workers \
-             (sharded runners: lulesh-sharded, gassyfs-sharded, orchestra-sharded, farm-sharded, \
-             lulesh-chaos, and the chaos modes of gassyfs-scalability and mpi-variability)"
+             (sharded runners: {})",
+            sharded_runners()
         ));
     }
     Ok(())
@@ -847,13 +881,8 @@ mod tests {
     fn runners_without_a_sharded_world_reject_sim_workers() {
         let mut vars = Value::empty_map();
         vars.insert("sim_workers", Value::from(4i64));
-        for (name, runner) in [
-            ("gassyfs-scalability", gassyfs_runner as fn(&Value) -> Result<Table, String>),
-            ("torpor-variability", torpor_runner),
-            ("mpi-variability", mpi_runner),
-            ("bww-airtemp", bww_runner),
-            ("synthetic", popper_core::experiment::synthetic_runner),
-        ] {
+        let healthy_unsharded = RUNNERS.iter().filter(|r| r.2 != Sharding::Always).map(|r| (r.0, r.1));
+        for (name, runner) in healthy_unsharded.chain([("synthetic", popper_core::experiment::synthetic_runner as Runner)]) {
             let err = runner(&vars).unwrap_err();
             assert!(err.contains("no sharded world"), "{name}: {err}");
             assert!(err.contains(name), "{name}: {err}");

@@ -10,11 +10,11 @@
 //! options"; the ones that matter to performance are modeled in
 //! [`MountOptions`].
 
+use crate::cache::PageCache;
 use crate::gasnet::{GasnetStore, PAGE_SIZE};
 use crate::vfs::{FsError, Stat, Vfs};
 use popper_sim::{Cluster, Demand, Nanos};
 use popper_store::{ChunkStore, Manifest};
-use std::collections::VecDeque;
 
 /// FUSE mount options that affect the performance model. (The real
 /// mount accepts 30+; these are the load-bearing ones.)
@@ -47,15 +47,16 @@ pub struct GassyFs {
     /// The simulated cluster backing the mount.
     pub cluster: Cluster,
     opts: MountOptions,
-    /// FIFO page cache (ids currently cached on the client).
-    cache: VecDeque<u64>,
+    /// The client's LRU page cache (a hit refreshes the page).
+    cache: PageCache,
     ops: u64,
 }
 
 impl GassyFs {
     /// Mount GassyFS over `cluster` with the client (FUSE) on node 0.
     pub fn mount(cluster: Cluster, opts: MountOptions) -> Self {
-        GassyFs { vfs: Vfs::new(), store: GasnetStore::new(0), cluster, opts, cache: VecDeque::new(), ops: 0 }
+        let cache = PageCache::new(opts.page_cache_pages);
+        GassyFs { vfs: Vfs::new(), store: GasnetStore::new(0), cluster, opts, cache, ops: 0 }
     }
 
     /// The FUSE/syscall overhead of one operation.
@@ -63,34 +64,6 @@ impl GassyFs {
         self.ops += 1;
         let d = Demand { syscalls: 2.0 * self.opts.fuse_crossing_cost, int_ops: 2_000.0, ..Default::default() };
         self.cluster.compute_duration(self.store.client, &d)
-    }
-
-    fn cache_hit(&mut self, page: u64) -> bool {
-        if self.opts.page_cache_pages == 0 {
-            return false;
-        }
-        if let Some(pos) = self.cache.iter().position(|p| *p == page) {
-            // Move to the back (LRU touch).
-            self.cache.remove(pos);
-            self.cache.push_back(page);
-            true
-        } else {
-            false
-        }
-    }
-
-    fn cache_insert(&mut self, page: u64) {
-        if self.opts.page_cache_pages == 0 {
-            return;
-        }
-        if self.cache.len() >= self.opts.page_cache_pages {
-            self.cache.pop_front();
-        }
-        self.cache.push_back(page);
-    }
-
-    fn cache_evict(&mut self, pages: &[u64]) {
-        self.cache.retain(|p| !pages.contains(p));
     }
 
     // ---- namespace operations ----
@@ -108,13 +81,25 @@ impl GassyFs {
     }
 
     /// Write a whole file (create-or-truncate then append), returning
-    /// the completion time.
+    /// the completion time: [`GassyFs::write_timing`] plus the page
+    /// contents.
     pub fn write_file(&mut self, path: &str, data: &[u8], now: Nanos) -> Result<Nanos, FsError> {
+        let t = self.write_timing(path, data.len(), now)?;
+        let ino = self.vfs.file_ino(path)?;
+        for (page, chunk) in self.vfs.pages(ino).iter().zip(data.chunks(PAGE_SIZE as usize)) {
+            self.store.set_contents(*page, chunk.to_vec());
+        }
+        Ok(t)
+    }
+
+    /// Timing-only write of `len` bytes (pages allocated and charged,
+    /// contents left as zero pages) — what workload replay uses.
+    pub fn write_timing(&mut self, path: &str, len: usize, now: Nanos) -> Result<Nanos, FsError> {
         let ino = match self.vfs.file_ino(path) {
             Ok(ino) => {
                 let freed = self.vfs.truncate(ino);
                 self.store.free(&mut self.cluster, &freed);
-                self.cache_evict(&freed);
+                self.cache.evict(&freed);
                 ino
             }
             Err(FsError::NotFound(_)) => {
@@ -124,17 +109,14 @@ impl GassyFs {
             Err(e) => return Err(e),
         };
         let mut t = now + self.op_overhead();
-        let n_pages = data.len().div_ceil(PAGE_SIZE as usize);
+        let n_pages = len.div_ceil(PAGE_SIZE as usize);
         let pages = self.store.alloc(&mut self.cluster, n_pages).map_err(|_| FsError::NoSpace)?;
         // One FUSE crossing per max_write request.
-        let requests = (data.len() as u64).div_ceil(self.opts.max_write).max(1);
+        let requests = (len as u64).div_ceil(self.opts.max_write).max(1);
         for _ in 1..requests {
             t += self.op_overhead();
         }
-        for (i, page) in pages.iter().enumerate() {
-            let start = i * PAGE_SIZE as usize;
-            let end = ((i + 1) * PAGE_SIZE as usize).min(data.len());
-            self.store.set_contents(*page, data[start..end].to_vec());
+        for page in &pages {
             let done = self.store.write_page(&mut self.cluster, *page, t);
             t = if self.opts.writeback {
                 // Overlap remote placement with the writer: charge half.
@@ -142,9 +124,9 @@ impl GassyFs {
             } else {
                 done
             };
-            self.cache_insert(*page);
+            self.cache.insert(*page);
         }
-        self.vfs.append_pages(ino, &pages, data.len() as u64);
+        self.vfs.append_pages(ino, &pages, len as u64);
         Ok(t)
     }
 
@@ -153,12 +135,11 @@ impl GassyFs {
         let ino = self.vfs.file_ino(path)?;
         let size = self.vfs.stat(path)?.size as usize;
         let mut t = now + self.op_overhead();
-        let pages: Vec<u64> = self.vfs.pages(ino).to_vec();
         let mut out = Vec::with_capacity(size);
-        for page in pages {
-            if !self.cache_hit(page) {
+        for &page in self.vfs.pages(ino) {
+            if !self.cache.hit(page) {
                 t = self.store.read_page(&mut self.cluster, page, t);
-                self.cache_insert(page);
+                self.cache.insert(page);
             }
             out.extend_from_slice(&self.store.get_contents(page));
         }
@@ -170,11 +151,10 @@ impl GassyFs {
     pub fn read_timing(&mut self, path: &str, now: Nanos) -> Result<Nanos, FsError> {
         let ino = self.vfs.file_ino(path)?;
         let mut t = now + self.op_overhead();
-        let pages: Vec<u64> = self.vfs.pages(ino).to_vec();
-        for page in pages {
-            if !self.cache_hit(page) {
+        for &page in self.vfs.pages(ino) {
+            if !self.cache.hit(page) {
                 t = self.store.read_page(&mut self.cluster, page, t);
-                self.cache_insert(page);
+                self.cache.insert(page);
             }
         }
         Ok(t)
@@ -184,7 +164,7 @@ impl GassyFs {
     pub fn unlink(&mut self, path: &str, now: Nanos) -> Result<Nanos, FsError> {
         let freed = self.vfs.unlink(path)?;
         self.store.free(&mut self.cluster, &freed);
-        self.cache_evict(&freed);
+        self.cache.evict(&freed);
         Ok(now + self.op_overhead())
     }
 
@@ -207,6 +187,12 @@ impl GassyFs {
     /// Locality counters.
     pub fn access_stats(&self) -> crate::gasnet::AccessStats {
         self.store.stats()
+    }
+
+    /// Bytes of file contents the page store keeps; timing-only
+    /// writes keep none.
+    pub fn content_bytes(&self) -> u64 {
+        self.store.content_bytes()
     }
 
     /// FUSE operations served.

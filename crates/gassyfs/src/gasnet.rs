@@ -38,12 +38,13 @@ impl AccessStats {
 /// The striped page store.
 #[derive(Debug, Clone)]
 pub struct GasnetStore {
-    /// Which node each live page resides on.
-    placement: BTreeMap<PageId, usize>,
-    /// Page contents (zero-filled pages are stored as `None` to keep
-    /// memory bounded in big simulations).
-    contents: BTreeMap<PageId, Option<Vec<u8>>>,
-    next_page: PageId,
+    /// Which node each page resides on, indexed by page id (ids are
+    /// dense from 1; `None` for id 0 and for freed pages).
+    placement: Vec<Option<usize>>,
+    /// Contents of the pages written with contents; every other page is
+    /// a zero page and keeps none, which bounds memory in big
+    /// simulations.
+    contents: BTreeMap<PageId, Vec<u8>>,
     next_node: usize,
     /// The node issuing I/O (where FUSE is mounted).
     pub client: usize,
@@ -54,9 +55,8 @@ impl GasnetStore {
     /// A store for a cluster whose client (FUSE mount) is `client`.
     pub fn new(client: usize) -> Self {
         GasnetStore {
-            placement: BTreeMap::new(),
+            placement: vec![None],
             contents: BTreeMap::new(),
-            next_page: 1,
             next_node: 0,
             client,
             stats: AccessStats::default(),
@@ -70,12 +70,9 @@ impl GasnetStore {
         for _ in 0..n {
             let node = self.next_node % cluster.len();
             cluster.alloc_mem(node, PAGE_SIZE)?;
-            let id = self.next_page;
-            self.next_page += 1;
             self.next_node += 1;
-            self.placement.insert(id, node);
-            self.contents.insert(id, None);
-            out.push(id);
+            out.push(self.placement.len() as PageId);
+            self.placement.push(Some(node));
         }
         Ok(out)
     }
@@ -83,7 +80,7 @@ impl GasnetStore {
     /// Free pages.
     pub fn free(&mut self, cluster: &mut Cluster, pages: &[PageId]) {
         for p in pages {
-            if let Some(node) = self.placement.remove(p) {
+            if let Some(node) = self.placement.get_mut(*p as usize).and_then(Option::take) {
                 cluster.free_mem(node, PAGE_SIZE);
             }
             self.contents.remove(p);
@@ -92,7 +89,12 @@ impl GasnetStore {
 
     /// The node a page lives on.
     pub fn node_of(&self, page: PageId) -> Option<usize> {
-        self.placement.get(&page).copied()
+        self.placement.get(page as usize).copied().flatten()
+    }
+
+    /// The node a live page lives on; panics on a page that is not.
+    fn live_node(&self, page: PageId) -> usize {
+        self.node_of(page).unwrap_or_else(|| panic!("page {page} is not allocated"))
     }
 
     /// Size of a GASNet control message (read request / write ack).
@@ -101,7 +103,7 @@ impl GasnetStore {
     /// Charge one page *read* from the client at `now`; returns the
     /// completion time. A remote read is an RPC: request out, page back.
     pub fn read_page(&mut self, cluster: &mut Cluster, page: PageId, now: Nanos) -> Nanos {
-        let node = self.placement[&page];
+        let node = self.live_node(page);
         if node == self.client {
             self.stats.local += 1;
             now
@@ -125,7 +127,7 @@ impl GasnetStore {
     /// Charge one page *write* from the client at `now`; returns the
     /// completion time. A remote write is an RPC: page out, ack back.
     pub fn write_page(&mut self, cluster: &mut Cluster, page: PageId, now: Nanos) -> Nanos {
-        let node = self.placement[&page];
+        let node = self.live_node(page);
         if node == self.client {
             self.stats.local += 1;
             now
@@ -142,15 +144,21 @@ impl GasnetStore {
     /// separately by the caller via write_page).
     pub fn set_contents(&mut self, page: PageId, data: Vec<u8>) {
         debug_assert!(data.len() as u64 <= PAGE_SIZE);
-        self.contents.insert(page, Some(data));
+        self.contents.insert(page, data);
     }
 
     /// Fetch page contents (zero page if never written).
     pub fn get_contents(&self, page: PageId) -> Vec<u8> {
         match self.contents.get(&page) {
-            Some(Some(d)) => d.clone(),
-            _ => vec![0; PAGE_SIZE as usize],
+            Some(d) => d.clone(),
+            None => vec![0; PAGE_SIZE as usize],
         }
+    }
+
+    /// Bytes of page contents the store keeps (pages never written
+    /// with contents are zero pages and keep none).
+    pub fn content_bytes(&self) -> u64 {
+        self.contents.values().map(|d| d.len() as u64).sum()
     }
 
     /// Locality counters so far.

@@ -16,6 +16,7 @@
 //!   round-robin across the cluster's nodes, every access charged
 //!   through the [`popper_sim`] fabric (local pages are free — the
 //!   property the scalability experiment hinges on).
+//! * [`cache`] — the client's LRU page cache, O(1) per page access.
 //! * [`fs`] — GassyFS proper: VFS + page store + virtual-time
 //!   accounting + checkpoint/restore into a
 //!   [`popper_store::ChunkStore`] ("file systems in GassyFS are
@@ -31,6 +32,7 @@
 //!   (replica failover, retry with backoff) is what `popper chaos`
 //!   runs for GassyFS.
 
+pub mod cache;
 pub mod checkpointing;
 pub mod experiment;
 pub mod fs;

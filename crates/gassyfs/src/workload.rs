@@ -81,6 +81,16 @@ pub struct WorkloadResult {
     pub bytes_written: u64,
 }
 
+/// One translation unit of the replay: its source, the shared headers
+/// it includes, and the object file it writes.
+struct TuPlan {
+    source: String,
+    size: usize,
+    included: Vec<usize>,
+    object: String,
+    obj_size: usize,
+}
+
 fn jitter(rng: &mut StdRng, base: usize) -> usize {
     // ±25% size jitter, never zero.
     let lo = (base as f64 * 0.75) as usize;
@@ -98,19 +108,21 @@ pub fn run_compile(fs: &mut GassyFs, w: &CompileWorkload) -> Result<WorkloadResu
     fs.mkdir_p("/git/src", Nanos::ZERO)?;
     fs.mkdir_p("/git/include", Nanos::ZERO)?;
     fs.mkdir_p("/git/obj", Nanos::ZERO)?;
-    let mut header_sizes = Vec::with_capacity(w.shared_headers);
+    let mut headers = Vec::with_capacity(w.shared_headers);
     for h in 0..w.shared_headers {
         let size = jitter(&mut rng, w.header_bytes);
-        header_sizes.push(size);
-        fs.write_file(&format!("/git/include/h{h}.h"), &vec![b'h'; size], Nanos::ZERO)?;
+        let path = format!("/git/include/h{h}.h");
+        fs.write_timing(&path, size, Nanos::ZERO)?;
+        headers.push((path, size));
     }
     let mut tu_plans = Vec::with_capacity(w.translation_units);
     for tu in 0..w.translation_units {
         let size = jitter(&mut rng, w.source_bytes);
-        fs.write_file(&format!("/git/src/tu{tu}.c"), &vec![b'c'; size], Nanos::ZERO)?;
-        let headers: Vec<usize> = (0..w.headers_per_tu).map(|_| rng.gen_range(0..w.shared_headers)).collect();
+        let source = format!("/git/src/tu{tu}.c");
+        fs.write_timing(&source, size, Nanos::ZERO)?;
+        let included: Vec<usize> = (0..w.headers_per_tu).map(|_| rng.gen_range(0..w.shared_headers)).collect();
         let obj_size = jitter(&mut rng, w.object_bytes);
-        tu_plans.push((size, headers, obj_size));
+        tu_plans.push(TuPlan { source, size, included, object: format!("/git/obj/tu{tu}.o"), obj_size });
     }
 
     // --- measured phase: parallel make ---
@@ -120,7 +132,7 @@ pub fn run_compile(fs: &mut GassyFs, w: &CompileWorkload) -> Result<WorkloadResu
     // Greedy list scheduling: each job owns a time cursor; the
     // least-loaded job takes the next TU. Deterministic (ties by index).
     let mut job_time = vec![Nanos::ZERO; w.jobs];
-    for (tu, (src_size, headers, obj_size)) in tu_plans.iter().enumerate() {
+    for plan in &tu_plans {
         let (j, _) = job_time
             .iter()
             .enumerate()
@@ -128,17 +140,17 @@ pub fn run_compile(fs: &mut GassyFs, w: &CompileWorkload) -> Result<WorkloadResu
             .expect("jobs >= 1");
         let mut t = job_time[j];
         // Read headers then the source.
-        for h in headers {
-            t = fs.read_timing(&format!("/git/include/h{h}.h"), t)?;
+        for &h in &plan.included {
+            t = fs.read_timing(&headers[h].0, t)?;
         }
-        t = fs.read_timing(&format!("/git/src/tu{tu}.c"), t)?;
+        t = fs.read_timing(&plan.source, t)?;
         // Compile on one client core.
-        let kib = (*src_size as f64 + headers.iter().map(|h| header_sizes[*h] as f64).sum::<f64>()) / 1024.0;
+        let kib = (plan.size as f64 + plan.included.iter().map(|&h| headers[h].1 as f64).sum::<f64>()) / 1024.0;
         let demand = w.compile_demand_per_kib.scaled(kib);
         t += fs.cluster.compute_duration(0, &demand);
         // Write the object file.
-        t = fs.write_file(&format!("/git/obj/tu{tu}.o"), &vec![b'o'; *obj_size], t)?;
-        bytes_written += *obj_size as u64;
+        t = fs.write_timing(&plan.object, plan.obj_size, t)?;
+        bytes_written += plan.obj_size as u64;
         job_time[j] = t;
     }
     let compile_done = job_time.iter().copied().max().unwrap_or(Nanos::ZERO);
@@ -146,13 +158,13 @@ pub fn run_compile(fs: &mut GassyFs, w: &CompileWorkload) -> Result<WorkloadResu
     // Link: read every object, write the binary.
     let mut t = compile_done;
     let mut binary_size = 0usize;
-    for (tu, (_, _, obj_size)) in tu_plans.iter().enumerate() {
-        t = fs.read_timing(&format!("/git/obj/tu{tu}.o"), t)?;
-        binary_size += obj_size / 3;
+    for plan in &tu_plans {
+        t = fs.read_timing(&plan.object, t)?;
+        binary_size += plan.obj_size / 3;
     }
     let link_demand = w.compile_demand_per_kib.scaled(binary_size as f64 / 1024.0);
     t += fs.cluster.compute_duration(0, &link_demand);
-    t = fs.write_file("/git/git-binary", &vec![b'b'; binary_size.max(1)], t)?;
+    t = fs.write_timing("/git/git-binary", binary_size.max(1), t)?;
     bytes_written += binary_size as u64;
 
     let stats_after = fs.access_stats();
