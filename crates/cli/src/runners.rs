@@ -18,7 +18,7 @@ use popper_weather::{analyze, generate, ReanalysisConfig};
 /// Which runs of a runner drive a sharded world, and so take
 /// `sim_workers:` / `--sim-workers`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Sharding {
+pub(crate) enum Sharding {
     /// Every run.
     Always,
     /// Only a chaos run (one with a `faults:` spec).
@@ -51,7 +51,7 @@ pub fn register_builtin_runners(engine: &mut ExperimentEngine) {
 
 /// The runners that take `--sim-workers`, as a phrase:
 /// "a, b, and the chaos modes of c and d".
-pub fn sharded_runners() -> String {
+pub(crate) fn sharded_runners() -> String {
     let named = |sharding| RUNNERS.iter().filter(|r| r.2 == sharding).map(|r| r.0).collect::<Vec<_>>();
     let chaos = named(Sharding::Chaos);
     let chaos = match chaos.split_last() {

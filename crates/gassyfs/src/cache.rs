@@ -45,16 +45,6 @@ impl PageCache {
         PageCache { capacity, len: 0, oldest: NIL, newest: NIL, links: Vec::new() }
     }
 
-    /// Pages currently cached.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Is nothing cached?
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
     fn contains(&self, i: usize) -> bool {
         self.links.get(i).is_some_and(|l| l.cached)
     }
@@ -101,7 +91,8 @@ impl PageCache {
     }
 
     /// The cached pages, least recent first.
-    pub fn resident(&self) -> Vec<PageId> {
+    #[cfg(test)]
+    fn resident(&self) -> Vec<PageId> {
         let mut out = Vec::with_capacity(self.len);
         let mut i = self.oldest;
         while i != NIL {
@@ -143,8 +134,8 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use std::collections::VecDeque;
 
-    /// The rule as `GassyFs` kept it before `PageCache`: a deque, least
-    /// recent at the front, scanned linearly.
+    /// The reference model: the same rule on a deque, least recent at
+    /// the front, scanned linearly.
     struct Reference {
         capacity: usize,
         pages: VecDeque<PageId>,
@@ -214,7 +205,7 @@ mod tests {
             }
             let resident = Vec::from(reference.pages.clone());
             assert_eq!(cache.resident(), resident, "capacity {capacity} seed {seed} step {step}");
-            assert_eq!(cache.len(), resident.len());
+            assert_eq!(cache.len, resident.len());
         }
     }
 

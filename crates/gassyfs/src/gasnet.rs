@@ -92,10 +92,6 @@ impl GasnetStore {
         self.placement.get(page as usize).copied().flatten()
     }
 
-    /// The node a live page lives on; panics on a page that is not.
-    fn live_node(&self, page: PageId) -> usize {
-        self.node_of(page).unwrap_or_else(|| panic!("page {page} is not allocated"))
-    }
 
     /// Size of a GASNet control message (read request / write ack).
     const CTRL_BYTES: u64 = 64;
@@ -103,7 +99,7 @@ impl GasnetStore {
     /// Charge one page *read* from the client at `now`; returns the
     /// completion time. A remote read is an RPC: request out, page back.
     pub fn read_page(&mut self, cluster: &mut Cluster, page: PageId, now: Nanos) -> Nanos {
-        let node = self.live_node(page);
+        let node = self.node_of(page).expect("page is allocated");
         if node == self.client {
             self.stats.local += 1;
             now
@@ -127,7 +123,7 @@ impl GasnetStore {
     /// Charge one page *write* from the client at `now`; returns the
     /// completion time. A remote write is an RPC: page out, ack back.
     pub fn write_page(&mut self, cluster: &mut Cluster, page: PageId, now: Nanos) -> Nanos {
-        let node = self.live_node(page);
+        let node = self.node_of(page).expect("page is allocated");
         if node == self.client {
             self.stats.local += 1;
             now
