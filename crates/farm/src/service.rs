@@ -582,15 +582,16 @@ impl FarmView for FarmInner {
         self.tenant_index(tenant)?;
         // Synthesize one span per completed job from the record
         // timings; the farm's epoch is time zero.
+        let track = popper_trace::Label::from(format!("{tenant}/jobs"));
         let events: Vec<popper_trace::TraceEvent> = self
             .records
             .lock()
             .values()
             .filter(|r| r.tenant == tenant && !matches!(r.outcome, JobOutcome::Pending))
             .map(|r| popper_trace::TraceEvent {
-                name: format!("{} #{} ({})", r.experiment, r.seq, r.outcome.label()),
+                name: format!("{} #{} ({})", r.experiment, r.seq, r.outcome.label()).into(),
                 category: "farm",
-                track: format!("{}/jobs", r.tenant),
+                track: track.clone(),
                 kind: popper_trace::EventKind::Span {
                     start_ns: r.started_ms * 1_000_000,
                     end_ns: r.ended_ms.max(r.started_ms + 1) * 1_000_000,

@@ -9,6 +9,7 @@
 
 use crate::vfs::PageId;
 use popper_sim::{Cluster, Nanos};
+use popper_trace::NumberedTracks;
 use std::collections::BTreeMap;
 
 /// Page size in bytes (FUSE default transfer granularity).
@@ -49,6 +50,8 @@ pub struct GasnetStore {
     /// The node issuing I/O (where FUSE is mounted).
     pub client: usize,
     stats: AccessStats,
+    /// The serving nodes' trace tracks.
+    tracks: NumberedTracks,
 }
 
 impl GasnetStore {
@@ -60,6 +63,7 @@ impl GasnetStore {
             next_node: 0,
             client,
             stats: AccessStats::default(),
+            tracks: NumberedTracks::new("gassyfs/node"),
         }
     }
 
@@ -107,16 +111,16 @@ impl GasnetStore {
             self.stats.remote += 1;
             let arrived = cluster.transfer(self.client, node, Self::CTRL_BYTES, now);
             let done = cluster.transfer(node, self.client, PAGE_SIZE, arrived);
-            Self::trace_rpc("read_page", node, now, done);
+            self.trace_rpc("read_page", node, now, done);
             done
         }
     }
 
     /// Record one remote-page RPC on the serving node's track.
-    fn trace_rpc(name: &'static str, node: usize, start: Nanos, end: Nanos) {
+    fn trace_rpc(&mut self, name: &'static str, node: usize, start: Nanos, end: Nanos) {
         let tracer = popper_trace::current();
         if tracer.is_enabled() {
-            tracer.span_at("rpc", format!("gassyfs/node{node}"), name, start.0, end.0);
+            tracer.span_at("rpc", self.tracks.get(node), name, start.0, end.0);
         }
     }
 
@@ -131,7 +135,7 @@ impl GasnetStore {
             self.stats.remote += 1;
             let arrived = cluster.transfer(self.client, node, PAGE_SIZE, now);
             let done = cluster.transfer(node, self.client, Self::CTRL_BYTES, arrived);
-            Self::trace_rpc("write_page", node, now, done);
+            self.trace_rpc("write_page", node, now, done);
             done
         }
     }

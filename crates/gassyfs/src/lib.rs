@@ -22,8 +22,7 @@
 //!   [`popper_store::ChunkStore`] ("file systems in GassyFS are
 //!   explicitly saved/loaded to/from durable storage").
 //! * [`workload`] — the paper's workload: a synthetic *compile git*
-//!   build DAG (plus archive-extract and metadata-churn workloads),
-//!   replayed by parallel "make jobs".
+//!   build DAG, replayed by parallel "make jobs".
 //! * [`experiment`] — Figure `gassyfs-git`: runtime vs cluster size,
 //!   with the Listing-3 Aver assertion (`sublinear(nodes, time)`)
 //!   checked over the result table.

@@ -6,10 +6,7 @@
 //! make jobs. [`CompileWorkload::git`] reproduces that shape
 //! synthetically (≈450 TUs, ≈200 shared headers); [`run_compile`]
 //! replays it with a greedy parallel-job scheduler over virtual time.
-//!
-//! Two secondary workloads exercise other I/O mixes: archive
-//! extraction (streaming writes) and metadata churn (tiny namespace
-//! operations).
+//! It is the only workload this module defines.
 
 use crate::fs::GassyFs;
 use crate::vfs::FsError;

@@ -10,6 +10,7 @@
 
 use crate::profiler::{MpiOp, MpiProfile};
 use popper_sim::{Cluster, Demand, Nanos};
+use popper_trace::NumberedTracks;
 
 /// The world: a communicator over a simulated cluster.
 #[derive(Debug, Clone)]
@@ -20,6 +21,8 @@ pub struct MpiWorld {
     rank_time: Vec<Nanos>,
     /// The mpiP-style profiler.
     pub profile: MpiProfile,
+    /// The ranks' trace tracks.
+    tracks: NumberedTracks,
 }
 
 impl MpiWorld {
@@ -33,6 +36,7 @@ impl MpiWorld {
             rank_node: (0..ranks).map(|r| r % nodes).collect(),
             rank_time: vec![Nanos::ZERO; ranks],
             profile: MpiProfile::new(ranks),
+            tracks: NumberedTracks::new("mpi/rank"),
         }
     }
 
@@ -58,10 +62,10 @@ impl MpiWorld {
 
     /// Record one operation's span on `rank`'s timeline track (virtual
     /// time). No-op without an ambient tracer.
-    fn trace_op(name: &'static str, rank: usize, start: Nanos, end: Nanos) {
+    fn trace_op(&mut self, name: &'static str, rank: usize, start: Nanos, end: Nanos) {
         let tracer = popper_trace::current();
         if tracer.is_enabled() && end > start {
-            tracer.span_at("mpi", format!("mpi/rank{rank}"), name, start.0, end.0);
+            tracer.span_at("mpi", self.tracks.get(rank), name, start.0, end.0);
         }
     }
 
@@ -75,7 +79,7 @@ impl MpiWorld {
             None => start + base,
         };
         self.profile.record_app(rank, finish - start);
-        Self::trace_op("compute", rank, start, finish);
+        self.trace_op("compute", rank, start, finish);
         self.rank_time[rank] = finish;
     }
 
@@ -107,7 +111,7 @@ impl MpiWorld {
         }
         for (r, t) in done.into_iter().enumerate() {
             if t > self.rank_time[r] {
-                Self::trace_op("exchange", r, before[r], t);
+                self.trace_op("exchange", r, before[r], t);
             }
             self.rank_time[r] = self.rank_time[r].max(t);
         }
@@ -134,7 +138,7 @@ impl MpiWorld {
         for r in 0..self.size() {
             let waited = done - self.rank_time[r];
             self.profile.record_mpi(r, MpiOp::Barrier, waited, 0);
-            Self::trace_op("barrier", r, self.rank_time[r], done);
+            self.trace_op("barrier", r, self.rank_time[r], done);
             self.rank_time[r] = done;
         }
     }
@@ -147,7 +151,7 @@ impl MpiWorld {
         for r in 0..self.size() {
             let waited = done - self.rank_time[r];
             self.profile.record_mpi(r, MpiOp::Allreduce, waited, bytes);
-            Self::trace_op("allreduce", r, self.rank_time[r], done);
+            self.trace_op("allreduce", r, self.rank_time[r], done);
             self.rank_time[r] = done;
         }
     }
@@ -160,7 +164,7 @@ impl MpiWorld {
         for r in 0..self.size() {
             let waited = done.saturating_sub(self.rank_time[r]);
             self.profile.record_mpi(r, MpiOp::Bcast, waited, if r == root { bytes } else { 0 });
-            Self::trace_op("bcast", r, self.rank_time[r], done);
+            self.trace_op("bcast", r, self.rank_time[r], done);
             self.rank_time[r] = self.rank_time[r].max(done);
         }
     }
@@ -173,7 +177,7 @@ impl MpiWorld {
         let done = arrive + cost;
         let waited_root = done - self.rank_time[root];
         self.profile.record_mpi(root, MpiOp::Reduce, waited_root, 0);
-        Self::trace_op("reduce", root, self.rank_time[root], done);
+        self.trace_op("reduce", root, self.rank_time[root], done);
         self.rank_time[root] = done;
         for r in 0..self.size() {
             if r != root {

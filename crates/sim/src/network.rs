@@ -23,7 +23,7 @@
 use crate::fault::{FaultPlane, Unreachable};
 use crate::resource::Serial;
 use crate::time::Nanos;
-use popper_trace::Tracer;
+use popper_trace::{NumberedTracks, Tracer};
 
 /// Per-node traffic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -209,12 +209,18 @@ impl FabricEndpoint {
 pub struct FabricCore {
     core: Serial,
     ingress: Vec<Serial>,
+    /// The senders' trace tracks.
+    tracks: NumberedTracks,
 }
 
 impl FabricCore {
     /// A core stage for `nodes` endpoints.
     pub fn new(nodes: usize) -> Self {
-        FabricCore { core: Serial::new(), ingress: vec![Serial::new(); nodes] }
+        FabricCore {
+            core: Serial::new(),
+            ingress: vec![Serial::new(); nodes],
+            tracks: NumberedTracks::new("sim/net/node"),
+        }
     }
 
     /// Finish an admitted transfer: run it through the core switch and
@@ -229,22 +235,10 @@ impl FabricCore {
             // One span per transfer on the sender's egress track, from
             // egress admission to receiver completion, plus a child span
             // for the queueing-sensitive egress stage itself.
-            let (src, dst, bytes) = (d.src, d.dst, d.bytes);
-            let xfer = tracer.span_at(
-                "net",
-                format!("sim/net/node{src}"),
-                format!("xfer {bytes}B ->{dst}"),
-                d.e_start.0,
-                done.0,
-            );
-            tracer.span_at_child(
-                xfer,
-                "net",
-                format!("sim/net/node{src}"),
-                "egress",
-                d.e_start.0,
-                d.e_fin.0,
-            );
+            let (dst, bytes) = (d.dst, d.bytes);
+            let track = self.tracks.get(d.src);
+            let xfer = tracer.span_at("net", track, format!("xfer {bytes}B ->{dst}"), d.e_start.0, done.0);
+            tracer.span_at_child(xfer, "net", track, "egress", d.e_start.0, d.e_fin.0);
         }
         done
     }

@@ -6,9 +6,11 @@
 //! `Value` tree, byte for byte: keys in the same order, and strings and
 //! numbers appended by the JSON writer's own `write_string`/`write_num`.
 //! Timestamps and ids take an exact integer path; only values too large
-//! for it go through `write_num`.
+//! for it go through `write_num`. A track's tid and a name's escaped
+//! text are worked out once per distinct label, not once per event.
 
 use crate::event::{EventKind, TraceEvent};
+use crate::label::{FxMap, Slots};
 use popper_format::json::{write_num, write_string};
 
 /// Below this, an integer `n` (an id, or a timestamp in ns whose
@@ -17,17 +19,22 @@ use popper_format::json::{write_num, write_string};
 /// prints as exactly those digits.
 const EXACT: u64 = 1_000_000_000_000_000;
 
-/// Append `n` in decimal.
+/// The two-digit numbers "00" to "99", back to back.
+const PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
+
+/// Append `n` in decimal, two digits per division.
 fn push_u64(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    loop {
+    while n >= 10 {
+        let pair = (n % 100) as usize * 2;
+        n /= 100;
+        i -= 2;
+        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+    }
+    if n > 0 || i == buf.len() {
         i -= 1;
-        buf[i] = b'0' + (n % 10) as u8;
-        n /= 10;
-        if n == 0 {
-            break;
-        }
+        buf[i] = b'0' + n as u8;
     }
     out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
@@ -71,24 +78,61 @@ fn push_id(out: &mut String, n: u64) {
 /// the events in the order given. Load it in `chrome://tracing` or
 /// Perfetto. Stable output: same events ⇒ same bytes.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    let mut tracks: Vec<&str> = events.iter().map(|e| e.track.as_str()).collect();
-    tracks.sort_unstable();
-    tracks.dedup();
+    // Number the distinct (track, name, category) handles the events
+    // start with; only the first event of each is looked at further.
+    let mut tracks = Slots::default();
+    let mut head_of: FxMap<(usize, usize, usize, usize), u32> = FxMap::default();
+    let mut firsts: Vec<&TraceEvent> = Vec::new();
+    let heads_of_events: Vec<u32> = events
+        .iter()
+        .map(|e| {
+            let key = (e.track.addr(), e.name.addr(), e.category.as_ptr() as usize, e.category.len());
+            *head_of.entry(key).or_insert_with(|| {
+                tracks.insert(&e.track);
+                firsts.push(e);
+                firsts.len() as u32 - 1
+            })
+        })
+        .collect();
+    let ranks = tracks.ranks();
+    let tid = |track| u64::from(ranks[tracks.of(track)]) + 1;
+    // Each head's text up to the event's phase, and where its name ends.
+    let heads: Vec<(String, usize)> = firsts
+        .iter()
+        .map(|e| {
+            let mut head = String::from("{\"name\":");
+            write_string(&mut head, &e.name);
+            let name_end = head.len();
+            head.push_str(",\"cat\":");
+            write_string(&mut head, e.category);
+            head.push_str(",\"pid\":1,\"tid\":");
+            push_id(&mut head, tid(&e.track));
+            (head, name_end)
+        })
+        .collect();
+    let mut sorted = vec![""; ranks.len()];
+    for (&rank, &track) in ranks.iter().zip(tracks.texts()) {
+        sorted[rank as usize] = track;
+    }
     let mut out = String::with_capacity(64 + events.len() * 160);
     out.push_str("{\"traceEvents\":[");
     push_meta(&mut out, "process_name", None, "popper");
-    for (tid, track) in (1..).zip(&tracks) {
+    for (tid, track) in (1..).zip(&sorted) {
         out.push(',');
         push_meta(&mut out, "thread_name", Some(tid), track);
     }
-    for e in events {
-        let tid = tracks.binary_search(&e.track.as_str()).expect("every track is listed") as u64 + 1;
+    for (e, &head) in events.iter().zip(&heads_of_events) {
+        let (head, name_end) = &heads[head as usize];
         out.push(',');
-        push_event(&mut out, e, tid);
+        out.push_str(head);
+        push_tail(&mut out, e, &head[HEAD_NAME..*name_end]);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
 }
+
+/// Where an event's name starts in its head: after `{"name":`.
+const HEAD_NAME: usize = 8;
 
 /// A `ph: "M"` metadata element (`process_name` / `thread_name`).
 fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
@@ -104,14 +148,9 @@ fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
     out.push_str("}}");
 }
 
-/// One trace-event array element for `e` on thread `tid`.
-fn push_event(out: &mut String, e: &TraceEvent, tid: u64) {
-    out.push_str("{\"name\":");
-    write_string(out, &e.name);
-    out.push_str(",\"cat\":");
-    write_string(out, e.category);
-    out.push_str(",\"pid\":1,\"tid\":");
-    push_id(out, tid);
+/// The rest of the trace-event array element for `e` after its head;
+/// `name` is its name as a JSON string.
+fn push_tail(out: &mut String, e: &TraceEvent, name: &str) {
     match e.kind {
         EventKind::Span { start_ns, .. } => {
             out.push_str(",\"ph\":\"X\",\"ts\":");
@@ -138,7 +177,7 @@ fn push_event(out: &mut String, e: &TraceEvent, tid: u64) {
             out.push_str(",\"ph\":\"C\",\"ts\":");
             push_us(out, ts_ns);
             out.push_str(",\"args\":{");
-            write_string(out, &e.name);
+            out.push_str(name);
             out.push(':');
             write_num(out, value);
             out.push('}');
@@ -152,6 +191,7 @@ mod tests {
     use super::*;
     use crate::event::SpanId;
     use crate::export::parse_chrome_trace;
+    use crate::label::Label;
     use popper_format::{json, Value};
     use proptest::prelude::*;
 
@@ -242,10 +282,33 @@ mod tests {
                             (EventKind::Counter { ts_ns: ts, value }, SpanId::NONE, SpanId::NONE)
                         }
                     };
-                    TraceEvent { name, category: "sim", track, kind, id, parent }
+                    TraceEvent { name: name.into(), category: "sim", track: track.into(), kind, id, parent }
                 })
                 .collect()
         })
+    }
+
+    #[test]
+    fn equal_track_text_in_distinct_handles_gets_one_tid_and_the_same_bytes() {
+        let event = |track: Label, name: Label, ts_ns| TraceEvent {
+            name,
+            category: "sim",
+            track,
+            kind: EventKind::Instant { ts_ns },
+            id: SpanId::NONE,
+            parent: SpanId::NONE,
+        };
+        let (node, send, other) = (Label::from("sim/net/node1"), Label::from("send"), Label::from("a"));
+        let shared: Vec<TraceEvent> = (0..4)
+            .map(|ts| if ts == 2 { event(other.clone(), send.clone(), ts) } else { event(node.clone(), send.clone(), ts) })
+            .collect();
+        let distinct: Vec<TraceEvent> =
+            (0..4).map(|ts| event(if ts == 2 { "a" } else { "sim/net/node1" }.into(), "send".into(), ts)).collect();
+        assert_ne!(distinct[0].track.addr(), distinct[1].track.addr());
+        let json = chrome_trace_json(&distinct);
+        assert_eq!(json, chrome_trace_json(&shared));
+        assert_eq!(json.matches("thread_name").count(), 2, "{json}");
+        assert_eq!(json.matches(r#""tid":2,"ph":"i""#).count(), 3, "{json}");
     }
 
     #[test]

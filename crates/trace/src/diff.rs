@@ -397,8 +397,8 @@ pub fn diff_traces(a: &[TraceEvent], b: &[TraceEvent], options: DiffOptions) -> 
 fn push(diff: &mut TraceDiff, kind: DivergenceKind, e: &TraceEvent, detail: String) {
     diff.divergences.push(Divergence {
         kind,
-        track: e.track.clone(),
-        name: e.name.clone(),
+        track: e.track.to_string(),
+        name: e.name.to_string(),
         category: e.category.to_string(),
         detail,
     });
@@ -535,17 +535,17 @@ fn diff_instants(ea: &[&TraceEvent], eb: &[&TraceEvent], diff: &mut TraceDiff) {
 
 fn diff_counters(ea: &[&TraceEvent], eb: &[&TraceEvent], diff: &mut TraceDiff) {
     // Group samples by counter name within the track.
-    let series = |events: &[&TraceEvent]| {
-        let mut m: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    fn series<'a>(events: &[&'a TraceEvent]) -> BTreeMap<&'a str, Vec<f64>> {
+        let mut m: BTreeMap<&str, Vec<f64>> = BTreeMap::new();
         for e in events {
             if let EventKind::Counter { value, .. } = e.kind {
-                m.entry(e.name.clone()).or_default().push(value);
+                m.entry(e.name.as_str()).or_default().push(value);
             }
         }
         m
-    };
+    }
     let (ca, cb) = (series(ea), series(eb));
-    let mut names: Vec<&String> = ca.keys().chain(cb.keys()).collect();
+    let mut names: Vec<&str> = ca.keys().chain(cb.keys()).copied().collect();
     names.sort();
     names.dedup();
     fn find_counter<'a>(events: &[&'a TraceEvent], name: &str) -> Option<&'a TraceEvent> {

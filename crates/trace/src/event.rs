@@ -1,5 +1,7 @@
 //! The trace event model.
 
+use crate::label::Label;
+
 /// Identity of a span, for parent/child nesting. Ids are allocated from
 /// a per-tracer counter starting at 1; `SpanId::NONE` (0) means "no
 /// span".
@@ -42,18 +44,28 @@ pub enum EventKind {
     },
 }
 
+impl EventKind {
+    /// The position on the time axis (span start, or timestamp).
+    pub(crate) fn start_ns(&self) -> u64 {
+        match *self {
+            EventKind::Span { start_ns, .. } => start_ns,
+            EventKind::Instant { ts_ns } | EventKind::Counter { ts_ns, .. } => ts_ns,
+        }
+    }
+}
+
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Human-readable name ("admit", "job build/exp", "read_page").
-    pub name: String,
+    pub name: Label,
     /// Coarse category used for grouping and coloring ("sim", "ci",
     /// "rpc", "mpi", "container", "lifecycle", …).
     pub category: &'static str,
     /// The horizontal lane this event belongs to ("sim/serial",
     /// "ci/worker-0", "orchestra/node3", …). Becomes the thread name in
     /// Chrome's viewer and a row in the SVG timeline.
-    pub track: String,
+    pub track: Label,
     /// Timing payload.
     pub kind: EventKind,
     /// This event's span id (`NONE` for instants and counters).
@@ -65,10 +77,7 @@ pub struct TraceEvent {
 impl TraceEvent {
     /// The event's position on the time axis (span start, or timestamp).
     pub fn start_ns(&self) -> u64 {
-        match self.kind {
-            EventKind::Span { start_ns, .. } => start_ns,
-            EventKind::Instant { ts_ns } | EventKind::Counter { ts_ns, .. } => ts_ns,
-        }
+        self.kind.start_ns()
     }
 
     /// The event's end on the time axis (equals `start_ns` for points).

@@ -4,6 +4,7 @@
 
 pub use crate::chrome::chrome_trace_json;
 use crate::event::{EventKind, SpanId, TraceEvent};
+use crate::label::{FxMap, Interner, Label};
 use popper_format::FormatError;
 use std::collections::BTreeMap;
 
@@ -44,6 +45,8 @@ fn imp_err(msg: impl Into<String>) -> FormatError {
 /// order they appear in the file. The inverse of the exporter:
 /// `parse_chrome_trace(&chrome_trace_json(&events))` reproduces
 /// `events` for any drained trace, which the round-trip test pins.
+/// Tracks and names are interned as they are read, so the events share
+/// one [`Label`] handle per distinct text, as drained events do.
 pub fn parse_chrome_trace(json: &str) -> Result<Vec<TraceEvent>, FormatError> {
     let doc = popper_format::json::parse(json)?;
     let items = doc
@@ -51,7 +54,8 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<TraceEvent>, FormatError> {
         .ok_or_else(|| imp_err("missing traceEvents array"))?;
 
     // First pass: recover tid → track from thread_name metadata.
-    let mut track_of: BTreeMap<u64, String> = BTreeMap::new();
+    let mut labels = Interner::default();
+    let mut track_of: BTreeMap<u64, Label> = BTreeMap::new();
     for item in items {
         if item.get_str("ph") == Some("M") && item.get_str("name") == Some("thread_name") {
             let tid = item
@@ -61,7 +65,7 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<TraceEvent>, FormatError> {
                 .get("args")
                 .and_then(|a| a.get_str("name"))
                 .ok_or_else(|| imp_err("thread_name metadata without args.name"))?;
-            track_of.insert(tid, name.to_string());
+            track_of.insert(tid, labels.intern(name));
         }
     }
 
@@ -76,10 +80,7 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<TraceEvent>, FormatError> {
             .get(&tid)
             .ok_or_else(|| imp_err(format!("tid {tid} has no thread_name metadata")))?
             .clone();
-        let name = item
-            .get_str("name")
-            .ok_or_else(|| imp_err("event without name"))?
-            .to_string();
+        let name = labels.intern(item.get_str("name").ok_or_else(|| imp_err("event without name"))?);
         let category = intern_category(item.get_str("cat").unwrap_or(""));
         let ts = item.get_num("ts").ok_or_else(|| imp_err("event without ts"))?;
         let (kind, id, parent) = match ph {
@@ -102,7 +103,7 @@ pub fn parse_chrome_trace(json: &str) -> Result<Vec<TraceEvent>, FormatError> {
             "C" => {
                 let value = item
                     .get("args")
-                    .and_then(|a| a.get_num(&name))
+                    .and_then(|a| a.get_num(name.as_str()))
                     .ok_or_else(|| imp_err(format!("counter {name} without args sample")))?;
                 (EventKind::Counter { ts_ns: ns_of(ts), value }, SpanId::NONE, SpanId::NONE)
             }
@@ -134,20 +135,33 @@ pub fn summary_table(events: &[TraceEvent]) -> String {
         total: u64,
         max: u64,
     }
-    let mut rows: BTreeMap<(&str, &str), Agg> = BTreeMap::new();
+    impl Agg {
+        fn add(&mut self, count: u64, total: u64, max: u64) {
+            self.count += count;
+            self.total += total;
+            self.max = self.max.max(max);
+        }
+    }
+    // Aggregate per pair of label handles, then merge the pairs with
+    // equal text into the rows.
+    let mut by_handle: FxMap<(usize, usize), (&str, &str, Agg)> = FxMap::default();
     let mut instants = 0u64;
     let mut counters = 0u64;
     for e in events {
         match e.kind {
             EventKind::Span { .. } => {
-                let a = rows.entry((e.track.as_str(), e.name.as_str())).or_default();
-                a.count += 1;
-                a.total += e.duration_ns();
-                a.max = a.max.max(e.duration_ns());
+                let (.., a) = by_handle
+                    .entry((e.track.addr(), e.name.addr()))
+                    .or_insert_with(|| (e.track.as_str(), e.name.as_str(), Agg::default()));
+                a.add(1, e.duration_ns(), e.duration_ns());
             }
             EventKind::Instant { .. } => instants += 1,
             EventKind::Counter { .. } => counters += 1,
         }
+    }
+    let mut rows: BTreeMap<(&str, &str), Agg> = BTreeMap::new();
+    for (track, name, a) in by_handle.into_values() {
+        rows.entry((track, name)).or_default().add(a.count, a.total, a.max);
     }
     let mut out = String::new();
     out.push_str(&format!(
@@ -185,9 +199,9 @@ mod tests {
     #[test]
     fn skewed_span_exports_without_panicking() {
         let skewed = TraceEvent {
-            name: "skewed".to_string(),
+            name: "skewed".into(),
             category: "test",
-            track: "wall".to_string(),
+            track: "wall".into(),
             kind: EventKind::Span { start_ns: 2_000, end_ns: 1_000 },
             id: crate::SpanId(1),
             parent: crate::SpanId::NONE,
@@ -215,6 +229,36 @@ mod tests {
         assert_eq!(back, events);
         // And re-exporting the imported stream is byte-identical.
         assert_eq!(chrome_trace_json(&back), chrome_trace_json(&events));
+    }
+
+    #[test]
+    fn importer_shares_one_handle_per_label() {
+        let sink = TraceSink::new();
+        let t = sink.tracer(ClockDomain::Virtual);
+        for i in 0..4 {
+            t.span_at("sim", "serial", "op", i * 10, i * 10 + 5);
+        }
+        let back = parse_chrome_trace(&chrome_trace_json(&sink.drain())).unwrap();
+        assert_eq!(back.len(), 4);
+        assert!(back.iter().all(|e| e.track.addr() == back[0].track.addr() && e.name.addr() == back[0].name.addr()));
+    }
+
+    #[test]
+    fn summary_rows_merge_equal_text_in_distinct_handles() {
+        let span = |track: Label, name: Label, start_ns: u64| TraceEvent {
+            name,
+            category: "sim",
+            track,
+            kind: EventKind::Span { start_ns, end_ns: start_ns + 10 },
+            id: SpanId(start_ns + 1),
+            parent: SpanId::NONE,
+        };
+        let (track, name) = (Label::from("serial"), Label::from("op"));
+        let shared: Vec<TraceEvent> = (0..3).map(|i| span(track.clone(), name.clone(), i)).collect();
+        let distinct: Vec<TraceEvent> = (0..3).map(|i| span("serial".into(), "op".into(), i)).collect();
+        let table = summary_table(&distinct);
+        assert_eq!(table, summary_table(&shared));
+        assert!(table.contains("(1 span kinds,"), "{table}");
     }
 
     #[test]

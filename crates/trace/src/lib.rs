@@ -19,7 +19,10 @@
 //! Every tracer a [`TraceSink`] hands out records straight into the
 //! one event buffer it shares with the sink, so an event is collected
 //! as soon as its recording call returns, on whichever thread made it;
-//! [`TraceSink::drain`] takes the buffer and sorts it. A disabled
+//! [`TraceSink::drain`] takes the buffer and sorts it. The sink interns
+//! each track and name once, so every event carries shared [`Label`]
+//! handles rather than text of its own, and the exporters resolve each
+//! distinct label once rather than once per event. A disabled
 //! tracer ([`Tracer::disabled`]) reduces every recording call to one
 //! branch; the `ablate_trace_overhead` benchmark in popper-bench keeps
 //! that honest.
@@ -35,6 +38,7 @@ mod chrome;
 pub mod diff;
 pub mod event;
 pub mod export;
+mod label;
 pub mod recorder;
 pub mod sink;
 pub mod svg;
@@ -43,6 +47,7 @@ pub mod tracer;
 pub use diff::{diff_traces, DiffOptions, Divergence, DivergenceKind, TraceDiff};
 pub use event::{EventKind, SpanId, TraceEvent};
 pub use export::{chrome_trace_json, parse_chrome_trace, summary_table};
+pub use label::{Label, NumberedTracks};
 pub use sink::TraceSink;
 pub use recorder::TraceRecorder;
 pub use svg::{timeline_svg, timeline_svg_filtered};

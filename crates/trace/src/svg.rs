@@ -8,12 +8,12 @@
 //! opens the next. Instants and counters draw at most one marker each
 //! per row, colour and pixel column. A span still gets its label when
 //! it is wider than the text, and deeper insets paint after shallower
-//! ones, so nested spans stay visible.
+//! ones, so nested spans stay visible. A track's row is resolved once
+//! per distinct label handle, not by its text per event.
 
 use crate::event::{EventKind, SpanId, TraceEvent};
+use crate::label::{FxMap, FxSet, Label, Slots};
 use popper_viz::svg::{ticks, SvgDoc};
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
 
 const LEFT: f64 = 190.0;
 const WIDTH: u32 = 1060;
@@ -45,32 +45,6 @@ fn fmt_axis(ns: f64) -> String {
     }
 }
 
-/// FNV-1a. The timeline looks up a track name and a few span ids per
-/// event. They are names and ids the program's own tracers recorded,
-/// not keys an outsider picks, so SipHash's resistance to chosen keys
-/// buys nothing here; it cost a 190k-event timeline about 25 ms more.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Fnv {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<Fnv>>;
-
 /// Where bars are drawn: a row, a nesting level and a palette colour.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Lane {
@@ -92,23 +66,25 @@ struct Bar<'a> {
 struct Layout<'a> {
     /// Tracks in sorted order: a track's index is its row.
     tracks: Vec<&'a str>,
-    rows: FnvMap<&'a str, usize>,
+    /// The distinct track labels, and the row of each slot.
+    slots: Slots<'a>,
+    rows: Vec<u32>,
     /// Categories in sorted order: index modulo the palette is colour.
     cats: Vec<&'static str>,
     t_max: u64,
     scale: f64,
     /// Parents recorded in the same batch.
-    parent_of: FnvMap<SpanId, SpanId>,
+    parent_of: FxMap<SpanId, SpanId>,
 }
 
 impl<'a> Layout<'a> {
     fn new(events: impl Iterator<Item = &'a TraceEvent>) -> Layout<'a> {
-        let mut rows = FnvMap::default();
+        let mut slots = Slots::default();
         let mut cats = Vec::new();
         let mut t_max = 0;
-        let mut parent_of = FnvMap::default();
+        let mut parent_of = FxMap::default();
         for e in events {
-            rows.entry(e.track.as_str()).or_insert(0);
+            slots.insert(&e.track);
             if !cats.contains(&e.category) {
                 cats.push(e.category);
             }
@@ -117,23 +93,21 @@ impl<'a> Layout<'a> {
                 parent_of.insert(e.id, e.parent);
             }
         }
-        let mut tracks: Vec<&str> = rows.keys().copied().collect();
+        let mut tracks = slots.texts().to_vec();
         tracks.sort_unstable();
-        for (row, track) in tracks.iter().enumerate() {
-            rows.insert(track, row);
-        }
+        let rows = slots.ranks();
         cats.sort_unstable();
         let t_max = t_max.max(1);
         let scale = (WIDTH as f64 - LEFT - 20.0) / t_max as f64;
-        Layout { tracks, rows, cats, t_max, scale, parent_of }
+        Layout { tracks, slots, rows, cats, t_max, scale, parent_of }
     }
 
     fn x(&self, ns: u64) -> f64 {
         LEFT + ns as f64 * self.scale
     }
 
-    fn row(&self, track: &str) -> usize {
-        *self.rows.get(track).expect("every track has a row")
+    fn row(&self, track: &Label) -> usize {
+        self.rows[self.slots.of(track)] as usize
     }
 
     fn color(&self, category: &str) -> usize {
@@ -253,7 +227,7 @@ fn render<'a>(events: impl Iterator<Item = &'a TraceEvent> + Clone) -> String {
 
     // Instants and counters: one marker of each per row, colour and
     // pixel column.
-    let mut marked: HashSet<_, BuildHasherDefault<Fnv>> = HashSet::default();
+    let mut marked = FxSet::default();
     for e in events {
         let (instant, ts_ns) = match e.kind {
             EventKind::Span { .. } => continue,
@@ -292,9 +266,9 @@ mod tests {
 
     fn span(track: &str, name: &str, start_ns: u64, end_ns: u64, id: u64, parent: u64) -> TraceEvent {
         TraceEvent {
-            name: name.to_string(),
+            name: name.into(),
             category: "sim",
-            track: track.to_string(),
+            track: track.into(),
             kind: EventKind::Span { start_ns, end_ns },
             id: SpanId(id),
             parent: SpanId(parent),
@@ -329,9 +303,9 @@ mod tests {
     #[test]
     fn markers_draw_once_per_row_colour_and_pixel_column() {
         let point = |track: &str, ts_ns| TraceEvent {
-            name: "tick".to_string(),
+            name: "tick".into(),
             category: "chaos",
-            track: track.to_string(),
+            track: track.into(),
             kind: EventKind::Instant { ts_ns },
             id: SpanId::NONE,
             parent: SpanId::NONE,
@@ -381,9 +355,9 @@ mod tests {
             };
             let id = if matches!(kind, EventKind::Span { .. }) { i + 1 } else { 0 };
             events.push(TraceEvent {
-                name: format!("op{}", next() % 5),
+                name: format!("op{}", next() % 5).into(),
                 category,
-                track: track.to_string(),
+                track: track.into(),
                 kind,
                 id: SpanId(id),
                 parent: SpanId(parent),
@@ -437,7 +411,7 @@ mod tests {
                 start += dur.max(941) + 2_400 + (x >> 20) % 2_000;
             }
             let layout = Layout::new(events.iter());
-            let row = layout.row("t");
+            let row = layout.row(&events[1].track);
             let all = layout.bars(events.iter());
             let bars: Vec<&Bar> = all.iter().filter(|b| b.lane.row == row).collect();
             prop_assert_eq!(bars.len(), events.len() - 1);

@@ -8,14 +8,16 @@
 //! Every event goes straight into the buffer its [`TraceSink`] shares
 //! with all the tracers it hands out, so an event is in the sink the
 //! moment its recording call returns: a worker of a scoped pool needs
-//! no flush before its closure returns. The only per-thread state is a
-//! stack of open wall-clock spans, keyed by tracer core, for the parent
-//! links of [`Tracer::span`].
+//! no flush before its closure returns. Under the same lock the sink
+//! interns the event's track and name, so the buffer holds two label
+//! numbers per event and no text. The only per-thread state is a stack
+//! of open wall-clock spans, keyed by tracer core, for the parent links
+//! of [`Tracer::span`].
 //!
 //! [`TraceSink`]: crate::TraceSink
 
-use crate::event::{EventKind, SpanId, TraceEvent};
-use parking_lot::Mutex;
+use crate::event::{EventKind, SpanId};
+use crate::sink::{Recorded, SharedRecording};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -33,11 +35,8 @@ pub enum ClockDomain {
     Virtual,
 }
 
-/// The buffer a sink shares with its tracers.
-pub(crate) type SharedEvents = Arc<Mutex<Vec<TraceEvent>>>;
-
 pub(crate) struct Core {
-    events: SharedEvents,
+    recording: SharedRecording,
     // Distinguishes this core's open spans on a thread's stack; unlike
     // the core's address it is never reused.
     key: u64,
@@ -47,10 +46,10 @@ pub(crate) struct Core {
 }
 
 impl Core {
-    pub(crate) fn new(events: SharedEvents, domain: ClockDomain) -> Core {
+    pub(crate) fn new(recording: SharedRecording, domain: ClockDomain) -> Core {
         static NEXT_KEY: AtomicU64 = AtomicU64::new(0);
         Core {
-            events,
+            recording,
             key: NEXT_KEY.fetch_add(1, Ordering::Relaxed),
             next_id: AtomicU64::new(1),
             epoch: Instant::now(),
@@ -67,8 +66,29 @@ impl Core {
         self.epoch.elapsed().as_nanos() as u64
     }
 
-    fn push(&self, event: TraceEvent) {
-        self.events.lock().push(event);
+    /// The sink's numbers for a track and a name.
+    fn labels(&self, track: &str, name: &str) -> (u32, u32) {
+        let mut recording = self.recording.lock();
+        (recording.labels.id(track), recording.labels.id(name))
+    }
+
+    /// Record one event: intern its labels and buffer it, under one lock.
+    fn record(
+        &self,
+        category: &'static str,
+        track: &str,
+        name: &str,
+        kind: EventKind,
+        id: SpanId,
+        parent: SpanId,
+    ) {
+        let mut recording = self.recording.lock();
+        let (track, name) = (recording.labels.id(track), recording.labels.id(name));
+        recording.events.push(Recorded { kind, id, parent, category, track, name });
+    }
+
+    fn push(&self, event: Recorded) {
+        self.recording.lock().events.push(event);
     }
 }
 
@@ -135,14 +155,15 @@ impl Tracer {
             open.push((core.key, id));
             parent
         });
+        let (track, name) = core.labels(track.as_ref(), name.as_ref());
         SpanGuard {
             inner: Some(GuardInner {
                 core: Arc::clone(core),
                 id,
                 parent,
                 category,
-                track: track.as_ref().to_string(),
-                name: name.as_ref().to_string(),
+                track,
+                name,
                 start_ns: core.now_ns(),
             }),
         }
@@ -174,14 +195,8 @@ impl Tracer {
     ) -> SpanId {
         let Some(core) = &self.core else { return SpanId::NONE };
         let id = core.alloc_id();
-        core.push(TraceEvent {
-            name: name.as_ref().to_string(),
-            category,
-            track: track.as_ref().to_string(),
-            kind: EventKind::Span { start_ns, end_ns: end_ns.max(start_ns) },
-            id,
-            parent,
-        });
+        let kind = EventKind::Span { start_ns, end_ns: end_ns.max(start_ns) };
+        core.record(category, track.as_ref(), name.as_ref(), kind, id, parent);
         id
     }
 
@@ -201,14 +216,8 @@ impl Tracer {
         ts_ns: u64,
     ) {
         let Some(core) = &self.core else { return };
-        core.push(TraceEvent {
-            name: name.as_ref().to_string(),
-            category,
-            track: track.as_ref().to_string(),
-            kind: EventKind::Instant { ts_ns },
-            id: SpanId::NONE,
-            parent: SpanId::NONE,
-        });
+        let kind = EventKind::Instant { ts_ns };
+        core.record(category, track.as_ref(), name.as_ref(), kind, SpanId::NONE, SpanId::NONE);
     }
 
     /// Sample a counter at the wall clock's current time.
@@ -221,14 +230,8 @@ impl Tracer {
     /// Sample a counter at an explicit timestamp.
     pub fn counter_at(&self, track: impl AsRef<str>, name: impl AsRef<str>, value: f64, ts_ns: u64) {
         let Some(core) = &self.core else { return };
-        core.push(TraceEvent {
-            name: name.as_ref().to_string(),
-            category: "counter",
-            track: track.as_ref().to_string(),
-            kind: EventKind::Counter { ts_ns, value },
-            id: SpanId::NONE,
-            parent: SpanId::NONE,
-        });
+        let kind = EventKind::Counter { ts_ns, value };
+        core.record("counter", track.as_ref(), name.as_ref(), kind, SpanId::NONE, SpanId::NONE);
     }
 
     /// Does nothing: every event is in the sink as soon as it is
@@ -242,8 +245,8 @@ struct GuardInner {
     id: SpanId,
     parent: SpanId,
     category: &'static str,
-    track: String,
-    name: String,
+    track: u32,
+    name: u32,
     start_ns: u64,
 }
 
@@ -270,13 +273,13 @@ impl Drop for SpanGuard {
                 open.remove(pos);
             }
         });
-        g.core.push(TraceEvent {
-            name: g.name,
-            category: g.category,
-            track: g.track,
+        g.core.push(Recorded {
             kind: EventKind::Span { start_ns: g.start_ns, end_ns: end_ns.max(g.start_ns) },
             id: g.id,
             parent: g.parent,
+            category: g.category,
+            track: g.track,
+            name: g.name,
         });
     }
 }

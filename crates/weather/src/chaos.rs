@@ -312,7 +312,7 @@ mod tests {
             popper_trace::with_current(tracer, || fetch_with_faults(&small_cfg(), &schedule)).unwrap();
         // Every injected fault is marked on the timeline under its
         // `PlaneCmd` label.
-        let faults: Vec<String> = sink.drain().into_iter().map(|e| e.name).collect();
+        let faults: Vec<String> = sink.drain().into_iter().map(|e| e.name.to_string()).collect();
         assert_eq!(faults, ["crash node 3", "restart node 3"]);
         assert!(report.failovers > 0, "crashed mirror must force failovers");
         assert_eq!(report.corrupt, 0);

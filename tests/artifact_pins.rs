@@ -27,9 +27,9 @@ fn event(
     parent: u64,
 ) -> TraceEvent {
     TraceEvent {
-        name: name.to_string(),
+        name: name.into(),
         category,
-        track: track.to_string(),
+        track: track.into(),
         kind,
         id: SpanId(id),
         parent: SpanId(parent),

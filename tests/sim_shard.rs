@@ -172,7 +172,7 @@ fn sharded_engine_emits_a_drain_sample_per_shard() {
     for e in &events {
         if let popper_trace::EventKind::Counter { value, .. } = e.kind {
             if e.name == "pending" {
-                last_pending.insert(e.track.clone(), value);
+                last_pending.insert(e.track.to_string(), value);
             }
         }
     }
