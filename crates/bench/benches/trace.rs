@@ -55,8 +55,8 @@ type Sample = ([f64; 9], [f64; 2]);
 /// a shared 2-core host, alternated run by run with this commit: the
 /// middle of three runs by `wall_ms`.
 const BEFORE: [(&str, Sample); 2] = [
-    ("gassyfs", ([0.0; 9], [0.0; 2])),
-    ("mpi-comm-variability", ([0.0; 9], [0.0; 2])),
+    ("gassyfs", ([383.45, 49.47, 74.28, 83.66, 69.10, 23.99, 168.64, 22.60, 41.67], [117_910.0, 96.0])),
+    ("mpi-comm-variability", ([374.60, 63.17, 91.59, 103.73, 75.65, 23.15, 200.89, 27.41, 32.34], [195_662.0, 72.0])),
 ];
 
 fn popper(dir: &Path, argv: &[&str]) -> String {

@@ -6,8 +6,9 @@
 //! `Value` tree, byte for byte: keys in the same order, and strings and
 //! numbers appended by the JSON writer's own `write_string`/`write_num`.
 //! Timestamps and ids take an exact integer path; only values too large
-//! for it go through `write_num`. A track's tid and a name's escaped
-//! text are worked out once per distinct label, not once per event.
+//! for it go through `write_num`. An event's head (its escaped name and
+//! category and its track's tid) is written once per distinct (track,
+//! name, category) handle and copied for every event that shares it.
 
 use crate::event::{EventKind, TraceEvent};
 use crate::label::{FxMap, Slots};
@@ -94,13 +95,13 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             })
         })
         .collect();
-    let ranks = tracks.ranks();
+    let (sorted, ranks) = tracks.sorted();
     let tid = |track| u64::from(ranks[tracks.of(track)]) + 1;
     // Each head's text up to the event's phase, and where its name ends.
     let heads: Vec<(String, usize)> = firsts
         .iter()
         .map(|e| {
-            let mut head = String::from("{\"name\":");
+            let mut head = String::from(HEAD);
             write_string(&mut head, &e.name);
             let name_end = head.len();
             head.push_str(",\"cat\":");
@@ -110,10 +111,6 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
             (head, name_end)
         })
         .collect();
-    let mut sorted = vec![""; ranks.len()];
-    for (&rank, &track) in ranks.iter().zip(tracks.texts()) {
-        sorted[rank as usize] = track;
-    }
     let mut out = String::with_capacity(64 + events.len() * 160);
     out.push_str("{\"traceEvents\":[");
     push_meta(&mut out, "process_name", None, "popper");
@@ -125,14 +122,14 @@ pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
         let (head, name_end) = &heads[head as usize];
         out.push(',');
         out.push_str(head);
-        push_tail(&mut out, e, &head[HEAD_NAME..*name_end]);
+        push_tail(&mut out, e, &head[HEAD.len()..*name_end]);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
 }
 
-/// Where an event's name starts in its head: after `{"name":`.
-const HEAD_NAME: usize = 8;
+/// What every event's head starts with; its name follows.
+const HEAD: &str = "{\"name\":";
 
 /// A `ph: "M"` metadata element (`process_name` / `thread_name`).
 fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &str) {

@@ -92,24 +92,6 @@ impl PartialEq<&str> for Label {
     }
 }
 
-impl PartialEq<String> for Label {
-    fn eq(&self, other: &String) -> bool {
-        *self.0 == **other
-    }
-}
-
-impl PartialEq<Label> for str {
-    fn eq(&self, other: &Label) -> bool {
-        *self == *other.0
-    }
-}
-
-impl PartialEq<Label> for &str {
-    fn eq(&self, other: &Label) -> bool {
-        **self == *other.0
-    }
-}
-
 /// The tracks `<prefix>0`, `<prefix>1`, …, each formatted the first time
 /// it is asked for: a per-node or per-rank layer names an event's track
 /// without a `format!` per event.
@@ -136,10 +118,10 @@ impl NumberedTracks {
 }
 
 /// A word-at-a-time multiplicative hasher (the rotate-xor-multiply step
-/// of rustc's FxHash). The maps here are keyed by the labels and label
-/// addresses of the program's own recordings, not by keys an outsider
-/// picks, so SipHash's resistance to chosen keys buys nothing, and it
-/// would hash the text of two labels per recorded event.
+/// of rustc's FxHash). Recording hashes the text of two labels per
+/// event, and the exporters a label address or span id per event. These
+/// are keys of the program's own recordings, not keys an outsider
+/// picks, so SipHash's resistance to chosen keys buys nothing here.
 #[derive(Default)]
 pub(crate) struct FxHasher(u64);
 
@@ -249,14 +231,15 @@ impl<'a> Slots<'a> {
         self.by_addr[&label.addr()] as usize
     }
 
-    /// The distinct texts, indexed by slot.
-    pub(crate) fn texts(&self) -> &[&'a str] {
-        &self.texts
-    }
-
-    /// Each slot's rank among the distinct texts in text order.
-    pub(crate) fn ranks(&self) -> Vec<u32> {
-        ranks(&self.texts)
+    /// The distinct texts in text order, and each slot's rank among
+    /// them.
+    pub(crate) fn sorted(&self) -> (Vec<&'a str>, Vec<u32>) {
+        let ranks = ranks(&self.texts);
+        let mut sorted = vec![""; ranks.len()];
+        for (&rank, &text) in ranks.iter().zip(&self.texts) {
+            sorted[rank as usize] = text;
+        }
+        (sorted, ranks)
     }
 }
 
@@ -292,14 +275,13 @@ mod tests {
         assert_eq!(a, b);
         assert!(a < c);
         assert_eq!(a, "x");
-        assert!("x" == a);
         let mut slots = Slots::default();
         for label in [&c, &a, &b, &c] {
             slots.insert(label);
         }
-        assert_eq!(slots.texts(), ["y", "x"]);
         assert_eq!(slots.of(&a), slots.of(&b));
-        assert_eq!(slots.ranks(), [1, 0]);
+        assert_eq!((slots.of(&c), slots.of(&a)), (0, 1));
+        assert_eq!(slots.sorted(), (vec!["x", "y"], vec![1, 0]));
     }
 
     #[test]

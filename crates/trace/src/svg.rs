@@ -93,9 +93,7 @@ impl<'a> Layout<'a> {
                 parent_of.insert(e.id, e.parent);
             }
         }
-        let mut tracks = slots.texts().to_vec();
-        tracks.sort_unstable();
-        let rows = slots.ranks();
+        let (tracks, rows) = slots.sorted();
         cats.sort_unstable();
         let t_max = t_max.max(1);
         let scale = (WIDTH as f64 - LEFT - 20.0) / t_max as f64;
