@@ -8,10 +8,10 @@
 //! Timestamps and ids take an exact integer path; only values too large
 //! for it go through `write_num`. An event's head (its escaped name and
 //! category and its track's tid) is written once per distinct (track,
-//! name, category) handle and copied for every event that shares it.
+//! name, category) text and copied for every event that shares it.
 
 use crate::event::{EventKind, TraceEvent};
-use crate::label::{FxMap, Slots};
+use crate::label::FxMap;
 use popper_format::json::{write_num, write_string};
 
 /// Below this, an integer `n` (an id, or a timestamp in ns whose
@@ -20,22 +20,17 @@ use popper_format::json::{write_num, write_string};
 /// prints as exactly those digits.
 const EXACT: u64 = 1_000_000_000_000_000;
 
-/// The two-digit numbers "00" to "99", back to back.
-const PAIRS: &[u8; 200] = b"00010203040506070809101112131415161718192021222324252627282930313233343536373839404142434445464748495051525354555657585960616263646566676869707172737475767778798081828384858687888990919293949596979899";
-
-/// Append `n` in decimal, two digits per division.
+/// Append `n` in decimal.
 fn push_u64(out: &mut String, mut n: u64) {
     let mut buf = [0u8; 20];
     let mut i = buf.len();
-    while n >= 10 {
-        let pair = (n % 100) as usize * 2;
-        n /= 100;
-        i -= 2;
-        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
-    }
-    if n > 0 || i == buf.len() {
+    loop {
         i -= 1;
-        buf[i] = b'0' + n as u8;
+        buf[i] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
     }
     out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
 }
@@ -79,57 +74,33 @@ fn push_id(out: &mut String, n: u64) {
 /// the events in the order given. Load it in `chrome://tracing` or
 /// Perfetto. Stable output: same events ⇒ same bytes.
 pub fn chrome_trace_json(events: &[TraceEvent]) -> String {
-    // Number the distinct (track, name, category) handles the events
-    // start with; only the first event of each is looked at further.
-    let mut tracks = Slots::default();
-    let mut head_of: FxMap<(usize, usize, usize, usize), u32> = FxMap::default();
-    let mut firsts: Vec<&TraceEvent> = Vec::new();
-    let heads_of_events: Vec<u32> = events
-        .iter()
-        .map(|e| {
-            let key = (e.track.addr(), e.name.addr(), e.category.as_ptr() as usize, e.category.len());
-            *head_of.entry(key).or_insert_with(|| {
-                tracks.insert(&e.track);
-                firsts.push(e);
-                firsts.len() as u32 - 1
-            })
-        })
-        .collect();
-    let (sorted, ranks) = tracks.sorted();
-    let tid = |track| u64::from(ranks[tracks.of(track)]) + 1;
-    // Each head's text up to the event's phase, and where its name ends.
-    let heads: Vec<(String, usize)> = firsts
-        .iter()
-        .map(|e| {
-            let mut head = String::from(HEAD);
-            write_string(&mut head, &e.name);
-            let name_end = head.len();
-            head.push_str(",\"cat\":");
-            write_string(&mut head, e.category);
-            head.push_str(",\"pid\":1,\"tid\":");
-            push_id(&mut head, tid(&e.track));
-            (head, name_end)
-        })
-        .collect();
+    let mut tid_of: FxMap<&str, u64> = events.iter().map(|e| (e.track.as_str(), 0)).collect();
+    let mut tracks: Vec<&str> = tid_of.keys().copied().collect();
+    tracks.sort_unstable();
+    for (tid, track) in (1..).zip(&tracks) {
+        tid_of.insert(track, tid);
+    }
+    let mut heads: FxMap<(&str, &str, &str), String> = FxMap::default();
     let mut out = String::with_capacity(64 + events.len() * 160);
     out.push_str("{\"traceEvents\":[");
     push_meta(&mut out, "process_name", None, "popper");
-    for (tid, track) in (1..).zip(&sorted) {
+    for (tid, track) in (1..).zip(&tracks) {
         out.push(',');
         push_meta(&mut out, "thread_name", Some(tid), track);
     }
-    for (e, &head) in events.iter().zip(&heads_of_events) {
-        let (head, name_end) = &heads[head as usize];
+    for e in events {
+        let head = heads.entry((e.track.as_str(), e.name.as_str(), e.category)).or_insert_with(|| {
+            let mut head = String::new();
+            push_head(&mut head, e, tid_of[e.track.as_str()]);
+            head
+        });
         out.push(',');
         out.push_str(head);
-        push_tail(&mut out, e, &head[HEAD.len()..*name_end]);
+        push_tail(&mut out, e);
     }
     out.push_str("],\"displayTimeUnit\":\"ms\"}");
     out
 }
-
-/// What every event's head starts with; its name follows.
-const HEAD: &str = "{\"name\":";
 
 /// A `ph: "M"` metadata element (`process_name` / `thread_name`).
 fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
@@ -145,9 +116,19 @@ fn push_meta(out: &mut String, name: &str, tid: Option<u64>, value: &str) {
     out.push_str("}}");
 }
 
-/// The rest of the trace-event array element for `e` after its head;
-/// `name` is its name as a JSON string.
-fn push_tail(out: &mut String, e: &TraceEvent, name: &str) {
+/// The start of the trace-event array element for `e` on thread `tid`,
+/// up to its phase.
+fn push_head(out: &mut String, e: &TraceEvent, tid: u64) {
+    out.push_str("{\"name\":");
+    write_string(out, &e.name);
+    out.push_str(",\"cat\":");
+    write_string(out, e.category);
+    out.push_str(",\"pid\":1,\"tid\":");
+    push_id(out, tid);
+}
+
+/// The rest of the trace-event array element for `e` after its head.
+fn push_tail(out: &mut String, e: &TraceEvent) {
     match e.kind {
         EventKind::Span { start_ns, .. } => {
             out.push_str(",\"ph\":\"X\",\"ts\":");
@@ -174,7 +155,7 @@ fn push_tail(out: &mut String, e: &TraceEvent, name: &str) {
             out.push_str(",\"ph\":\"C\",\"ts\":");
             push_us(out, ts_ns);
             out.push_str(",\"args\":{");
-            out.push_str(name);
+            write_string(out, &e.name);
             out.push(':');
             write_num(out, value);
             out.push('}');
@@ -301,7 +282,7 @@ mod tests {
             .collect();
         let distinct: Vec<TraceEvent> =
             (0..4).map(|ts| event(if ts == 2 { "a" } else { "sim/net/node1" }.into(), "send".into(), ts)).collect();
-        assert_ne!(distinct[0].track.addr(), distinct[1].track.addr());
+        assert!(!std::ptr::eq(distinct[0].track.as_str(), distinct[1].track.as_str()));
         let json = chrome_trace_json(&distinct);
         assert_eq!(json, chrome_trace_json(&shared));
         assert_eq!(json.matches("thread_name").count(), 2, "{json}");

@@ -135,34 +135,23 @@ pub fn summary_table(events: &[TraceEvent]) -> String {
         total: u64,
         max: u64,
     }
-    impl Agg {
-        fn add(&mut self, count: u64, total: u64, max: u64) {
-            self.count += count;
-            self.total += total;
-            self.max = self.max.max(max);
-        }
-    }
-    // Aggregate per pair of label handles, then merge the pairs with
-    // equal text into the rows.
-    let mut by_handle: FxMap<(usize, usize), (&str, &str, Agg)> = FxMap::default();
+    let mut rows: FxMap<(&str, &str), Agg> = FxMap::default();
     let mut instants = 0u64;
     let mut counters = 0u64;
     for e in events {
         match e.kind {
             EventKind::Span { .. } => {
-                let (.., a) = by_handle
-                    .entry((e.track.addr(), e.name.addr()))
-                    .or_insert_with(|| (e.track.as_str(), e.name.as_str(), Agg::default()));
-                a.add(1, e.duration_ns(), e.duration_ns());
+                let a = rows.entry((e.track.as_str(), e.name.as_str())).or_default();
+                a.count += 1;
+                a.total += e.duration_ns();
+                a.max = a.max.max(e.duration_ns());
             }
             EventKind::Instant { .. } => instants += 1,
             EventKind::Counter { .. } => counters += 1,
         }
     }
-    let mut rows: BTreeMap<(&str, &str), Agg> = BTreeMap::new();
-    for (track, name, a) in by_handle.into_values() {
-        rows.entry((track, name)).or_default().add(a.count, a.total, a.max);
-    }
+    let mut rows: Vec<((&str, &str), Agg)> = rows.into_iter().collect();
+    rows.sort_unstable_by_key(|&(key, _)| key);
     let mut out = String::new();
     out.push_str(&format!(
         "{:<28} {:<24} {:>7} {:>10} {:>10} {:>10}\n",
@@ -240,7 +229,8 @@ mod tests {
         }
         let back = parse_chrome_trace(&chrome_trace_json(&sink.drain())).unwrap();
         assert_eq!(back.len(), 4);
-        assert!(back.iter().all(|e| e.track.addr() == back[0].track.addr() && e.name.addr() == back[0].name.addr()));
+        let same = |a: &Label, b: &Label| std::ptr::eq(a.as_str(), b.as_str());
+        assert!(back.iter().all(|e| same(&e.track, &back[0].track) && same(&e.name, &back[0].name)));
     }
 
     #[test]

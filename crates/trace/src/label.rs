@@ -27,13 +27,6 @@ impl Label {
     pub fn as_str(&self) -> &str {
         &self.0
     }
-
-    /// The address of the shared text: equal for clones of one handle,
-    /// distinct for live handles of distinct allocations. Exporters key
-    /// per-label work on it instead of hashing the text per event.
-    pub(crate) fn addr(&self) -> usize {
-        Arc::as_ptr(&self.0) as *const u8 as usize
-    }
 }
 
 impl Deref for Label {
@@ -119,7 +112,7 @@ impl NumberedTracks {
 
 /// A word-at-a-time multiplicative hasher (the rotate-xor-multiply step
 /// of rustc's FxHash). Recording hashes the text of two labels per
-/// event, and the exporters a label address or span id per event. These
+/// event, and the exporters a label's text or a span id per event. These
 /// are keys of the program's own recordings, not keys an outsider
 /// picks, so SipHash's resistance to chosen keys buys nothing here.
 #[derive(Default)]
@@ -136,16 +129,20 @@ impl Hasher for FxHasher {
         self.0
     }
 
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for chunk in &mut chunks {
-            self.add(u64::from_le_bytes(chunk.try_into().expect("8 bytes")));
+    /// Whole words, then a half word, then single bytes: the tail is
+    /// never copied into a buffer first, which cut a ~15-byte label's
+    /// lookup to about a third.
+    fn write(&mut self, mut bytes: &[u8]) {
+        while let Some((word, rest)) = bytes.split_first_chunk::<8>() {
+            self.add(u64::from_le_bytes(*word));
+            bytes = rest;
         }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            let mut word = [0u8; 8];
-            word[..rest.len()].copy_from_slice(rest);
-            self.add(u64::from_le_bytes(word));
+        if let Some((word, rest)) = bytes.split_first_chunk::<4>() {
+            self.add(u64::from(u32::from_le_bytes(*word)));
+            bytes = rest;
+        }
+        for &byte in bytes {
+            self.add(u64::from(byte));
         }
     }
 
@@ -200,49 +197,6 @@ impl Interner {
     }
 }
 
-/// The distinct labels among some handles, each resolved once: every
-/// handle maps to a slot, and handles with equal text map to one slot.
-/// Slots number the distinct texts in the order they first appear.
-#[derive(Default)]
-pub(crate) struct Slots<'a> {
-    by_addr: FxMap<usize, u32>,
-    by_text: FxMap<&'a str, u32>,
-    texts: Vec<&'a str>,
-}
-
-impl<'a> Slots<'a> {
-    /// Slot `label`: a hash of its address, and of its text only the
-    /// first time its handle is seen.
-    pub(crate) fn insert(&mut self, label: &'a Label) {
-        if self.by_addr.contains_key(&label.addr()) {
-            return;
-        }
-        let text = label.as_str();
-        let next = self.texts.len() as u32;
-        let slot = *self.by_text.entry(text).or_insert(next);
-        if slot == next {
-            self.texts.push(text);
-        }
-        self.by_addr.insert(label.addr(), slot);
-    }
-
-    /// The slot of a label that was slotted.
-    pub(crate) fn of(&self, label: &Label) -> usize {
-        self.by_addr[&label.addr()] as usize
-    }
-
-    /// The distinct texts in text order, and each slot's rank among
-    /// them.
-    pub(crate) fn sorted(&self) -> (Vec<&'a str>, Vec<u32>) {
-        let ranks = ranks(&self.texts);
-        let mut sorted = vec![""; ranks.len()];
-        for (&rank, &text) in ranks.iter().zip(&self.texts) {
-            sorted[rank as usize] = text;
-        }
-        (sorted, ranks)
-    }
-}
-
 /// The rank of each of `texts`, which are distinct, in sorted order.
 pub(crate) fn ranks<T: Ord>(texts: &[T]) -> Vec<u32> {
     let mut order: Vec<u32> = (0..texts.len() as u32).collect();
@@ -263,25 +217,18 @@ mod tests {
         let mut interner = Interner::default();
         let a = interner.intern("sim/net/node1");
         let b = interner.intern(&format!("sim/net/node{}", 1));
-        assert_eq!(a.addr(), b.addr());
+        assert!(std::ptr::eq(a.as_str(), b.as_str()));
         assert_eq!(interner.id("other"), 1);
         assert_eq!(interner.labels().len(), 2);
     }
 
     #[test]
-    fn equal_text_in_distinct_handles_is_equal_and_shares_a_slot() {
+    fn equal_text_in_distinct_handles_is_equal() {
         let (a, b, c) = (Label::from("x"), Label::from("x".to_string()), Label::from("y"));
-        assert_ne!(a.addr(), b.addr());
+        assert!(!std::ptr::eq(a.as_str(), b.as_str()));
         assert_eq!(a, b);
         assert!(a < c);
         assert_eq!(a, "x");
-        let mut slots = Slots::default();
-        for label in [&c, &a, &b, &c] {
-            slots.insert(label);
-        }
-        assert_eq!(slots.of(&a), slots.of(&b));
-        assert_eq!((slots.of(&c), slots.of(&a)), (0, 1));
-        assert_eq!(slots.sorted(), (vec!["x", "y"], vec![1, 0]));
     }
 
     #[test]

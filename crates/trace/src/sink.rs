@@ -77,45 +77,18 @@ impl TraceSink {
             let mut recording = self.recording.lock();
             (recording.labels.labels().to_vec(), std::mem::take(&mut recording.events))
         };
-        sorted(&recorded, &labels, u64::BITS)
-    }
-}
-
-/// `recorded` as events in drain order. Distinct labels have distinct
-/// text, so comparing their ranks compares their text. When the ranks
-/// and the record index fit in `word_bits` bits, the sort key is one
-/// `u128`: start, track rank, name rank, index; runs that tie on all but
-/// the index are then put in id order, which a stable sort keeps in
-/// record order. Otherwise the key is a tuple that holds the id too.
-fn sorted(recorded: &[Recorded], labels: &[Label], word_bits: u32) -> Vec<TraceEvent> {
-    let rank = ranks(labels);
-    let bits = |n: usize| usize::BITS - n.leading_zeros();
-    let (label_bits, index_bits) = (bits(labels.len()), bits(recorded.len()));
-    if 2 * label_bits + index_bits > word_bits {
-        let mut keys: Vec<(u64, u32, u32, u64, usize)> = recorded
+        // Distinct labels have distinct text, so comparing their ranks
+        // compares their text; the record index ends the key, so the
+        // unstable sort keeps ties in record order.
+        let rank = ranks(&labels);
+        let mut keys: Vec<(u64, u32, u32, SpanId, usize)> = recorded
             .iter()
             .enumerate()
-            .map(|(i, e)| (e.kind.start_ns(), rank[e.track as usize], rank[e.name as usize], e.id.0, i))
+            .map(|(i, e)| (e.kind.start_ns(), rank[e.track as usize], rank[e.name as usize], e.id, i))
             .collect();
         keys.sort_unstable();
-        return keys.into_iter().map(|(.., i)| recorded[i].event(labels)).collect();
+        keys.into_iter().map(|(.., i)| recorded[i].event(&labels)).collect()
     }
-    let mut keys: Vec<u128> = recorded
-        .iter()
-        .enumerate()
-        .map(|(i, e)| {
-            let labels = u64::from(rank[e.track as usize]) << label_bits | u64::from(rank[e.name as usize]);
-            u128::from(e.kind.start_ns()) << 64 | u128::from(labels << index_bits | i as u64)
-        })
-        .collect();
-    keys.sort_unstable();
-    let index = |key: u128| (key as u64 & ((1 << index_bits) - 1)) as usize;
-    for run in keys.chunk_by_mut(|a, b| a >> index_bits == b >> index_bits) {
-        if run.len() > 1 {
-            run.sort_by_key(|&key| recorded[index(key)].id);
-        }
-    }
-    keys.into_iter().map(|key| recorded[index(key)].event(labels)).collect()
 }
 
 #[cfg(test)]
@@ -145,9 +118,10 @@ mod tests {
         tracer.span_at("test", "node0", "op", 0, 1);
         let later = sink.drain();
         let node0 = events.iter().find(|e| e.track == "node0").unwrap();
-        assert!(events.iter().filter(|e| e.track == "node0").all(|e| e.track.addr() == node0.track.addr()));
-        assert_eq!(later[0].track.addr(), node0.track.addr());
-        assert_eq!(later[0].name.addr(), node0.name.addr());
+        let same = |a: &Label, b: &Label| std::ptr::eq(a.as_str(), b.as_str());
+        assert!(events.iter().filter(|e| e.track == "node0").all(|e| same(&e.track, &node0.track)));
+        assert!(same(&later[0].track, &node0.track));
+        assert!(same(&later[0].name, &node0.name));
         assert_eq!(sink.recording.lock().labels.labels().len(), 3);
     }
 
@@ -188,14 +162,11 @@ mod tests {
                     });
                 }
             });
-            // The recorded order, and the drain order with the tuple key.
-            let (recorded, tuple_keyed) = {
+            let mut expect: Vec<TraceEvent> = {
                 let recording = sink.recording.lock();
                 let labels = recording.labels.labels();
-                let recorded: Vec<TraceEvent> = recording.events.iter().map(|e| e.event(labels)).collect();
-                (recorded, sorted(&recording.events, labels, 0))
+                recording.events.iter().map(|e| e.event(labels)).collect()
             };
-            let mut expect = recorded.clone();
             expect.sort_by(|a, b| {
                 a.start_ns()
                     .cmp(&b.start_ns())
@@ -203,7 +174,6 @@ mod tests {
                     .then_with(|| a.name.as_str().cmp(b.name.as_str()))
                     .then_with(|| a.id.cmp(&b.id))
             });
-            prop_assert_eq!(&tuple_keyed, &expect);
             prop_assert_eq!(sink.drain(), expect);
         }
     }

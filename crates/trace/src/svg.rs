@@ -8,11 +8,10 @@
 //! opens the next. Instants and counters draw at most one marker each
 //! per row, colour and pixel column. A span still gets its label when
 //! it is wider than the text, and deeper insets paint after shallower
-//! ones, so nested spans stay visible. A track's row is resolved once
-//! per distinct label handle, not by its text per event.
+//! ones, so nested spans stay visible.
 
 use crate::event::{EventKind, SpanId, TraceEvent};
-use crate::label::{FxMap, FxSet, Label, Slots};
+use crate::label::{FxMap, FxSet};
 use popper_viz::svg::{ticks, SvgDoc};
 
 const LEFT: f64 = 190.0;
@@ -66,9 +65,7 @@ struct Bar<'a> {
 struct Layout<'a> {
     /// Tracks in sorted order: a track's index is its row.
     tracks: Vec<&'a str>,
-    /// The distinct track labels, and the row of each slot.
-    slots: Slots<'a>,
-    rows: Vec<u32>,
+    rows: FxMap<&'a str, usize>,
     /// Categories in sorted order: index modulo the palette is colour.
     cats: Vec<&'static str>,
     t_max: u64,
@@ -79,12 +76,12 @@ struct Layout<'a> {
 
 impl<'a> Layout<'a> {
     fn new(events: impl Iterator<Item = &'a TraceEvent>) -> Layout<'a> {
-        let mut slots = Slots::default();
+        let mut rows = FxMap::default();
         let mut cats = Vec::new();
         let mut t_max = 0;
         let mut parent_of = FxMap::default();
         for e in events {
-            slots.insert(&e.track);
+            rows.entry(e.track.as_str()).or_insert(0);
             if !cats.contains(&e.category) {
                 cats.push(e.category);
             }
@@ -93,19 +90,23 @@ impl<'a> Layout<'a> {
                 parent_of.insert(e.id, e.parent);
             }
         }
-        let (tracks, rows) = slots.sorted();
+        let mut tracks: Vec<&str> = rows.keys().copied().collect();
+        tracks.sort_unstable();
+        for (row, track) in tracks.iter().enumerate() {
+            rows.insert(track, row);
+        }
         cats.sort_unstable();
         let t_max = t_max.max(1);
         let scale = (WIDTH as f64 - LEFT - 20.0) / t_max as f64;
-        Layout { tracks, slots, rows, cats, t_max, scale, parent_of }
+        Layout { tracks, rows, cats, t_max, scale, parent_of }
     }
 
     fn x(&self, ns: u64) -> f64 {
         LEFT + ns as f64 * self.scale
     }
 
-    fn row(&self, track: &Label) -> usize {
-        self.rows[self.slots.of(track)] as usize
+    fn row(&self, track: &str) -> usize {
+        *self.rows.get(track).expect("every track has a row")
     }
 
     fn color(&self, category: &str) -> usize {
@@ -409,7 +410,7 @@ mod tests {
                 start += dur.max(941) + 2_400 + (x >> 20) % 2_000;
             }
             let layout = Layout::new(events.iter());
-            let row = layout.row(&events[1].track);
+            let row = layout.row("t");
             let all = layout.bars(events.iter());
             let bars: Vec<&Bar> = all.iter().filter(|b| b.lane.row == row).collect();
             prop_assert_eq!(bars.len(), events.len() - 1);
