@@ -465,6 +465,33 @@ mod tests {
         assert!(saw_leaf && saw_list);
     }
 
+    /// The first draws of a fixed salt through every generator path
+    /// (full-domain values, integer, inclusive and float ranges, the
+    /// coin flip behind `option_of`, string classes): property cases
+    /// stay the same across changes to the generator underneath.
+    /// Assumes `PROPTEST_SEED` is unset.
+    #[test]
+    fn first_draws_of_a_fixed_salt_are_pinned() {
+        let mut rng = crate::test_runner::TestRng::deterministic(0x5a17);
+        let draws = format!(
+            "{:?}",
+            (
+                (any::<u64>(), any::<u32>(), any::<u16>(), any::<u8>(), any::<usize>()).generate(&mut rng),
+                (any::<bool>(), any::<i32>(), any::<i64>(), any::<f32>(), any::<f64>()).generate(&mut rng),
+                (0u64..u64::MAX, -5i8..=5, 0u64..=u64::MAX, 3usize..9, -40i64..-2).generate(&mut rng),
+                (-1.5f64..2.5, 0.0f32..=1.0, crate::strategy::option_of(0u8..4), "[a-c]{2,5}", "\\PC{3}")
+                    .generate(&mut rng),
+            )
+        );
+        assert_eq!(
+            draws,
+            "((7512438541446944354, 1871821498, 38253, 99, 331630949272009960), \
+             (false, -1737119565, -390252638885058892, 0.32663894, 0.5108329111970642), \
+             (10139075369167665786, 1, 13087520751694279497, 3, -9), \
+             (-0.950021150875568, 0.5526858, None, \"ab\", \"∑λ¿\"))"
+        );
+    }
+
     #[test]
     fn explicit_runner_reports_failures() {
         use crate::test_runner::{TestCaseError, TestRunner};

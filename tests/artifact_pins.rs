@@ -1,4 +1,5 @@
-//! Byte pins for the trace and figure writers.
+//! Byte pins for the trace and figure writers and for the seeded
+//! streams.
 //!
 //! `trace.json`, `trace.svg` and `figure.svg` are committed Popper
 //! artifacts, so the bytes each writer emits for a given input are part
@@ -9,6 +10,11 @@
 //! with fractional, negative and non-finite samples, timestamps and
 //! span ids at and past 10^15, and names that need JSON and SVG
 //! escaping.
+//!
+//! Every seeded stream (gremlin fault schedules, MPI noise phases,
+//! reanalysis noise) is pinned by the bytes it ends up in, so a change
+//! to the generator underneath shows here rather than as a quiet shift
+//! in a figure.
 
 use popper::format::Table;
 use popper::trace::{chrome_trace_json, timeline_svg, EventKind, SpanId, TraceEvent};
@@ -132,4 +138,40 @@ fn chart_svg_bytes_are_pinned() {
     };
     let (svg, _) = render_from_spec(&spec, &table).unwrap();
     assert_eq!(digest(&svg), CHART_SVG);
+}
+
+/// `FaultSchedule::gremlin` draws every event from its seed.
+#[test]
+fn gremlin_schedule_json_bytes_are_pinned() {
+    let pins = [
+        (3, 0, "910e32827d844e7acc23d40e400a1dd6cb3d8cd7ae035815bd9ef2005040ce39"),
+        (4, 7, "1a9001acfd670584fe6d4bb2b658a175d175289f23d3216eb63c2adf017e5565"),
+        (5, 42, "c369ec303c9be41c3e327f6e1b3f13ea1c8f51f4b55d365ce2afb96810ea1981"),
+        (8, 0xdead_beef, "cce5112d8310ac267a194e5c0ca02d3763ce4976a728a5dcd5ecef825cdd0cfe"),
+    ];
+    for (nodes, seed, want) in pins {
+        let json = popper::chaos::FaultSchedule::gremlin(nodes, seed).to_json();
+        assert_eq!(digest(&json), want, "gremlin({nodes}, {seed}):\n{json}");
+    }
+}
+
+/// `popper run` on the two templates whose runners draw seeded noise:
+/// `mpi-comm-variability` (OS-noise phases and neighbour shares) and
+/// `jupyter-bww` (reanalysis noise).
+#[test]
+fn seeded_template_results_csv_bytes_are_pinned() {
+    let pins = [
+        ("mpi-comm-variability", "0d51ebdb05ab4113840dad7ebcbbb5943a31709d7a39ea20cdd57a359a127668"),
+        ("jupyter-bww", "65b448a8bf3ea567931ac0132edd80ea7a8e30435710b3a9f893444be4b305b1"),
+    ];
+    for (template, want) in pins {
+        let dir = std::env::temp_dir().join(format!("popper-pins-{template}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        popper::cli::run(&["init"], &dir).unwrap();
+        popper::cli::run(&["add", template, "e"], &dir).unwrap();
+        popper::cli::run(&["run", "e"], &dir).unwrap();
+        let csv = std::fs::read_to_string(dir.join("experiments/e/results.csv")).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(digest(&csv), want, "{template} results.csv:\n{csv}");
+    }
 }
