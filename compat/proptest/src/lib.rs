@@ -21,7 +21,6 @@ pub use strategy::{any, BoxedStrategy, Just, Strategy};
 pub mod collection {
     use crate::strategy::{BoxedStrategy, Strategy};
     use crate::test_runner::TestRng;
-    use rand::Rng;
     use std::collections::{BTreeMap, BTreeSet};
     use std::ops::Range;
 
@@ -50,7 +49,7 @@ pub mod collection {
             if self.hi - self.lo <= 1 {
                 self.lo
             } else {
-                rng.0.gen_range(self.lo..self.hi)
+                (self.lo..self.hi).generate(rng)
             }
         }
     }
@@ -111,7 +110,13 @@ pub mod test_runner {
     pub const CASES: u32 = 64;
 
     /// The RNG driving generation. Deterministic per run.
-    pub struct TestRng(pub(crate) rand::rngs::StdRng);
+    ///
+    /// xoshiro256++ seeded and drawn exactly as the workspace's
+    /// `popper_sim::rng::Rng`, a private copy because this crate may
+    /// not depend on the workspace.
+    pub struct TestRng {
+        s: [u64; 4],
+    }
 
     /// The base seed: `PROPTEST_SEED` if set to a number, else fixed.
     pub fn base_seed() -> u64 {
@@ -131,8 +136,45 @@ pub mod test_runner {
     impl TestRng {
         /// A deterministically seeded RNG (override with `PROPTEST_SEED`).
         pub fn deterministic(salt: u64) -> Self {
-            use rand::SeedableRng;
-            TestRng(rand::rngs::StdRng::seed_from_u64(base_seed() ^ salt))
+            // State word k is splitmix64(seed + (k + 1)·γ).
+            let seed = base_seed() ^ salt;
+            let word = |k: u64| {
+                let mut z = seed.wrapping_add((k + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            TestRng { s: [word(0), word(1), word(2), word(3)] }
+        }
+
+        /// The next 64 uniformly random bits.
+        pub(crate) fn next_u64(&mut self) -> u64 {
+            let s = &mut self.s;
+            let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
+            let t = s[1] << 17;
+            s[2] ^= s[0];
+            s[3] ^= s[1];
+            s[1] ^= s[2];
+            s[0] ^= s[3];
+            s[2] ^= t;
+            s[3] = s[3].rotate_left(45);
+            result
+        }
+
+        /// A uniform draw from `[0, bound)` without modulo bias (Lemire).
+        pub(crate) fn below(&mut self, bound: u64) -> u64 {
+            loop {
+                let m = u128::from(self.next_u64()) * u128::from(bound);
+                let lo = m as u64;
+                if lo >= bound || lo >= bound.wrapping_neg() % bound {
+                    return (m >> 64) as u64;
+                }
+            }
+        }
+
+        /// A coin that lands true with probability `p`.
+        pub(crate) fn coin(&mut self, p: f64) -> bool {
+            <f64 as crate::strategy::Arbitrary>::arbitrary(self) < p
         }
     }
 

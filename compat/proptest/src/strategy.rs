@@ -1,7 +1,6 @@
 //! Strategy trait and combinators: deterministic value generators.
 
 use crate::test_runner::TestRng;
-use rand::Rng;
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 use std::sync::Arc;
@@ -112,7 +111,7 @@ impl<T> Strategy for BoxedStrategy<T> {
 pub fn union<T: 'static>(arms: Vec<BoxedStrategy<T>>) -> BoxedStrategy<T> {
     assert!(!arms.is_empty(), "prop_oneof! needs at least one arm");
     BoxedStrategy::from_fn(move |rng| {
-        let i = rng.0.gen_range(0..arms.len());
+        let i = (0..arms.len()).generate(rng);
         arms[i].generate(rng)
     })
 }
@@ -122,7 +121,7 @@ pub fn union_weighted<T: 'static>(arms: Vec<(u32, BoxedStrategy<T>)>) -> BoxedSt
     let total: u32 = arms.iter().map(|(w, _)| *w).sum();
     assert!(total > 0, "weighted union needs positive total weight");
     BoxedStrategy::from_fn(move |rng| {
-        let mut pick = rng.0.gen_range(0..total);
+        let mut pick = (0..total).generate(rng);
         for (w, s) in &arms {
             if pick < *w {
                 return s.generate(rng);
@@ -149,30 +148,34 @@ pub trait Arbitrary: Sized {
     fn arbitrary(rng: &mut TestRng) -> Self;
 }
 
-macro_rules! arbitrary_via_gen {
-    ($($t:ty),+) => {
+/// Integers take the top bits of one draw (16- and 32-bit ones the top
+/// 32, truncated).
+macro_rules! arbitrary_from_bits {
+    ($($t:ty: $shift:expr),+) => {
         $(impl Arbitrary for $t {
             fn arbitrary(rng: &mut TestRng) -> Self {
-                rng.0.gen()
+                (rng.next_u64() >> $shift) as $t
             }
         })+
     };
 }
-arbitrary_via_gen!(bool, u8, u32, u64, usize, f32, f64);
+arbitrary_from_bits!(u8: 56, u16: 32, u32: 32, i32: 32, u64: 0, i64: 0, usize: 0);
 
-impl Arbitrary for u16 {
+impl Arbitrary for bool {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.0.gen::<u32>() as u16
+        rng.next_u64() & 1 == 1
     }
 }
-impl Arbitrary for i32 {
+/// Uniform in `[0, 1)` from the top 24 bits.
+impl Arbitrary for f32 {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.0.gen::<u32>() as i32
+        (rng.next_u64() >> 40) as f32 * (1.0 / (1u32 << 24) as f32)
     }
 }
-impl Arbitrary for i64 {
+/// Uniform in `[0, 1)` from the top 53 bits.
+impl Arbitrary for f64 {
     fn arbitrary(rng: &mut TestRng) -> Self {
-        rng.0.gen::<u64>() as i64
+        (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
 
@@ -191,25 +194,56 @@ impl<T: Arbitrary> Strategy for Any<T> {
     }
 }
 
-macro_rules! range_strategy {
+macro_rules! int_range_strategy {
     ($($t:ty),+) => {
         $(
             impl Strategy for Range<$t> {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
-                    rng.0.gen_range(self.clone())
+                    assert!(self.start < self.end, "empty range");
+                    let span = (self.end as i128 - self.start as i128) as u64;
+                    self.start.wrapping_add(rng.below(span) as $t)
                 }
             }
             impl Strategy for RangeInclusive<$t> {
                 type Value = $t;
                 fn generate(&self, rng: &mut TestRng) -> $t {
-                    rng.0.gen_range(self.clone())
+                    let (lo, hi) = (*self.start(), *self.end());
+                    assert!(lo <= hi, "empty range");
+                    match u64::try_from(hi as i128 - lo as i128 + 1) {
+                        Ok(span) => lo.wrapping_add(rng.below(span) as $t),
+                        // The whole 64-bit domain: raw bits are uniform.
+                        Err(_) => rng.next_u64() as $t,
+                    }
                 }
             }
         )+
     };
 }
-range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, f32, f64);
+int_range_strategy!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+
+macro_rules! float_range_strategy {
+    ($($t:ty),+) => {
+        $(
+            impl Strategy for Range<$t> {
+                type Value = $t;
+                fn generate(&self, rng: &mut TestRng) -> $t {
+                    assert!(self.start < self.end, "empty range");
+                    self.start + (self.end - self.start) * <$t>::arbitrary(rng)
+                }
+            }
+            impl Strategy for RangeInclusive<$t> {
+                type Value = $t;
+                fn generate(&self, rng: &mut TestRng) -> $t {
+                    let (lo, hi) = (*self.start(), *self.end());
+                    assert!(lo <= hi, "empty range");
+                    lo + (hi - lo) * <$t>::arbitrary(rng)
+                }
+            }
+        )+
+    };
+}
+float_range_strategy!(f32, f64);
 
 /// String strategies are regex-subset patterns (see [`crate::string`]).
 impl Strategy for &'static str {
@@ -242,7 +276,7 @@ where
     S::Value: 'static,
 {
     BoxedStrategy::from_fn(move |rng| {
-        if rng.0.gen_bool(0.75) {
+        if rng.coin(0.75) {
             Some(inner.generate(rng))
         } else {
             None

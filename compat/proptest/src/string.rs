@@ -6,8 +6,8 @@
 //! category shorthand `\PC` (any non-control character), and the
 //! quantifiers `{n}`, `{n,m}`, `*`, `+`, `?`.
 
+use crate::strategy::Strategy;
 use crate::test_runner::TestRng;
-use rand::Rng;
 
 #[derive(Debug, Clone)]
 enum Atom {
@@ -35,7 +35,7 @@ pub fn generate(pattern: &str, rng: &mut TestRng) -> String {
     let mut out = String::new();
     for p in &pieces {
         let n = if p.max > p.min {
-            rng.0.gen_range(p.min..=p.max)
+            (p.min..=p.max).generate(rng)
         } else {
             p.min
         };
@@ -189,20 +189,20 @@ fn sample_atom(atom: &Atom, rng: &mut TestRng) -> char {
         Atom::Literal(c) => *c,
         Atom::Dot => {
             // Printable ASCII except newline.
-            char::from_u32(rng.0.gen_range(0x20u32..0x7f)).unwrap()
+            char::from_u32((0x20u32..0x7f).generate(rng)).unwrap()
         }
         Atom::NotControl => {
-            if rng.0.gen_bool(0.9) {
-                char::from_u32(rng.0.gen_range(0x20u32..0x7f)).unwrap()
+            if rng.coin(0.9) {
+                char::from_u32((0x20u32..0x7f).generate(rng)).unwrap()
             } else {
-                NOT_CONTROL_EXTRAS[rng.0.gen_range(0..NOT_CONTROL_EXTRAS.len())]
+                NOT_CONTROL_EXTRAS[(0..NOT_CONTROL_EXTRAS.len()).generate(rng)]
             }
         }
         Atom::Class { ranges, negated } => {
             if *negated {
                 // Sample printable ASCII until we miss every range.
                 for _ in 0..256 {
-                    let c = char::from_u32(rng.0.gen_range(0x20u32..0x7f)).unwrap();
+                    let c = char::from_u32((0x20u32..0x7f).generate(rng)).unwrap();
                     if !ranges.iter().any(|&(lo, hi)| lo <= c && c <= hi) {
                         return c;
                     }
@@ -211,7 +211,7 @@ fn sample_atom(atom: &Atom, rng: &mut TestRng) -> char {
             }
             // Weight ranges by size for a roughly uniform choice.
             let total: u32 = ranges.iter().map(|&(lo, hi)| hi as u32 - lo as u32 + 1).sum();
-            let mut pick = rng.0.gen_range(0..total);
+            let mut pick = (0..total).generate(rng);
             for &(lo, hi) in ranges {
                 let span = hi as u32 - lo as u32 + 1;
                 if pick < span {

@@ -22,7 +22,7 @@ use criterion::{criterion_group, Criterion};
 use popper_monitor::stressors::STRESSORS;
 use popper_monitor::{mann_whitney_u, welch_t_test, Baseline, BaselineGate};
 use popper_sim::platforms;
-use rand::{Rng, SeedableRng};
+use popper_sim::rng::Rng;
 
 fn print_hypervisor_ablation() {
     eprintln!("{}", popper_bench::banner("A1: hypervisor tax"));
@@ -39,12 +39,12 @@ fn print_hypervisor_ablation() {
 
 fn print_statistics_ablation() {
     eprintln!("{}", popper_bench::banner("A2: controlled vs statistical"));
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let sample = |mean: f64, sd: f64, rng: &mut rand::rngs::StdRng| -> Vec<f64> {
+    let mut rng = Rng::new(1);
+    let sample = |mean: f64, sd: f64, rng: &mut Rng| -> Vec<f64> {
         (0..10)
             .map(|_| {
-                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
+                let u1: f64 = rng.range(f64::MIN_POSITIVE..1.0);
+                let u2: f64 = rng.range(0.0..1.0);
                 mean + sd * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
             })
             .collect()
@@ -74,9 +74,9 @@ fn bench_baseline_gate(c: &mut Criterion) {
 
 fn bench_statistics(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablations/statistics");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-    let a: Vec<f64> = (0..100).map(|_| 100.0 + rng.gen::<f64>() * 8.0).collect();
-    let b2: Vec<f64> = (0..100).map(|_| 104.0 + rng.gen::<f64>() * 8.0).collect();
+    let mut rng = Rng::new(2);
+    let a: Vec<f64> = (0..100).map(|_| 100.0 + rng.f64() * 8.0).collect();
+    let b2: Vec<f64> = (0..100).map(|_| 104.0 + rng.f64() * 8.0).collect();
     group.bench_function("welch_100v100", |bch| {
         bch.iter(|| criterion::black_box(welch_t_test(&a, &b2).unwrap().p_value));
     });
@@ -309,7 +309,16 @@ fn bench_writeback_ablation(c: &mut Criterion) {
 fn print_checkpoint_ablation() {
     use popper_gassyfs::checkpointing::{run_checkpoint_study, to_table, CheckpointStudy};
     eprintln!("{}", popper_bench::banner("GassyFS checkpoint-interval ablation"));
-    let points = run_checkpoint_study(&CheckpointStudy::default()).expect("study runs");
+    let study = run_checkpoint_study(&CheckpointStudy::default());
+    // The default study's golden digest (SHA-256 of its `Debug` bytes),
+    // pinned across changes to the event engine underneath; the unit
+    // test pins the small study's.
+    let digest = popper_vcs::sha256::digest(format!("{study:?}").as_bytes());
+    assert_eq!(
+        popper_vcs::sha256::to_hex(&digest),
+        "2761a40d86b1cc9147bce49e8621ec9838f2c1aa8ee6c44b4686ae040660f5cf"
+    );
+    let points = study.expect("study runs");
     eprint!("{}", to_table(&points).to_pretty());
     eprintln!("shape: pauses fall and the loss window grows with the interval;\nincremental dedup keeps stored << ingested.\n");
 }

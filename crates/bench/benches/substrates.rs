@@ -5,14 +5,14 @@
 //! reproducibility work.
 
 use criterion::{criterion_group, BenchmarkId, Criterion, Throughput};
+use popper_sim::rng::Rng;
 use popper_store::chunker::{chunk, ChunkerConfig};
 use popper_store::ChunkStore;
 use popper_vcs::sha256;
-use rand::{Rng, SeedableRng};
 
 fn data(len: usize) -> Vec<u8> {
-    let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-    (0..len).map(|_| rng.gen()).collect()
+    let mut rng = Rng::new(42);
+    (0..len).map(|_| (rng.next_u64() >> 56) as u8).collect()
 }
 
 fn bench_sha256(c: &mut Criterion) {

@@ -1,9 +1,8 @@
 //! Fault schedules: what breaks, and when.
 
 use popper_format::{json, Value};
+use popper_sim::rng::Rng;
 use popper_sim::Nanos;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// One kind of infrastructure fault (or repair).
 #[derive(Debug, Clone, PartialEq)]
@@ -187,68 +186,68 @@ impl FaultSchedule {
     /// flap's last event is a heal); degradation is cleared at the end,
     /// so the schedule always ends healthy.
     pub fn gremlin(nodes: usize, seed: u64) -> FaultSchedule {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut events = Vec::new();
-        let faults = 2 + (rng.gen_range(0..3u32) as usize);
+        let faults = 2 + (rng.range(0..3u32) as usize);
         for _ in 0..faults {
-            let at = Nanos::from_millis(10 + rng.gen_range(0..120u64));
-            match rng.gen_range(0..6u32) {
+            let at = Nanos::from_millis(10 + rng.range(0..120u64));
+            match rng.range(0..6u32) {
                 0 if nodes > 1 => {
-                    let node = rng.gen_range(1..nodes);
+                    let node = rng.range(1..nodes);
                     events.push(FaultEvent { at, kind: FaultKind::Crash { node } });
                     events.push(FaultEvent {
-                        at: at + Nanos::from_millis(30 + rng.gen_range(0..40u64)),
+                        at: at + Nanos::from_millis(30 + rng.range(0..40u64)),
                         kind: FaultKind::Restart { node },
                     });
                 }
                 1 => {
-                    let node = rng.gen_range(0..nodes);
+                    let node = rng.range(0..nodes);
                     events.push(FaultEvent {
                         at,
-                        kind: FaultKind::Loss { node, p: 0.1 + rng.gen::<f64>() * 0.3 },
+                        kind: FaultKind::Loss { node, p: 0.1 + rng.f64() * 0.3 },
                     });
                 }
                 2 => {
-                    let node = rng.gen_range(0..nodes);
+                    let node = rng.range(0..nodes);
                     events.push(FaultEvent {
                         at,
-                        kind: FaultKind::Latency { node, factor: 2.0 + rng.gen::<f64>() * 6.0 },
+                        kind: FaultKind::Latency { node, factor: 2.0 + rng.f64() * 6.0 },
                     });
                 }
                 3 if nodes > 1 => {
                     // One-way link loss: data path degraded, ack path
                     // clean (the asymmetric-route failure mode).
-                    let from = rng.gen_range(0..nodes);
-                    let mut to = rng.gen_range(0..nodes - 1);
+                    let from = rng.range(0..nodes);
+                    let mut to = rng.range(0..nodes - 1);
                     if to >= from {
                         to += 1;
                     }
                     events.push(FaultEvent {
                         at,
-                        kind: FaultKind::LossOneWay { from, to, p: 0.2 + rng.gen::<f64>() * 0.5 },
+                        kind: FaultKind::LossOneWay { from, to, p: 0.2 + rng.f64() * 0.5 },
                     });
                 }
                 4 if nodes > 1 => {
                     // Flapping partition: split, heal, re-partition on a
                     // schedule. The final event of the flap is a heal.
-                    let side: Vec<usize> = (0..1 + rng.gen_range(0..nodes)).collect();
-                    let cycles = 2 + rng.gen_range(0..2u32);
+                    let side: Vec<usize> = (0..1 + rng.range(0..nodes)).collect();
+                    let cycles = 2 + rng.range(0..2u32);
                     let mut t = at;
                     for _ in 0..cycles {
                         events.push(FaultEvent {
                             at: t,
                             kind: FaultKind::Partition { side: side.clone() },
                         });
-                        t += Nanos::from_millis(5 + rng.gen_range(0..15u64));
+                        t += Nanos::from_millis(5 + rng.range(0..15u64));
                         events.push(FaultEvent { at: t, kind: FaultKind::Heal });
-                        t += Nanos::from_millis(5 + rng.gen_range(0..15u64));
+                        t += Nanos::from_millis(5 + rng.range(0..15u64));
                     }
                 }
                 _ => {
-                    let node = rng.gen_range(0..nodes);
+                    let node = rng.range(0..nodes);
                     events.push(FaultEvent {
                         at,
-                        kind: FaultKind::DiskSlow { node, factor: 2.0 + rng.gen::<f64>() * 6.0 },
+                        kind: FaultKind::DiskSlow { node, factor: 2.0 + rng.f64() * 6.0 },
                     });
                 }
             }

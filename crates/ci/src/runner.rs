@@ -4,7 +4,7 @@ use crate::config::{Job, PipelineConfig};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// What a step sees when it runs.
 #[derive(Debug, Clone)]
@@ -147,13 +147,12 @@ pub fn run_pipeline(
             continue;
         }
 
-        // Work queue: the index of the next job in stage_jobs; results
-        // slot per job. `Relaxed` suffices: the counter publishes no
-        // data (the jobs are shared before the workers start, results
-        // go through their own locks).
+        // Work queue: the index of the next job in stage_jobs; one
+        // write-once result slot per job. `Relaxed` suffices: the
+        // counter publishes no data (the jobs are shared before the
+        // workers start, results go through their own slots).
         let next = AtomicUsize::new(0);
-        let results: Vec<parking_lot::Mutex<Option<JobResult>>> =
-            stage_jobs.iter().map(|_| parking_lot::Mutex::new(None)).collect();
+        let results: Vec<OnceLock<JobResult>> = stage_jobs.iter().map(|_| OnceLock::new()).collect();
 
         let _stage_span = tracer.span("ci", "ci/pipeline", format!("stage {stage}"));
         std::thread::scope(|scope| {
@@ -165,7 +164,7 @@ pub fn run_pipeline(
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     let Some(job) = stage_jobs.get(i) else { break };
                     let _job_span = tracer.span("ci", format!("ci/worker-{w}"), &job.name);
-                    *results[i].lock() = Some(run_job(job, &executor));
+                    results[i].get_or_init(|| run_job(job, &executor));
                 });
             }
         });

@@ -4,7 +4,6 @@ use crate::argparse::Parsed;
 use crate::error::OrFail;
 use crate::persist;
 use crate::runners::full_engine;
-use parking_lot::Mutex;
 use popper_core::{
     check::check_compliance,
     cipipeline::run_ci,
@@ -12,8 +11,9 @@ use popper_core::{
     templates::{experiment_templates, find_template, paper_template_files, paper_templates},
     Finished, Lifecycle, PopperRepo, RunReport,
 };
+use popper_format::sync::lock;
 use std::path::Path;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Dispatch a parsed command line in `dir`.
 ///
@@ -144,7 +144,7 @@ fn dispatch_command(parsed: &Parsed, dir: &Path) -> Result<String, String> {
             let repo = Arc::new(Mutex::new(persist::load(dir, &author)?));
             let engine = Arc::new(full_engine());
             let report = run_ci(repo.clone(), engine, workers)?;
-            persist::save(&repo.lock(), dir)?;
+            persist::save(&lock(&repo), dir)?;
             let badge = if report.passed() { "build: passing" } else { "build: failing" };
             let out = format!("{}\n[{badge}]\n", report.summary());
             if report.passed() {

@@ -16,13 +16,13 @@ use crate::memoize::{cache_disabled_by_env, MemoStats};
 use crate::paper::build_paper;
 use crate::pipeline::RunContext;
 use crate::repo::PopperRepo;
-use parking_lot::Mutex;
 use popper_ci::{BuildReport, PipelineConfig, StepCtx, StepOutcome};
+use popper_format::sync::lock;
 use popper_format::Table;
 use popper_monitor::RegressionCheck;
 use popper_orchestra::Playbook;
 use popper_vcs::Object;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Build the step executor for a repository + engine. Steps:
 ///
@@ -68,7 +68,7 @@ pub fn popper_steps(
         let args: Vec<&str> = parts.collect();
         match cmd {
             "build-paper" => {
-                let repo = repo.lock();
+                let repo = lock(&repo);
                 match build_paper(&repo) {
                     Ok(built) => StepOutcome::pass(format!(
                         "built '{}' ({} sections, {} figures)",
@@ -80,7 +80,7 @@ pub fn popper_steps(
                 }
             }
             "validate-playbooks" => {
-                let repo = repo.lock();
+                let repo = lock(&repo);
                 let mut checked = 0;
                 for exp in repo.experiments() {
                     if let Some(text) = repo.read(&format!("experiments/{exp}/setup.pml")) {
@@ -93,7 +93,7 @@ pub fn popper_steps(
                 StepOutcome::pass(format!("{checked} playbook(s) parse"))
             }
             "validate-pipelines" => {
-                let repo = repo.lock();
+                let repo = lock(&repo);
                 match repo.read(".popper-ci.pml") {
                     Some(text) => match PipelineConfig::from_pml(&text) {
                         Ok(_) => StepOutcome::pass("pipeline config parses"),
@@ -103,7 +103,7 @@ pub fn popper_steps(
                 }
             }
             "check-compliance" => {
-                let repo = repo.lock();
+                let repo = lock(&repo);
                 let violations = check_compliance(&repo);
                 let fatals: Vec<String> =
                     violations.iter().filter(|v| v.fatal).map(|v| v.to_string()).collect();
@@ -147,7 +147,7 @@ pub fn popper_steps(
                 let Some(name) = args.first() else {
                     return StepOutcome::fail("validate needs an experiment name");
                 };
-                match validate_recorded(&repo.lock(), name) {
+                match validate_recorded(&lock(&repo), name) {
                     Ok(v) if v.passed => StepOutcome::pass(v.to_string()),
                     Ok(v) => StepOutcome::fail(v.to_string()),
                     Err(e) => StepOutcome::fail(e),
@@ -157,14 +157,14 @@ pub fn popper_steps(
                 let (Some(name), Some(column)) = (args.first(), args.get(1)) else {
                     return StepOutcome::fail("regression-gate needs <experiment> <column>");
                 };
-                let repo = repo.lock();
+                let repo = lock(&repo);
                 regression_gate(&repo, name, column)
             }
             "trace-diff-selfcheck" => {
                 let Some(name) = args.first() else {
                     return StepOutcome::fail("trace-diff-selfcheck needs an experiment name");
                 };
-                let mut repo = repo.lock();
+                let mut repo = lock(&repo);
                 // The warm-up recording puts the repository in a state
                 // where the two compared runs have identical lifecycles:
                 // it establishes the baseline fingerprint, the committed
@@ -212,7 +212,7 @@ pub fn popper_steps(
                         "memo-selfcheck skipped: POPPER_NO_CACHE disables the stage cache",
                     );
                 }
-                let mut repo = repo.lock();
+                let mut repo = lock(&repo);
                 // One cold run primes the cache; the two warm repeats
                 // must replay every stage and still record structurally
                 // equivalent timelines (cold and warm traces differ —
@@ -261,7 +261,7 @@ pub fn popper_steps(
                 }
             }
             "store-stats" => {
-                let repo = repo.lock();
+                let repo = lock(&repo);
                 StepOutcome::pass(store_stats_report(&repo))
             }
             other => StepOutcome::fail(format!("unknown CI step '{other}'")),
@@ -342,7 +342,7 @@ fn lifecycle_step(
     lifecycle: Lifecycle,
     report: impl FnOnce(RunContext) -> Result<(bool, String), String>,
 ) -> StepOutcome {
-    let finished = match engine.run_lifecycle(&mut repo.lock(), name, &lifecycle, true) {
+    let finished = match engine.run_lifecycle(&mut lock(repo), name, &lifecycle, true) {
         Ok(finished) => finished,
         Err(e) => return StepOutcome::fail(e),
     };
@@ -400,10 +400,7 @@ pub fn run_ci(
     engine: Arc<ExperimentEngine>,
     workers: usize,
 ) -> Result<BuildReport, String> {
-    let config_text = repo
-        .lock()
-        .read(".popper-ci.pml")
-        .ok_or(".popper-ci.pml missing")?;
+    let config_text = lock(&repo).read(".popper-ci.pml").ok_or(".popper-ci.pml missing")?;
     let config = PipelineConfig::from_pml(&config_text)?;
     let executor = popper_steps(repo, engine);
     // Propagate the caller's ambient tracer into the worker pool.
@@ -436,7 +433,7 @@ mod tests {
     fn full_experiment_pipeline() {
         let repo = shared_repo_with("ceph-rados", "e");
         {
-            let mut r = repo.lock();
+            let mut r = lock(&repo);
             r.write(
                 ".popper-ci.pml",
                 "stages: [lint, build, test, regression]\n\
@@ -461,7 +458,7 @@ mod tests {
         let report = run_ci(repo.clone(), engine, 4).unwrap();
         assert!(report.passed(), "{}", report.summary());
         // The run step recorded results into the shared repo.
-        assert!(repo.lock().exists("experiments/e/results.csv"));
+        assert!(lock(&repo).exists("experiments/e/results.csv"));
     }
 
     #[test]
@@ -471,7 +468,7 @@ mod tests {
         // each driving the chaos lifecycle through its env.
         let repo = shared_repo_with("gassyfs", "g");
         {
-            let mut r = repo.lock();
+            let mut r = lock(&repo);
             r.write(
                 ".popper-ci.pml",
                 "stages: [chaos]\n\
@@ -509,7 +506,7 @@ mod tests {
         assert!(summary.contains("schedule=gremlin"), "{summary}");
         // ...and the last one's artifacts landed (gremlin sorts after
         // node-crash in job order; each run commits its timeline).
-        let r = repo.lock();
+        let r = lock(&repo);
         let faults = r.read("experiments/g/faults.json").unwrap();
         assert!(faults.contains("gremlin"), "{faults}");
         assert!(r.vcs.status().unwrap().is_empty());
@@ -531,7 +528,7 @@ mod tests {
     fn paper_with_dangling_figure_fails_build_stage() {
         let repo = shared_repo_with("ceph-rados", "e");
         {
-            let mut r = repo.lock();
+            let mut r = lock(&repo);
             r.write("paper/paper.md", "# T\n\n![fig](experiments/e/figure.txt)\n").unwrap();
             r.commit("paper references unbuilt figure").unwrap();
         }
@@ -539,7 +536,7 @@ mod tests {
         let report = run_ci(repo.clone(), engine.clone(), 2).unwrap();
         assert!(!report.passed(), "missing figure must fail CI");
         // Run the experiment, then CI goes green — the Popper loop.
-        engine.run(&mut repo.lock(), "e").unwrap();
+        engine.run(&mut lock(&repo), "e").unwrap();
         let report = run_ci(repo, engine, 2).unwrap();
         assert!(report.passed(), "{}", report.summary());
     }
@@ -563,7 +560,7 @@ mod tests {
             t.to_csv()
         };
         {
-            let mut r = repo.lock();
+            let mut r = lock(&repo);
             r.write("experiments/e/results.csv", runs_csv(100.0)).unwrap();
             r.commit("baseline runs").unwrap();
         }
@@ -577,7 +574,7 @@ mod tests {
         assert!(outcome.success, "{}", outcome.log);
         // A 15% slowdown in a new commit trips the gate.
         {
-            let mut r = repo.lock();
+            let mut r = lock(&repo);
             r.write("experiments/e/results.csv", runs_csv(115.0)).unwrap();
             r.commit("slower results").unwrap();
         }
@@ -590,7 +587,7 @@ mod tests {
         assert!(outcome.log.contains("REGRESSION"));
         // An equivalent re-measurement does not.
         {
-            let mut r = repo.lock();
+            let mut r = lock(&repo);
             r.write("experiments/e/results.csv", runs_csv(115.1)).unwrap();
             r.commit("rerun, same speed").unwrap();
         }
@@ -648,7 +645,7 @@ mod tests {
         assert!(outcome.success, "{}", outcome.log);
         assert!(outcome.log.contains("equivalent timelines"), "{}", outcome.log);
         // The step recorded the diff artifacts, all committed.
-        let r = repo.lock();
+        let r = lock(&repo);
         assert!(r.exists("experiments/e/trace-diff.json"));
         assert!(r.vcs.status().unwrap().is_empty());
         // Missing-name and unknown-experiment error paths.
@@ -679,7 +676,7 @@ mod tests {
         });
         assert!(outcome.success, "{}", outcome.log);
         assert!(outcome.log.contains("replayed every stage"), "{}", outcome.log);
-        assert!(repo.lock().vcs.status().unwrap().is_empty());
+        assert!(lock(&repo).vcs.status().unwrap().is_empty());
         // Missing-name and unknown-experiment error paths.
         let outcome = executor(&StepCtx {
             command: "memo-selfcheck".into(),
@@ -707,7 +704,7 @@ mod tests {
         assert!(outcome.success, "{}", outcome.log);
         assert!(outcome.log.contains("vcs object(s)"), "{}", outcome.log);
         assert!(outcome.log.contains("dedup"), "{}", outcome.log);
-        assert_eq!(outcome.log, store_stats_report(&repo.lock()));
+        assert_eq!(outcome.log, store_stats_report(&lock(&repo)));
     }
 
     #[test]

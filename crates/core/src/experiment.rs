@@ -25,8 +25,7 @@ use popper_format::{Table, Value};
 use popper_monitor::{Baseline, BaselineGate, GateOutcome};
 use popper_orchestra::{Inventory, Playbook};
 use popper_sim::platforms;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use popper_sim::rng::Rng;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -326,7 +325,7 @@ pub fn synthetic_runner(vars: &Value) -> Result<Table, String> {
     if xs.is_empty() {
         return Err("'xs' has no numeric entries".into());
     }
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::new(seed);
     let mut t = Table::new(["workload", "machine", "x", "y"]);
     for &x in &xs {
         let y = match trend {
@@ -336,7 +335,7 @@ pub fn synthetic_runner(vars: &Value) -> Result<Table, String> {
             "constant" => base,
             other => return Err(format!("unknown trend '{other}'")),
         };
-        let jitter = 1.0 + noise * (rng.gen::<f64>() - 0.5) * 2.0;
+        let jitter = 1.0 + noise * (rng.f64() - 0.5) * 2.0;
         t.push_row(vec![
             Value::from(workload),
             Value::from(machine),

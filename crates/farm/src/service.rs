@@ -19,10 +19,11 @@
 //!   the retry budget, so no job is ever lost — and the report counts
 //!   `lost` jobs so an Aver gate can check it rather than trust it.
 //!
-//! Scheduler state lives behind one `std::sync::Mutex` + `Condvar`
-//! (the compat `parking_lot` shim has no condvar); everything heavier —
-//! repos, store, records — has its own lock so workers serialize only
-//! where they actually share data.
+//! Scheduler state lives behind one `Mutex` + `Condvar`; everything
+//! heavier — repos, store, records — has its own lock so workers
+//! serialize only where they actually share data. Every lock is taken
+//! poison-tolerantly: a worker that panicked mid-job must not take the
+//! whole farm down with it.
 
 use crate::chaos::FarmChaos;
 use crate::events::{canonical_log, JobOutcome, JobRecord};
@@ -32,6 +33,7 @@ use popper_chaos::FaultSchedule;
 use popper_ci::history::BuildHistory;
 use popper_core::templates::find_template;
 use popper_core::{ExperimentEngine, Lifecycle, PopperRepo, RunContext};
+use popper_format::sync::{lock, wait};
 use popper_format::{Table, Value};
 use popper_store::ChunkStore;
 use std::collections::BTreeMap;
@@ -102,8 +104,8 @@ impl fmt::Display for SubmitError {
 /// One tenant: a popper-vcs repo, its build history, counters.
 struct TenantState {
     name: String,
-    repo: parking_lot::Mutex<PopperRepo>,
-    history: parking_lot::Mutex<BuildHistory>,
+    repo: Mutex<PopperRepo>,
+    history: Mutex<BuildHistory>,
     passed: AtomicU64,
     failed: AtomicU64,
 }
@@ -130,9 +132,9 @@ struct FarmInner {
     tenants: Vec<TenantState>,
     sched: Mutex<Sched>,
     cv: Condvar,
-    store: parking_lot::Mutex<ChunkStore>,
-    pending: parking_lot::Mutex<Vec<PendingArtifact>>,
-    records: parking_lot::Mutex<BTreeMap<(usize, u64), JobRecord>>,
+    store: Mutex<ChunkStore>,
+    pending: Mutex<Vec<PendingArtifact>>,
+    records: Mutex<BTreeMap<(usize, u64), JobRecord>>,
     chaos: Option<FarmChaos>,
     seed: u64,
     schedule_name: String,
@@ -206,15 +208,15 @@ impl FarmBuilder {
                 .into_iter()
                 .map(|(name, repo)| TenantState {
                     name,
-                    repo: parking_lot::Mutex::new(repo),
-                    history: parking_lot::Mutex::new(BuildHistory::new()),
+                    repo: Mutex::new(repo),
+                    history: Mutex::new(BuildHistory::new()),
                     passed: AtomicU64::new(0),
                     failed: AtomicU64::new(0),
                 })
                 .collect(),
-            store: parking_lot::Mutex::new(ChunkStore::new()),
-            pending: parking_lot::Mutex::new(Vec::new()),
-            records: parking_lot::Mutex::new(BTreeMap::new()),
+            store: Mutex::new(ChunkStore::new()),
+            pending: Mutex::new(Vec::new()),
+            records: Mutex::new(BTreeMap::new()),
             seed: self.chaos.as_ref().map(|s| s.seed).unwrap_or(0),
             schedule_name: self
                 .chaos
@@ -336,10 +338,7 @@ impl Farm {
         // need that lock to pop, so the record provably exists by the
         // time the first dispatch tries to annotate it. (Inserting after
         // the drop loses events under load.)
-        inner
-            .records
-            .lock()
-            .insert((idx, seq), JobRecord::new(tenant, seq, experiment));
+        lock(&inner.records).insert((idx, seq), JobRecord::new(tenant, seq, experiment));
         drop(sched);
         inner.cv.notify_one();
         Ok(JobId { tenant: tenant.to_string(), seq })
@@ -370,7 +369,7 @@ impl Farm {
 
     /// The canonical, deterministic farm event log.
     pub fn event_log(&self) -> String {
-        let records: Vec<JobRecord> = self.inner.records.lock().values().cloned().collect();
+        let records: Vec<JobRecord> = lock(&self.inner.records).values().cloned().collect();
         canonical_log(self.inner.seed, &self.inner.schedule_name, &records)
     }
 
@@ -381,19 +380,19 @@ impl Farm {
 
     /// Shared-store statistics.
     pub fn store_stats(&self) -> popper_store::StoreStats {
-        self.inner.store.lock().stats()
+        lock(&self.inner.store).stats()
     }
 
     /// A snapshot of one tenant's build history (badges, provenance).
     #[cfg(test)]
     fn tenant_history(&self, tenant: &str) -> Option<BuildHistory> {
         let t = self.inner.tenants.iter().find(|t| t.name == tenant)?;
-        Some(t.history.lock().clone())
+        Some(lock(&t.history).clone())
     }
 
     /// A snapshot of every job record (the HTTP layer renders these).
     pub fn job_records(&self) -> Vec<JobRecord> {
-        self.inner.records.lock().values().cloned().collect()
+        lock(&self.inner.records).values().cloned().collect()
     }
 
     /// Completed-jobs-per-tenant, for fairness checks.
@@ -435,7 +434,7 @@ impl Farm {
             "queue_wait_ms",
             "passed",
         ]);
-        for r in self.inner.records.lock().values() {
+        for r in lock(&self.inner.records).values() {
             let lost = matches!(r.outcome, JobOutcome::Pending) as i64;
             t.push_record(&[
                 ("tenant", Value::from(r.tenant.as_str())),
@@ -455,7 +454,7 @@ impl Farm {
     /// Build the final report (also what [`Farm::shutdown`] returns).
     pub fn report(&self) -> FarmReport {
         let inner = &self.inner;
-        let records = inner.records.lock();
+        let records = lock(&inner.records);
         let submitted = records.len() as u64;
         let completed =
             records.values().filter(|r| !matches!(r.outcome, JobOutcome::Pending)).count() as u64;
@@ -464,7 +463,7 @@ impl Farm {
             .tenants
             .iter()
             .map(|t| {
-                let history = t.history.lock();
+                let history = lock(&t.history);
                 TenantSummary {
                     name: t.name.clone(),
                     passed: t.passed.load(Ordering::Relaxed),
@@ -489,7 +488,7 @@ impl Farm {
             lost: submitted - completed,
             crashes,
             event_log,
-            dedup_ratio: inner.store.lock().stats().dedup_ratio(),
+            dedup_ratio: lock(&inner.store).stats().dedup_ratio(),
         }
     }
 }
@@ -503,7 +502,7 @@ impl FarmInner {
         };
         let mut tenants = Value::empty_map();
         for (i, t) in self.tenants.iter().enumerate() {
-            let history = t.history.lock();
+            let history = lock(&t.history);
             let mut doc = Value::empty_map();
             doc.insert("queued", Value::from(depths[i] as i64));
             doc.insert("passed", Value::from(t.passed.load(Ordering::Relaxed) as i64));
@@ -513,7 +512,7 @@ impl FarmInner {
             doc.insert("retries", Value::from(history.total_retries() as i64));
             tenants.insert(&t.name, doc);
         }
-        let stats = self.store.lock().stats();
+        let stats = lock(&self.store).stats();
         let mut store = Value::empty_map();
         store.insert("unique_chunks", Value::from(stats.unique_chunks as i64));
         store.insert("stored_bytes", Value::from(stats.stored_bytes as i64));
@@ -543,7 +542,7 @@ impl FarmView for FarmInner {
         let mut any = false;
         let mut all = true;
         for t in &self.tenants {
-            if let Some(passed) = t.history.lock().latest().map(|r| r.passed) {
+            if let Some(passed) = lock(&t.history).latest().map(|r| r.passed) {
                 any = true;
                 all &= passed;
             }
@@ -553,12 +552,12 @@ impl FarmView for FarmInner {
 
     fn tenant_passing(&self, tenant: &str) -> Option<Option<bool>> {
         let i = self.tenant_index(tenant)?;
-        Some(self.tenants[i].history.lock().latest().map(|r| r.passed))
+        Some(lock(&self.tenants[i].history).latest().map(|r| r.passed))
     }
 
     fn tenant_builds_json(&self, tenant: &str) -> Option<String> {
         let i = self.tenant_index(tenant)?;
-        let history = self.tenants[i].history.lock();
+        let history = lock(&self.tenants[i].history);
         let builds: Vec<Value> = history
             .records()
             .iter()
@@ -583,9 +582,7 @@ impl FarmView for FarmInner {
         // Synthesize one span per completed job from the record
         // timings; the farm's epoch is time zero.
         let track = popper_trace::Label::from(format!("{tenant}/jobs"));
-        let events: Vec<popper_trace::TraceEvent> = self
-            .records
-            .lock()
+        let events: Vec<popper_trace::TraceEvent> = lock(&self.records)
             .values()
             .filter(|r| r.tenant == tenant && !matches!(r.outcome, JobOutcome::Pending))
             .map(|r| popper_trace::TraceEvent {
@@ -615,16 +612,6 @@ impl Drop for Farm {
             let _ = w.join();
         }
     }
-}
-
-/// Poison-tolerant lock: a worker that panicked mid-job must not take
-/// the whole farm down with it.
-fn lock<'a, T>(m: &'a Mutex<T>) -> std::sync::MutexGuard<'a, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
-}
-
-fn wait<'a, T>(cv: &Condvar, g: std::sync::MutexGuard<'a, T>) -> std::sync::MutexGuard<'a, T> {
-    cv.wait(g).unwrap_or_else(|e| e.into_inner())
 }
 
 fn worker_loop(inner: &Arc<FarmInner>) {
@@ -702,7 +689,7 @@ fn worker_loop(inner: &Arc<FarmInner>) {
 }
 
 fn with_record(inner: &FarmInner, job: &QueuedJob, f: impl FnOnce(&mut JobRecord)) {
-    if let Some(r) = inner.records.lock().get_mut(&(job.tenant, job.seq)) {
+    if let Some(r) = lock(&inner.records).get_mut(&(job.tenant, job.seq)) {
         f(r);
     }
 }
@@ -716,7 +703,7 @@ fn run_job(
     job: &QueuedJob,
 ) -> JobOutcome {
     let tenant = &inner.tenants[tenant_idx];
-    let mut repo = tenant.repo.lock();
+    let mut repo = lock(&tenant.repo);
     let run = inner.engine.run_lifecycle(&mut repo, experiment, &Lifecycle::Run, true);
     let ctx = run.as_ref().map(|finished| &finished.ctx);
     let passed = ctx.is_ok_and(RunContext::success);
@@ -732,7 +719,7 @@ fn run_job(
     // Archive result artifacts into the shared store: buffer now, batch
     // later. Manifests land under farm/ in the tenant repo.
     if run.is_ok() {
-        let mut pending = inner.pending.lock();
+        let mut pending = lock(&inner.pending);
         for artifact in ["results.csv", "figure.txt"] {
             let path = format!("experiments/{experiment}/{artifact}");
             if let Some(bytes) = repo.vcs.read_file(&path) {
@@ -753,7 +740,7 @@ fn run_job(
         drop(repo);
     }
 
-    tenant.history.lock().record_outcome(
+    lock(&tenant.history).record_outcome(
         &commit,
         passed,
         job.queue_wait_ms.unwrap_or(0),
@@ -771,14 +758,14 @@ fn run_job(
 /// tenant per flush.
 fn flush_pending(inner: &FarmInner) {
     let batch: Vec<PendingArtifact> = {
-        let mut pending = inner.pending.lock();
+        let mut pending = lock(&inner.pending);
         std::mem::take(&mut *pending)
     };
     if batch.is_empty() {
         return;
     }
     let manifests = {
-        let mut store = inner.store.lock();
+        let mut store = lock(&inner.store);
         if let Some(chaos) = &inner.chaos {
             let delay = chaos.store_delay();
             if !delay.is_zero() {
@@ -796,7 +783,7 @@ fn flush_pending(inner: &FarmInner) {
     }
     for (tenant_idx, files) in per_tenant {
         let tenant = &inner.tenants[tenant_idx];
-        let mut repo = tenant.repo.lock();
+        let mut repo = lock(&tenant.repo);
         let count = files.len();
         if repo.vcs.write_files(files).is_ok() {
             let _ = repo.commit(&format!("farm: archive {count} artifact manifest(s)"));

@@ -11,6 +11,8 @@
 //! * [`table`] — a small typed, columnar data table; the common currency
 //!   between experiment results (`results.csv`), the monitor's time series
 //!   and the Aver validation engine.
+//! * [`sync`] — poison-recovering `lock`/`read`/`write`/`wait` over
+//!   `std::sync`.
 //!
 //! Everything here is implemented from scratch: the approved offline crate
 //! set does not include `serde_json`/`serde_yaml`, and hand-rolling these
@@ -21,6 +23,7 @@ pub mod csv;
 pub mod error;
 pub mod json;
 pub mod pml;
+pub mod sync;
 pub mod table;
 pub mod value;
 

@@ -130,8 +130,7 @@ impl PageCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use popper_sim::rng::Rng;
     use std::collections::VecDeque;
 
     /// The reference model: the same rule on a deque, least recent at
@@ -173,16 +172,16 @@ mod tests {
     /// Random reads (hit, else insert), writes of new pages and
     /// evictions, the way `GassyFs` drives the cache.
     fn agrees_with_reference(capacity: usize, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         let mut cache = PageCache::new(capacity);
         let mut reference = Reference { capacity, pages: VecDeque::new() };
         let mut next_page: PageId = 1;
         let span = (capacity as u64 * 2).max(8);
         for step in 0..4_000 {
-            match rng.gen_range(0..10) {
+            match rng.range(0..10u32) {
                 0..=5 if next_page > 1 => {
                     let lo = next_page.saturating_sub(span).max(1);
-                    let page = rng.gen_range(lo..next_page);
+                    let page = rng.range(lo..next_page);
                     let hit = cache.hit(page);
                     assert_eq!(hit, reference.hit(page), "capacity {capacity} seed {seed} step {step}: hit {page}");
                     if !hit {
@@ -191,14 +190,14 @@ mod tests {
                     }
                 }
                 6..=8 => {
-                    for _ in 0..rng.gen_range(1..5) {
+                    for _ in 0..rng.range(1..5u32) {
                         cache.insert(next_page);
                         reference.insert(next_page);
                         next_page += 1;
                     }
                 }
                 _ => {
-                    let pages: Vec<PageId> = (0..rng.gen_range(0..6)).map(|_| rng.gen_range(1..next_page + 1)).collect();
+                    let pages: Vec<PageId> = (0..rng.range(0..6u32)).map(|_| rng.range(1..next_page + 1)).collect();
                     cache.evict(&pages);
                     reference.evict(&pages);
                 }

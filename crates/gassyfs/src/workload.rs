@@ -10,9 +10,8 @@
 
 use crate::fs::GassyFs;
 use crate::vfs::FsError;
+use popper_sim::rng::Rng;
 use popper_sim::{Demand, Nanos};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// The compile-a-project workload description.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,18 +87,18 @@ struct TuPlan {
     obj_size: usize,
 }
 
-fn jitter(rng: &mut StdRng, base: usize) -> usize {
+fn jitter(rng: &mut Rng, base: usize) -> usize {
     // ±25% size jitter, never zero.
     let lo = (base as f64 * 0.75) as usize;
     let hi = (base as f64 * 1.25) as usize;
-    rng.gen_range(lo.max(1)..=hi.max(2))
+    rng.range(lo.max(1)..hi.max(2) + 1)
 }
 
 /// Replay the compile workload. Populates the tree (untimed), then
 /// measures compile + link under `jobs` parallel make jobs.
 pub fn run_compile(fs: &mut GassyFs, w: &CompileWorkload) -> Result<WorkloadResult, FsError> {
     assert!(w.jobs >= 1 && w.translation_units >= 1 && w.shared_headers >= 1);
-    let mut rng = StdRng::seed_from_u64(w.seed);
+    let mut rng = Rng::new(w.seed);
 
     // --- populate (untimed: `git clone` happened before the benchmark) ---
     fs.mkdir_p("/git/src", Nanos::ZERO)?;
@@ -117,7 +116,7 @@ pub fn run_compile(fs: &mut GassyFs, w: &CompileWorkload) -> Result<WorkloadResu
         let size = jitter(&mut rng, w.source_bytes);
         let source = format!("/git/src/tu{tu}.c");
         fs.write_timing(&source, size, Nanos::ZERO)?;
-        let included: Vec<usize> = (0..w.headers_per_tu).map(|_| rng.gen_range(0..w.shared_headers)).collect();
+        let included: Vec<usize> = (0..w.headers_per_tu).map(|_| rng.range(0..w.shared_headers)).collect();
         let obj_size = jitter(&mut rng, w.object_bytes);
         tu_plans.push(TuPlan { source, size, included, object: format!("/git/obj/tu{tu}.o"), obj_size });
     }

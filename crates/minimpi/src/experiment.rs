@@ -13,9 +13,8 @@ use crate::lulesh::{run, LuleshConfig};
 use popper_aver::stats;
 use popper_format::{Table, Value};
 use popper_sim::noise::{NoisyNeighbor, OsNoise};
+use popper_sim::rng::Rng;
 use popper_sim::{platforms, Cluster, Nanos, PlatformSpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// What disturbs the cluster in a scenario.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,7 +155,7 @@ impl StudyResult {
 
 /// Run the study.
 pub fn run_variability_study(study: &VariabilityStudy) -> StudyResult {
-    let mut rng = StdRng::seed_from_u64(study.seed);
+    let mut rng = Rng::new(study.seed);
     let mut repetitions = Vec::new();
     for scenario in &study.scenarios {
         for rep in 0..study.repetitions {
@@ -165,13 +164,13 @@ pub fn run_variability_study(study: &VariabilityStudy) -> StudyResult {
                 NoiseScenario::Quiet => {}
                 NoiseScenario::OsNoise { nodes, period, duration } => {
                     for &n in nodes {
-                        let phase = Nanos::from_nanos(rng.gen_range(0..period.as_nanos().max(1)));
+                        let phase = Nanos::from_nanos(rng.range(0..period.as_nanos().max(1)));
                         cluster.set_noise(n, Some(OsNoise::new(*period, *duration, phase)));
                     }
                 }
                 NoiseScenario::Neighbor { nodes, cpu_share, spread } => {
                     for &n in nodes {
-                        let share = (cpu_share + rng.gen_range(-*spread..*spread)).clamp(0.0, 0.9);
+                        let share = (cpu_share + rng.range(-*spread..*spread)).clamp(0.0, 0.9);
                         cluster.set_neighbor(n, NoisyNeighbor::new(share, share / 2.0));
                     }
                 }

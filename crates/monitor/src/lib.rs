@@ -28,13 +28,11 @@
 
 pub mod baseline;
 pub mod metrics;
-pub mod observer;
 pub mod regress;
 pub mod special;
 pub mod stressors;
 
 pub use baseline::{Baseline, BaselineGate, GateOutcome};
 pub use metrics::MetricStore;
-pub use observer::observe_cluster;
 pub use regress::{mann_whitney_u, welch_t_test, RegressionCheck, RegressionVerdict};
 pub use stressors::{Stressor, STRESSORS};

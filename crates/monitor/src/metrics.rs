@@ -6,12 +6,12 @@
 //! Monitoring*). [`MetricStore`] is that capture point: thread-safe,
 //! tag-aware, and exportable as a [`Table`] for Aver and plotting.
 
-use parking_lot::RwLock;
 use popper_aver::stats;
+use popper_format::sync::{read, write};
 use popper_format::{Table, Value};
 use popper_sim::Nanos;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// One sample of one metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +63,7 @@ impl MetricStore {
     /// Record a sample for `metric` with an optional `tag` (e.g. a node
     /// name or rank). Untagged samples use the empty tag.
     pub fn record(&self, metric: &str, tag: &str, at: Nanos, value: f64) {
-        let mut inner = self.inner.write();
+        let mut inner = write(&self.inner);
         inner
             .series
             .entry((metric.to_string(), tag.to_string()))
@@ -73,8 +73,7 @@ impl MetricStore {
 
     /// All samples of `(metric, tag)`, in record order.
     pub fn samples(&self, metric: &str, tag: &str) -> Vec<Sample> {
-        self.inner
-            .read()
+        read(&self.inner)
             .series
             .get(&(metric.to_string(), tag.to_string()))
             .cloned()
@@ -88,7 +87,7 @@ impl MetricStore {
 
     /// The distinct `(metric, tag)` keys currently held.
     pub fn keys(&self) -> Vec<(String, String)> {
-        self.inner.read().series.keys().cloned().collect()
+        read(&self.inner).series.keys().cloned().collect()
     }
 
     /// Summary of one series; `None` if it has no samples.
@@ -112,7 +111,7 @@ impl MetricStore {
     /// analysis notebooks consume.
     pub fn to_table(&self) -> Table {
         let mut t = Table::new(["metric", "tag", "t_ns", "value"]);
-        let inner = self.inner.read();
+        let inner = read(&self.inner);
         for ((metric, tag), samples) in &inner.series {
             for s in samples {
                 t.push_row(vec![
@@ -129,7 +128,7 @@ impl MetricStore {
 
     /// Total number of samples across all series.
     pub fn len(&self) -> usize {
-        self.inner.read().series.values().map(Vec::len).sum()
+        read(&self.inner).series.values().map(Vec::len).sum()
     }
 
     /// True when no samples have been recorded.
@@ -139,7 +138,7 @@ impl MetricStore {
 
     /// Remove all samples (between experiment repetitions).
     pub fn clear(&self) {
-        self.inner.write().series.clear();
+        write(&self.inner).series.clear();
     }
 }
 

@@ -207,14 +207,14 @@ impl RegressionCheck {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use popper_sim::rng::Rng;
 
     fn normal_sample(n: usize, mean: f64, sd: f64, seed: u64) -> Vec<f64> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
         (0..n)
             .map(|_| {
-                let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                let u2: f64 = rng.gen_range(0.0..1.0);
+                let u1: f64 = rng.range(f64::MIN_POSITIVE..1.0);
+                let u2: f64 = rng.range(0.0..1.0);
                 mean + sd * (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
             })
             .collect()

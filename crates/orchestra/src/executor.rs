@@ -10,10 +10,11 @@
 use crate::inventory::Inventory;
 use crate::modules::{run_module, HostState};
 use crate::playbook::{eval_when, template, Playbook};
-use parking_lot::Mutex;
+use popper_format::sync::lock;
 use popper_format::Value;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// Per-(host, task) outcome.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,8 +134,8 @@ pub fn run_playbook(
         for task in &play.tasks {
             // One slot per selected host; threads fill them in parallel.
             let controller = Mutex::new(std::mem::take(&mut report.controller_files));
-            let results: Vec<Mutex<Option<(TaskStatus, HostState)>>> =
-                selected.iter().map(|_| Mutex::new(None)).collect();
+            let mut results: Vec<OnceLock<(TaskStatus, HostState)>> =
+                selected.iter().map(|_| OnceLock::new()).collect();
 
             std::thread::scope(|scope| {
                 for (i, host_name) in selected.iter().enumerate() {
@@ -150,12 +151,12 @@ pub fn run_playbook(
                             tracer.span("orchestra", format!("orchestra/{host_name}"), &task.name);
                         let status =
                             run_task_on_host(task, host_name, &mut state, controller, &tracer);
-                        *slot.lock() = Some((status, state));
+                        slot.get_or_init(|| (status, state));
                     });
                 }
             });
 
-            report.controller_files = controller.into_inner();
+            report.controller_files = controller.into_inner().unwrap_or_else(PoisonError::into_inner);
             for (i, host_name) in selected.iter().enumerate() {
                 let host_report = report.hosts.get_mut(host_name).expect("report exists");
                 if dead[host_name] {
@@ -166,7 +167,7 @@ pub fn run_playbook(
                     ));
                     continue;
                 }
-                let (status, state) = results[i].lock().take().expect("slot filled");
+                let (status, state) = results[i].take().expect("slot filled");
                 if status.is_failed() {
                     dead.insert(host_name.clone(), true);
                 }
@@ -246,7 +247,7 @@ fn run_task_attempt(
         };
         // Modules need &mut controller map; take the lock for the module
         // duration (fetch/copy are the only users and are short).
-        let mut ctl = controller.lock();
+        let mut ctl = lock(controller);
         match run_module(&task.module, &args, state, &mut ctl) {
             Ok(result) => {
                 any_changed |= result.changed;

@@ -37,6 +37,8 @@
 //!   variability use case.
 //! * [`platforms`] — calibrated presets for the machines the paper names.
 //! * [`cluster`] — a set of identical nodes plus a fabric.
+//! * [`rng`] — the seeded generator ([`rng::Rng`], xoshiro256++) every
+//!   seeded stream in the workspace draws from.
 //!
 //! Determinism is a hard invariant: the same seed and the same schedule of
 //! events produce bit-identical metrics. Property tests in this crate and
@@ -51,6 +53,7 @@ pub mod network;
 pub mod noise;
 pub mod platforms;
 pub mod resource;
+pub mod rng;
 pub mod shard;
 pub mod time;
 

@@ -257,11 +257,11 @@ impl ChunkStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::{Rng, SeedableRng};
+    use popper_sim::rng::Rng;
 
     fn random_bytes(len: usize, seed: u64) -> Vec<u8> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        (0..len).map(|_| rng.gen()).collect()
+        let mut rng = Rng::new(seed);
+        (0..len).map(|_| (rng.next_u64() >> 56) as u8).collect()
     }
 
     #[test]

@@ -10,8 +10,8 @@
 use crate::event::{EventKind, SpanId, TraceEvent};
 use crate::label::{ranks, Interner, Label};
 use crate::tracer::{ClockDomain, Core, Tracer};
-use parking_lot::Mutex;
-use std::sync::Arc;
+use popper_format::sync::lock;
+use std::sync::{Arc, Mutex};
 
 /// An event as the sink buffers it: its track and name are numbers of
 /// the sink's interned labels.
@@ -74,7 +74,7 @@ impl TraceSink {
     /// [`Label`] handle.
     pub fn drain(&self) -> Vec<TraceEvent> {
         let (labels, recorded) = {
-            let mut recording = self.recording.lock();
+            let mut recording = lock(&self.recording);
             (recording.labels.labels().to_vec(), std::mem::take(&mut recording.events))
         };
         // Distinct labels have distinct text, so comparing their ranks
@@ -122,7 +122,7 @@ mod tests {
         assert!(events.iter().filter(|e| e.track == "node0").all(|e| same(&e.track, &node0.track)));
         assert!(same(&later[0].track, &node0.track));
         assert!(same(&later[0].name, &node0.name));
-        assert_eq!(sink.recording.lock().labels.labels().len(), 3);
+        assert_eq!(lock(&sink.recording).labels.labels().len(), 3);
     }
 
     /// Labels that share prefixes, differ only past a non-ASCII byte,
@@ -163,7 +163,7 @@ mod tests {
                 }
             });
             let mut expect: Vec<TraceEvent> = {
-                let recording = sink.recording.lock();
+                let recording = lock(&sink.recording);
                 let labels = recording.labels.labels();
                 recording.events.iter().map(|e| e.event(labels)).collect()
             };

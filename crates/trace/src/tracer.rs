@@ -18,6 +18,7 @@
 
 use crate::event::{EventKind, SpanId};
 use crate::sink::{Recorded, SharedRecording};
+use popper_format::sync::lock;
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,7 +69,7 @@ impl Core {
 
     /// The sink's numbers for a track and a name.
     fn labels(&self, track: &str, name: &str) -> (u32, u32) {
-        let mut recording = self.recording.lock();
+        let mut recording = lock(&self.recording);
         (recording.labels.id(track), recording.labels.id(name))
     }
 
@@ -82,13 +83,13 @@ impl Core {
         id: SpanId,
         parent: SpanId,
     ) {
-        let mut recording = self.recording.lock();
+        let mut recording = lock(&self.recording);
         let (track, name) = (recording.labels.id(track), recording.labels.id(name));
         recording.events.push(Recorded { kind, id, parent, category, track, name });
     }
 
     fn push(&self, event: Recorded) {
-        self.recording.lock().events.push(event);
+        lock(&self.recording).events.push(event);
     }
 }
 

@@ -12,8 +12,7 @@
 
 use crate::grid::Grid;
 use popper_format::{csv, Table};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use popper_sim::rng::Rng;
 
 /// Generator configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,7 +74,7 @@ pub fn generate(config: &ReanalysisConfig) -> Grid {
         .collect();
     let lons: Vec<f64> = (0..config.n_lon).map(|i| 360.0 * i as f64 / config.n_lon as f64).collect();
     let mut grid = Grid::zeros(times.clone(), lats.clone(), lons.clone());
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    let mut rng = Rng::new(config.seed);
 
     for (t, (year, month)) in times.iter().enumerate() {
         let months_elapsed = (year - config.start_year) as f64 * 12.0 + (*month as f64 - 1.0);
@@ -95,8 +94,8 @@ pub fn generate(config: &ReanalysisConfig) -> Grid {
                     * (2.0 * lat_rad).sin().abs();
                 let noise = {
                     // Box–Muller.
-                    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-                    let u2: f64 = rng.gen_range(0.0..1.0);
+                    let u1: f64 = rng.range(f64::MIN_POSITIVE..1.0);
+                    let u2: f64 = rng.range(0.0..1.0);
                     config.noise_k * (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
                 };
                 grid.set(t, la, lo, base + seasonal + texture + trend + noise);

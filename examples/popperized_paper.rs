@@ -9,7 +9,8 @@
 
 use popper::cli::runners::full_engine;
 use popper::core::{check, cipipeline, paper, templates, PopperRepo};
-use std::sync::Arc;
+use popper::format::sync::lock;
+use std::sync::{Arc, Mutex};
 
 fn main() -> Result<(), String> {
     let mut repo = PopperRepo::init("the authors <authors@systemslab>").map_err(|e| e.to_string())?;
@@ -83,13 +84,13 @@ fn main() -> Result<(), String> {
     // Compliance + CI.
     let violations = check::check_compliance(&repo);
     println!("compliance violations: {}", violations.len());
-    let shared = Arc::new(parking_lot::Mutex::new(repo));
+    let shared = Arc::new(Mutex::new(repo));
     let build = cipipeline::run_ci(shared.clone(), Arc::new(full_engine()), 4)?;
     println!("\n{}", build.summary());
     println!("[{}]", if build.passed() { "build: passing" } else { "build: failing" });
 
     // The lab notebook: the full history of the exploration.
-    let repo = shared.lock();
+    let repo = lock(&shared);
     let head = repo.vcs.head_commit().expect("committed");
     println!("\nhistory ({} commits):", repo.vcs.log(head).map_err(|e| e.to_string())?.len());
     for (id, c) in repo.vcs.log(head).map_err(|e| e.to_string())?.iter().take(8) {

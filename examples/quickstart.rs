@@ -11,7 +11,7 @@
 
 use popper::cli::runners::full_engine;
 use popper::core::{check::check_compliance, templates, PopperRepo};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn main() -> Result<(), String> {
     // $ popper init
@@ -53,7 +53,7 @@ fn main() -> Result<(), String> {
     println!();
 
     // $ popper ci
-    let shared = Arc::new(parking_lot::Mutex::new(repo));
+    let shared = Arc::new(Mutex::new(repo));
     let build = popper::core::cipipeline::run_ci(shared, Arc::new(full_engine()), 2)?;
     println!("{}", build.summary());
     println!("[{}]", if build.passed() { "build: passing" } else { "build: failing" });

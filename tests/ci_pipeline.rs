@@ -2,11 +2,11 @@
 //! the experimentation logic (the paper builds; orchestration syntax is
 //! correct; the pipeline itself is valid), plus build history/badges.
 
-use parking_lot::Mutex;
 use popper::ci::{badge, BuildHistory};
 use popper::cli::runners::full_engine;
 use popper::core::{cipipeline::run_ci, templates, PopperRepo};
-use std::sync::Arc;
+use popper::format::sync::lock;
+use std::sync::{Arc, Mutex};
 
 fn repo_with(tpl: &str, name: &str) -> PopperRepo {
     let mut repo = PopperRepo::init("ci-tester").unwrap();
@@ -27,7 +27,7 @@ fn integrity_checks_catch_each_breakage() {
 
     // Break the orchestration syntax: lint stage fails.
     {
-        let mut r = repo.lock();
+        let mut r = lock(&repo);
         r.write("experiments/z/setup.pml", "- name: broken\n  tasks: []\n").unwrap();
         r.commit("break playbook").unwrap();
     }
@@ -38,7 +38,7 @@ fn integrity_checks_catch_each_breakage() {
 
     // Fix the playbook; break the paper instead.
     {
-        let mut r = repo.lock();
+        let mut r = lock(&repo);
         r.write("experiments/z/setup.pml", "- name: ok\n  hosts: all\n  tasks:\n    - name: t\n      command: x\n")
             .unwrap();
         r.write("paper/paper.md", "# T\n\n![ghost](experiments/ghost/figure.txt)\n").unwrap();
@@ -63,7 +63,7 @@ fn build_history_and_badge_track_outcomes() {
     assert_eq!(badge(&history), "build: passing");
 
     {
-        let mut r = repo.lock();
+        let mut r = lock(&repo);
         r.write(".popper-ci.pml", "stages: [t]\njobs:\n  - name: j\n    stage: t\n    steps: [frobnicate]\n")
             .unwrap();
         r.commit("bad step").unwrap();
@@ -82,7 +82,7 @@ fn matrix_pipeline_runs_experiment_per_machine() {
     // practical" (the paper's abstract claim, in CI form).
     let repo = Arc::new(Mutex::new(repo_with("malacology", "m")));
     {
-        let mut r = repo.lock();
+        let mut r = lock(&repo);
         r.write(
             ".popper-ci.pml",
             "stages: [test]\n\
@@ -268,4 +268,43 @@ fn every_crate_dependency_is_named_in_its_sources() {
     }
     assert!(packages.len() > 20, "found only {packages:?}");
     assert!(unnamed.is_empty(), "dependencies no source names: {unnamed:#?}");
+}
+
+/// The `compat/` stand-ins serve tests and benches only: no package's
+/// `[dependencies]` names one, except `crates/bench`, a package of
+/// benches.
+#[test]
+fn no_runtime_dependency_is_a_compat_package() {
+    use std::path::Path;
+
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let read = |dir: &Path| std::fs::read_to_string(dir.join("Cargo.toml")).unwrap();
+    let compat: Vec<String> = std::fs::read_dir(root.join("compat"))
+        .unwrap()
+        .map(|e| {
+            let manifest = read(&e.unwrap().path());
+            let name = manifest.lines().find_map(|l| l.strip_prefix("name = ")).unwrap();
+            name.trim_matches('"').to_string()
+        })
+        .collect();
+    assert!(compat.iter().any(|n| n == "proptest"), "found only {compat:?}");
+    let mut packages = vec![root.to_path_buf()];
+    for group in ["crates", "compat"] {
+        packages.extend(std::fs::read_dir(root.join(group)).unwrap().map(|e| e.unwrap().path()));
+    }
+    let mut runtime = Vec::new();
+    for dir in packages.iter().filter(|d| !d.ends_with("crates/bench")) {
+        let mut section = "";
+        for line in read(dir).lines().map(str::trim) {
+            if line.starts_with('[') {
+                section = line;
+            } else if section == "[dependencies]" {
+                let dep = line.split(['.', '=', ' ']).next().unwrap();
+                if compat.iter().any(|c| c == dep) {
+                    runtime.push(format!("{} {dep}", dir.join("Cargo.toml").strip_prefix(root).unwrap().display()));
+                }
+            }
+        }
+    }
+    assert!(runtime.is_empty(), "[dependencies] naming a compat package: {runtime:#?}");
 }

@@ -2,10 +2,10 @@
 //! every figure regenerates deterministically, validates automatically,
 //! and whose whole pipeline re-executes without author intervention.
 
-use parking_lot::Mutex;
 use popper::cli::runners::full_engine;
 use popper::core::{cipipeline, paper, templates, PopperRepo};
-use std::sync::Arc;
+use popper::format::sync::lock;
+use std::sync::{Arc, Mutex};
 
 fn small_gassyfs_repo() -> PopperRepo {
     let mut repo = PopperRepo::init("authors").unwrap();
@@ -93,7 +93,7 @@ fn whole_pipeline_under_ci() {
     let report = cipipeline::run_ci(shared.clone(), Arc::new(full_engine()), 4).unwrap();
     assert!(report.passed(), "{}", report.summary());
     // The CI run left recorded, validated, committed results behind.
-    let repo = shared.lock();
+    let repo = lock(&shared);
     assert!(repo.exists("experiments/gassyfs/results.csv"));
     assert!(repo.vcs.status().unwrap().is_empty());
 }

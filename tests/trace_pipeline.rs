@@ -106,22 +106,21 @@ fn own_ci_config_parses_and_has_trace_smoke_jobs() {
 /// under an ambient tracer and export it.
 fn virtual_trace(seed: u64, ranks: usize) -> String {
     use popper::minimpi::MpiWorld;
+    use popper::sim::rng::Rng;
     use popper::sim::{platforms, Cluster, Demand, Fabric, Nanos};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
 
     let sink = TraceSink::new();
     let tracer = sink.tracer(ClockDomain::Virtual);
     popper::trace::with_current(tracer, || {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::new(seed);
 
         // Raw fabric traffic.
         let mut fabric = Fabric::new(4, 10.0, Nanos::from_micros(10), 1.0);
         for _ in 0..20 {
-            let src = rng.gen_range(0..4usize);
-            let dst = rng.gen_range(0..4usize);
-            let bytes = rng.gen_range(0..1_000_000u64);
-            fabric.transfer(src, dst, bytes, Nanos(rng.gen_range(0..1_000_000u64)));
+            let src = rng.range(0..4usize);
+            let dst = rng.range(0..4usize);
+            let bytes = rng.range(0..1_000_000u64);
+            fabric.transfer(src, dst, bytes, Nanos(rng.range(0..1_000_000u64)));
         }
 
         // A small MPI application.
