@@ -1,18 +1,18 @@
 //! The workspace's one seeded generator.
 //!
 //! [`Rng`] is xoshiro256++ (Blackman and Vigna) seeded from a `u64`
-//! through [`splitmix64`]. Every seeded stream draws from it: gremlin
+//! through [`splitmix64`]. The seeded streams draw from it: gremlin
 //! fault schedules, MPI noise phases, the compile-git plan, synthetic
 //! jitter and reanalysis noise. It holds only what those callers use:
-//! raw 64-bit draws, a bounded integer draw, a unit `f64`, and ranges
-//! built on the last two. Any change to a stream shows in the byte pins
-//! of the artifacts it feeds.
+//! raw 64-bit draws, a unit `f64`, and integer and `f64` ranges built
+//! on a bounded draw and that `f64`. A change to any stream shows in
+//! the byte pins of the artifacts it feeds.
 
 use crate::fault::splitmix64;
 use std::ops::Range;
 
 /// A seeded xoshiro256++ generator.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Rng {
     s: [u64; 4],
 }
@@ -40,10 +40,9 @@ impl Rng {
         result
     }
 
-    /// A uniform draw from `[0, bound)` without modulo bias (Lemire's
-    /// multiply-and-reject).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        assert!(bound > 0, "Rng::below: empty range");
+    /// A uniform draw from `[0, bound)`, `bound > 0`, without modulo
+    /// bias (Lemire's multiply-and-reject).
+    fn below(&mut self, bound: u64) -> u64 {
         loop {
             let m = u128::from(self.next_u64()) * u128::from(bound);
             let lo = m as u64;

@@ -22,7 +22,7 @@ fn intern_category(s: &str) -> &'static str {
     }
     use std::sync::{Mutex, OnceLock};
     static EXTRA: OnceLock<Mutex<Vec<&'static str>>> = OnceLock::new();
-    let mut extra = EXTRA.get_or_init(|| Mutex::new(Vec::new())).lock().unwrap();
+    let mut extra = popper_format::sync::lock(EXTRA.get_or_init(Default::default));
     if let Some(k) = extra.iter().find(|k| **k == s) {
         return k;
     }
